@@ -31,6 +31,21 @@ cargo test -q -p xtalk-pass
 cargo test -q -p xtalk-core --test pass_determinism
 cargo test -q -p xtalk-core --test compare_cache_obs
 
+echo "== benchmark harness tests & XtalkSched search identity =="
+# The benchmark harness is a package of its own (empty [workspace]), so
+# the workspace stages above neither build nor test it.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+# XtalkSched's search must stay bit-identical: seed 1's exact counts
+# (leaves, candidate pairs, complete searches, cache traffic and the
+# Eq. 17 gain sum over 1506 compiles) are pinned.
+pinned_exact="exact compiles_per_pass=1506 sched.xtalk.leaves=45572 sched.xtalk.candidate_pairs=9259 sched.xtalk.complete=320 pass.cache_hits=3012 pass.cache_misses=3012 xtalk_gain_sum=4031.167459635665"
+bench_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload compile_mix --seed 1 --seconds 3 --trace 0)"
+exact="$(echo "$bench_out" | grep '^exact ' | head -n1)"
+[ "$exact" = "$pinned_exact" ] || {
+    echo "compile_mix exact counts moved:"; echo "  got:    $exact"; echo "  pinned: $pinned_exact"; exit 1;
+}
+
 echo "== xtalk compare cache smoke =="
 # The compare verb compiles one circuit under all three schedulers over
 # a shared artifact cache: the scheduler-independent prefix must be

@@ -44,6 +44,7 @@ pub mod pipeline;
 mod realize;
 pub mod routing;
 pub mod sched;
+mod timeline;
 pub mod transpile;
 
 pub use compile::Compiler;

@@ -1,7 +1,8 @@
 //! Schedule realization: ASAP solve + IBM right-alignment.
 
+use crate::timeline::Timeline;
 use crate::{CoreError, SchedulerContext};
-use xtalk_ir::{Circuit, Instruction, Qubit, ScheduleSlot, ScheduledCircuit};
+use xtalk_ir::{Circuit, Instruction, Qubit, ScheduledCircuit};
 
 /// Realizes a concrete timed schedule for `circuit` under the hardware
 /// timing model:
@@ -18,76 +19,18 @@ use xtalk_ir::{Circuit, Instruction, Qubit, ScheduleSlot, ScheduledCircuit};
 ///
 /// [`CoreError::CyclicConstraints`] if the serialization pairs contradict
 /// the dependency order.
+///
+/// This is a one-shot use of the schedule timeline that XtalkSched's
+/// search reuses across its branch-and-bound nodes.
 pub fn realize(
     circuit: &Circuit,
     ctx: &SchedulerContext,
     serializations: &[(usize, usize)],
 ) -> Result<ScheduledCircuit, CoreError> {
     let _span = xtalk_obs::span("realize");
-    let n = circuit.len();
-    let durations: Vec<u64> = circuit
-        .iter()
-        .map(|ins| ctx.duration_of(ins.gate(), ins.qubits()))
-        .collect();
-
-    // Dependency edges + serialization edges.
-    let dag = circuit.dag();
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut indeg = vec![0usize; n];
-    let add_edge = |succs: &mut Vec<Vec<usize>>, indeg: &mut Vec<usize>, a: usize, b: usize| {
-        succs[a].push(b);
-        indeg[b] += 1;
-    };
-    for j in 0..n {
-        for &i in dag.predecessors(j) {
-            add_edge(&mut succs, &mut indeg, i, j);
-        }
-    }
-    for &(i, j) in serializations {
-        assert!(i < n && j < n, "serialization references instruction out of range");
-        add_edge(&mut succs, &mut indeg, i, j);
-    }
-
-    // Kahn topological order (detects cycles introduced by serialization).
-    let mut order = Vec::with_capacity(n);
-    let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    while let Some(i) = queue.pop() {
-        order.push(i);
-        for &j in &succs[i] {
-            indeg[j] -= 1;
-            if indeg[j] == 0 {
-                queue.push(j);
-            }
-        }
-    }
-    if order.len() != n {
-        return Err(CoreError::CyclicConstraints);
-    }
-
-    // ASAP forward pass.
-    let mut asap = vec![0u64; n];
-    for &i in &order {
-        for &j in &succs[i] {
-            asap[j] = asap[j].max(asap[i] + durations[i]);
-        }
-    }
-    let makespan = (0..n).map(|i| asap[i] + durations[i]).max().unwrap_or(0);
-
-    // ALAP backward pass anchored at the makespan (right alignment).
-    let mut latest_finish = vec![makespan; n];
-    for &i in order.iter().rev() {
-        for &j in &succs[i] {
-            latest_finish[i] = latest_finish[i].min(latest_finish[j] - durations[j]);
-        }
-    }
-
-    let slots: Vec<ScheduleSlot> = (0..n)
-        .map(|i| ScheduleSlot::new(latest_finish[i] - durations[i], durations[i]))
-        .collect();
-    let sched = ScheduledCircuit::new(circuit.clone(), slots)
-        .expect("slot count matches instruction count");
-    debug_assert!(sched.validate().is_ok(), "realized schedule must be valid");
-    Ok(sched)
+    let mut timeline = Timeline::new(circuit, ctx);
+    timeline.solve(serializations)?;
+    Ok(timeline.into_schedule())
 }
 
 /// Rewrites a realized schedule as an *executable circuit with barriers*:

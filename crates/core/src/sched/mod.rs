@@ -5,6 +5,7 @@ pub mod serial;
 pub mod xtalk;
 
 use crate::sched::xtalk::XtalkSchedReport;
+use crate::timeline::CostModel;
 use crate::{CoreError, SchedulerContext};
 use xtalk_budget::Budget;
 use xtalk_device::Edge;
@@ -90,41 +91,7 @@ pub fn check_hardware_compliant(
 /// decrease when their error source shrinks (`log ε` is negative and
 /// grows toward 0 as ε worsens — we keep the paper's published form).
 pub fn schedule_cost(sched: &ScheduledCircuit, ctx: &SchedulerContext, omega: f64) -> f64 {
-    let circuit = sched.circuit();
-
-    // Gate error term.
-    let mut eps: Vec<Option<f64>> = circuit
-        .iter()
-        .map(|ins| {
-            ins.gate()
-                .is_two_qubit()
-                .then(|| ctx.independent_error(Edge::from(ins.edge().expect("edge"))))
-        })
-        .collect();
-    for (i, j) in sched.overlapping_two_qubit_pairs() {
-        let ei = Edge::from(circuit.instructions()[i].edge().expect("edge"));
-        let ej = Edge::from(circuit.instructions()[j].edge().expect("edge"));
-        let ci = ctx.conditional_error(ei, ej);
-        let cj = ctx.conditional_error(ej, ei);
-        if let Some(v) = &mut eps[i] {
-            *v = v.max(ci);
-        }
-        if let Some(v) = &mut eps[j] {
-            *v = v.max(cj);
-        }
-    }
-    let gate_term: f64 = eps.iter().flatten().map(|e| e.max(1e-12).ln()).sum();
-
-    // Decoherence term.
-    let mut deco = 0.0;
-    for q in 0..circuit.num_qubits() {
-        let t = sched.qubit_lifetime(xtalk_ir::Qubit::from(q));
-        if t > 0 {
-            deco += t as f64 / ctx.coherence_ns(q as u32);
-        }
-    }
-
-    omega * gate_term + (1.0 - omega) * deco
+    CostModel::new(sched.circuit(), ctx).cost(ctx, sched.slots(), omega)
 }
 
 #[cfg(test)]

@@ -1,11 +1,13 @@
 //! `XtalkSched`: the crosstalk-adaptive scheduler (paper Sections 6–7).
 
-use crate::sched::{check_hardware_compliant, schedule_cost, Scheduler};
-use crate::{realize, CoreError, SchedulerContext};
-use std::collections::BTreeSet;
+use crate::sched::{check_hardware_compliant, Scheduler};
+use crate::timeline::Timeline;
+use crate::{CoreError, SchedulerContext};
+use std::cell::RefCell;
+use std::cmp::Ordering;
 use xtalk_budget::Budget;
 use xtalk_device::Edge;
-use xtalk_ir::{Circuit, ScheduledCircuit};
+use xtalk_ir::{Circuit, ScheduleSlot, ScheduledCircuit};
 
 /// The crosstalk-adaptive scheduler: decides, for every pair of
 /// potentially-overlapping high-crosstalk CNOTs, whether to serialize
@@ -134,7 +136,7 @@ impl XtalkSched {
     /// Candidate high-crosstalk pairs: unordered pairs of two-qubit
     /// instructions that may overlap (neither depends on the other) and
     /// whose edges interfere above the context threshold — the pruned
-    /// `CanOlp` sets of the paper.
+    /// `CanOlp` sets of the paper. Pairs are `(i, j)` with `i < j`, sorted.
     pub fn candidate_pairs(circuit: &Circuit, ctx: &SchedulerContext) -> Vec<(usize, usize)> {
         let dag = circuit.dag();
         let twoq: Vec<usize> = circuit
@@ -187,24 +189,33 @@ impl XtalkSched {
     ) -> Result<(ScheduledCircuit, XtalkSchedReport), CoreError> {
         let _span = xtalk_obs::span("sched.xtalk");
         check_hardware_compliant(circuit, ctx)?;
-        let candidates: BTreeSet<(usize, usize)> =
-            Self::candidate_pairs(circuit, ctx).into_iter().collect();
+        let candidates = Self::candidate_pairs(circuit, ctx);
+        debug_assert!(candidates.windows(2).all(|w| w[0] < w[1]), "search binary-searches them");
+        let severity = candidates
+            .iter()
+            .map(|&(i, j)| {
+                let ei = Edge::from(circuit.instructions()[i].edge().expect("edge"));
+                let ej = Edge::from(circuit.instructions()[j].edge().expect("edge"));
+                ctx.conditional_error(ei, ej)
+                    .max(ctx.conditional_error(ej, ei))
+            })
+            .collect();
 
         let mut search = Search {
-            circuit,
-            ctx,
+            timeline: Timeline::new(circuit, ctx),
             omega: self.omega,
             candidates: &candidates,
+            severity,
+            waived: vec![false; candidates.len()],
             best: None,
+            best_slots: Vec::new(),
             leaves: 0,
             max_leaves: self.max_leaves,
             ordering: self.ordering,
             budget,
             truncated: false,
         };
-        let mut serialized = Vec::new();
-        let mut waived = BTreeSet::new();
-        search.recurse(&mut serialized, &mut waived);
+        search.recurse(&mut Vec::new());
 
         xtalk_obs::counter!("sched.xtalk.leaves", search.leaves);
         xtalk_obs::counter!("sched.xtalk.candidate_pairs", candidates.len() as u64);
@@ -214,7 +225,8 @@ impl XtalkSched {
         let leaves = search.leaves;
         let complete = !search.truncated;
         match search.best {
-            Some((cost, sched, serializations)) => {
+            Some((cost, serializations)) => {
+                let sched = search.timeline.schedule(search.best_slots);
                 let report = XtalkSchedReport {
                     cost,
                     leaves,
@@ -230,8 +242,9 @@ impl XtalkSched {
             // erroring — an honest best-effort answer under the budget.
             None if !complete => {
                 xtalk_obs::counter!("sched.xtalk.fallback", 1);
-                let sched = realize(circuit, ctx, &[])?;
-                let cost = schedule_cost(&sched, ctx, self.omega);
+                let mut timeline = search.timeline;
+                timeline.realize(&[])?;
+                let cost = timeline.cost(self.omega);
                 let report = XtalkSchedReport {
                     cost,
                     leaves,
@@ -240,7 +253,7 @@ impl XtalkSched {
                     complete: false,
                     fallback: true,
                 };
-                Ok((sched, report))
+                Ok((timeline.into_schedule(), report))
             }
             None => Err(CoreError::CyclicConstraints),
         }
@@ -306,8 +319,7 @@ impl XtalkSched {
 
         type PairBool = ((usize, usize), xtalk_smt::BoolVar, xtalk_smt::BoolVar);
         struct CostObj<'a> {
-            circuit: &'a Circuit,
-            ctx: &'a SchedulerContext,
+            timeline: RefCell<Timeline<'a>>,
             omega: f64,
             pair_bools: &'a [PairBool],
         }
@@ -326,18 +338,24 @@ impl XtalkSched {
         }
         impl xtalk_smt::Objective for CostObj<'_> {
             fn evaluate(&self, bools: &[bool], _times: &[i64]) -> f64 {
-                match realize(self.circuit, self.ctx, &self.serializations(bools)) {
-                    Ok(sched) => schedule_cost(&sched, self.ctx, self.omega),
+                let mut timeline = self.timeline.borrow_mut();
+                match timeline.realize(&self.serializations(bools)) {
+                    Ok(()) => timeline.cost(self.omega),
                     Err(_) => f64::INFINITY,
                 }
             }
         }
 
-        let obj = CostObj { circuit, ctx, omega: self.omega, pair_bools: &pair_bools };
+        let obj = CostObj {
+            timeline: RefCell::new(Timeline::new(circuit, ctx)),
+            omega: self.omega,
+            pair_bools: &pair_bools,
+        };
         let (sol, outcome) = xtalk_smt::Optimizer::new(model).minimize_budgeted(&obj, budget);
         let sol = sol.ok_or(CoreError::CyclicConstraints)?;
         let serializations = obj.serializations(&sol.bools);
-        let sched = realize(circuit, ctx, &serializations)?;
+        let mut timeline = obj.timeline.into_inner();
+        timeline.realize(&serializations)?;
         let report = XtalkSchedReport {
             cost: sol.cost,
             leaves: sol.leaves,
@@ -346,7 +364,7 @@ impl XtalkSched {
             complete: outcome.complete,
             fallback: false,
         };
-        Ok((sched, report))
+        Ok((timeline.into_schedule(), report))
     }
 }
 
@@ -394,15 +412,20 @@ impl Scheduler for XtalkSched {
     }
 }
 
-/// `(cost, schedule, serializations)` of the incumbent best solution.
-type Incumbent = (f64, ScheduledCircuit, Vec<(usize, usize)>);
-
 struct Search<'a> {
-    circuit: &'a Circuit,
-    ctx: &'a SchedulerContext,
+    /// Realizes and costs every node into reused buffers.
+    timeline: Timeline<'a>,
     omega: f64,
-    candidates: &'a BTreeSet<(usize, usize)>,
-    best: Option<Incumbent>,
+    /// Sorted candidate pairs, with their severities — the worst
+    /// conditional error the scheduler believes the overlap causes — and
+    /// whether the current branch waived them.
+    candidates: &'a [(usize, usize)],
+    severity: Vec<f64>,
+    waived: Vec<bool>,
+    /// `(cost, serializations)` of the incumbent best solution, whose
+    /// slots are `best_slots`.
+    best: Option<(f64, Vec<(usize, usize)>)>,
+    best_slots: Vec<ScheduleSlot>,
     leaves: u64,
     max_leaves: u64,
     ordering: OrderingPolicy,
@@ -411,49 +434,49 @@ struct Search<'a> {
 }
 
 impl Search<'_> {
-    /// Severity of a pair: the worst conditional error the scheduler
-    /// believes the overlap causes.
-    fn severity(&self, i: usize, j: usize) -> f64 {
-        let ei = Edge::from(self.circuit.instructions()[i].edge().expect("edge"));
-        let ej = Edge::from(self.circuit.instructions()[j].edge().expect("edge"));
-        self.ctx
-            .conditional_error(ei, ej)
-            .max(self.ctx.conditional_error(ej, ei))
+    /// The most severe *actual* conflict in the last realized schedule
+    /// not yet decided, as a candidate index (the last of equally severe
+    /// ones in overlap order).
+    fn conflict(&mut self) -> Option<usize> {
+        let mut worst: Option<usize> = None;
+        for &(i, j) in self.timeline.overlaps() {
+            let pair = if i < j { (i, j) } else { (j, i) };
+            let Ok(k) = self.candidates.binary_search(&pair) else {
+                continue;
+            };
+            let at_least_worst =
+                |w: usize| self.severity[w].total_cmp(&self.severity[k]) != Ordering::Greater;
+            if !self.waived[k] && worst.is_none_or(at_least_worst) {
+                worst = Some(k);
+            }
+        }
+        worst
     }
 
-    fn recurse(
-        &mut self,
-        serialized: &mut Vec<(usize, usize)>,
-        waived: &mut BTreeSet<(usize, usize)>,
-    ) {
+    fn recurse(&mut self, serialized: &mut Vec<(usize, usize)>) {
         // Entering a branch with the leaf cap spent or the budget gone
         // leaves part of the space unexplored: flag the truncation.
         if self.leaves >= self.max_leaves || self.budget.exhausted().is_some() {
             self.truncated = true;
             return;
         }
-        let Ok(sched) = realize(self.circuit, self.ctx, serialized) else {
+        if self.timeline.realize(serialized).is_err() {
             return; // cyclic serializations: dead branch
-        };
+        }
 
-        // The most severe *actual* conflict not yet decided.
-        let conflict = sched
-            .overlapping_two_qubit_pairs()
-            .into_iter()
-            .map(|(i, j)| if i < j { (i, j) } else { (j, i) })
-            .filter(|p| self.candidates.contains(p) && !waived.contains(p))
-            .max_by(|&(a, b), &(c, d)| self.severity(a, b).total_cmp(&self.severity(c, d)));
-
-        match conflict {
+        match self.conflict() {
             None => {
                 self.leaves += 1;
                 self.budget.charge(1);
-                let cost = schedule_cost(&sched, self.ctx, self.omega);
-                if self.best.as_ref().is_none_or(|(c, _, _)| cost < *c) {
-                    self.best = Some((cost, sched, serialized.clone()));
+                let cost = self.timeline.cost(self.omega);
+                if self.best.as_ref().is_none_or(|(c, _)| cost < *c) {
+                    self.best = Some((cost, serialized.clone()));
+                    self.best_slots.clear();
+                    self.best_slots.extend_from_slice(self.timeline.slots());
                 }
             }
-            Some((i, j)) => {
+            Some(k) => {
+                let (i, j) = self.candidates[k];
                 let orders: &[(usize, usize)] = match self.ordering {
                     OrderingPolicy::Optimal => &[(i, j), (j, i)],
                     // (i, j) is normalized with i < j, i.e. program order.
@@ -461,12 +484,12 @@ impl Search<'_> {
                 };
                 for &order in orders {
                     serialized.push(order);
-                    self.recurse(serialized, waived);
+                    self.recurse(serialized);
                     serialized.pop();
                 }
-                waived.insert((i, j));
-                self.recurse(serialized, waived);
-                waived.remove(&(i, j));
+                self.waived[k] = true;
+                self.recurse(serialized);
+                self.waived[k] = false;
             }
         }
     }
@@ -475,6 +498,7 @@ impl Search<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::schedule_cost;
     use crate::{ParSched, SerialSched};
     use xtalk_device::Device;
 

@@ -57,7 +57,6 @@ pub struct Dag {
 
 impl Dag {
     /// Builds the DAG for `circuit`.
-#[allow(clippy::needless_range_loop)]
     pub fn from_circuit(circuit: &Circuit) -> Self {
         let n = circuit.len();
         let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -76,18 +75,17 @@ impl Dag {
             }
         }
 
-        // Transitive closure in topological (program) order.
-        let mut ancestors: Vec<BitSet> = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut set = BitSet::new(n);
-            // Clone the predecessor list to appease the borrow checker while
-            // we mutate `ancestors`.
-            for &p in &preds[i] {
+        // Transitive closure in topological (program) order: every
+        // predecessor precedes `i`, so its finished set sits in the
+        // `done` half and is OR-ed in place.
+        let mut ancestors = vec![BitSet::new(n); n];
+        for (i, ps) in preds.iter().enumerate() {
+            let (done, rest) = ancestors.split_at_mut(i);
+            let set = &mut rest[0];
+            for &p in ps {
                 set.set(p);
-                let pa = ancestors[p].clone();
-                set.or_assign(&pa);
+                set.or_assign(&done[p]);
             }
-            ancestors.push(set);
         }
 
         Dag { len: n, preds, succs, ancestors }

@@ -42,4 +42,4 @@ pub use error::IrError;
 pub use gate::Gate;
 pub use instruction::Instruction;
 pub use qubit::{Clbit, Qubit};
-pub use scheduled::{ScheduleSlot, ScheduledCircuit};
+pub use scheduled::{OverlapSweep, ScheduleSlot, ScheduledCircuit};

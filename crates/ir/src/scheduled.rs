@@ -35,6 +35,45 @@ impl ScheduleSlot {
     }
 }
 
+/// The overlap sweep with its buffers, so a caller evaluating many
+/// schedules of one circuit allocates them once.
+#[derive(Clone, Debug, Default)]
+pub struct OverlapSweep {
+    order: Vec<usize>,
+    active: Vec<usize>,
+}
+
+impl OverlapSweep {
+    /// Calls `visit(i, j)` for every unordered pair of the instructions
+    /// `instrs` whose `slots` overlap in time: a sweep line over
+    /// start-sorted intervals, so densely parallel schedules stay cheap.
+    /// Pairs are reported with `i` starting no later than `j` (ties by
+    /// index); zero-duration slots overlap nothing.
+    pub fn run(
+        &mut self,
+        instrs: impl IntoIterator<Item = usize>,
+        slots: &[ScheduleSlot],
+        mut visit: impl FnMut(usize, usize),
+    ) {
+        self.order.clear();
+        self.order
+            .extend(instrs.into_iter().filter(|&i| slots[i].duration > 0));
+        // Keys are distinct, so the unstable sort is deterministic.
+        self.order.sort_unstable_by_key(|&i| (slots[i].start, i));
+        // Active set of intervals whose finish exceeds the sweep point.
+        self.active.clear();
+        for &j in &self.order {
+            let start_j = slots[j].start;
+            self.active.retain(|&i| slots[i].finish() > start_j);
+            for &i in &self.active {
+                debug_assert!(slots[i].overlaps(slots[j]));
+                visit(i, j);
+            }
+            self.active.push(j);
+        }
+    }
+}
+
 /// A [`Circuit`] together with one [`ScheduleSlot`] per instruction — the
 /// output of an instruction scheduler and the input to the noisy executor.
 ///
@@ -129,31 +168,17 @@ impl ScheduledCircuit {
     }
 
     /// All unordered pairs `(i, j)` of *two-qubit* instructions that overlap
-    /// in time (sweep line over start-sorted intervals, so densely
-    /// parallel schedules stay cheap). This is what the crosstalk noise
-    /// model consumes; pairs are reported with `i` starting no later
-    /// than `j` (ties by index).
+    /// in time, in the order [`OverlapSweep::run`] reports them. This is
+    /// what the crosstalk noise model consumes.
     pub fn overlapping_two_qubit_pairs(&self) -> Vec<(usize, usize)> {
-        let mut idx: Vec<usize> = self
+        let two_qubit = self
             .circuit
             .iter()
             .enumerate()
-            .filter(|&(i, ins)| ins.gate().is_two_qubit() && self.slots[i].duration > 0)
-            .map(|(i, _)| i)
-            .collect();
-        idx.sort_by_key(|&i| (self.slots[i].start, i));
+            .filter(|(_, ins)| ins.gate().is_two_qubit())
+            .map(|(i, _)| i);
         let mut out = Vec::new();
-        // Active set of intervals whose finish exceeds the sweep point.
-        let mut active: Vec<usize> = Vec::new();
-        for &j in &idx {
-            let start_j = self.slots[j].start;
-            active.retain(|&i| self.slots[i].finish() > start_j);
-            for &i in &active {
-                debug_assert!(self.slots[i].overlaps(self.slots[j]));
-                out.push((i, j));
-            }
-            active.push(j);
-        }
+        OverlapSweep::default().run(two_qubit, &self.slots, |i, j| out.push((i, j)));
         out
     }
 
