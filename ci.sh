@@ -31,7 +31,7 @@ cargo test -q -p xtalk-pass
 cargo test -q -p xtalk-core --test pass_determinism
 cargo test -q -p xtalk-core --test compare_cache_obs
 
-echo "== benchmark harness tests & XtalkSched search identity =="
+echo "== benchmark harness tests, XtalkSched search & characterization identity =="
 # The benchmark harness is a package of its own (empty [workspace]), so
 # the workspace stages above neither build nor test it.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
@@ -44,6 +44,17 @@ bench_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Car
 exact="$(echo "$bench_out" | grep '^exact ' | head -n1)"
 [ "$exact" = "$pinned_exact" ] || {
     echo "compile_mix exact counts moved:"; echo "  got:    $exact"; echo "  pinned: $pinned_exact"; exit 1;
+}
+# Characterization must stay bit-identical too: seed 1's exact counts
+# (experiments, bins, simulated shots, recall and the digest of every
+# measured error rate) are pinned, so an executor or RB change that moves
+# a single count fails here.
+pinned_charac="exact charac.experiments=71 charac.bins=86 sim.shots=123840 charac_recall=13/15 charac_false_pairs=0 charac_digest=0a49c47e6629c5fd"
+charac_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload charac_daily --seed 1 --seconds 3 --trace 0)"
+charac_exact="$(echo "$charac_out" | grep '^exact ' | head -n1)"
+[ "$charac_exact" = "$pinned_charac" ] || {
+    echo "charac_daily exact counts moved:"; echo "  got:    $charac_exact"; echo "  pinned: $pinned_charac"; exit 1;
 }
 
 echo "== xtalk compare cache smoke =="

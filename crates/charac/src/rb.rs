@@ -82,11 +82,10 @@ pub fn rb_sequence(
     };
     for _ in 0..m {
         let idx = uniform_element(group, rng);
-        let gates = group.decomposition(idx);
-        emit(circuit, &gates, &mut cx);
-        for (g, qs) in &gates {
-            total.apply_gate(g, qs);
-        }
+        emit(circuit, &group.decomposition(idx), &mut cx);
+        // Tableau composition is exact (integer phases), so composing the
+        // element's stored tableau equals composing its gates one by one.
+        total = total.then(group.tableau(idx));
     }
     let inv = group
         .inverse_decomposition(&total)
@@ -125,9 +124,7 @@ pub fn run_rb_1q(device: &Device, q: u32, config: &RbConfig) -> f64 {
                     }
                     c.push(instr);
                 }
-                for (g, qs) in group.decomposition(idx) {
-                    total.apply_gate(&g, &qs);
-                }
+                total = total.then(group.tableau(idx));
             }
             for instr in xtalk_clifford::instantiate(
                 &group.inverse_decomposition(&total).expect("closed group"),
@@ -230,6 +227,79 @@ pub fn run_rb(device: &Device, edge: Edge, config: &RbConfig) -> RbOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
+
+    /// `rb_sequence` as it was when the running product composed every
+    /// generator gate's tableau: the reference for the identity test.
+    fn rb_sequence_per_gate(
+        circuit: &mut Circuit,
+        qa: Qubit,
+        qb: Qubit,
+        m: usize,
+        clbit_base: u32,
+        rng: &mut StdRng,
+    ) -> usize {
+        let group = two_qubit_cliffords();
+        let mut total = CliffordTableau::identity(2);
+        let mut cx = 0usize;
+        let phys = [qa, qb];
+        let emit = |circuit: &mut Circuit, gates: &[LocalGate], cx: &mut usize| {
+            for instr in xtalk_clifford::instantiate(gates, &phys) {
+                if instr.gate().is_two_qubit() {
+                    *cx += 1;
+                }
+                circuit.push(instr);
+            }
+        };
+        for _ in 0..m {
+            let idx = uniform_element(group, rng);
+            let gates = group.decomposition(idx);
+            emit(circuit, &gates, &mut cx);
+            for (g, qs) in &gates {
+                total.apply_gate(g, qs);
+            }
+        }
+        let inv = group
+            .inverse_decomposition(&total)
+            .expect("product of group elements is in the group");
+        emit(circuit, &inv, &mut cx);
+        circuit.measure(qa, clbit_base).measure(qb, clbit_base + 1);
+        cx
+    }
+
+    #[test]
+    fn per_clifford_product_equals_per_gate_product_for_one_qubit() {
+        // `run_rb_1q`'s running product, both ways.
+        let group = xtalk_clifford::group::single_qubit_cliffords();
+        let mut rng = StdRng::seed_from_u64(9);
+        for _ in 0..200 {
+            let (mut per_gate, mut per_clifford) =
+                (CliffordTableau::identity(1), CliffordTableau::identity(1));
+            for _ in 0..rng.gen_range(0..40usize) {
+                let idx = uniform_element(group, &mut rng);
+                for (g, qs) in group.decomposition(idx) {
+                    per_gate.apply_gate(&g, &qs);
+                }
+                per_clifford = per_clifford.then(group.tableau(idx));
+            }
+            assert_eq!(per_gate, per_clifford);
+        }
+    }
+
+    #[test]
+    fn per_clifford_product_emits_the_per_gate_circuits() {
+        for seed in 0..40u64 {
+            for m in [0usize, 1, 2, 5, 12, 30] {
+                let (mut a, mut b) = (Circuit::new(4, 4), Circuit::new(4, 4));
+                let (mut ra, mut rb) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let (qa, qb) = (Qubit::new(3), Qubit::new(1));
+                let cx_a = rb_sequence(&mut a, qa, qb, m, 2, &mut ra);
+                let cx_b = rb_sequence_per_gate(&mut b, qa, qb, m, 2, &mut rb);
+                assert_eq!((cx_a, &a), (cx_b, &b), "seed {seed}, length {m}");
+                assert_eq!(ra, rb, "seed {seed}, length {m}: RNG positions differ");
+            }
+        }
+    }
 
     #[test]
     fn sequence_inverts_to_identity() {

@@ -184,24 +184,61 @@ impl ScheduledCircuit {
 
     /// Checks schedule legality.
     ///
+    /// Runs in `O(n log n)`: dependencies through a last-instruction-on-
+    /// qubit array, qubit exclusivity by a sort-and-sweep per qubit. Only
+    /// a schedule already known to overlap pays for the pairwise scan
+    /// that names the first overlapping pair.
+    ///
     /// # Errors
     ///
-    /// * [`IrError::ScheduleQubitOverlap`] — two instructions sharing a
-    ///   qubit occupy overlapping slots.
     /// * [`IrError::ScheduleDependencyViolation`] — a dependent instruction
-    ///   starts before its predecessor finishes.
+    ///   starts before its predecessor finishes (the first by successor,
+    ///   then by the successor's qubit order).
+    /// * [`IrError::ScheduleQubitOverlap`] — two instructions sharing a
+    ///   qubit occupy overlapping slots (the first pair in index order).
     pub fn validate(&self) -> Result<(), IrError> {
-        let dag = self.circuit.dag();
-        for i in 0..self.circuit.len() {
-            for &p in dag.predecessors(i) {
-                if self.slots[i].start < self.slots[p].finish() {
-                    return Err(IrError::ScheduleDependencyViolation { before: p, after: i });
+        // Dependencies: the predecessors of `i` are the last instructions
+        // on each of its qubits (barriers included), the same edges in the
+        // same order as `Dag::predecessors`.
+        let mut last_on_qubit: Vec<Option<usize>> = vec![None; self.circuit.num_qubits()];
+        for (i, instr) in self.circuit.iter().enumerate() {
+            for q in instr.qubits() {
+                if let Some(p) = last_on_qubit[q.index()] {
+                    if self.slots[i].start < self.slots[p].finish() {
+                        return Err(IrError::ScheduleDependencyViolation { before: p, after: i });
+                    }
                 }
+                last_on_qubit[q.index()] = Some(i);
             }
         }
-        // Qubit-exclusivity: any two instructions on a shared qubit must not
-        // overlap (dependencies already order them, but a corrupt schedule
-        // could still overlap independent re-uses through barriers).
+        // Qubit exclusivity (dependencies already order each qubit's
+        // instructions, but keep the check independent of that argument):
+        // per qubit, sorted by start, a slot overlaps an earlier one iff
+        // it starts before the latest finish so far. Zero-duration slots
+        // overlap nothing.
+        let mut uses: Vec<(usize, u64, u64)> = Vec::new();
+        for (i, instr) in self.circuit.iter().enumerate() {
+            let slot = self.slots[i];
+            if !instr.gate().is_barrier() && slot.duration > 0 {
+                uses.extend(instr.qubits().iter().map(|q| (q.index(), slot.start, slot.finish())));
+            }
+        }
+        uses.sort_unstable();
+        // The previous use's qubit and the latest finish on that qubit.
+        let mut latest = (usize::MAX, 0u64);
+        for &(q, start, finish) in &uses {
+            if q == latest.0 && start < latest.1 {
+                return self.first_qubit_overlap();
+            }
+            latest = (q, if q == latest.0 { latest.1.max(finish) } else { finish });
+        }
+        Ok(())
+    }
+
+    /// The pairwise scan naming the first overlapping pair in index order
+    /// (`O(n²)`; [`ScheduledCircuit::validate`] runs it only once an
+    /// overlap is known to exist).
+    fn first_qubit_overlap(&self) -> Result<(), IrError> {
         let instrs = self.circuit.instructions();
         for i in 0..instrs.len() {
             if instrs[i].gate().is_barrier() {
@@ -268,6 +305,103 @@ impl fmt::Display for ScheduledCircuit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    impl ScheduledCircuit {
+        /// The `validate` body before it went linear: full DAG, then the
+        /// pairwise exclusivity scan. The oracle for the property test.
+        fn validate_reference(&self) -> Result<(), IrError> {
+            let dag = self.circuit.dag();
+            for i in 0..self.circuit.len() {
+                for &p in dag.predecessors(i) {
+                    if self.slots[i].start < self.slots[p].finish() {
+                        return Err(IrError::ScheduleDependencyViolation { before: p, after: i });
+                    }
+                }
+            }
+            self.first_qubit_overlap()
+        }
+    }
+
+    /// A random circuit over `n` qubits with barriers and zero-duration
+    /// (virtual) gates, ASAP-scheduled with random durations and random
+    /// extra delays: always valid.
+    fn random_schedule(rng: &mut StdRng) -> ScheduledCircuit {
+        let n = rng.gen_range(1..6usize);
+        let mut c = Circuit::new(n, n);
+        for _ in 0..rng.gen_range(0..40) {
+            let a = rng.gen_range(0..n as u32);
+            match rng.gen_range(0..6) {
+                0 if n > 1 => {
+                    let b = (a + rng.gen_range(1..n as u32)) % n as u32;
+                    c.cx(a, b);
+                }
+                1 => {
+                    let qs: Vec<u32> = (0..n as u32).filter(|_| rng.gen_range(0..2) == 0).collect();
+                    if !qs.is_empty() {
+                        c.barrier(qs);
+                    }
+                }
+                2 => {
+                    c.u1(0.5, a);
+                }
+                3 => {
+                    c.measure(a, a);
+                }
+                _ => {
+                    c.h(a);
+                }
+            }
+        }
+        let mut ready = vec![0u64; n];
+        let mut slots = Vec::new();
+        for instr in c.iter() {
+            let duration = match instr.gate() {
+                g if g.is_barrier() || g.is_virtual() => 0,
+                _ => 100 * rng.gen_range(0..4u64),
+            };
+            let start = instr.qubits().iter().map(|q| ready[q.index()]).max().unwrap_or(0)
+                + 50 * rng.gen_range(0..3u64);
+            for q in instr.qubits() {
+                ready[q.index()] = start + duration;
+            }
+            slots.push(ScheduleSlot::new(start, duration));
+        }
+        ScheduledCircuit::new(c, slots).unwrap()
+    }
+
+    #[test]
+    fn linear_validate_matches_reference_on_valid_and_corrupted_schedules() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut outcomes = [0usize; 2];
+        for _ in 0..3000 {
+            let mut s = random_schedule(&mut rng);
+            assert_eq!(s.validate(), Ok(()));
+            assert_eq!(s.validate_reference(), Ok(()));
+            if s.circuit.is_empty() {
+                continue;
+            }
+            // Corrupt a few slots: shift a start either way, stretch a
+            // duration (barriers included, which lets gates on either side
+            // of a barrier overlap), or give a gate zero duration.
+            for _ in 0..rng.gen_range(1..4) {
+                let i = rng.gen_range(0..s.slots.len());
+                let slot = &mut s.slots[i];
+                match rng.gen_range(0..4) {
+                    0 => slot.start = slot.start.saturating_sub(50 * rng.gen_range(1..6u64)),
+                    1 => slot.start += 50 * rng.gen_range(1..6u64),
+                    2 => slot.duration += 100 * rng.gen_range(1..4u64),
+                    _ => slot.duration = 0,
+                }
+            }
+            let got = s.validate();
+            assert_eq!(got, s.validate_reference(), "{s}");
+            outcomes[usize::from(got.is_err())] += 1;
+        }
+        // Both outcomes occur, so neither path is vacuous.
+        assert!(outcomes.iter().all(|&k| k > 100), "valid/invalid after corruption: {outcomes:?}");
+    }
 
     fn two_cx() -> Circuit {
         let mut c = Circuit::new(2, 0);

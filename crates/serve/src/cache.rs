@@ -4,26 +4,38 @@
 //! of machine time at paper scale), and its product stays valid until the
 //! next calibration day. Since PR 5 this is a *typed layer over the
 //! content-addressed [`ArtifactCache`]* from `xtalk-pass`: entries live
-//! under pass id `"charac"`, addressed by the FNV-1a hash of
-//! `(policy, seed)` and the [`EpochToken`] of `(device, epoch)` — the
-//! same store that holds compile artifacts, so one `advance_day`
-//! invalidation sweep covers characterizations and compilation results
-//! alike, and charac lookups show up in the `pass.cache.hit`/`miss`
-//! profiling counters.
+//! under pass id `"charac"`, addressed by the FNV-1a hash of everything
+//! the tables depend on (the policy, plus a measured policy's RB
+//! settings) and the [`EpochToken`] of `(device, epoch)` — the same store
+//! that holds compile artifacts, so one `advance_day` invalidation sweep
+//! covers characterizations and compilation results alike, and charac
+//! lookups show up in the `pass.cache.hit`/`miss` profiling counters.
 
 use std::sync::Arc;
 use xtalk_charac::{Characterization, CharacterizationReport};
 use xtalk_pass::{ArtifactCache, EpochToken, Fnv1a};
 
-/// Identity of one characterization run.
+/// The RB settings a measured characterization policy runs with.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct RbSettings {
+    /// RB seed.
+    pub seed: u64,
+    /// Random sequences per length.
+    pub seqs: usize,
+    /// Shots per sequence.
+    pub shots: u64,
+}
+
+/// Identity of one characterization run: everything its tables depend on.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct CacheKey {
     /// Device name.
     pub device: String,
     /// Policy name (`truth`, `all`, `onehop`, `binpacked`).
     pub policy: String,
-    /// RB seed.
-    pub seed: u64,
+    /// The RB settings of a measured policy; `None` for `truth`, whose
+    /// tables are read off the device model whatever the seed.
+    pub rb: Option<RbSettings>,
     /// Calibration epoch the run is valid for.
     pub epoch: u64,
 }
@@ -34,7 +46,11 @@ impl CacheKey {
     fn coords(&self) -> (u64, EpochToken) {
         let mut h = Fnv1a::new();
         h.write_str(&self.policy);
-        h.write_u64(self.seed);
+        if let Some(rb) = self.rb {
+            h.write_u64(rb.seed);
+            h.write_usize(rb.seqs);
+            h.write_u64(rb.shots);
+        }
         (h.finish(), EpochToken::new(self.device.clone(), self.epoch))
     }
 }
@@ -135,7 +151,16 @@ mod tests {
     use xtalk_device::Device;
 
     fn key(epoch: u64) -> CacheKey {
-        CacheKey { device: "d".into(), policy: "truth".into(), seed: 7, epoch }
+        CacheKey { device: "d".into(), policy: "truth".into(), rb: None, epoch }
+    }
+
+    fn measured(seed: u64, seqs: usize, shots: u64) -> CacheKey {
+        CacheKey {
+            device: "d".into(),
+            policy: "onehop".into(),
+            rb: Some(RbSettings { seed, seqs, shots }),
+            epoch: 0,
+        }
     }
 
     fn entry() -> CacheEntry {
@@ -156,12 +181,18 @@ mod tests {
     #[test]
     fn distinct_keys_do_not_collide() {
         let cache = CharacCache::new();
-        cache.get_or_build(key(0), entry);
-        let mut other = key(0);
-        other.seed = 8;
-        let (_, hit) = cache.get_or_build(other, entry);
-        assert!(!hit);
-        assert_eq!(cache.len(), 2);
+        let keys = [
+            key(0),
+            measured(7, 3, 96),
+            measured(8, 3, 96),
+            measured(7, 4, 96),
+            measured(7, 3, 128),
+        ];
+        for k in &keys {
+            let (_, hit) = cache.get_or_build(k.clone(), entry);
+            assert!(!hit, "{k:?} must not hit another key's entry");
+        }
+        assert_eq!(cache.len(), keys.len());
     }
 
     #[test]

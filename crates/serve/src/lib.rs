@@ -31,8 +31,9 @@
 //!   [`RetryPolicy`]: retryable responses (`busy`, `shutting_down`,
 //!   `quarantined`, caught panics) and transient I/O errors are retried
 //!   with seeded decorrelated-jitter backoff and transparent reconnects.
-//! * **Characterization cache** — results keyed by
-//!   `(device, policy, seed)` and the calibration epoch ([`cache`]);
+//! * **Characterization cache** — results keyed by device, policy, a
+//!   measured policy's RB settings `(seed, seqs, shots)` and the
+//!   calibration epoch ([`cache`]);
 //!   `advance_day` drifts every device through
 //!   [`xtalk_device::Device::on_day`] (the daily-drift model of the
 //!   paper's Section 5.1) and invalidates the cache.

@@ -69,7 +69,8 @@ pub enum Request {
         device: String,
         /// Policy name (`truth` | `all` | `onehop` | `binpacked`).
         policy: String,
-        /// RB seed (part of the cache key).
+        /// RB seed (with `seqs` and `shots`, part of a measured policy's
+        /// cache key; `truth` ignores all three).
         seed: u64,
         /// Random sequences per RB length.
         seqs: usize,
@@ -88,7 +89,7 @@ pub enum Request {
         omega: f64,
         /// Characterization policy feeding the scheduler.
         policy: String,
-        /// Characterization seed (cache key).
+        /// Characterization seed (part of a measured policy's cache key).
         seed: u64,
     },
     /// Schedules and executes a QASM circuit, returning counts.

@@ -10,7 +10,7 @@
 //! 2. **Stale last-known-good** — if the build fails (panics, errors, or
 //!    an injected `cache.lookup`/`charac.run` fault), fall back to the
 //!    most recent successful characterization of the same
-//!    `(device, policy, seed)` from an earlier epoch, provided it is no
+//!    `(device, policy, RB seed)` from an earlier epoch, provided it is no
 //!    older than [`ServeConfig::stale_ttl_epochs`]. The response is
 //!    flagged so the caller knows the error tables predate current
 //!    calibration.
@@ -21,7 +21,7 @@
 //!    the crosstalk-oblivious `par` scheduler, which never consults the
 //!    missing terms.
 
-use crate::cache::{CacheEntry, CacheKey, CharacCache};
+use crate::cache::{CacheEntry, CacheKey, CharacCache, RbSettings};
 use crate::metrics::Metrics;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -120,7 +120,7 @@ pub struct ServeState {
     epoch: AtomicU64,
     /// Set to stop the accept loop.
     pub shutdown: AtomicBool,
-    /// Last-known-good characterizations by `(device, policy, seed)`,
+    /// Last-known-good characterizations by `(device, policy, RB seed)`,
     /// with the epoch each was built for. Unlike [`CharacCache`] this
     /// map survives `advance_day`: it exists precisely so a *failed*
     /// rebuild can fall back to the previous epoch's result.
@@ -132,9 +132,10 @@ pub struct ServeState {
     cancels: Mutex<HashMap<String, CancelToken>>,
 }
 
-/// Last-known-good side table: `(device, policy, seed)` → the epoch a
-/// characterization was built for, plus the entry itself.
-type LkgMap = HashMap<(String, String, u64), (u64, Arc<CacheEntry>)>;
+/// Last-known-good side table: `(device, policy, RB seed)` (no seed for
+/// `truth`) → the latest successful characterization's full key (its
+/// epoch and RB settings) and the entry itself.
+type LkgMap = HashMap<(String, String, Option<u64>), (CacheKey, Arc<CacheEntry>)>;
 
 impl ServeState {
     /// Builds the state with the three IBMQ device models at day 0.
@@ -220,8 +221,8 @@ impl ServeState {
         epoch
     }
 
-    /// The characterization for `(device, policy, seed)` at the current
-    /// epoch, from cache when possible, degrading to a stale
+    /// The characterization for `(device, policy)` — with `(seed, seqs,
+    /// shots)` for a measured policy — at the current epoch, from cache when possible, degrading to a stale
     /// last-known-good entry when the build fails (see the module docs).
     /// `Err` means both rungs 1 and 2 are exhausted — the *request
     /// parameters* are bad, or the build failed with no usable fallback —
@@ -260,11 +261,21 @@ impl ServeState {
             other => return Err(format!("unknown policy `{other}`")),
         };
         let epoch = self.epoch();
-        let lkg_key = (device_name.to_string(), policy.to_string(), seed);
+        // Key on what the tables depend on: a measured policy's effective
+        // RB settings, nothing for `truth` (the ground truth ignores them).
+        let rb = policy_obj.is_some().then(|| RbSettings {
+            seed,
+            seqs: seqs.max(1),
+            shots: shots.max(16),
+        });
+        // The stale fallback is already flagged approximate: it takes the
+        // latest tables of the same measured seed whatever their RB
+        // sample sizes.
+        let lkg_key = (device_name.to_string(), policy.to_string(), rb.map(|rb| rb.seed));
         let key = CacheKey {
             device: device_name.to_string(),
             policy: policy.to_string(),
-            seed,
+            rb,
             epoch,
         };
         // Rung 1: fresh, from cache or a guarded build. Injected
@@ -288,10 +299,11 @@ impl ServeState {
                         report: None,
                     }),
                     Some(p) => {
+                        let rb = rb.expect("measured policies carry RB settings");
                         let config = RbConfig {
-                            seqs_per_length: seqs.max(1),
-                            shots: shots.max(16),
-                            seed,
+                            seqs_per_length: rb.seqs,
+                            shots: rb.shots,
+                            seed: rb.seed,
                             ..Default::default()
                         };
                         let (charac, report) =
@@ -312,11 +324,11 @@ impl ServeState {
             match built {
                 Ok(Ok(entry)) => {
                     let entry = Arc::new(entry);
-                    self.cache.insert(key, entry.clone());
+                    self.cache.insert(key.clone(), entry.clone());
                     self.lkg
                         .lock()
                         .unwrap()
-                        .insert(lkg_key, (epoch, entry.clone()));
+                        .insert(lkg_key, (key, entry.clone()));
                     Metrics::inc(&self.metrics.cache_misses);
                     return Ok((entry, CharacSource::Fresh { cached: false }));
                 }
@@ -327,14 +339,14 @@ impl ServeState {
         // Rung 2: stale last-known-good within the TTL.
         Metrics::inc(&self.metrics.charac_failures);
         xtalk_obs::counter!("serve.charac.failure");
-        if let Some((lkg_epoch, entry)) = self.lkg.lock().unwrap().get(&lkg_key).cloned() {
-            let age = epoch.saturating_sub(lkg_epoch);
-            if age == 0 {
-                // The primary lookup failed but the side-table holds a
-                // current-epoch entry — not actually stale.
+        if let Some((lkg, entry)) = self.lkg.lock().unwrap().get(&lkg_key).cloned() {
+            let (lkg_epoch, age) = (lkg.epoch, epoch.saturating_sub(lkg.epoch));
+            if lkg == key {
+                // The primary lookup failed but the side-table holds this
+                // very entry — not actually stale.
                 return Ok((entry, CharacSource::Fresh { cached: true }));
             }
-            if age <= self.config.stale_ttl_epochs {
+            if (1..=self.config.stale_ttl_epochs).contains(&age) {
                 Metrics::inc(&self.metrics.degraded_stale);
                 xtalk_obs::counter!("serve.charac.stale_fallback");
                 return Ok((entry, CharacSource::StaleLkg { epoch: lkg_epoch, age }));
@@ -371,6 +383,54 @@ mod tests {
         assert_eq!(src, CharacSource::Fresh { cached: false }, "drift must invalidate the cache");
         assert_eq!(state.metrics.cache_hits.load(Ordering::Relaxed), 1);
         assert_eq!(state.metrics.cache_misses.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn measured_policies_key_on_their_rb_settings() {
+        let _gate = fault_gate();
+        let state = ServeState::new(ServeConfig::default());
+        let (a, src) = state.characterization("boeblingen", "onehop", 7, 1, 32).unwrap();
+        assert_eq!(src, CharacSource::Fresh { cached: false });
+        // Same seed, different shots: different RB data, so a fresh build.
+        let (b, src) = state.characterization("boeblingen", "onehop", 7, 1, 48).unwrap();
+        assert_eq!(src, CharacSource::Fresh { cached: false });
+        assert_ne!(a.report, b.report);
+        // Settings below the floors clamp to the same effective run.
+        let (_, src) = state.characterization("boeblingen", "onehop", 7, 0, 8).unwrap();
+        assert_eq!(src, CharacSource::Fresh { cached: false });
+        let (_, src) = state.characterization("boeblingen", "onehop", 7, 1, 16).unwrap();
+        assert_eq!(src, CharacSource::Fresh { cached: true });
+        assert_eq!(state.cache.len(), 3);
+    }
+
+    #[test]
+    fn store_fault_does_not_pass_other_rb_settings_off_as_fresh() {
+        let _gate = fault_gate();
+        let state = ServeState::new(ServeConfig::default());
+        state.characterization("boeblingen", "onehop", 7, 1, 32).unwrap();
+        xtalk_fault::install_spec("cache.lookup:err:1.0", 1).unwrap();
+        // The side table holds this epoch's tables for seed 7, but at
+        // other shots: neither fresh nor stale, so the ladder is exhausted.
+        let err = state.characterization("boeblingen", "onehop", 7, 1, 48).unwrap_err();
+        let same = state.characterization("boeblingen", "onehop", 7, 1, 32);
+        xtalk_fault::clear();
+        assert!(err.contains("store unavailable"), "unexpected error: {err}");
+        assert_eq!(same.unwrap().1, CharacSource::Fresh { cached: true });
+    }
+
+    #[test]
+    fn truth_ignores_the_seed() {
+        let _gate = fault_gate();
+        let state = ServeState::new(ServeConfig::default());
+        let (first, src) = state.characterization("poughkeepsie", "truth", 1, 3, 96).unwrap();
+        assert_eq!(src, CharacSource::Fresh { cached: false });
+        for seed in 2..6 {
+            let (entry, src) = state.characterization("poughkeepsie", "truth", seed, 1, 32).unwrap();
+            assert_eq!(src, CharacSource::Fresh { cached: true }, "seed {seed}");
+            assert_eq!(entry.charac, first.charac);
+        }
+        assert_eq!(state.cache.len(), 1);
+        assert_eq!(state.metrics.cache_misses.load(Ordering::Relaxed), 1);
     }
 
     #[test]

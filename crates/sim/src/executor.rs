@@ -1,11 +1,13 @@
 //! Noisy execution of scheduled circuits against a device model.
 
+use crate::matrix::{single_qubit_matrix, two_qubit_matrix, Mat2, Mat4};
 use crate::noise::{
-    depolarizing_prob_for_error_1q, depolarizing_prob_for_error_2q, NoiseModel,
+    depolarizing_prob_for_error_1q, depolarizing_prob_for_error_2q, IdleChannel, NoiseModel,
 };
 use crate::{Counts, StateVector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use xtalk_budget::Budget;
 use xtalk_device::{Calibration, Device, Edge};
@@ -168,7 +170,7 @@ impl<'a> Executor<'a> {
         .max(1);
 
         if threads == 1 {
-            return self.run_shot_batch(sched, &prep, 0, shots, 0);
+            return self.run_shot_batch(&prep, 0, shots, 0);
         }
 
         let chunk = shots.div_ceil(threads as u64);
@@ -178,7 +180,7 @@ impl<'a> Executor<'a> {
                 .map(|t| {
                     let lo = t * chunk;
                     let hi = ((t + 1) * chunk).min(shots);
-                    scope.spawn(move || self.run_shot_batch(sched, prep, lo, hi, t as usize))
+                    scope.spawn(move || self.run_shot_batch(prep, lo, hi, t as usize))
                 })
                 .collect();
             let mut counts = Counts::new(sched.circuit().num_clbits().max(1));
@@ -240,7 +242,7 @@ impl<'a> Executor<'a> {
                 }
                 let lo = batch * BUDGET_BATCH_SHOTS;
                 let hi = (lo + BUDGET_BATCH_SHOTS).min(shots);
-                counts.merge(&self.run_shot_batch(sched, &prep, lo, hi, thread_idx));
+                counts.merge(&self.run_shot_batch(&prep, lo, hi, thread_idx));
                 budget.charge(1);
             }
             counts
@@ -278,14 +280,7 @@ impl<'a> Executor<'a> {
     /// wall time and per-thread shot counts. Metrics never feed back into
     /// the trajectory RNG streams, so parallel results stay bit-identical
     /// whether profiling is on or off.
-    fn run_shot_batch(
-        &self,
-        sched: &ScheduledCircuit,
-        prep: &Prepared,
-        lo: u64,
-        hi: u64,
-        thread_idx: usize,
-    ) -> Counts {
+    fn run_shot_batch(&self, prep: &Prepared, lo: u64, hi: u64, thread_idx: usize) -> Counts {
         // `sim.batch` injection point: an injected error panics the batch
         // (propagating to the caller as a worker/job panic, exercising the
         // serve stack's quarantine path); a delay only stalls wall time.
@@ -295,7 +290,7 @@ impl<'a> Executor<'a> {
             panic!("injected sim.batch fault: {msg}");
         }
         let _batch = xtalk_obs::span("sim.shot_batch");
-        let counts = self.run_shot_range(sched, prep, lo, hi);
+        let counts = self.run_shot_range(prep, lo, hi);
         if xtalk_obs::enabled() {
             xtalk_obs::counter_add("sim.shots", hi - lo);
             xtalk_obs::counter_add(&format!("sim.thread{thread_idx}.shots"), hi - lo);
@@ -303,21 +298,28 @@ impl<'a> Executor<'a> {
         counts
     }
 
-    /// Precomputed schedule analysis shared by every trajectory.
+    /// Compiles the schedule into one [`Program`] per connected component.
+    /// Everything that depends only on the schedule, the calibration and
+    /// the noise switches is evaluated here, once per run: qubit-local
+    /// indices, unitary matrices, crosstalk-scaled depolarizing
+    /// probabilities, idle gaps and their channels, readout errors. A shot
+    /// then only walks the steps and draws from its RNG.
     fn prepare(&self, sched: &ScheduledCircuit) -> Prepared {
         let circuit = sched.circuit();
+        let cal = self.device.calibration();
+        let cfg = self.config;
 
         // Effective (crosstalk-conditioned) error factor per 2q gate: the
         // paper's Eq. 6 takes the max conditional error over overlapping
         // gates; with `compound_crosstalk` the excesses add instead.
         let mut factor = vec![1.0f64; circuit.len()];
-        if self.config.crosstalk {
+        if cfg.crosstalk {
             for (i, j) in sched.overlapping_two_qubit_pairs() {
                 let ei = edge_of(circuit, i);
                 let ej = edge_of(circuit, j);
                 let fi = self.device.crosstalk().factor(ei, ej);
                 let fj = self.device.crosstalk().factor(ej, ei);
-                if self.config.compound_crosstalk {
+                if cfg.compound_crosstalk {
                     factor[i] += fi - 1.0;
                     factor[j] += fj - 1.0;
                 } else {
@@ -327,150 +329,212 @@ impl<'a> Executor<'a> {
             }
         }
 
+        // Component and local index of every active qubit.
         let comps = components(circuit);
+        let mut home = vec![(0usize, 0u32); circuit.num_qubits()];
+        for (c, qubits) in comps.iter().enumerate() {
+            for (l, &p) in qubits.iter().enumerate() {
+                home[p] = (c, l as u32);
+            }
+        }
+        // Per-component instruction lists in time order, and each qubit's
+        // first start: idle clocks start there (IBM convention:
+        // decoherence starts at the first gate).
+        let mut comp_instrs: Vec<Vec<usize>> = vec![Vec::new(); comps.len()];
+        let mut busy_until = vec![u64::MAX; circuit.num_qubits()];
+        for (i, instr) in circuit.iter().enumerate() {
+            if instr.gate().is_barrier() {
+                continue;
+            }
+            comp_instrs[home[instr.qubits()[0].index()].0].push(i);
+            for q in instr.qubits() {
+                busy_until[q.index()] = busy_until[q.index()].min(sched.slot(i).start);
+            }
+        }
 
-        // Per-component instruction lists in time order.
-        let comp_instrs: Vec<Vec<usize>> = comps
-            .iter()
-            .map(|qubits| {
-                let mut idx: Vec<usize> = (0..circuit.len())
-                    .filter(|&i| {
-                        let instr = &circuit.instructions()[i];
-                        !instr.gate().is_barrier()
-                            && instr.qubits().iter().any(|q| qubits.contains(&q.index()))
-                    })
-                    .collect();
-                idx.sort_by_key(|&i| (sched.slot(i).start, i));
-                idx
-            })
-            .collect();
-
-        Prepared { factor, comps, comp_instrs }
+        let mut mats = Matrices::default();
+        let mut programs = Vec::with_capacity(comps.len());
+        for (qubits, mut instrs) in comps.iter().zip(comp_instrs) {
+            instrs.sort_by_key(|&i| (sched.slot(i).start, i));
+            let mut steps = Vec::with_capacity(instrs.len());
+            for i in instrs {
+                let instr = &circuit.instructions()[i];
+                let slot = sched.slot(i);
+                let local = |k: usize| home[instr.qubits()[k].index()].1;
+                for (k, q) in instr.qubits().iter().enumerate() {
+                    let gap = slot.start.saturating_sub(busy_until[q.index()]);
+                    busy_until[q.index()] = slot.finish();
+                    if cfg.decoherence && gap > 0 {
+                        let channel = IdleChannel::new(
+                            gap as f64,
+                            cal.t1_us(q.raw()) * 1000.0,
+                            cal.t2_us(q.raw()) * 1000.0,
+                        );
+                        if !channel.is_inert() {
+                            steps.push(Step::Idle { q: local(k), channel });
+                        }
+                    }
+                }
+                let q0 = instr.qubits()[0].raw();
+                steps.push(match instr.gate() {
+                    Gate::Measure => Step::Measure {
+                        q: local(0),
+                        readout: cfg.readout_noise.then(|| cal.readout_error(q0)),
+                        clbit: instr.clbit().map(|c| c.index() as u32),
+                    },
+                    g if g.is_two_qubit() => Step::Gate2 {
+                        a: local(0),
+                        b: local(1),
+                        mat: mats.two(g),
+                        depol: cfg.gate_noise.then(|| {
+                            let p1 = cal.cx_error(edge_of(circuit, i));
+                            let base = match g {
+                                Gate::Swap => 1.0 - (1.0 - p1).powi(3),
+                                _ => p1,
+                            };
+                            depolarizing_prob_for_error_2q((base * factor[i]).min(1.0))
+                        }),
+                    },
+                    g => Step::Gate1 {
+                        q: local(0),
+                        mat: mats.one(g),
+                        depol: (cfg.gate_noise && !g.is_virtual())
+                            .then(|| depolarizing_prob_for_error_1q(cal.sq_error(q0))),
+                    },
+                });
+            }
+            programs.push(Program { width: qubits.len(), steps });
+        }
+        Prepared { num_clbits: circuit.num_clbits(), mats, programs }
     }
 
-    /// Runs shots `lo..hi`, each on its own derived RNG stream.
-    fn run_shot_range(
-        &self,
-        sched: &ScheduledCircuit,
-        prep: &Prepared,
-        lo: u64,
-        hi: u64,
-    ) -> Counts {
-        let mut counts = Counts::new(sched.circuit().num_clbits().max(1));
+    /// Runs shots `lo..hi`, each on its own derived RNG stream, reusing
+    /// one state per component across the shots.
+    fn run_shot_range(&self, prep: &Prepared, lo: u64, hi: u64) -> Counts {
+        let mut counts = Counts::new(prep.num_clbits.max(1));
+        if lo >= hi {
+            return counts;
+        }
+        let mut states: Vec<StateVector> =
+            prep.programs.iter().map(|p| StateVector::new(p.width)).collect();
         for shot in lo..hi {
             let mut rng = StdRng::seed_from_u64(shot_stream_seed(self.config.seed, shot));
             let mut outcome: u64 = 0;
-            for (qubits, instrs) in prep.comps.iter().zip(&prep.comp_instrs) {
-                outcome |= self.run_trajectory(sched, qubits, instrs, &prep.factor, &mut rng);
+            for (program, state) in prep.programs.iter().zip(&mut states) {
+                outcome |= program.run(&prep.mats, state, &mut rng);
             }
             counts.record(outcome);
         }
         counts
     }
+}
 
-    /// One trajectory over one connected component; returns measured bits
-    /// positioned at their clbit indices.
-    fn run_trajectory(
-        &self,
-        sched: &ScheduledCircuit,
-        comp_qubits: &[usize],
-        instrs: &[usize],
-        factor: &[f64],
-        rng: &mut StdRng,
-    ) -> u64 {
-        let circuit = sched.circuit();
-        let cal = self.device.calibration();
-        let local: std::collections::HashMap<usize, usize> =
-            comp_qubits.iter().enumerate().map(|(l, &p)| (p, l)).collect();
-        let mut state = StateVector::new(comp_qubits.len());
-        // Idle clocks start at each qubit's first operation (IBM
-        // convention: decoherence starts at the first gate).
-        let mut busy_until: Vec<u64> = comp_qubits
-            .iter()
-            .map(|&p| {
-                sched
-                    .qubit_first_start(xtalk_ir::Qubit::from(p))
-                    .unwrap_or(0)
-            })
-            .collect();
+/// A compiled run: one trajectory program per connected component over a
+/// shared matrix table. Built once by [`Executor::prepare`] and shared
+/// (read-only) by every shot and thread.
+struct Prepared {
+    num_clbits: usize,
+    mats: Matrices,
+    programs: Vec<Program>,
+}
+
+/// The unitaries of a compiled run, each stored once however many steps
+/// apply it.
+#[derive(Default)]
+struct Matrices {
+    one: Vec<Mat2>,
+    two: Vec<Mat4>,
+    /// `one` indices by the bit pattern of the matrix entries.
+    one_index: HashMap<[u64; 8], u32>,
+}
+
+impl Matrices {
+    /// Index of a single-qubit gate's matrix, interning it on first use.
+    fn one(&mut self, gate: &Gate) -> u32 {
+        let m = single_qubit_matrix(gate);
+        let mut key = [0u64; 8];
+        for (k, c) in key.chunks_exact_mut(2).zip(m.0.iter().flatten()) {
+            k[0] = c.re.to_bits();
+            k[1] = c.im.to_bits();
+        }
+        *self.one_index.entry(key).or_insert_with(|| {
+            self.one.push(m);
+            (self.one.len() - 1) as u32
+        })
+    }
+
+    /// Index of a two-qubit gate's matrix, interning it on first use.
+    fn two(&mut self, gate: &Gate) -> u32 {
+        let m = two_qubit_matrix(gate);
+        let i = self.two.iter().position(|t| *t == m).unwrap_or_else(|| {
+            self.two.push(m);
+            self.two.len() - 1
+        });
+        i as u32
+    }
+}
+
+/// One connected component's trajectory: its width and its steps in time
+/// order. Qubit indices are local to the component's state.
+struct Program {
+    width: usize,
+    steps: Vec<Step>,
+}
+
+/// One step of a [`Program`]. Every field is fixed by the schedule, the
+/// calibration and the noise switches; only the RNG draws differ between
+/// shots.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    /// `Matrices::one[mat]` on `q`, then depolarizing noise of strength
+    /// `depol` (absent: no noise and no draw).
+    Gate1 { q: u32, mat: u32, depol: Option<f64> },
+    /// `Matrices::two[mat]` on `(a, b)`, then two-qubit depolarizing noise
+    /// with the crosstalk factor (and the SWAP's three CNOTs) folded in.
+    Gate2 { a: u32, b: u32, mat: u32, depol: Option<f64> },
+    /// Idle decoherence of `q` over the gap before its next operation.
+    Idle { q: u32, channel: IdleChannel },
+    /// Measurement of `q` with readout flip probability `readout`, into
+    /// `clbit` when there is one.
+    Measure { q: u32, readout: Option<f64>, clbit: Option<u32> },
+}
+
+impl Program {
+    /// Runs one trajectory from `|0…0⟩` in `state` (reset here); returns
+    /// the measured bits positioned at their clbit indices.
+    fn run(&self, mats: &Matrices, state: &mut StateVector, rng: &mut StdRng) -> u64 {
+        state.reset();
         let mut bits: u64 = 0;
-
-        for &i in instrs {
-            let instr = &circuit.instructions()[i];
-            let slot = sched.slot(i);
-            let qs: Vec<usize> = instr.qubits().iter().map(|q| local[&q.index()]).collect();
-
-            if self.config.decoherence {
-                for (&lq, q) in qs.iter().zip(instr.qubits()) {
-                    let gap = slot.start.saturating_sub(busy_until[lq]);
-                    if gap > 0 {
-                        NoiseModel::idle(
-                            &mut state,
-                            lq,
-                            gap as f64,
-                            cal.t1_us(q.raw()) * 1000.0,
-                            cal.t2_us(q.raw()) * 1000.0,
-                            rng,
-                        );
+        for step in &self.steps {
+            match *step {
+                Step::Gate1 { q, mat, depol } => {
+                    let q = q as usize;
+                    state.apply_mat2(q, &mats.one[mat as usize]);
+                    if let Some(p) = depol {
+                        NoiseModel::depolarize_1q(state, q, p, rng);
                     }
                 }
-            }
-            for &lq in &qs {
-                busy_until[lq] = slot.finish();
-            }
-
-            match instr.gate() {
-                Gate::Measure => {
-                    let mut bit = state.measure_qubit(qs[0], rng);
-                    if self.config.readout_noise {
-                        bit = NoiseModel::readout_flip(
-                            bit,
-                            cal.readout_error(instr.qubits()[0].raw()),
-                            rng,
-                        );
-                    }
-                    if let Some(c) = instr.clbit() {
-                        if bit {
-                            bits |= 1u64 << c.index();
-                        }
+                Step::Gate2 { a, b, mat, depol } => {
+                    let (a, b) = (a as usize, b as usize);
+                    state.apply_mat4(a, b, &mats.two[mat as usize]);
+                    if let Some(p) = depol {
+                        NoiseModel::depolarize_2q(state, a, b, p, rng);
                     }
                 }
-                Gate::Barrier => {}
-                g if g.is_two_qubit() => {
-                    state.apply_gate(g, &qs);
-                    if self.config.gate_noise {
-                        let e = edge_of(circuit, i);
-                        let base = match g {
-                            Gate::Swap => {
-                                let p1 = cal.cx_error(e);
-                                1.0 - (1.0 - p1).powi(3)
-                            }
-                            _ => cal.cx_error(e),
-                        };
-                        let eff = (base * factor[i]).min(1.0);
-                        let p = depolarizing_prob_for_error_2q(eff);
-                        NoiseModel::depolarize_2q(&mut state, qs[0], qs[1], p, rng);
+                Step::Idle { q, channel } => channel.apply(state, q as usize, rng),
+                Step::Measure { q, readout, clbit } => {
+                    let mut bit = state.measure_qubit(q as usize, rng);
+                    if let Some(error) = readout {
+                        bit = NoiseModel::readout_flip(bit, error, rng);
                     }
-                }
-                g => {
-                    state.apply_gate(g, &qs);
-                    if self.config.gate_noise && !g.is_virtual() {
-                        let p =
-                            depolarizing_prob_for_error_1q(cal.sq_error(instr.qubits()[0].raw()));
-                        NoiseModel::depolarize_1q(&mut state, qs[0], p, rng);
+                    if let (true, Some(c)) = (bit, clbit) {
+                        bits |= 1u64 << c;
                     }
                 }
             }
         }
         bits
     }
-}
-
-/// Schedule analysis computed once and shared (read-only) by all shots.
-struct Prepared {
-    factor: Vec<f64>,
-    comps: Vec<Vec<usize>>,
-    comp_instrs: Vec<Vec<usize>>,
 }
 
 /// Derives shot `shot`'s RNG seed from the base seed (SplitMix64-style
@@ -527,6 +591,9 @@ fn components(circuit: &Circuit) -> Vec<Vec<usize>> {
     }
     groups.into_values().collect()
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

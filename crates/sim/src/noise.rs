@@ -78,26 +78,7 @@ impl NoiseModel {
         t2_ns: f64,
         rng: &mut R,
     ) {
-        if dt_ns <= 0.0 {
-            return;
-        }
-        let gamma = 1.0 - (-dt_ns / t1_ns).exp();
-        if gamma > 0.0 {
-            let k0 = Mat2([
-                [C64::ONE, C64::ZERO],
-                [C64::ZERO, C64::real((1.0 - gamma).sqrt())],
-            ]);
-            let k1 = Mat2([[C64::ZERO, C64::real(gamma.sqrt())], [C64::ZERO, C64::ZERO]]);
-            state.apply_kraus_1q(q, &[k0, k1], rng);
-        }
-        // Pure dephasing beyond what T1 already causes.
-        let inv_tphi = (1.0 / t2_ns - 0.5 / t1_ns).max(0.0);
-        if inv_tphi > 0.0 {
-            let p_z = 0.5 * (1.0 - (-dt_ns * inv_tphi).exp());
-            if rng.gen_range(0.0..1.0) < p_z {
-                state.apply_gate(&Gate::Z, &[q]);
-            }
-        }
+        IdleChannel::new(dt_ns, t1_ns, t2_ns).apply(state, q, rng);
     }
 
     /// Flips a classical bit with the given readout assignment error.
@@ -107,6 +88,63 @@ impl NoiseModel {
         } else {
             bit
         }
+    }
+}
+
+/// The idle channel of [`NoiseModel::idle`] for one gap, with everything
+/// that depends only on `(dt, T1, T2)` evaluated once: the amplitude
+/// damping Kraus amplitudes and the dephasing flip probability. A compiled
+/// trajectory program stores one per idle gap and applies it every shot.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub(crate) struct IdleChannel {
+    /// `(√(1−γ), √γ)`: the nontrivial entries of the damping Kraus pair,
+    /// or `None` when `γ = 0`.
+    damping: Option<(f64, f64)>,
+    /// Probability of the dephasing `Z`, or `None` when T2 is T1-limited.
+    p_z: Option<f64>,
+}
+
+impl IdleChannel {
+    /// The channel for a gap of `dt_ns` nanoseconds; inert for `dt_ns ≤ 0`.
+    pub(crate) fn new(dt_ns: f64, t1_ns: f64, t2_ns: f64) -> Self {
+        if dt_ns <= 0.0 {
+            return IdleChannel { damping: None, p_z: None };
+        }
+        let gamma = 1.0 - (-dt_ns / t1_ns).exp();
+        let damping = (gamma > 0.0).then(|| ((1.0 - gamma).sqrt(), gamma.sqrt()));
+        // Pure dephasing beyond what T1 already causes.
+        let inv_tphi = (1.0 / t2_ns - 0.5 / t1_ns).max(0.0);
+        let p_z = (inv_tphi > 0.0).then(|| 0.5 * (1.0 - (-dt_ns * inv_tphi).exp()));
+        IdleChannel { damping, p_z }
+    }
+
+    /// `true` if applying the channel neither changes the state nor draws
+    /// from the RNG.
+    pub(crate) fn is_inert(&self) -> bool {
+        self.damping.is_none() && self.p_z.is_none()
+    }
+
+    /// Samples the channel on qubit `q`: the damping branch, then the
+    /// dephasing flip.
+    pub(crate) fn apply<R: Rng + ?Sized>(&self, state: &mut StateVector, q: usize, rng: &mut R) {
+        if let Some((keep, decay)) = self.damping {
+            let k0 = Mat2([[C64::ONE, C64::ZERO], [C64::ZERO, C64::real(keep)]]);
+            let k1 = Mat2([[C64::ZERO, C64::real(decay)], [C64::ZERO, C64::ZERO]]);
+            state.apply_kraus_1q(q, &[k0, k1], rng);
+        }
+        if let Some(p_z) = self.p_z {
+            if rng.gen_range(0.0..1.0) < p_z {
+                state.apply_gate(&Gate::Z, &[q]);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+impl IdleChannel {
+    /// `true` if the channel includes pure dephasing.
+    pub(crate) fn dephases(&self) -> bool {
+        self.p_z.is_some()
     }
 }
 

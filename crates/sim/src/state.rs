@@ -150,45 +150,51 @@ impl StateVector {
     /// Applies a single-qubit Kraus channel by trajectory sampling: picks
     /// branch `k` with probability `‖K_k ψ‖²` and renormalizes.
     ///
+    /// Works in place: each branch norm is summed over the branch's
+    /// amplitudes in basis order without materializing the branch, then
+    /// only the chosen operator is applied. The arithmetic (and so every
+    /// bit of the result and the RNG position) is that of applying each
+    /// `K_k` to a copy of the state.
+    ///
     /// # Panics
     ///
     /// Panics if the channel is not trace-preserving within 1e-6.
     pub fn apply_kraus_1q<R: Rng + ?Sized>(&mut self, q: usize, kraus: &[Mat2], rng: &mut R) {
-        let mut probs = Vec::with_capacity(kraus.len());
-        let mut branches = Vec::with_capacity(kraus.len());
-        for k in kraus {
-            let mut branch = self.clone();
-            branch.apply_mat2(q, k);
-            let p: f64 = branch.amps.iter().map(|a| a.norm_sqr()).sum();
-            probs.push(p);
-            branches.push(branch);
+        let bit = 1usize << q;
+        let amps = &self.amps;
+        // `K ψ` at basis index `b`, exactly as `apply_mat2` computes it.
+        let branch_amp = |k: &Mat2, b: usize| {
+            if b & bit == 0 {
+                k.0[0][0] * amps[b] + k.0[0][1] * amps[b | bit]
+            } else {
+                k.0[1][0] * amps[b ^ bit] + k.0[1][1] * amps[b]
+            }
+        };
+        let mut small = [0.0f64; 4];
+        let mut large = Vec::new();
+        let probs: &mut [f64] = if kraus.len() <= small.len() {
+            &mut small[..kraus.len()]
+        } else {
+            large.resize(kraus.len(), 0.0);
+            &mut large
+        };
+        for (p, k) in probs.iter_mut().zip(kraus) {
+            *p = (0..amps.len()).map(|b| branch_amp(k, b).norm_sqr()).sum();
         }
         let total: f64 = probs.iter().sum();
         assert!((total - 1.0).abs() < 1e-6, "kraus set not trace preserving: {total}");
-        let mut u: f64 = rng.gen_range(0.0..total);
-        let mut chosen = None;
-        for (i, &p) in probs.iter().enumerate() {
-            if u < p {
-                chosen = Some(i);
-                break;
-            }
-            u -= p;
-        }
-        // Floating-point corner: fall back to the most likely branch.
-        let i = chosen.unwrap_or_else(|| {
-            probs
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(i, _)| i)
-                .expect("kraus set is nonempty")
-        });
-        let mut branch = branches.swap_remove(i);
+        let i = pick_branch(probs, rng.gen_range(0.0..total));
         let scale = 1.0 / probs[i].sqrt();
-        for a in &mut branch.amps {
+        self.apply_mat2(q, &kraus[i]);
+        for a in &mut self.amps {
             *a = a.scale(scale);
         }
-        *self = branch;
+    }
+
+    /// Resets to `|0…0⟩` without reallocating.
+    pub(crate) fn reset(&mut self) {
+        self.amps.fill(C64::ZERO);
+        self.amps[0] = C64::ONE;
     }
 
     /// Samples one measurement of all qubits in the Z basis, returning the
@@ -231,6 +237,70 @@ impl StateVector {
         for a in &mut self.amps {
             *a = a.scale(s);
         }
+    }
+}
+
+/// The branch a uniform draw `u ∈ [0, Σp)` lands in; the most likely
+/// branch if rounding lets `u` run past the last one.
+fn pick_branch(probs: &[f64], mut u: f64) -> usize {
+    for (i, &p) in probs.iter().enumerate() {
+        if u < p {
+            return i;
+        }
+        u -= p;
+    }
+    probs
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(b.1))
+        .map(|(i, _)| i)
+        .expect("kraus set is nonempty")
+}
+
+#[cfg(test)]
+impl StateVector {
+    /// The clone-per-branch body `apply_kraus_1q` had before it worked in
+    /// place: the reference its results are checked against bit for bit.
+    pub(crate) fn apply_kraus_1q_cloning<R: Rng + ?Sized>(
+        &mut self,
+        q: usize,
+        kraus: &[Mat2],
+        rng: &mut R,
+    ) {
+        let mut probs = Vec::with_capacity(kraus.len());
+        let mut branches = Vec::with_capacity(kraus.len());
+        for k in kraus {
+            let mut branch = self.clone();
+            branch.apply_mat2(q, k);
+            let p: f64 = branch.amps.iter().map(|a| a.norm_sqr()).sum();
+            probs.push(p);
+            branches.push(branch);
+        }
+        let total: f64 = probs.iter().sum();
+        assert!((total - 1.0).abs() < 1e-6, "kraus set not trace preserving: {total}");
+        let mut u: f64 = rng.gen_range(0.0..total);
+        let mut chosen = None;
+        for (i, &p) in probs.iter().enumerate() {
+            if u < p {
+                chosen = Some(i);
+                break;
+            }
+            u -= p;
+        }
+        let i = chosen.unwrap_or_else(|| {
+            probs
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(b.1))
+                .map(|(i, _)| i)
+                .expect("kraus set is nonempty")
+        });
+        let mut branch = branches.swap_remove(i);
+        let scale = 1.0 / probs[i].sqrt();
+        for a in &mut branch.amps {
+            *a = a.scale(scale);
+        }
+        *self = branch;
     }
 }
 
@@ -344,6 +414,53 @@ mod tests {
         }
         let survive = ones as f64 / trials as f64;
         assert!((survive - 0.7).abs() < 0.05, "survival {survive}");
+    }
+
+    #[test]
+    fn in_place_kraus_matches_cloning_body_bit_for_bit() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(11);
+        let bits = |s: &StateVector| -> Vec<(u64, u64)> {
+            s.amps.iter().map(|a| (a.re.to_bits(), a.im.to_bits())).collect()
+        };
+        for trial in 0..400 {
+            let n = 1 + trial % 4;
+            let mut amps: Vec<C64> = (0..1usize << n)
+                .map(|_| C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+                .collect();
+            let norm = amps.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
+            for a in &mut amps {
+                *a = a.scale(1.0 / norm);
+            }
+            let state = StateVector::from_amplitudes(amps);
+            // Amplitude damping, and a three-branch mixed-unitary channel
+            // (√(1−p−r)·I, √p·X, √r·Y), with varied strengths.
+            let gamma: f64 = rng.gen_range(0.0..1.0);
+            let damping = vec![
+                Mat2([[C64::ONE, C64::ZERO], [C64::ZERO, C64::real((1.0 - gamma).sqrt())]]),
+                Mat2([[C64::ZERO, C64::real(gamma.sqrt())], [C64::ZERO, C64::ZERO]]),
+            ];
+            let (p, r): (f64, f64) = (rng.gen_range(0.0..0.5), rng.gen_range(0.0..0.5));
+            let scaled = |g: &Gate, w: f64| {
+                let m = crate::single_qubit_matrix(g);
+                Mat2([[m.0[0][0].scale(w), m.0[0][1].scale(w)], [m.0[1][0].scale(w), m.0[1][1].scale(w)]])
+            };
+            let mixed = vec![
+                scaled(&Gate::I, (1.0 - p - r).sqrt()),
+                scaled(&Gate::X, p.sqrt()),
+                scaled(&Gate::Y, r.sqrt()),
+            ];
+            for kraus in [&damping, &mixed] {
+                let q = trial % n;
+                let seed = rng.gen_range(0..u64::MAX);
+                let (mut a, mut b) = (state.clone(), state.clone());
+                let (mut ra, mut rb) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                a.apply_kraus_1q(q, kraus, &mut ra);
+                b.apply_kraus_1q_cloning(q, kraus, &mut rb);
+                assert_eq!(bits(&a), bits(&b), "trial {trial}: states differ");
+                assert_eq!(ra, rb, "trial {trial}: RNG positions differ");
+            }
+        }
     }
 
     #[test]
