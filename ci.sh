@@ -71,13 +71,57 @@ echo "$compare_a" | grep -q "artifact cache: 3 hits, 6 misses" \
     || { echo "compare did not share the pass prefix:"; echo "$compare_a"; exit 1; }
 rm -f "$compare_qasm"
 
+echo "== xtalk run pin =="
+# The executor must stay bit-identical end to end: a 6-qubit GHZ at 4096
+# shots goes through run_budgeted's 64-shot batches and must print exactly
+# the pinned report at 1 and 2 threads.
+ghz_qasm="$(mktemp --suffix=.qasm)"
+printf 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[6];\ncreg c[6];\nh q[0];\n' > "$ghz_qasm"
+for q in 0 1 2 3 4; do printf 'cx q[%d],q[%d];\n' "$q" "$((q + 1))" >> "$ghz_qasm"; done
+for q in 0 1 2 3 4 5; do printf 'measure q[%d] -> c[%d];\n' "$q" "$q" >> "$ghz_qasm"; done
+pinned_run="$(cat <<'PIN'
+ibmq_poughkeepsie | scheduler XtalkSched | makespan 2916 ns | 4096/4096 shots
+  000000: 1291 (0.315)
+  111111: 1255 (0.306)
+  111110: 141 (0.034)
+  111101: 128 (0.031)
+  111011: 112 (0.027)
+  000001: 109 (0.027)
+  000100: 100 (0.024)
+  110111: 100 (0.024)
+  000010: 98 (0.024)
+  011111: 94 (0.023)
+  001000: 85 (0.021)
+  100000: 84 (0.021)
+  010000: 64 (0.016)
+  101111: 45 (0.011)
+  111100: 42 (0.010)
+  000011: 34 (0.008)
+PIN
+)"
+for threads in 1 2; do
+    run_out="$(target/release/xtalk run "$ghz_qasm" --device poughkeepsie --shots 4096 \
+        --threads "$threads")"
+    [ "$run_out" = "$pinned_run" ] || {
+        echo "xtalk run counts moved at --threads $threads:"; echo "$run_out"; exit 1;
+    }
+done
+rm -f "$ghz_qasm"
+
 echo "== xtalk profile smoke =="
 # End-to-end: the profiled pipeline must emit a snapshot that parses as
 # JSON and covers every instrumented stage.
 snapshot="$(mktemp)"
 target/release/xtalk profile fig5 --seed 3 --shots 128 --threads 2 > "$snapshot"
 target/release/xtalk profile-check "$snapshot"
-rm -f "$snapshot"
+# The sharing counters are checked too: a snapshot claiming more state
+# updates than shot-steps must be rejected.
+sed 's/"sim.group_steps","value":[0-9]*/"sim.group_steps","value":999999999999/' \
+    "$snapshot" > "$snapshot.bad"
+if target/release/xtalk profile-check "$snapshot.bad" > /dev/null 2>&1; then
+    echo "profile-check accepted sim.group_steps > sim.lane_steps"; exit 1
+fi
+rm -f "$snapshot" "$snapshot.bad"
 
 echo "== chaos suite =="
 # Fault plans are process-global; the suite serializes internally.

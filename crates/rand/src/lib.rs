@@ -139,19 +139,29 @@ impl<T: SampleUniform + Copy> SampleRange<T> for core::ops::RangeInclusive<T> {
     }
 }
 
+/// `bits % span`: in `u64` arithmetic when the span fits in 64 bits (every
+/// half-open range and all but the full-width inclusive ones), avoiding a
+/// 128-bit division; the value is the same either way.
+fn reduce(bits: u64, span: u128) -> u128 {
+    match u64::try_from(span) {
+        Ok(span) => u128::from(bits % span),
+        Err(_) => u128::from(bits) % span,
+    }
+}
+
 macro_rules! int_sample_uniform {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
             fn sample_half_open<R: RngCore + ?Sized>(rng: &mut R, lo: $t, hi: $t) -> $t {
                 assert!(lo < hi, "cannot sample empty range");
                 let span = (hi as i128 - lo as i128) as u128;
-                (lo as i128 + (rng.next_u64() as u128 % span) as i128) as $t
+                (lo as i128 + reduce(rng.next_u64(), span) as i128) as $t
             }
 
             fn sample_inclusive<R: RngCore + ?Sized>(rng: &mut R, lo: $t, hi: $t) -> $t {
                 assert!(lo <= hi, "cannot sample empty range");
                 let span = (hi as i128 - lo as i128) as u128 + 1;
-                (lo as i128 + (rng.next_u64() as u128 % span) as i128) as $t
+                (lo as i128 + reduce(rng.next_u64(), span) as i128) as $t
             }
         }
     )*};
@@ -231,6 +241,58 @@ mod tests {
         }
         let mut rng = StdRng::seed_from_u64(4);
         assert!(sample(&mut rng) < 10);
+    }
+
+    #[test]
+    fn integer_ranges_match_the_wide_formula() {
+        // The 128-bit formula `gen_range` used for every span, as the
+        // reference the 64-bit path must reproduce value for value.
+        fn wide(bits: u64, lo: i128, hi: i128, inclusive: bool) -> i128 {
+            let span = (hi - lo) as u128 + u128::from(inclusive);
+            lo + (bits as u128 % span) as i128
+        }
+        macro_rules! check {
+            ($($t:ty),*) => {$({
+                let mut pick = StdRng::seed_from_u64(<$t>::MAX as u64 ^ 0x51);
+                let mut ranges: Vec<($t, $t)> = vec![
+                    (<$t>::MIN, <$t>::MAX),
+                    (0, 1),
+                    (<$t>::MAX - 1, <$t>::MAX),
+                    (<$t>::MIN, <$t>::MIN + 3),
+                ];
+                for _ in 0..200 {
+                    // Random endpoints (mostly wide spans), and random
+                    // short spans like the simulator's Pauli draws.
+                    let (a, b) = (pick.next_u64() as $t, pick.next_u64() as $t);
+                    ranges.push((a.min(b), a.max(b)));
+                    let short = pick.gen_range(1..20u8) as $t;
+                    ranges.push((a, a.saturating_add(short)));
+                }
+                for (lo, hi) in ranges {
+                    for seed in 0..4u64 {
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        let mut bits = StdRng::seed_from_u64(seed);
+                        for _ in 0..8 {
+                            let x = rng.gen_range(lo..=hi);
+                            let want = wide(bits.next_u64(), lo as i128, hi as i128, true);
+                            assert_eq!(x as i128, want, "{lo}..={hi}");
+                            if lo < hi {
+                                let y = rng.gen_range(lo..hi);
+                                let want = wide(bits.next_u64(), lo as i128, hi as i128, false);
+                                assert_eq!(y as i128, want, "{lo}..{hi}");
+                            }
+                        }
+                    }
+                }
+            })*};
+        }
+        check!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+        // The full-width 64-bit inclusive spans are 2^64: the wide path.
+        assert!(u64::try_from((u64::MAX as u128) + 1).is_err());
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut bits = StdRng::seed_from_u64(9);
+        assert_eq!(rng.gen_range(u64::MIN..=u64::MAX), bits.next_u64());
+        assert_eq!(rng.gen_range(i64::MIN..=i64::MAX), bits.next_u64() as i64 ^ i64::MIN);
     }
 
     #[test]

@@ -4,10 +4,12 @@ use crate::matrix::{single_qubit_matrix, two_qubit_matrix, Mat2, Mat4};
 use crate::noise::{
     depolarizing_prob_for_error_1q, depolarizing_prob_for_error_2q, IdleChannel, NoiseModel,
 };
-use crate::{Counts, StateVector};
+use crate::state::{self, kernel, sample_outcome};
+use crate::{Counts, C64};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::mem::Discriminant;
 use std::sync::atomic::{AtomicU64, Ordering};
 use xtalk_budget::Budget;
 use xtalk_device::{Calibration, Device, Edge};
@@ -170,7 +172,7 @@ impl<'a> Executor<'a> {
         .max(1);
 
         if threads == 1 {
-            return self.run_shot_batch(&prep, 0, shots, 0);
+            return self.run_shot_batch(&prep, 0, shots, 0, &mut Runner::new());
         }
 
         let chunk = shots.div_ceil(threads as u64);
@@ -180,7 +182,9 @@ impl<'a> Executor<'a> {
                 .map(|t| {
                     let lo = t * chunk;
                     let hi = ((t + 1) * chunk).min(shots);
-                    scope.spawn(move || self.run_shot_batch(prep, lo, hi, t as usize))
+                    scope.spawn(move || {
+                        self.run_shot_batch(prep, lo, hi, t as usize, &mut Runner::new())
+                    })
                 })
                 .collect();
             let mut counts = Counts::new(sched.circuit().num_clbits().max(1));
@@ -230,6 +234,7 @@ impl<'a> Executor<'a> {
         let next = AtomicU64::new(0);
         let run_worker = |thread_idx: usize| -> Counts {
             let mut counts = Counts::new(sched.circuit().num_clbits().max(1));
+            let mut runner = Runner::new();
             loop {
                 // Poll *before* claiming: a claimed batch always runs to
                 // completion, keeping the completed set a prefix.
@@ -242,7 +247,7 @@ impl<'a> Executor<'a> {
                 }
                 let lo = batch * BUDGET_BATCH_SHOTS;
                 let hi = (lo + BUDGET_BATCH_SHOTS).min(shots);
-                counts.merge(&self.run_shot_batch(&prep, lo, hi, thread_idx));
+                counts.merge(&self.run_shot_batch(&prep, lo, hi, thread_idx, &mut runner));
                 budget.charge(1);
             }
             counts
@@ -277,10 +282,19 @@ impl<'a> Executor<'a> {
     }
 
     /// [`Executor::run_shot_range`] plus per-batch observability: batch
-    /// wall time and per-thread shot counts. Metrics never feed back into
-    /// the trajectory RNG streams, so parallel results stay bit-identical
-    /// whether profiling is on or off.
-    fn run_shot_batch(&self, prep: &Prepared, lo: u64, hi: u64, thread_idx: usize) -> Counts {
+    /// wall time, per-thread shot counts, and the sharing counters
+    /// `sim.lane_steps` (shot-steps a per-shot interpreter would have run)
+    /// and `sim.group_steps` (state updates made). Metrics never feed back
+    /// into the trajectory RNG streams, so parallel results stay
+    /// bit-identical whether profiling is on or off.
+    fn run_shot_batch(
+        &self,
+        prep: &Prepared,
+        lo: u64,
+        hi: u64,
+        thread_idx: usize,
+        runner: &mut Runner,
+    ) -> Counts {
         // `sim.batch` injection point: an injected error panics the batch
         // (propagating to the caller as a worker/job panic, exercising the
         // serve stack's quarantine path); a delay only stalls wall time.
@@ -290,10 +304,13 @@ impl<'a> Executor<'a> {
             panic!("injected sim.batch fault: {msg}");
         }
         let _batch = xtalk_obs::span("sim.shot_batch");
-        let counts = self.run_shot_range(prep, lo, hi);
+        let steps_before = (runner.lane_steps, runner.group_steps);
+        let counts = self.run_shot_range(prep, lo, hi, runner);
         if xtalk_obs::enabled() {
             xtalk_obs::counter_add("sim.shots", hi - lo);
             xtalk_obs::counter_add(&format!("sim.thread{thread_idx}.shots"), hi - lo);
+            xtalk_obs::counter_add("sim.lane_steps", runner.lane_steps - steps_before.0);
+            xtalk_obs::counter_add("sim.group_steps", runner.group_steps - steps_before.1);
         }
         counts
     }
@@ -408,22 +425,29 @@ impl<'a> Executor<'a> {
         Prepared { num_clbits: circuit.num_clbits(), mats, programs }
     }
 
-    /// Runs shots `lo..hi`, each on its own derived RNG stream, reusing
-    /// one state per component across the shots.
-    fn run_shot_range(&self, prep: &Prepared, lo: u64, hi: u64) -> Counts {
+    /// Runs shots `lo..hi`, each on its own derived RNG stream, through the
+    /// shared-trajectory [`Runner`]: lanes are taken in blocks of at most
+    /// `runner.block`, and every component runs over a block in chunks of
+    /// [`lanes_per_chunk`] lanes, in component order, so each lane's stream
+    /// continues from one component to the next exactly as one shot's did.
+    fn run_shot_range(&self, prep: &Prepared, lo: u64, hi: u64, runner: &mut Runner) -> Counts {
         let mut counts = Counts::new(prep.num_clbits.max(1));
-        if lo >= hi {
-            return counts;
-        }
-        let mut states: Vec<StateVector> =
-            prep.programs.iter().map(|p| StateVector::new(p.width)).collect();
-        for shot in lo..hi {
-            let mut rng = StdRng::seed_from_u64(shot_stream_seed(self.config.seed, shot));
-            let mut outcome: u64 = 0;
-            for (program, state) in prep.programs.iter().zip(&mut states) {
-                outcome |= program.run(&prep.mats, state, &mut rng);
+        let mut start = lo;
+        while start < hi {
+            let end = hi.min(start + runner.block as u64);
+            runner.begin_block(self.config.seed, start..end);
+            let lanes = (end - start) as usize;
+            for program in &prep.programs {
+                let chunk = runner.chunk.unwrap_or_else(|| lanes_per_chunk(program.width));
+                for first in (0..lanes).step_by(chunk) {
+                    let last = lanes.min(first.saturating_add(chunk));
+                    runner.run_chunk(&prep.mats, program, first..last);
+                }
             }
-            counts.record(outcome);
+            for &bits in &runner.bits {
+                counts.record(bits);
+            }
+            start = end;
         }
         counts
     }
@@ -444,21 +468,22 @@ struct Prepared {
 struct Matrices {
     one: Vec<Mat2>,
     two: Vec<Mat4>,
-    /// `one` indices by the bit pattern of the matrix entries.
-    one_index: HashMap<[u64; 8], u32>,
+    /// `one` indices by gate kind and parameter bits, so a repeated gate
+    /// costs a lookup instead of its trigonometry.
+    one_index: HashMap<(Discriminant<Gate>, [u64; 3]), u32>,
 }
 
 impl Matrices {
     /// Index of a single-qubit gate's matrix, interning it on first use.
     fn one(&mut self, gate: &Gate) -> u32 {
-        let m = single_qubit_matrix(gate);
-        let mut key = [0u64; 8];
-        for (k, c) in key.chunks_exact_mut(2).zip(m.0.iter().flatten()) {
-            k[0] = c.re.to_bits();
-            k[1] = c.im.to_bits();
+        let params = gate.params();
+        assert!(params.len() <= 3, "`{gate}` has more parameters than a u3");
+        let mut key = (std::mem::discriminant(gate), [0u64; 3]);
+        for (k, p) in key.1.iter_mut().zip(&params) {
+            *k = p.to_bits();
         }
         *self.one_index.entry(key).or_insert_with(|| {
-            self.one.push(m);
+            self.one.push(single_qubit_matrix(gate));
             (self.one.len() - 1) as u32
         })
     }
@@ -499,41 +524,235 @@ enum Step {
     Measure { q: u32, readout: Option<f64>, clbit: Option<u32> },
 }
 
-impl Program {
-    /// Runs one trajectory from `|0…0⟩` in `state` (reset here); returns
-    /// the measured bits positioned at their clbit indices.
-    fn run(&self, mats: &Matrices, state: &mut StateVector, rng: &mut StdRng) -> u64 {
-        state.reset();
-        let mut bits: u64 = 0;
-        for step in &self.steps {
+/// Bytes of group states one chunk of lanes may hold. A chunk of a
+/// `w`-qubit component has [`lanes_per_chunk`]`(w)` lanes, and a group
+/// always keeps at least one lane, so its states fit in `BUDGET` (or are
+/// one state, when a single state is larger).
+const BUDGET: usize = 1 << 20;
+
+/// Lanes per block of [`Executor::run_shot_range`]: bounds the per-lane
+/// bookkeeping (RNG stream, outcome, position) however many shots run.
+const LANE_BLOCK: usize = 4096;
+
+/// Lanes simulated together in one chunk of a `width`-qubit component.
+fn lanes_per_chunk(width: usize) -> usize {
+    (BUDGET / (std::mem::size_of::<C64>() << width)).max(1)
+}
+
+/// The shared-trajectory runner: simulates a chunk of shots ("lanes") of
+/// one component at once, keeping one state per *group* of lanes whose
+/// noise histories agree so far.
+///
+/// Each step applies its unitary once per group. Every lane then makes the
+/// draws the per-shot interpreter made at that step, in the same order and
+/// on its own RNG stream; a group whose lanes pick different branches
+/// (Pauli error, damping branch, dephasing flip, measurement outcome)
+/// keeps its most common branch and hands each other branch's lanes to a
+/// child copied from it *before* the branch is applied. So every group's
+/// state is bit for bit the state each of its lanes would have computed
+/// alone. One runner serves one thread; its buffers are reused across
+/// chunks, components and shot batches.
+struct Runner {
+    /// Lanes per block (`LANE_BLOCK` outside tests).
+    block: usize,
+    /// Lanes per chunk, overriding [`lanes_per_chunk`] (tests only).
+    chunk: Option<usize>,
+    /// Per lane of the block: its RNG stream and its measured bits.
+    rngs: Vec<StdRng>,
+    bits: Vec<u64>,
+    /// The chunk's lanes, grouped: each group owns a contiguous range.
+    order: Vec<u32>,
+    /// The branch drawn by the lane at each position of `order`.
+    keys: Vec<u8>,
+    /// Counting-sort scratch for `order`.
+    sorted: Vec<u32>,
+    groups: Vec<Group>,
+    /// The groups' states back to back, group `g` at `g·2^w`, so a unitary
+    /// step is one kernel call over every group. Cleared (not freed) when
+    /// a chunk ends; its capacity is the largest chunk's need.
+    states: Vec<C64>,
+    /// Shot-steps a per-shot interpreter would have run, and state
+    /// updates actually made, over the runner's life.
+    lane_steps: u64,
+    group_steps: u64,
+}
+
+/// Lanes `order[lo..hi]` sharing one state.
+struct Group {
+    lo: usize,
+    hi: usize,
+}
+
+impl Runner {
+    fn new() -> Self {
+        Runner {
+            block: LANE_BLOCK,
+            chunk: None,
+            rngs: Vec::new(),
+            bits: Vec::new(),
+            order: Vec::new(),
+            keys: Vec::new(),
+            sorted: Vec::new(),
+            groups: Vec::new(),
+            states: Vec::new(),
+            lane_steps: 0,
+            group_steps: 0,
+        }
+    }
+
+    /// Seeds one lane per shot of `shots` from `(seed, shot)` and clears
+    /// their outcomes.
+    fn begin_block(&mut self, seed: u64, shots: std::ops::Range<u64>) {
+        self.rngs.clear();
+        self.rngs.extend(shots.map(|shot| StdRng::seed_from_u64(shot_stream_seed(seed, shot))));
+        self.bits.clear();
+        self.bits.resize(self.rngs.len(), 0);
+    }
+
+    /// Runs `program` from `|0…0⟩` for block lanes `lanes`, ORing each
+    /// lane's measured bits (at their clbit indices) into `bits`.
+    fn run_chunk(&mut self, mats: &Matrices, program: &Program, lanes: std::ops::Range<usize>) {
+        state::assert_width(program.width);
+        let dim = 1usize << program.width;
+        self.order.clear();
+        self.order.extend(lanes.map(|l| l as u32));
+        self.keys.resize(self.order.len(), 0);
+        // At most one state per lane: reserve them all up front, so the
+        // buffer grows to the chunk's budget at most once.
+        self.states.clear();
+        self.states.reserve_exact(self.order.len() * dim);
+        self.states.resize(dim, C64::ZERO);
+        self.states[0] = C64::ONE;
+        self.groups.push(Group { lo: 0, hi: self.order.len() });
+        for step in &program.steps {
             match *step {
                 Step::Gate1 { q, mat, depol } => {
                     let q = q as usize;
-                    state.apply_mat2(q, &mats.one[mat as usize]);
+                    kernel::apply_mat2(&mut self.states, q, &mats.one[mat as usize]);
                     if let Some(p) = depol {
-                        NoiseModel::depolarize_1q(state, q, p, rng);
+                        self.split::<4, _>(
+                            dim,
+                            |_| (),
+                            |_, rng, _| NoiseModel::sample_pauli_1q(p, rng),
+                            |s, _, k| NoiseModel::apply_pauli_1q(s, q, k),
+                        );
                     }
                 }
                 Step::Gate2 { a, b, mat, depol } => {
                     let (a, b) = (a as usize, b as usize);
-                    state.apply_mat4(a, b, &mats.two[mat as usize]);
+                    kernel::apply_mat4(&mut self.states, a, b, &mats.two[mat as usize]);
                     if let Some(p) = depol {
-                        NoiseModel::depolarize_2q(state, a, b, p, rng);
+                        self.split::<16, _>(
+                            dim,
+                            |_| (),
+                            |_, rng, _| NoiseModel::sample_pauli_2q(p, rng),
+                            |s, _, k| NoiseModel::apply_pauli_2q(s, a, b, k),
+                        );
                     }
                 }
-                Step::Idle { q, channel } => channel.apply(state, q as usize, rng),
+                Step::Idle { q, channel } => {
+                    let q = q as usize;
+                    self.split::<4, _>(
+                        dim,
+                        |s| channel.weigh(s, q),
+                        |&w, rng, _| channel.sample_branch(w, rng),
+                        |s, &w, k| channel.apply_branch(s, q, w, k),
+                    );
+                }
                 Step::Measure { q, readout, clbit } => {
-                    let mut bit = state.measure_qubit(q as usize, rng);
-                    if let Some(error) = readout {
-                        bit = NoiseModel::readout_flip(bit, error, rng);
-                    }
-                    if let (true, Some(c)) = (bit, clbit) {
-                        bits |= 1u64 << c;
-                    }
+                    let q = q as usize;
+                    self.split::<2, _>(
+                        dim,
+                        |s| kernel::prob_one(s, q),
+                        |&p1, rng, bits| {
+                            let outcome = sample_outcome(p1, rng);
+                            let mut bit = outcome;
+                            if let Some(error) = readout {
+                                bit = NoiseModel::readout_flip(bit, error, rng);
+                            }
+                            if let (true, Some(c)) = (bit, clbit) {
+                                *bits |= 1u64 << c;
+                            }
+                            usize::from(outcome)
+                        },
+                        |s, &p1, k| kernel::collapse(s, q, k == 1, p1),
+                    );
                 }
             }
+            self.group_steps += self.groups.len() as u64;
         }
-        bits
+        self.lane_steps += (program.steps.len() * self.order.len()) as u64;
+        self.groups.clear();
+    }
+
+    /// Splits every live group by the branch its lanes draw, one of `N`.
+    /// For each group, `prepare` evaluates what the draws depend on
+    /// (branch weights, `P(1)`) on its state (`dim` amplitudes), once;
+    /// `draw` makes one lane's draws from its RNG (and may record its
+    /// measured bit) and returns its branch; `apply` puts a state on a
+    /// branch. Children are pushed after the groups visited, so a step
+    /// never revisits them.
+    fn split<const N: usize, P>(
+        &mut self,
+        dim: usize,
+        prepare: impl Fn(&[C64]) -> P,
+        mut draw: impl FnMut(&P, &mut StdRng, &mut u64) -> usize,
+        apply: impl Fn(&mut [C64], &P, usize),
+    ) {
+        let Runner { rngs, bits, order, keys, sorted, groups, states, .. } = self;
+        for g in 0..groups.len() {
+            let (lo, hi) = (groups[g].lo, groups[g].hi);
+            let own = g * dim..(g + 1) * dim;
+            let pre = prepare(&states[own.clone()]);
+            if hi - lo == 1 {
+                let lane = order[lo] as usize;
+                let k = draw(&pre, &mut rngs[lane], &mut bits[lane]);
+                apply(&mut states[own], &pre, k);
+                continue;
+            }
+            let mut count = [0usize; N];
+            for pos in lo..hi {
+                let lane = order[pos] as usize;
+                let k = draw(&pre, &mut rngs[lane], &mut bits[lane]);
+                keys[pos] = k as u8;
+                count[k] += 1;
+            }
+            // The parent keeps its most common branch (ties: the lowest),
+            // so a group never empties within a step.
+            let first = keys[lo] as usize;
+            let keep = if count[first] == hi - lo {
+                first
+            } else {
+                (0..N).fold(0, |best, k| if count[k] > count[best] { k } else { best })
+            };
+            if count[keep] < hi - lo {
+                // Counting sort of the group's lanes by branch, `keep`
+                // first, so every branch owns a contiguous range.
+                let mut start = [0usize; N];
+                let mut next = lo + count[keep];
+                start[keep] = lo;
+                for k in (0..N).filter(|&k| k != keep) {
+                    start[k] = next;
+                    next += count[k];
+                }
+                let mut fill = start;
+                sorted.resize(hi - lo, 0);
+                for pos in lo..hi {
+                    let k = keys[pos] as usize;
+                    sorted[fill[k] - lo] = order[pos];
+                    fill[k] += 1;
+                }
+                order[lo..hi].copy_from_slice(&sorted[..hi - lo]);
+                for k in (0..N).filter(|&k| k != keep && count[k] > 0) {
+                    let child = states.len();
+                    states.extend_from_within(own.clone());
+                    apply(&mut states[child..], &pre, k);
+                    groups.push(Group { lo: start[k], hi: start[k] + count[k] });
+                }
+                groups[g].hi = lo + count[keep];
+            }
+            apply(&mut states[own], &pre, keep);
+        }
     }
 }
 
@@ -833,6 +1052,41 @@ mod tests {
                 out.shots_completed
             );
         }
+    }
+
+    #[test]
+    fn lane_chunks_fit_the_state_budget() {
+        for width in 0..=26 {
+            let state = std::mem::size_of::<C64>() << width;
+            let lanes = lanes_per_chunk(width);
+            assert!(lanes >= 1, "width {width}: no lane");
+            assert!(lanes * state <= BUDGET.max(state), "width {width}: {lanes} lanes overflow");
+            assert!((lanes + 1) * state > BUDGET, "width {width}: {lanes} lanes leave room unused");
+        }
+    }
+
+    #[test]
+    fn states_stay_within_the_budget_on_a_wide_component() {
+        // One 14-qubit component: 256 KiB per state, so 4 lanes per chunk
+        // and 1024 chunks. A heavily depolarized H and a measurement split
+        // every chunk into up to four groups. (A hand-built program: the
+        // 13 CNOTs joining 14 qubits would dominate the test's run time.)
+        let mut mats = Matrices::default();
+        let h = mats.one(&Gate::H);
+        let steps = vec![
+            Step::Gate1 { q: 0, mat: h, depol: Some(0.75) },
+            Step::Measure { q: 0, readout: None, clbit: Some(0) },
+        ];
+        let prep = Prepared { num_clbits: 1, mats, programs: vec![Program { width: 14, steps }] };
+        let device = Device::line(1, 0);
+        let exec = Executor::with_config(&device, ExecutorConfig { shots: 4096, ..noiseless() });
+        let mut runner = Runner::new();
+        let counts = exec.run_shot_range(&prep, 0, 4096, &mut runner);
+        assert_eq!(counts.shots(), 4096);
+        let state = std::mem::size_of::<C64>() << 14;
+        let held = runner.states.capacity() * std::mem::size_of::<C64>();
+        assert!(held <= BUDGET + state, "held {held} bytes against a budget of {BUDGET}");
+        assert!(runner.group_steps > 2 * 1024, "the chunks never split");
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The executor as it was before trajectory programs — per-shot schedule
 //! analysis, a fresh state per component, matrices rebuilt per gate and
-//! the cloning Kraus step — kept as the oracle the compiled path must
-//! match count for count.
+//! the cloning Kraus step — kept as the oracle the compiled, shared-
+//! trajectory path must match count for count.
 
 use super::*;
 use rand::Rng;
-use crate::C64;
+use crate::{StateVector, C64};
 use xtalk_device::CrosstalkMap;
 use xtalk_ir::Qubit;
 
@@ -147,6 +147,29 @@ impl Executor<'_> {
             }
         }
         bits
+    }
+}
+
+/// Lanes per chunk the shared-trajectory runner is checked at: single
+/// lanes, chunks that do not divide the shot count, and whole blocks.
+const CHUNKS: [usize; 6] = [1, 2, 3, 7, 64, usize::MAX];
+
+impl Executor<'_> {
+    /// All shots through one [`Runner`] with `block` lanes per block and
+    /// `chunk` lanes per chunk (`None`: [`lanes_per_chunk`]); returns the
+    /// counts and the runner, for its step counters.
+    fn run_shaped(
+        &self,
+        sched: &ScheduledCircuit,
+        block: usize,
+        chunk: Option<usize>,
+    ) -> (Counts, Runner) {
+        let prep = self.prepare(sched);
+        let mut runner = Runner::new();
+        runner.block = block;
+        runner.chunk = chunk;
+        let counts = self.run_shot_range(&prep, 0, self.config.shots, &mut runner);
+        (counts, runner)
     }
 }
 
@@ -307,6 +330,46 @@ fn coherence_mix() -> (Device, Circuit) {
     (device, c)
 }
 
+/// `line(4)` with a 40x crosstalk factor that drives both pairs'
+/// depolarizing probability to its 0.9375 clamp, and T1/T2 of a few µs
+/// (the schedule is stretched to open idle gaps), so almost every lane
+/// leaves its group within the first gates.
+fn saturated() -> (Device, Circuit) {
+    let mut xt = CrosstalkMap::new();
+    xt.set_symmetric(Edge::new(0, 1), Edge::new(2, 3), 40.0, 40.0);
+    let device = Device::line(4, 5).with_crosstalk(xt);
+    let mut cal = device.calibration().clone();
+    cal.set_cx_error(Edge::new(0, 1), 0.05);
+    cal.set_cx_error(Edge::new(2, 3), 0.05);
+    for q in 0..4 {
+        cal.set_coherence_us(q, 2.0, 3.0);
+    }
+    let device = device.with_calibration(cal);
+    let mut c = Circuit::new(4, 4);
+    for _ in 0..3 {
+        c.h(0).h(2).cx(0, 1).cx(2, 3).x(1).x(3);
+    }
+    c.measure_all();
+    (device, c)
+}
+
+/// Components of widths 1, 2 and 6 in one schedule on `line(12)`, so the
+/// runner's chunk sizes differ per component and every lane's RNG stream
+/// crosses components of different shapes.
+fn mixed_widths() -> Circuit {
+    let mut c = Circuit::new(12, 9);
+    c.h(0).measure(0, 0);
+    c.h(2).cx(2, 3).measure(2, 1).measure(3, 2);
+    c.h(5);
+    for q in 5..10u32 {
+        c.cx(q, q + 1).u3(0.4, 0.1 * q as f64, -0.2, q);
+    }
+    for (k, q) in (5..11u32).enumerate() {
+        c.measure(q, 3 + k as u32);
+    }
+    c
+}
+
 /// `(device, schedule)` cases covering the program step kinds.
 fn cases() -> Vec<(&'static str, Device, ScheduledCircuit)> {
     let mut rng = StdRng::seed_from_u64(0x0dd5eed);
@@ -332,6 +395,10 @@ fn cases() -> Vec<(&'static str, Device, ScheduledCircuit)> {
     let end = late.makespan() + 7_000;
     late.right_align_to(end);
     out.push(("coherence mix", coh_dev, late));
+    let (sat_dev, sat) = saturated();
+    out.push(("saturated", sat_dev.clone(), stretched(&asap(&sat_dev, &sat), 3)));
+    let line12 = Device::line(12, 6);
+    out.push(("mixed widths", line12.clone(), stretched(&asap(&line12, &mixed_widths()), 2)));
     out
 }
 
@@ -340,7 +407,12 @@ fn compiled_programs_match_reference_under_every_noise_switch() {
     for (name, device, sched) in cases() {
         for cfg in all_configs(96, 0x5eed) {
             let exec = Executor::with_config(&device, cfg);
-            assert_eq!(exec.run(&sched), exec.run_reference(&sched), "{name} under {cfg:?}");
+            let reference = exec.run_reference(&sched);
+            assert_eq!(exec.run(&sched), reference, "{name} under {cfg:?}");
+            for chunk in CHUNKS {
+                let (counts, _) = exec.run_shaped(&sched, LANE_BLOCK, Some(chunk));
+                assert_eq!(counts, reference, "{name} under {cfg:?}, {chunk} lanes per chunk");
+            }
         }
     }
 }
@@ -348,12 +420,18 @@ fn compiled_programs_match_reference_under_every_noise_switch() {
 #[test]
 fn compiled_programs_match_reference_at_every_thread_count() {
     for (name, device, sched) in cases() {
+        // 1100 shots: more lanes than one chunk of a 6-qubit component
+        // holds, so the mixed-widths case runs components in different
+        // chunkings.
         for cfg in [
-            ExecutorConfig { shots: 150, seed: 3, ..Default::default() },
+            ExecutorConfig { shots: 1100, seed: 3, ..Default::default() },
             ExecutorConfig { shots: 150, seed: 4, compound_crosstalk: true, ..Default::default() },
         ] {
             let exec = Executor::with_config(&device, cfg);
             let reference = exec.run_reference(&sched);
+            // Blocks that end mid-chunk and mid-batch.
+            let (counts, _) = exec.run_shaped(&sched, 37, None);
+            assert_eq!(counts, reference, "{name}, 37-lane blocks");
             for threads in [1usize, 2, 4] {
                 assert_eq!(exec.run_parallel(&sched, threads), reference, "{name}, parallel x{threads}");
                 let out = exec.run_budgeted(&sched, threads, &Budget::unlimited());
@@ -389,6 +467,40 @@ fn cases_exercise_every_step_kind() {
     }
     assert!(kinds.iter().all(|&k| k > 0), "step kinds {kinds:?}");
     assert!(dephasing.iter().all(|&k| k > 0), "idle channels {dephasing:?}");
+
+    // Every case splits groups: with one chunk of all lanes, a run that
+    // never split would make exactly one state update per step.
+    let shots = 96;
+    for (name, device, sched) in &cases {
+        let cfg = ExecutorConfig { shots, seed: 0x5eed, ..Default::default() };
+        let (_, runner) = Executor::with_config(device, cfg).run_shaped(sched, LANE_BLOCK, None);
+        assert!(
+            runner.group_steps > runner.lane_steps / shots,
+            "{name}: no group split ({} group steps, {} lane steps)",
+            runner.group_steps,
+            runner.lane_steps
+        );
+        if *name == "saturated" {
+            let prep = Executor::new(device).prepare(sched);
+            let clamped = prep.programs.iter().flat_map(|p| &p.steps).any(
+                |s| matches!(s, Step::Gate2 { depol: Some(p), .. } if *p == 0.9375),
+            );
+            assert!(clamped, "saturated case misses the depolarizing clamp");
+            assert!(
+                2 * runner.group_steps > runner.lane_steps,
+                "saturated case shares too much: {} of {} steps",
+                runner.group_steps,
+                runner.lane_steps
+            );
+        }
+        if *name == "mixed widths" {
+            let prep = Executor::new(device).prepare(sched);
+            let mut widths: Vec<usize> = prep.programs.iter().map(|p| p.width).collect();
+            widths.sort_unstable();
+            assert_eq!(widths, [1, 2, 6], "component widths");
+            assert!(lanes_per_chunk(6) < 1100 && lanes_per_chunk(2) >= 1100);
+        }
+    }
     let swaps = cases.iter().flat_map(|(_, _, s)| s.circuit().iter());
     assert!(swaps.filter(|i| *i.gate() == Gate::Swap).count() > 0);
 

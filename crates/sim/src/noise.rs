@@ -1,6 +1,7 @@
 //! Trajectory noise channels and error-rate conversions.
 
-use crate::matrix::Mat2;
+use crate::matrix::{single_qubit_matrix, Mat2};
+use crate::state::{kernel, sample_branch};
 use crate::{C64, StateVector};
 use rand::Rng;
 use xtalk_ir::Gate;
@@ -36,10 +37,7 @@ pub struct NoiseModel;
 impl NoiseModel {
     /// Applies single-qubit depolarizing noise of strength `p` to `q`.
     pub fn depolarize_1q<R: Rng + ?Sized>(state: &mut StateVector, q: usize, p: f64, rng: &mut R) {
-        if rng.gen_range(0.0..1.0) < p {
-            let g = [Gate::X, Gate::Y, Gate::Z][rng.gen_range(0..3)];
-            state.apply_gate(&g, &[q]);
-        }
+        Self::apply_pauli_1q(state.amps_mut(), q, Self::sample_pauli_1q(p, rng));
     }
 
     /// Applies two-qubit depolarizing noise of strength `p` to `(a, b)`:
@@ -51,16 +49,43 @@ impl NoiseModel {
         p: f64,
         rng: &mut R,
     ) {
+        Self::apply_pauli_2q(state.amps_mut(), a, b, Self::sample_pauli_2q(p, rng));
+    }
+
+    /// Draws the Pauli of single-qubit depolarizing noise of strength `p`:
+    /// `0` for none, `1..=3` for X, Y, Z.
+    pub(crate) fn sample_pauli_1q<R: Rng + ?Sized>(p: f64, rng: &mut R) -> usize {
         if rng.gen_range(0.0..1.0) < p {
-            let k = rng.gen_range(1..16usize);
-            let (pa, pb) = (k % 4, k / 4);
-            for (which, q) in [(pa, a), (pb, b)] {
-                match which {
-                    1 => state.apply_gate(&Gate::X, &[q]),
-                    2 => state.apply_gate(&Gate::Y, &[q]),
-                    3 => state.apply_gate(&Gate::Z, &[q]),
-                    _ => {}
-                }
+            1 + rng.gen_range(0..3usize)
+        } else {
+            0
+        }
+    }
+
+    /// Applies Pauli `k` of [`NoiseModel::sample_pauli_1q`] to `q` of the
+    /// state(s) in `amps`.
+    pub(crate) fn apply_pauli_1q(amps: &mut [C64], q: usize, k: usize) {
+        if k != 0 {
+            pauli(amps, q, k);
+        }
+    }
+
+    /// Draws the Pauli pair of two-qubit depolarizing noise of strength
+    /// `p`: `0` for none, `k ∈ 1..16` for the pair `(k % 4, k / 4)`.
+    pub(crate) fn sample_pauli_2q<R: Rng + ?Sized>(p: f64, rng: &mut R) -> usize {
+        if rng.gen_range(0.0..1.0) < p {
+            rng.gen_range(1..16usize)
+        } else {
+            0
+        }
+    }
+
+    /// Applies Pauli pair `k` of [`NoiseModel::sample_pauli_2q`] to
+    /// `(a, b)` of the state(s) in `amps`.
+    pub(crate) fn apply_pauli_2q(amps: &mut [C64], a: usize, b: usize, k: usize) {
+        for (which, q) in [(k % 4, a), (k / 4, b)] {
+            if which != 0 {
+                pauli(amps, q, which);
             }
         }
     }
@@ -91,10 +116,17 @@ impl NoiseModel {
     }
 }
 
+/// Applies Pauli `k` (1, 2, 3: X, Y, Z) to qubit `q`, exactly as
+/// [`StateVector::apply_gate`] applies the gate.
+fn pauli(amps: &mut [C64], q: usize, k: usize) {
+    kernel::apply_mat2(amps, q, &single_qubit_matrix(&[Gate::X, Gate::Y, Gate::Z][k - 1]));
+}
+
 /// The idle channel of [`NoiseModel::idle`] for one gap, with everything
 /// that depends only on `(dt, T1, T2)` evaluated once: the amplitude
 /// damping Kraus amplitudes and the dephasing flip probability. A compiled
-/// trajectory program stores one per idle gap and applies it every shot.
+/// trajectory program stores one per idle gap and samples it for every
+/// group of shots.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub(crate) struct IdleChannel {
     /// `(√(1−γ), √γ)`: the nontrivial entries of the damping Kraus pair,
@@ -127,18 +159,66 @@ impl IdleChannel {
     /// Samples the channel on qubit `q`: the damping branch, then the
     /// dephasing flip.
     pub(crate) fn apply<R: Rng + ?Sized>(&self, state: &mut StateVector, q: usize, rng: &mut R) {
-        if let Some((keep, decay)) = self.damping {
-            let k0 = Mat2([[C64::ONE, C64::ZERO], [C64::ZERO, C64::real(keep)]]);
-            let k1 = Mat2([[C64::ZERO, C64::real(decay)], [C64::ZERO, C64::ZERO]]);
-            state.apply_kraus_1q(q, &[k0, k1], rng);
+        let weights = self.weigh(state.amps(), q);
+        let branch = self.sample_branch(weights, rng);
+        self.apply_branch(state.amps_mut(), q, weights, branch);
+    }
+
+    /// The damping branch weights on the state `amps` and their sum
+    /// ([`kernel::kraus_weights`]), or `None` without damping.
+    pub(crate) fn weigh(&self, amps: &[C64], q: usize) -> Option<IdleWeights> {
+        self.damping_kraus().map(|kraus| {
+            let mut probs = [0.0; 2];
+            let total = kernel::kraus_weights(amps, q, &kraus, &mut probs);
+            (probs, total)
+        })
+    }
+
+    /// Draws a branch of the channel, `d + 2·z`: damping branch `d` (0
+    /// without damping), then whether the dephasing `Z` fires (`z`; no
+    /// draw without dephasing).
+    pub(crate) fn sample_branch<R: Rng + ?Sized>(
+        &self,
+        weights: Option<IdleWeights>,
+        rng: &mut R,
+    ) -> usize {
+        let decay = weights.map_or(0, |(probs, total)| sample_branch(&probs, total, rng));
+        let flip = self.p_z.is_some_and(|p_z| rng.gen_range(0.0..1.0) < p_z);
+        decay + 2 * usize::from(flip)
+    }
+
+    /// Puts the state `amps` on branch `branch` of
+    /// [`IdleChannel::sample_branch`], given the `weights` it was drawn
+    /// from.
+    pub(crate) fn apply_branch(
+        &self,
+        amps: &mut [C64],
+        q: usize,
+        weights: Option<IdleWeights>,
+        branch: usize,
+    ) {
+        if let (Some(kraus), Some((probs, _))) = (self.damping_kraus(), weights) {
+            let decay = branch % 2;
+            kernel::apply_kraus_branch(amps, q, &kraus[decay], probs[decay]);
         }
-        if let Some(p_z) = self.p_z {
-            if rng.gen_range(0.0..1.0) < p_z {
-                state.apply_gate(&Gate::Z, &[q]);
-            }
+        if branch >= 2 {
+            pauli(amps, q, 3);
         }
     }
+
+    /// The amplitude damping Kraus pair `(K0, K1)`, or `None` when `γ = 0`.
+    fn damping_kraus(&self) -> Option<[Mat2; 2]> {
+        self.damping.map(|(keep, decay)| {
+            [
+                Mat2([[C64::ONE, C64::ZERO], [C64::ZERO, C64::real(keep)]]),
+                Mat2([[C64::ZERO, C64::real(decay)], [C64::ZERO, C64::ZERO]]),
+            ]
+        })
+    }
 }
+
+/// Branch weights of an idle channel's damping pair and their sum.
+pub(crate) type IdleWeights = ([f64; 2], f64);
 
 #[cfg(test)]
 impl IdleChannel {

@@ -31,7 +31,7 @@ impl StateVector {
     ///
     /// Panics if `n > 26` (the executor should have split components).
     pub fn new(n: usize) -> Self {
-        assert!(n <= 26, "statevector over {n} qubits would need {} GiB", (1u64 << n) >> 26);
+        assert_width(n);
         let mut amps = vec![C64::ZERO; 1 << n];
         amps[0] = C64::ONE;
         StateVector { n, amps }
@@ -67,13 +67,7 @@ impl StateVector {
 
     /// Probability that qubit `q` reads 1.
     pub fn prob_one(&self, q: usize) -> f64 {
-        let bit = 1usize << q;
-        self.amps
-            .iter()
-            .enumerate()
-            .filter(|(b, _)| b & bit != 0)
-            .map(|(_, a)| a.norm_sqr())
-            .sum()
+        kernel::prob_one(&self.amps, q)
     }
 
     /// ⟨self|other⟩.
@@ -97,16 +91,7 @@ impl StateVector {
 
     /// Applies a single-qubit unitary to qubit `q`.
     pub fn apply_mat2(&mut self, q: usize, m: &Mat2) {
-        let bit = 1usize << q;
-        for b in 0..self.amps.len() {
-            if b & bit == 0 {
-                let b1 = b | bit;
-                let a0 = self.amps[b];
-                let a1 = self.amps[b1];
-                self.amps[b] = m.0[0][0] * a0 + m.0[0][1] * a1;
-                self.amps[b1] = m.0[1][0] * a0 + m.0[1][1] * a1;
-            }
-        }
+        kernel::apply_mat2(&mut self.amps, q, m);
     }
 
     /// Applies a two-qubit unitary; `first` indexes the LSB of the matrix
@@ -116,22 +101,7 @@ impl StateVector {
     ///
     /// Panics if `first == second`.
     pub fn apply_mat4(&mut self, first: usize, second: usize, m: &Mat4) {
-        assert_ne!(first, second, "two-qubit gate needs distinct qubits");
-        let fb = 1usize << first;
-        let sb = 1usize << second;
-        for b in 0..self.amps.len() {
-            if b & fb == 0 && b & sb == 0 {
-                let idx = [b, b | fb, b | sb, b | fb | sb];
-                let old = [self.amps[idx[0]], self.amps[idx[1]], self.amps[idx[2]], self.amps[idx[3]]];
-                for (row, &target) in idx.iter().enumerate() {
-                    let mut acc = C64::ZERO;
-                    for (col, &o) in old.iter().enumerate() {
-                        acc += m.0[row][col] * o;
-                    }
-                    self.amps[target] = acc;
-                }
-            }
-        }
+        kernel::apply_mat4(&mut self.amps, first, second, m);
     }
 
     /// Applies a unitary gate by name.
@@ -150,9 +120,8 @@ impl StateVector {
     /// Applies a single-qubit Kraus channel by trajectory sampling: picks
     /// branch `k` with probability `‖K_k ψ‖²` and renormalizes.
     ///
-    /// Works in place: each branch norm is summed over the branch's
-    /// amplitudes in basis order without materializing the branch, then
-    /// only the chosen operator is applied. The arithmetic (and so every
+    /// Works in place (`kernel::kraus_weights`, then `sample_branch`, then
+    /// `kernel::apply_kraus_branch`). The arithmetic (and so every
     /// bit of the result and the RNG position) is that of applying each
     /// `K_k` to a copy of the state.
     ///
@@ -160,16 +129,6 @@ impl StateVector {
     ///
     /// Panics if the channel is not trace-preserving within 1e-6.
     pub fn apply_kraus_1q<R: Rng + ?Sized>(&mut self, q: usize, kraus: &[Mat2], rng: &mut R) {
-        let bit = 1usize << q;
-        let amps = &self.amps;
-        // `K ψ` at basis index `b`, exactly as `apply_mat2` computes it.
-        let branch_amp = |k: &Mat2, b: usize| {
-            if b & bit == 0 {
-                k.0[0][0] * amps[b] + k.0[0][1] * amps[b | bit]
-            } else {
-                k.0[1][0] * amps[b ^ bit] + k.0[1][1] * amps[b]
-            }
-        };
         let mut small = [0.0f64; 4];
         let mut large = Vec::new();
         let probs: &mut [f64] = if kraus.len() <= small.len() {
@@ -178,23 +137,19 @@ impl StateVector {
             large.resize(kraus.len(), 0.0);
             &mut large
         };
-        for (p, k) in probs.iter_mut().zip(kraus) {
-            *p = (0..amps.len()).map(|b| branch_amp(k, b).norm_sqr()).sum();
-        }
-        let total: f64 = probs.iter().sum();
-        assert!((total - 1.0).abs() < 1e-6, "kraus set not trace preserving: {total}");
-        let i = pick_branch(probs, rng.gen_range(0.0..total));
-        let scale = 1.0 / probs[i].sqrt();
-        self.apply_mat2(q, &kraus[i]);
-        for a in &mut self.amps {
-            *a = a.scale(scale);
-        }
+        let total = kernel::kraus_weights(&self.amps, q, kraus, probs);
+        let i = sample_branch(probs, total, rng);
+        kernel::apply_kraus_branch(&mut self.amps, q, &kraus[i], probs[i]);
     }
 
-    /// Resets to `|0…0⟩` without reallocating.
-    pub(crate) fn reset(&mut self) {
-        self.amps.fill(C64::ZERO);
-        self.amps[0] = C64::ONE;
+    /// The amplitudes, for the crate's kernels.
+    pub(crate) fn amps(&self) -> &[C64] {
+        &self.amps
+    }
+
+    /// The amplitudes, for the crate's kernels.
+    pub(crate) fn amps_mut(&mut self) -> &mut [C64] {
+        &mut self.amps
     }
 
     /// Samples one measurement of all qubits in the Z basis, returning the
@@ -214,19 +169,9 @@ impl StateVector {
     /// Measures qubit `q` in the Z basis, collapsing the state and
     /// returning the outcome.
     pub fn measure_qubit<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) -> bool {
-        let p1 = self.prob_one(q);
-        let outcome = rng.gen_range(0.0..1.0) < p1;
-        let bit = 1usize << q;
-        let keep = if outcome { bit } else { 0 };
-        let norm = if outcome { p1 } else { 1.0 - p1 };
-        let scale = 1.0 / norm.max(f64::MIN_POSITIVE).sqrt();
-        for (b, a) in self.amps.iter_mut().enumerate() {
-            if b & bit == keep {
-                *a = a.scale(scale);
-            } else {
-                *a = C64::ZERO;
-            }
-        }
+        let p1 = kernel::prob_one(&self.amps, q);
+        let outcome = sample_outcome(p1, rng);
+        kernel::collapse(&mut self.amps, q, outcome, p1);
         outcome
     }
 
@@ -238,6 +183,143 @@ impl StateVector {
             *a = a.scale(s);
         }
     }
+}
+
+/// Panics unless an `n`-qubit state fits the simulator (`n ≤ 26`; the
+/// executor splits circuits into components before that).
+pub(crate) fn assert_width(n: usize) {
+    assert!(n <= 26, "statevector over {n} qubits would need {} GiB", (1u64 << n) >> 26);
+}
+
+/// The statevector kernels, over a slice holding one or more whole states
+/// back to back: an operation on qubit `q < n` of `n`-qubit states touches
+/// amplitude blocks of at most `2^n`, so it acts on every state of the
+/// slice independently with the arithmetic it has on one. Blocks are
+/// walked directly, so no index is tested or bounds-checked per
+/// amplitude.
+pub(crate) mod kernel {
+    use crate::matrix::{Mat2, Mat4};
+    use crate::C64;
+
+    /// Applies a single-qubit unitary to qubit `q`.
+    pub(crate) fn apply_mat2(amps: &mut [C64], q: usize, m: &Mat2) {
+        let bit = 1usize << q;
+        for block in amps.chunks_exact_mut(2 * bit) {
+            let (zeros, ones) = block.split_at_mut(bit);
+            for (x0, x1) in zeros.iter_mut().zip(ones) {
+                let (a0, a1) = (*x0, *x1);
+                *x0 = m.0[0][0] * a0 + m.0[0][1] * a1;
+                *x1 = m.0[1][0] * a0 + m.0[1][1] * a1;
+            }
+        }
+    }
+
+    /// Applies a two-qubit unitary; `first` indexes the LSB of the matrix
+    /// basis.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `first == second`.
+    pub(crate) fn apply_mat4(amps: &mut [C64], first: usize, second: usize, m: &Mat4) {
+        assert_ne!(first, second, "two-qubit gate needs distinct qubits");
+        // Quadruples `(b, b|low, b|high, b|low|high)` block by block; the
+        // matrix basis order is `(b, b|first, b|second, b|first|second)`.
+        let (low, high) = (1usize << first.min(second), 1usize << first.max(second));
+        let first_low = first < second;
+        for block in amps.chunks_exact_mut(2 * high) {
+            let (h0, h1) = block.split_at_mut(high);
+            for (c0, c1) in h0.chunks_exact_mut(2 * low).zip(h1.chunks_exact_mut(2 * low)) {
+                let (c00, c01) = c0.split_at_mut(low);
+                let (c10, c11) = c1.split_at_mut(low);
+                for (((x00, x01), x10), x11) in c00.iter_mut().zip(c01).zip(c10).zip(c11) {
+                    let quad = if first_low { [x00, x01, x10, x11] } else { [x00, x10, x01, x11] };
+                    let old = [*quad[0], *quad[1], *quad[2], *quad[3]];
+                    for (row, target) in quad.into_iter().enumerate() {
+                        let mut acc = C64::ZERO;
+                        for (col, &o) in old.iter().enumerate() {
+                            acc += m.0[row][col] * o;
+                        }
+                        *target = acc;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Probability that qubit `q` of one state reads 1: the basis
+    /// probabilities with bit `q` set, summed in basis order.
+    pub(crate) fn prob_one(amps: &[C64], q: usize) -> f64 {
+        let bit = 1usize << q;
+        amps.chunks_exact(2 * bit).flat_map(|block| &block[bit..]).map(|a| a.norm_sqr()).sum()
+    }
+
+    /// Writes each branch weight `‖K_k ψ‖²` of a single-qubit Kraus set on
+    /// qubit `q` of one state into `probs` and returns their sum. Each norm
+    /// is summed over the branch's amplitudes in basis order without
+    /// materializing the branch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the channel is not trace-preserving within 1e-6.
+    pub(crate) fn kraus_weights(amps: &[C64], q: usize, kraus: &[Mat2], probs: &mut [f64]) -> f64 {
+        let bit = 1usize << q;
+        for (p, k) in probs.iter_mut().zip(kraus) {
+            // `K ψ` exactly as `apply_mat2` computes it, in basis order:
+            // each block's bit-clear half, then its bit-set half. (Every
+            // term is `+0` or positive, so the sum's starting zero cannot
+            // matter.)
+            *p = 0.0;
+            for block in amps.chunks_exact(2 * bit) {
+                let (zeros, ones) = block.split_at(bit);
+                for (&a0, &a1) in zeros.iter().zip(ones) {
+                    *p += (k.0[0][0] * a0 + k.0[0][1] * a1).norm_sqr();
+                }
+                for (&a0, &a1) in zeros.iter().zip(ones) {
+                    *p += (k.0[1][0] * a0 + k.0[1][1] * a1).norm_sqr();
+                }
+            }
+        }
+        let total: f64 = probs.iter().sum();
+        assert!((total - 1.0).abs() < 1e-6, "kraus set not trace preserving: {total}");
+        total
+    }
+
+    /// Applies the Kraus operator `k` whose branch weight
+    /// ([`kraus_weights`]) is `weight` to one state, and renormalizes.
+    pub(crate) fn apply_kraus_branch(amps: &mut [C64], q: usize, k: &Mat2, weight: f64) {
+        let scale = 1.0 / weight.sqrt();
+        apply_mat2(amps, q, k);
+        for a in amps {
+            *a = a.scale(scale);
+        }
+    }
+
+    /// Projects qubit `q` of one state onto `outcome` and renormalizes,
+    /// given `p1 = prob_one(q)` of the state before the projection.
+    pub(crate) fn collapse(amps: &mut [C64], q: usize, outcome: bool, p1: f64) {
+        let bit = 1usize << q;
+        let norm = if outcome { p1 } else { 1.0 - p1 };
+        let scale = 1.0 / norm.max(f64::MIN_POSITIVE).sqrt();
+        for block in amps.chunks_exact_mut(2 * bit) {
+            let (zeros, ones) = block.split_at_mut(bit);
+            let (kept, dropped) = if outcome { (ones, zeros) } else { (zeros, ones) };
+            for a in kept {
+                *a = a.scale(scale);
+            }
+            dropped.fill(C64::ZERO);
+        }
+    }
+}
+
+/// Draws a Kraus branch from its weights `probs` summing to `total`.
+pub(crate) fn sample_branch<R: Rng + ?Sized>(probs: &[f64], total: f64, rng: &mut R) -> usize {
+    pick_branch(probs, rng.gen_range(0.0..total))
+}
+
+/// Draws a Z-basis measurement outcome of a qubit that reads 1 with
+/// probability `p1`.
+pub(crate) fn sample_outcome<R: Rng + ?Sized>(p1: f64, rng: &mut R) -> bool {
+    rng.gen_range(0.0..1.0) < p1
 }
 
 /// The branch a uniform draw `u ∈ [0, Σp)` lands in; the most likely
@@ -259,6 +341,63 @@ fn pick_branch(probs: &[f64], mut u: f64) -> usize {
 
 #[cfg(test)]
 impl StateVector {
+    /// The index-testing bodies the kernels had before they walked blocks:
+    /// the references they are checked against bit for bit.
+    fn apply_mat2_indexed(&mut self, q: usize, m: &Mat2) {
+        let bit = 1usize << q;
+        for b in 0..self.amps.len() {
+            if b & bit == 0 {
+                let b1 = b | bit;
+                let a0 = self.amps[b];
+                let a1 = self.amps[b1];
+                self.amps[b] = m.0[0][0] * a0 + m.0[0][1] * a1;
+                self.amps[b1] = m.0[1][0] * a0 + m.0[1][1] * a1;
+            }
+        }
+    }
+
+    fn apply_mat4_indexed(&mut self, first: usize, second: usize, m: &Mat4) {
+        let fb = 1usize << first;
+        let sb = 1usize << second;
+        for b in 0..self.amps.len() {
+            if b & fb == 0 && b & sb == 0 {
+                let idx = [b, b | fb, b | sb, b | fb | sb];
+                let old = [self.amps[idx[0]], self.amps[idx[1]], self.amps[idx[2]], self.amps[idx[3]]];
+                for (row, &target) in idx.iter().enumerate() {
+                    let mut acc = C64::ZERO;
+                    for (col, &o) in old.iter().enumerate() {
+                        acc += m.0[row][col] * o;
+                    }
+                    self.amps[target] = acc;
+                }
+            }
+        }
+    }
+
+    fn prob_one_indexed(&self, q: usize) -> f64 {
+        let bit = 1usize << q;
+        self.amps
+            .iter()
+            .enumerate()
+            .filter(|(b, _)| b & bit != 0)
+            .map(|(_, a)| a.norm_sqr())
+            .sum()
+    }
+
+    fn collapse_indexed(&mut self, q: usize, outcome: bool, p1: f64) {
+        let bit = 1usize << q;
+        let keep = if outcome { bit } else { 0 };
+        let norm = if outcome { p1 } else { 1.0 - p1 };
+        let scale = 1.0 / norm.max(f64::MIN_POSITIVE).sqrt();
+        for (b, a) in self.amps.iter_mut().enumerate() {
+            if b & bit == keep {
+                *a = a.scale(scale);
+            } else {
+                *a = C64::ZERO;
+            }
+        }
+    }
+
     /// The clone-per-branch body `apply_kraus_1q` had before it worked in
     /// place: the reference its results are checked against bit for bit.
     pub(crate) fn apply_kraus_1q_cloning<R: Rng + ?Sized>(
@@ -271,7 +410,7 @@ impl StateVector {
         let mut branches = Vec::with_capacity(kraus.len());
         for k in kraus {
             let mut branch = self.clone();
-            branch.apply_mat2(q, k);
+            branch.apply_mat2_indexed(q, k);
             let p: f64 = branch.amps.iter().map(|a| a.norm_sqr()).sum();
             probs.push(p);
             branches.push(branch);
@@ -459,6 +598,59 @@ mod tests {
                 b.apply_kraus_1q_cloning(q, kraus, &mut rb);
                 assert_eq!(bits(&a), bits(&b), "trial {trial}: states differ");
                 assert_eq!(ra, rb, "trial {trial}: RNG positions differ");
+            }
+        }
+    }
+
+    #[test]
+    fn block_kernels_match_indexed_bodies_bit_for_bit() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(12);
+        let bits = |s: &StateVector| -> Vec<(u64, u64)> {
+            s.amps.iter().map(|a| (a.re.to_bits(), a.im.to_bits())).collect()
+        };
+        let entry = |rng: &mut StdRng| C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+        for trial in 0..300 {
+            let n = 1 + trial % 6;
+            // Signed zeros too: the kernels must agree on every bit.
+            let mut amps: Vec<C64> = (0..1usize << n)
+                .map(|i| match i % 7 {
+                    5 => C64::new(-0.0, 0.0),
+                    6 => C64::ZERO,
+                    _ => entry(&mut rng),
+                })
+                .collect();
+            let norm = amps.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
+            for a in &mut amps {
+                *a = a.scale(1.0 / norm);
+            }
+            let state = StateVector::from_amplitudes(amps);
+            let m2 = Mat2([[entry(&mut rng), entry(&mut rng)], [entry(&mut rng), entry(&mut rng)]]);
+            let mut m4 = Mat4::identity();
+            for row in &mut m4.0 {
+                for e in row.iter_mut() {
+                    *e = entry(&mut rng);
+                }
+            }
+            let q = trial % n;
+            let (mut a, mut b) = (state.clone(), state.clone());
+            a.apply_mat2(q, &m2);
+            b.apply_mat2_indexed(q, &m2);
+            assert_eq!(bits(&a), bits(&b), "trial {trial}: apply_mat2");
+            assert_eq!(state.prob_one(q).to_bits(), state.prob_one_indexed(q).to_bits());
+            let p1 = state.prob_one(q);
+            for outcome in [false, true] {
+                let (mut a, mut b) = (state.clone(), state.clone());
+                kernel::collapse(&mut a.amps, q, outcome, p1);
+                b.collapse_indexed(q, outcome, p1);
+                assert_eq!(bits(&a), bits(&b), "trial {trial}: collapse");
+            }
+            if n >= 2 {
+                let r = (q + 1 + trial / 6 % (n - 1)) % n;
+                let (mut a, mut b) = (state.clone(), state.clone());
+                a.apply_mat4(q, r, &m4);
+                b.apply_mat4_indexed(q, r, &m4);
+                assert_eq!(bits(&a), bits(&b), "trial {trial}: apply_mat4({q}, {r})");
             }
         }
     }

@@ -570,6 +570,21 @@ fn cmd_profile_check(args: &[String]) -> Result<(), String> {
     if counters.is_empty() {
         return Err("no counters recorded".to_string());
     }
+    // The shared-trajectory executor's sharing counters: it can never
+    // make more state updates than a per-shot interpreter would have.
+    let counter = |name: &str| {
+        counters
+            .iter()
+            .find(|c| c.get("name").and_then(Json::as_str) == Some(name))
+            .and_then(|c| c.get("value").and_then(Json::as_u64))
+            .ok_or_else(|| format!("no `{name}` counter"))
+    };
+    let (lane_steps, group_steps) = (counter("sim.lane_steps")?, counter("sim.group_steps")?);
+    if group_steps > lane_steps {
+        return Err(format!(
+            "sim.group_steps = {group_steps} exceeds sim.lane_steps = {lane_steps}"
+        ));
+    }
     println!("profile ok: {} spans, {} counters", names.len(), counters.len());
     Ok(())
 }
