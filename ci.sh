@@ -57,6 +57,11 @@ charac_exact="$(echo "$charac_out" | grep '^exact ' | head -n1)"
     echo "charac_daily exact counts moved:"; echo "  got:    $charac_exact"; echo "  pinned: $pinned_charac"; exit 1;
 }
 
+echo "== XtalkSched engine agreement =="
+# The lazy branch-and-bound and the eager SMT encoding must reach equal
+# costs on the SWAP paths (the binary asserts it).
+cargo run -q -p xtalk-bench --release --bin ablation_xtalksched > /dev/null
+
 echo "== xtalk compare cache smoke =="
 # The compare verb compiles one circuit under all three schedulers over
 # a shared artifact cache: the scheduler-independent prefix must be
@@ -120,6 +125,12 @@ sed 's/"sim.group_steps","value":[0-9]*/"sim.group_steps","value":999999999999/'
     "$snapshot" > "$snapshot.bad"
 if target/release/xtalk profile-check "$snapshot.bad" > /dev/null 2>&1; then
     echo "profile-check accepted sim.group_steps > sim.lane_steps"; exit 1
+fi
+# XtalkSched's search size is required too: a snapshot with a search span
+# but no node counter must be rejected.
+sed 's/"sched.xtalk.nodes"/"sched.xtalk.renamed"/' "$snapshot" > "$snapshot.bad"
+if target/release/xtalk profile-check "$snapshot.bad" > /dev/null 2>&1; then
+    echo "profile-check accepted a search without sched.xtalk.nodes"; exit 1
 fi
 rm -f "$snapshot" "$snapshot.bad"
 

@@ -90,8 +90,12 @@ pub fn check_hardware_compliant(
 /// is the qubit lifetime under the schedule. Lower is better; both terms
 /// decrease when their error source shrinks (`log ε` is negative and
 /// grows toward 0 as ε worsens — we keep the paper's published form).
+///
+/// `sched` must be valid (every scheduler's output is): lifetimes are read
+/// off each qubit's first and last operation in program order.
 pub fn schedule_cost(sched: &ScheduledCircuit, ctx: &SchedulerContext, omega: f64) -> f64 {
-    CostModel::new(sched.circuit(), ctx).cost(ctx, sched.slots(), omega)
+    let slots = sched.slots();
+    CostModel::new(sched.circuit(), ctx).cost(ctx.tables(), omega, |i| slots[i])
 }
 
 #[cfg(test)]

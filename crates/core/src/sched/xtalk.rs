@@ -1,7 +1,8 @@
 //! `XtalkSched`: the crosstalk-adaptive scheduler (paper Sections 6–7).
 
+use crate::context::CrosstalkTables;
 use crate::sched::{check_hardware_compliant, Scheduler};
-use crate::timeline::Timeline;
+use crate::timeline::{CostModel, Incremental, Timeline};
 use crate::{CoreError, SchedulerContext};
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -138,23 +139,41 @@ impl XtalkSched {
     /// whose edges interfere above the context threshold — the pruned
     /// `CanOlp` sets of the paper. Pairs are `(i, j)` with `i < j`, sorted.
     pub fn candidate_pairs(circuit: &Circuit, ctx: &SchedulerContext) -> Vec<(usize, usize)> {
-        let dag = circuit.dag();
-        let twoq: Vec<usize> = circuit
-            .iter()
-            .enumerate()
-            .filter(|(_, ins)| ins.gate().is_two_qubit())
-            .map(|(i, _)| i)
-            .collect();
+        // Two-qubit gates bucketed by edge, buckets in order of first use;
+        // only the buckets of high edge pairs are paired up.
+        let tables = ctx.tables();
+        let mut bucket_of = vec![usize::MAX; tables.num_edges()];
+        let mut buckets: Vec<(Edge, u32, Vec<usize>)> = Vec::new();
+        for (i, ins) in circuit.iter().enumerate() {
+            if ins.gate().is_two_qubit() {
+                let e = Edge::from(ins.edge().expect("two-qubit gate has an edge"));
+                let id = ctx.edge_id(e);
+                if bucket_of[id as usize] == usize::MAX {
+                    bucket_of[id as usize] = buckets.len();
+                    buckets.push((e, id, Vec::new()));
+                }
+                buckets[bucket_of[id as usize]].2.push(i);
+            }
+        }
+        let mut dag = None;
         let mut out = Vec::new();
-        for (a, &i) in twoq.iter().enumerate() {
-            let ei = Edge::from(circuit.instructions()[i].edge().expect("edge"));
-            for &j in &twoq[a + 1..] {
-                let ej = Edge::from(circuit.instructions()[j].edge().expect("edge"));
-                if !ei.shares_qubit(ej) && dag.can_overlap(i, j) && ctx.is_high_pair(ei, ej) {
-                    out.push((i, j));
+        for (x, (ea, a, gates_a)) in buckets.iter().enumerate() {
+            for (eb, b, gates_b) in &buckets[x + 1..] {
+                if ea.shares_qubit(*eb) || !tables.is_high(*a, *b) {
+                    continue;
+                }
+                let dag = dag.get_or_insert_with(|| circuit.dag());
+                for &i in gates_a {
+                    for &j in gates_b {
+                        let pair = (i.min(j), i.max(j));
+                        if dag.can_overlap(pair.0, pair.1) {
+                            out.push(pair);
+                        }
+                    }
                 }
             }
         }
+        out.sort_unstable();
         out
     }
 
@@ -190,70 +209,67 @@ impl XtalkSched {
         let _span = xtalk_obs::span("sched.xtalk");
         check_hardware_compliant(circuit, ctx)?;
         let candidates = Self::candidate_pairs(circuit, ctx);
-        debug_assert!(candidates.windows(2).all(|w| w[0] < w[1]), "search binary-searches them");
+        let tables = ctx.tables();
+        let edge_of =
+            |i: usize| ctx.edge_id(Edge::from(circuit.instructions()[i].edge().expect("edge")));
         let severity = candidates
             .iter()
             .map(|&(i, j)| {
-                let ei = Edge::from(circuit.instructions()[i].edge().expect("edge"));
-                let ej = Edge::from(circuit.instructions()[j].edge().expect("edge"));
-                ctx.conditional_error(ei, ej)
-                    .max(ctx.conditional_error(ej, ei))
+                let (a, b) = (edge_of(i), edge_of(j));
+                tables.conditional(a, b).max(tables.conditional(b, a))
             })
             .collect();
 
+        // The search's one realization seeds its incremental node state.
+        let mut timeline = Timeline::new(circuit, ctx);
+        timeline.realize(&[])?;
         let mut search = Search {
-            timeline: Timeline::new(circuit, ctx),
+            nodes: Incremental::seed(&timeline),
+            cost: CostModel::new(circuit, ctx),
+            tables,
             omega: self.omega,
             candidates: &candidates,
             severity,
             waived: vec![false; candidates.len()],
             best: None,
             best_slots: Vec::new(),
+            evaluated: 0,
             leaves: 0,
             max_leaves: self.max_leaves,
             ordering: self.ordering,
             budget,
             truncated: false,
         };
-        search.recurse(&mut Vec::new());
+        search.enter(&mut Vec::new(), None);
 
         xtalk_obs::counter!("sched.xtalk.leaves", search.leaves);
+        xtalk_obs::counter!("sched.xtalk.nodes", search.evaluated);
         xtalk_obs::counter!("sched.xtalk.candidate_pairs", candidates.len() as u64);
         if search.truncated {
             xtalk_obs::counter!("sched.xtalk.truncated", 1);
         }
-        let leaves = search.leaves;
-        let complete = !search.truncated;
-        match search.best {
-            Some((cost, serializations)) => {
-                let sched = search.timeline.schedule(search.best_slots);
-                let report = XtalkSchedReport {
-                    cost,
-                    leaves,
-                    serializations,
-                    candidate_pairs: candidates.len(),
-                    complete,
-                    fallback: false,
-                };
-                Ok((sched, report))
-            }
+        let (leaves, complete) = (search.leaves, !search.truncated);
+        let report = |cost, serializations, fallback| XtalkSchedReport {
+            cost,
+            leaves,
+            serializations,
+            candidate_pairs: candidates.len(),
+            complete,
+            fallback,
+        };
+        match search.best.take() {
+            Some((cost, serializations)) => Ok((
+                timeline.schedule(search.best_slots),
+                report(cost, serializations, false),
+            )),
             // Truncated before any feasible leaf: fall back to the plain
-            // ASAP realization (what ParSched would emit) rather than
-            // erroring — an honest best-effort answer under the budget.
+            // ASAP realization (what ParSched would emit), the search's
+            // root, rather than erroring — an honest best-effort answer
+            // under the budget.
             None if !complete => {
                 xtalk_obs::counter!("sched.xtalk.fallback", 1);
-                let mut timeline = search.timeline;
-                timeline.realize(&[])?;
-                let cost = timeline.cost(self.omega);
-                let report = XtalkSchedReport {
-                    cost,
-                    leaves,
-                    serializations: Vec::new(),
-                    candidate_pairs: candidates.len(),
-                    complete: false,
-                    fallback: true,
-                };
-                Ok((timeline.into_schedule(), report))
+                let report = report(search.node_cost(), Vec::new(), true);
+                Ok((timeline.schedule(search.node_slots()), report))
             }
             None => Err(CoreError::CyclicConstraints),
         }
@@ -413,8 +429,11 @@ impl Scheduler for XtalkSched {
 }
 
 struct Search<'a> {
-    /// Realizes and costs every node into reused buffers.
-    timeline: Timeline<'a>,
+    /// The current node's schedule.
+    nodes: Incremental<'a>,
+    /// Costs each leaf off the node's slots.
+    cost: CostModel,
+    tables: &'a CrosstalkTables,
     omega: f64,
     /// Sorted candidate pairs, with their severities — the worst
     /// conditional error the scheduler believes the overlap causes — and
@@ -426,6 +445,8 @@ struct Search<'a> {
     /// slots are `best_slots`.
     best: Option<(f64, Vec<(usize, usize)>)>,
     best_slots: Vec<ScheduleSlot>,
+    /// Nodes whose conflicts were scanned, leaves included.
+    evaluated: u64,
     leaves: u64,
     max_leaves: u64,
     ordering: OrderingPolicy,
@@ -433,46 +454,88 @@ struct Search<'a> {
     truncated: bool,
 }
 
+/// Where a conflicting pair sits: `(start, index)` of its later member,
+/// then of its earlier one.
+type ConflictPosition = ((u64, usize), (u64, usize));
+
 impl Search<'_> {
-    /// The most severe *actual* conflict in the last realized schedule
-    /// not yet decided, as a candidate index (the last of equally severe
-    /// ones in overlap order).
-    fn conflict(&mut self) -> Option<usize> {
-        let mut worst: Option<usize> = None;
-        for &(i, j) in self.timeline.overlaps() {
-            let pair = if i < j { (i, j) } else { (j, i) };
-            let Ok(k) = self.candidates.binary_search(&pair) else {
+    /// The most severe *actual* conflict at the current node not yet
+    /// decided, as a candidate index. Among equally severe ones, the
+    /// greatest [`ConflictPosition`]: the last one an overlap sweep in
+    /// `(start, index)` order reports.
+    fn conflict(&self) -> Option<usize> {
+        let mut worst: Option<(usize, ConflictPosition)> = None;
+        for (k, &(i, j)) in self.candidates.iter().enumerate() {
+            if self.waived[k] {
                 continue;
+            }
+            let ((si, fi), (sj, fj)) = (self.nodes.span(i), self.nodes.span(j));
+            if si >= fj || sj >= fi {
+                continue;
+            }
+            // `i < j`, so `(si, i)` comes first iff `si <= sj`.
+            let position = if si <= sj {
+                ((sj, j), (si, i))
+            } else {
+                ((si, i), (sj, j))
             };
-            let at_least_worst =
-                |w: usize| self.severity[w].total_cmp(&self.severity[k]) != Ordering::Greater;
-            if !self.waived[k] && worst.is_none_or(at_least_worst) {
-                worst = Some(k);
+            let worse = worst.is_none_or(|(w, worst_position)| {
+                match self.severity[k].total_cmp(&self.severity[w]) {
+                    Ordering::Greater => true,
+                    Ordering::Less => false,
+                    Ordering::Equal => position > worst_position,
+                }
+            });
+            if worse {
+                worst = Some((k, position));
             }
         }
-        worst
+        worst.map(|(k, _)| k)
     }
 
-    fn recurse(&mut self, serialized: &mut Vec<(usize, usize)>) {
+    /// The Eq. 17 cost of the current node.
+    fn node_cost(&mut self) -> f64 {
+        let nodes = &self.nodes;
+        self.cost.cost(self.tables, self.omega, |i| nodes.slot(i))
+    }
+
+    /// The slots of the current node.
+    fn node_slots(&self) -> Vec<ScheduleSlot> {
+        (0..self.nodes.len()).map(|i| self.nodes.slot(i)).collect()
+    }
+
+    /// Enters a child node: the current node plus `edge`, if any.
+    fn enter(&mut self, serialized: &mut Vec<(usize, usize)>, edge: Option<(usize, usize)>) {
         // Entering a branch with the leaf cap spent or the budget gone
         // leaves part of the space unexplored: flag the truncation.
         if self.leaves >= self.max_leaves || self.budget.exhausted().is_some() {
             self.truncated = true;
             return;
         }
-        if self.timeline.realize(serialized).is_err() {
+        let Some((a, b)) = edge else {
+            return self.evaluate(serialized);
+        };
+        if !self.nodes.push(a, b) {
             return; // cyclic serializations: dead branch
         }
+        serialized.push((a, b));
+        self.evaluate(serialized);
+        serialized.pop();
+        self.nodes.pop();
+    }
 
+    fn evaluate(&mut self, serialized: &mut Vec<(usize, usize)>) {
+        self.evaluated += 1;
+        #[cfg(test)]
+        self.nodes.assert_matches_solve(serialized);
         match self.conflict() {
             None => {
                 self.leaves += 1;
                 self.budget.charge(1);
-                let cost = self.timeline.cost(self.omega);
+                let cost = self.node_cost();
                 if self.best.as_ref().is_none_or(|(c, _)| cost < *c) {
                     self.best = Some((cost, serialized.clone()));
-                    self.best_slots.clear();
-                    self.best_slots.extend_from_slice(self.timeline.slots());
+                    self.best_slots = self.node_slots();
                 }
             }
             Some(k) => {
@@ -483,17 +546,18 @@ impl Search<'_> {
                     OrderingPolicy::ProgramOrder => &[(i, j)],
                 };
                 for &order in orders {
-                    serialized.push(order);
-                    self.recurse(serialized);
-                    serialized.pop();
+                    self.enter(serialized, Some(order));
                 }
                 self.waived[k] = true;
-                self.recurse(serialized);
+                self.enter(serialized, None);
                 self.waived[k] = false;
             }
         }
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

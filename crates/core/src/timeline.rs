@@ -2,18 +2,24 @@
 //! `(circuit, ctx)` needs, computed once, plus the buffers the work
 //! reuses.
 //!
-//! XtalkSched's search realizes one schedule per branch-and-bound node,
-//! each differing from the last only in its serialization edges. A
-//! [`Timeline`] holds the gate durations and the base dependency edges in
-//! compressed (CSR) arrays, and evaluates each node into reused buffers:
-//! a Kahn order over base plus serialization edges, ASAP times, then
-//! right-aligned ALAP slots. The overlap sweep and the Eq. 17 cost run
-//! directly on those slots ([`CostModel`]); a [`ScheduledCircuit`] (and
-//! the circuit clone it owns) is only built for the schedule returned.
-//! [`crate::realize`] and [`crate::sched::schedule_cost`] are thin
-//! wrappers over the same code.
+//! A [`Timeline`] holds the gate durations and the base dependency edges
+//! in compressed (CSR) arrays, and realizes a schedule into reused
+//! buffers: a Kahn order over base plus serialization edges, ASAP times,
+//! then right-aligned ALAP slots. [`crate::realize`],
+//! [`crate::sched::schedule_cost`], ParSched, SerialSched and the SMT
+//! engine's objective are one-shot uses of it.
+//!
+//! XtalkSched's search instead keeps its current node in an
+//! [`Incremental`] timeline seeded from one realization: a branch pushes
+//! one serialization edge and pops it, and only the instructions whose
+//! times change are visited. The Eq. 17 cost runs on either through the
+//! one [`CostModel`]; a [`ScheduledCircuit`] (and the circuit clone it
+//! owns) is only built for the schedule returned.
 
+use crate::context::CrosstalkTables;
 use crate::{CoreError, SchedulerContext};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use xtalk_device::Edge;
 use xtalk_ir::{Circuit, OverlapSweep, ScheduleSlot, ScheduledCircuit};
 
@@ -35,15 +41,18 @@ pub(crate) struct Timeline<'a> {
     indeg: Vec<u32>,
     ready: Vec<u32>,
     order: Vec<u32>,
-    /// ASAP start times, then overwritten by ALAP finish times.
-    times: Vec<u64>,
+    /// ASAP start times.
+    asap: Vec<u64>,
+    /// ALAP (right-aligned) finish times.
+    finish: Vec<u64>,
+    makespan: u64,
     /// Serialization edges as per-source linked lists: `ser_head[i]`
     /// indexes `ser_to`/`ser_next`, ending at [`NIL`].
     ser_head: Vec<u32>,
     ser_next: Vec<u32>,
     ser_to: Vec<u32>,
     slots: Vec<ScheduleSlot>,
-    /// Built on the first overlap or cost query.
+    /// Built on the first cost query.
     cost: Option<CostModel>,
 }
 
@@ -93,7 +102,9 @@ impl<'a> Timeline<'a> {
             indeg: vec![0; n],
             ready: Vec::with_capacity(n),
             order: Vec::with_capacity(n),
-            times: vec![0; n],
+            asap: vec![0; n],
+            finish: vec![0; n],
+            makespan: 0,
             ser_head: vec![NIL; n],
             ser_next: Vec::new(),
             ser_to: Vec::new(),
@@ -118,9 +129,6 @@ impl<'a> Timeline<'a> {
     /// The realization itself, without the span.
     pub(crate) fn solve(&mut self, serializations: &[(usize, usize)]) -> Result<(), CoreError> {
         let n = self.durations.len();
-        if let Some(model) = &mut self.cost {
-            model.fresh = false;
-        }
         self.indeg.copy_from_slice(&self.base_indeg);
         self.ser_head.fill(NIL);
         self.ser_next.clear();
@@ -146,7 +154,8 @@ impl<'a> Timeline<'a> {
             indeg,
             ready,
             order,
-            times,
+            asap,
+            finish,
             ser_head,
             ser_next,
             ser_to,
@@ -169,7 +178,7 @@ impl<'a> Timeline<'a> {
             });
             base.chain(sers).map(|j| j as usize)
         };
-        times.fill(0);
+        asap.fill(0);
         order.clear();
         ready.clear();
         ready.extend((0..n as u32).filter(|&i| indeg[i as usize] == 0));
@@ -177,10 +186,10 @@ impl<'a> Timeline<'a> {
         while let Some(i) = ready.pop() {
             let i = i as usize;
             order.push(i as u32);
-            let finish = times[i] + durations[i];
+            let finish = asap[i] + durations[i];
             makespan = makespan.max(finish);
             for j in succs(i) {
-                times[j] = times[j].max(finish);
+                asap[j] = asap[j].max(finish);
                 indeg[j] -= 1;
                 if indeg[j] == 0 {
                     ready.push(j as u32);
@@ -192,24 +201,16 @@ impl<'a> Timeline<'a> {
         }
 
         // ALAP backward pass anchored at the makespan (right alignment):
-        // `times[i]` becomes the latest finish of `i`.
+        // the latest finish of each instruction.
         for &i in order.iter().rev() {
             let i = i as usize;
-            times[i] = succs(i).fold(makespan, |lf, j| lf.min(times[j] - durations[j]));
+            finish[i] = succs(i).fold(makespan, |lf, j| lf.min(finish[j] - durations[j]));
         }
-        for (slot, (&finish, &d)) in slots.iter_mut().zip(times.iter().zip(durations.iter())) {
-            *slot = ScheduleSlot::new(finish - d, d);
+        for (slot, (&f, &d)) in slots.iter_mut().zip(finish.iter().zip(durations.iter())) {
+            *slot = ScheduleSlot::new(f - d, d);
         }
+        self.makespan = makespan;
         Ok(())
-    }
-
-    /// Two-qubit pairs overlapping in the last realized slots, in
-    /// [`OverlapSweep::run`] order.
-    pub(crate) fn overlaps(&mut self) -> &[(usize, usize)] {
-        let model = self
-            .cost
-            .get_or_insert_with(|| CostModel::new(self.circuit, self.ctx));
-        model.sweep(&self.slots)
     }
 
     /// The Eq. 17 cost of the last realized slots.
@@ -217,10 +218,17 @@ impl<'a> Timeline<'a> {
         let model = self
             .cost
             .get_or_insert_with(|| CostModel::new(self.circuit, self.ctx));
-        model.cost(self.ctx, &self.slots, omega)
+        let slots = &self.slots;
+        model.cost(self.ctx.tables(), omega, |i| slots[i])
+    }
+
+    /// Base successors of instruction `i`.
+    fn base_succs(&self, i: usize) -> &[u32] {
+        &self.succ[self.succ_start[i] as usize..self.succ_start[i + 1] as usize]
     }
 
     /// The last realized slots.
+    #[cfg(test)]
     pub(crate) fn slots(&self) -> &[ScheduleSlot] {
         &self.slots
     }
@@ -241,139 +249,387 @@ impl<'a> Timeline<'a> {
     }
 }
 
+/// The schedule of XtalkSched's current search node, kept incrementally
+/// under pushed and popped serialization edges.
+///
+/// Each instruction `i` has a *head* (its ASAP start) and a *tail* (the
+/// longest sum of durations along a path after `i` finishes). With
+/// makespan `M = max(head + d)`, the right-aligned slot of `i` starts at
+/// `M − tail[i] − d[i]`: exactly [`Timeline::solve`]'s ALAP slot, in
+/// integers. Pushing `a → b` raises heads forward from `b` and tails
+/// backward from `a` over base and serialization edges, visiting only the
+/// instructions whose value changes; every change goes to an undo log, so
+/// popping the edge restores heads, tails and `M`. The edge closes a
+/// cycle iff the forward pass reaches `a`: around a cycle through
+/// `a → b` the heads would have to grow by at least `d[a] > 0`.
+pub(crate) struct Incremental<'t> {
+    timeline: &'t Timeline<'t>,
+    head: Vec<u64>,
+    tail: Vec<u64>,
+    makespan: u64,
+    /// Base dependency edges reversed: the predecessors of `i` are
+    /// `pred[pred_start[i]..pred_start[i + 1]]`.
+    pred_start: Vec<u32>,
+    pred: Vec<u32>,
+    /// Pushed serialization edges `(a, b)`, a stack, threaded into
+    /// per-instruction lists: out of `a` from `out_head[a]` through
+    /// `out_next`, into `b` from `in_head[b]` through `in_next`.
+    ser: Vec<(u32, u32)>,
+    out_head: Vec<u32>,
+    out_next: Vec<u32>,
+    in_head: Vec<u32>,
+    in_next: Vec<u32>,
+    /// Undo logs of `(instruction, old value)`.
+    head_log: Vec<(u32, u64)>,
+    tail_log: Vec<(u32, u64)>,
+    /// Per pushed edge: the log lengths and makespan before it.
+    frames: Vec<(usize, usize, u64)>,
+    /// Instructions whose raised value must still reach their neighbours,
+    /// each queued at most once: the forward pass takes them in program
+    /// order and the backward pass in reverse, the order base edges
+    /// follow, so an instruction is rarely raised twice in one push.
+    forward: BinaryHeap<Reverse<u32>>,
+    backward: BinaryHeap<u32>,
+    queued: Vec<bool>,
+}
+
+impl<'t> Incremental<'t> {
+    /// Seeds the node state from `timeline`'s last realization, which must
+    /// be the one without serializations.
+    pub(crate) fn seed(timeline: &'t Timeline<'t>) -> Self {
+        debug_assert!(timeline.ser_to.is_empty(), "seed from the unserialized realization");
+        let n = timeline.durations.len();
+        let mut pred_start = vec![0u32; n + 1];
+        for &j in &timeline.succ {
+            pred_start[j as usize + 1] += 1;
+        }
+        for i in 0..n {
+            pred_start[i + 1] += pred_start[i];
+        }
+        let mut fill = pred_start.clone();
+        let mut pred = vec![0u32; timeline.succ.len()];
+        for i in 0..n {
+            for &j in timeline.base_succs(i) {
+                pred[fill[j as usize] as usize] = i as u32;
+                fill[j as usize] += 1;
+            }
+        }
+        let makespan = timeline.makespan;
+        Incremental {
+            timeline,
+            head: timeline.asap.clone(),
+            tail: timeline.finish.iter().map(|&f| makespan - f).collect(),
+            makespan,
+            pred_start,
+            pred,
+            ser: Vec::new(),
+            out_head: vec![NIL; n],
+            out_next: Vec::new(),
+            in_head: vec![NIL; n],
+            in_next: Vec::new(),
+            head_log: Vec::new(),
+            tail_log: Vec::new(),
+            frames: Vec::new(),
+            forward: BinaryHeap::new(),
+            backward: BinaryHeap::new(),
+            queued: vec![false; n],
+        }
+    }
+
+    /// Serializes `b` after `a`. Returns `false`, changing nothing, if the
+    /// edge closes a cycle.
+    pub(crate) fn push(&mut self, a: usize, b: usize) -> bool {
+        let timeline = self.timeline;
+        let d = &timeline.durations;
+        debug_assert!(d[a] > 0, "serializations join two-qubit gates");
+        let frame = (self.head_log.len(), self.tail_log.len(), self.makespan);
+
+        // Forward: heads from `b`, over base then serialization
+        // successors.
+        if self.head[a] + d[a] > self.head[b] {
+            self.raise_head(b, self.head[a] + d[a]);
+        }
+        while let Some(Reverse(x)) = self.forward.pop() {
+            let x = x as usize;
+            self.queued[x] = false;
+            let fx = self.head[x] + d[x];
+            for &y in timeline.base_succs(x) {
+                if fx > self.head[y as usize] {
+                    if y as usize == a {
+                        self.undo(frame);
+                        return false;
+                    }
+                    self.raise_head(y as usize, fx);
+                }
+            }
+            let mut e = self.out_head[x];
+            while e != NIL {
+                let y = self.ser[e as usize].1 as usize;
+                if fx > self.head[y] {
+                    if y == a {
+                        self.undo(frame);
+                        return false;
+                    }
+                    self.raise_head(y, fx);
+                }
+                e = self.out_next[e as usize];
+            }
+        }
+
+        let e = self.ser.len() as u32;
+        self.ser.push((a as u32, b as u32));
+        self.out_next.push(std::mem::replace(&mut self.out_head[a], e));
+        self.in_next.push(std::mem::replace(&mut self.in_head[b], e));
+
+        // Backward: tails from `a`, over base then serialization
+        // predecessors.
+        if d[b] + self.tail[b] > self.tail[a] {
+            self.raise_tail(a, d[b] + self.tail[b]);
+        }
+        while let Some(x) = self.backward.pop() {
+            let x = x as usize;
+            self.queued[x] = false;
+            let tx = d[x] + self.tail[x];
+            for k in self.pred_start[x]..self.pred_start[x + 1] {
+                let p = self.pred[k as usize] as usize;
+                if tx > self.tail[p] {
+                    self.raise_tail(p, tx);
+                }
+            }
+            let mut e = self.in_head[x];
+            while e != NIL {
+                let p = self.ser[e as usize].0 as usize;
+                if tx > self.tail[p] {
+                    self.raise_tail(p, tx);
+                }
+                e = self.in_next[e as usize];
+            }
+        }
+        self.frames.push(frame);
+        true
+    }
+
+    /// Removes the last pushed edge, restoring heads, tails and makespan.
+    pub(crate) fn pop(&mut self) {
+        let frame = self.frames.pop().expect("pop follows a successful push");
+        self.undo(frame);
+        let (a, b) = self.ser.pop().expect("an edge per frame");
+        self.out_head[a as usize] = self.out_next.pop().expect("one link per edge");
+        self.in_head[b as usize] = self.in_next.pop().expect("one link per edge");
+    }
+
+    fn raise_head(&mut self, x: usize, value: u64) {
+        self.head_log.push((x as u32, self.head[x]));
+        self.head[x] = value;
+        self.makespan = self.makespan.max(value + self.timeline.durations[x]);
+        if !std::mem::replace(&mut self.queued[x], true) {
+            self.forward.push(Reverse(x as u32));
+        }
+    }
+
+    fn raise_tail(&mut self, x: usize, value: u64) {
+        self.tail_log.push((x as u32, self.tail[x]));
+        self.tail[x] = value;
+        if !std::mem::replace(&mut self.queued[x], true) {
+            self.backward.push(x as u32);
+        }
+    }
+
+    /// Rolls heads, tails and makespan back to `frame`.
+    fn undo(&mut self, (heads, tails, makespan): (usize, usize, u64)) {
+        for (x, old) in self.head_log.drain(heads..).rev() {
+            self.head[x as usize] = old;
+        }
+        for (x, old) in self.tail_log.drain(tails..).rev() {
+            self.tail[x as usize] = old;
+        }
+        self.makespan = makespan;
+        for Reverse(x) in self.forward.drain() {
+            self.queued[x as usize] = false;
+        }
+    }
+
+    /// Start and finish of instruction `i` at this node.
+    pub(crate) fn span(&self, i: usize) -> (u64, u64) {
+        let finish = self.makespan - self.tail[i];
+        (finish - self.timeline.durations[i], finish)
+    }
+
+    /// The slot of instruction `i` at this node.
+    pub(crate) fn slot(&self, i: usize) -> ScheduleSlot {
+        let (start, _) = self.span(i);
+        ScheduleSlot::new(start, self.timeline.durations[i])
+    }
+
+    /// Number of instructions.
+    pub(crate) fn len(&self) -> usize {
+        self.head.len()
+    }
+
+    /// Asserts that this node's slots are what a full realization of
+    /// `serialized` gives.
+    #[cfg(test)]
+    pub(crate) fn assert_matches_solve(&self, serialized: &[(usize, usize)]) {
+        let mut fresh = Timeline::new(self.timeline.circuit, self.timeline.ctx);
+        fresh
+            .solve(serialized)
+            .expect("the search only keeps acyclic nodes");
+        let slots: Vec<ScheduleSlot> = (0..self.len()).map(|i| self.slot(i)).collect();
+        assert_eq!(
+            slots,
+            fresh.slots(),
+            "incremental slots differ from a full solve under {serialized:?}"
+        );
+    }
+}
+
 /// What the Eq. 17 cost needs of one circuit — its two-qubit gates with
-/// their edges and independent errors, and each qubit's operations — plus
-/// the overlap-sweep buffers.
+/// their edges and independent errors, the "hot" ones among them, and
+/// each qubit's first and last operation — plus the sweep buffers.
+///
+/// A gate's error is the maximum of its independent error and the
+/// conditional errors against the two-qubit gates it overlaps. Only a
+/// pair whose conditional error exceeds the independent one, in either
+/// direction, can raise it, so the overlap sweep runs over the hot gates
+/// alone: those whose edge forms such a pair with some edge of the
+/// circuit (both members of a raising pair are hot). Every other gate
+/// keeps its independent error, bit for bit. On a valid schedule a
+/// qubit's first operation in program order starts first and its last
+/// finishes last, so a lifetime is two slot reads.
 pub(crate) struct CostModel {
-    /// Two-qubit instructions in program order.
-    two_qubit: Vec<usize>,
-    /// Edge of each two-qubit instruction (indexed by instruction).
-    edge: Vec<Edge>,
+    /// Edge id of each two-qubit instruction (indexed by instruction).
+    edge: Vec<u32>,
     /// Independent error of each two-qubit instruction's edge.
     independent: Vec<f64>,
-    /// Non-barrier instructions on qubit `q`:
-    /// `qubit_ops[qubit_start[q]..qubit_start[q + 1]]`.
-    qubit_start: Vec<u32>,
-    qubit_ops: Vec<u32>,
+    /// Hot two-qubit instructions in program order, with their position
+    /// among the two-qubit gates.
+    hot: Vec<(usize, usize)>,
+    /// `ln ε` of each two-qubit gate in program order; the cold gates'
+    /// entries never change.
+    log_error: Vec<f64>,
+    /// `(first, last, coherence)` per qubit with operations other than
+    /// barriers, in qubit order.
+    lifetimes: Vec<(usize, usize, f64)>,
     sweep: OverlapSweep,
-    pairs: Vec<(usize, usize)>,
-    /// `pairs` belongs to the slots being costed.
-    fresh: bool,
+    /// Slots of the hot gates being costed (indexed by instruction).
+    slots: Vec<ScheduleSlot>,
     eps: Vec<f64>,
 }
 
 impl CostModel {
     pub(crate) fn new(circuit: &Circuit, ctx: &SchedulerContext) -> Self {
         let n = circuit.len();
+        let tables = ctx.tables();
         let mut two_qubit = Vec::new();
-        let mut edge = vec![Edge::new(0, 1); n];
+        let mut edge = vec![0; n];
         let mut independent = vec![0.0; n];
-        let mut qubit_start = vec![0u32; circuit.num_qubits() + 1];
+        let mut ops: Vec<Option<(usize, usize)>> = vec![None; circuit.num_qubits()];
         for (i, ins) in circuit.iter().enumerate() {
             if ins.gate().is_two_qubit() {
-                let e = Edge::from(ins.edge().expect("two-qubit gate has an edge"));
+                let id = ctx.edge_id(Edge::from(ins.edge().expect("two-qubit gate has an edge")));
                 two_qubit.push(i);
-                edge[i] = e;
-                independent[i] = ctx.independent_error(e);
+                edge[i] = id;
+                independent[i] = tables.independent(id);
             }
             if !ins.gate().is_barrier() {
                 for q in ins.qubits() {
-                    qubit_start[q.index() + 1] += 1;
+                    let span = &mut ops[q.index()];
+                    *span = Some((span.map_or(i, |(first, _)| first), i));
                 }
             }
         }
-        for q in 0..circuit.num_qubits() {
-            qubit_start[q + 1] += qubit_start[q];
-        }
-        let mut fill = qubit_start.clone();
-        let mut qubit_ops = vec![0u32; qubit_start[circuit.num_qubits()] as usize];
-        for (i, ins) in circuit.iter().enumerate() {
-            if !ins.gate().is_barrier() {
-                for q in ins.qubits() {
-                    qubit_ops[fill[q.index()] as usize] = i as u32;
-                    fill[q.index()] += 1;
-                }
-            }
-        }
+
+        let mut present: Vec<u32> = two_qubit.iter().map(|&i| edge[i]).collect();
+        present.sort_unstable();
+        present.dedup();
+        let raises = |a: u32, b: u32| {
+            tables.conditional(a, b) > tables.independent(a)
+                || tables.conditional(b, a) > tables.independent(b)
+        };
+        let hot_edges: Vec<u32> = present
+            .iter()
+            .copied()
+            .filter(|&a| present.iter().any(|&b| raises(a, b)))
+            .collect();
+        let hot = two_qubit
+            .iter()
+            .enumerate()
+            .filter(|&(_, &i)| hot_edges.binary_search(&edge[i]).is_ok())
+            .map(|(pos, &i)| (i, pos))
+            .collect();
         CostModel {
-            two_qubit,
+            log_error: two_qubit
+                .iter()
+                .map(|&i| independent[i].max(1e-12).ln())
+                .collect(),
             edge,
             independent,
-            qubit_start,
-            qubit_ops,
+            hot,
+            lifetimes: ops
+                .iter()
+                .enumerate()
+                .filter_map(|(q, span)| {
+                    span.map(|(first, last)| (first, last, ctx.coherence_ns(q as u32)))
+                })
+                .collect(),
             sweep: OverlapSweep::default(),
-            pairs: Vec::new(),
-            fresh: false,
+            slots: vec![ScheduleSlot::default(); n],
             eps: vec![0.0; n],
         }
     }
 
-    /// Sweeps `slots` for overlapping two-qubit pairs.
-    pub(crate) fn sweep(&mut self, slots: &[ScheduleSlot]) -> &[(usize, usize)] {
-        self.pairs.clear();
-        let pairs = &mut self.pairs;
-        self.sweep
-            .run(self.two_qubit.iter().copied(), slots, |i, j| {
-                pairs.push((i, j))
-            });
-        self.fresh = true;
-        &self.pairs
-    }
-
-    /// The paper's Eq. 17 objective on `slots` — the one implementation
-    /// (see [`crate::sched::schedule_cost`]). Reuses the overlaps of the
-    /// last [`CostModel::sweep`] if no realization happened since.
+    /// The paper's Eq. 17 objective of a valid schedule whose slots
+    /// `slot` gives — the one implementation (see
+    /// [`crate::sched::schedule_cost`]).
     pub(crate) fn cost(
         &mut self,
-        ctx: &SchedulerContext,
-        slots: &[ScheduleSlot],
+        tables: &CrosstalkTables,
         omega: f64,
+        slot: impl Fn(usize) -> ScheduleSlot,
     ) -> f64 {
-        if !self.fresh {
-            self.sweep(slots);
-        }
-
         // Gate error term: a gate's error is its independent error unless
         // it overlaps other two-qubit gates, then the maximum conditional
         // error over those partners.
-        for &i in &self.two_qubit {
-            self.eps[i] = self.independent[i];
+        let CostModel {
+            edge,
+            independent,
+            hot,
+            log_error,
+            sweep,
+            slots,
+            eps,
+            ..
+        } = self;
+        for &(i, _) in hot.iter() {
+            slots[i] = slot(i);
+            eps[i] = independent[i];
         }
-        for &(i, j) in &self.pairs {
-            let (ei, ej) = (self.edge[i], self.edge[j]);
-            self.eps[i] = self.eps[i].max(ctx.conditional_error(ei, ej));
-            self.eps[j] = self.eps[j].max(ctx.conditional_error(ej, ei));
+        sweep.run(hot.iter().map(|&(i, _)| i), slots, |i, j| {
+            eps[i] = eps[i].max(tables.conditional(edge[i], edge[j]));
+            eps[j] = eps[j].max(tables.conditional(edge[j], edge[i]));
+        });
+        for &(i, pos) in hot.iter() {
+            log_error[pos] = eps[i].max(1e-12).ln();
         }
-        let gate_term: f64 = self
-            .two_qubit
-            .iter()
-            .map(|&i| self.eps[i].max(1e-12).ln())
-            .sum();
+        let gate_term: f64 = log_error.iter().sum();
 
         // Decoherence term: each qubit's lifetime, from its first
         // operation's start to its last one's finish.
         let mut deco = 0.0;
-        for q in 0..self.qubit_start.len() - 1 {
-            let (lo, hi) = (
-                self.qubit_start[q] as usize,
-                self.qubit_start[q + 1] as usize,
-            );
-            let ops = &self.qubit_ops[lo..hi];
-            let Some(first) = ops.iter().map(|&i| slots[i as usize].start).min() else {
-                continue;
-            };
-            let last = ops
-                .iter()
-                .map(|&i| slots[i as usize].finish())
-                .max()
-                .unwrap_or(first);
-            let t = last - first;
+        for &(first, last, coherence) in &self.lifetimes {
+            let t = slot(last).finish() - slot(first).start;
             if t > 0 {
-                deco += t as f64 / ctx.coherence_ns(q as u32);
+                deco += t as f64 / coherence;
             }
         }
 
         omega * gate_term + (1.0 - omega) * deco
+    }
+
+    /// Hot two-qubit instructions, in program order.
+    #[cfg(test)]
+    pub(crate) fn hot(&self) -> Vec<usize> {
+        self.hot.iter().map(|&(i, _)| i).collect()
     }
 }
 

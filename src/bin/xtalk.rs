@@ -585,6 +585,16 @@ fn cmd_profile_check(args: &[String]) -> Result<(), String> {
             "sim.group_steps = {group_steps} exceeds sim.lane_steps = {lane_steps}"
         ));
     }
+    // XtalkSched's nodes open no span of their own: a search must report
+    // its size, and every leaf is a node.
+    if names.iter().any(|n| n.split('/').any(|part| part == "sched.xtalk")) {
+        let (nodes, leaves) = (counter("sched.xtalk.nodes")?, counter("sched.xtalk.leaves")?);
+        if nodes < leaves {
+            return Err(format!(
+                "sched.xtalk.nodes = {nodes} is below sched.xtalk.leaves = {leaves}"
+            ));
+        }
+    }
     println!("profile ok: {} spans, {} counters", names.len(), counters.len());
     Ok(())
 }
