@@ -31,7 +31,7 @@ cargo test -q -p xtalk-pass
 cargo test -q -p xtalk-core --test pass_determinism
 cargo test -q -p xtalk-core --test compare_cache_obs
 
-echo "== benchmark harness tests, XtalkSched search & characterization identity =="
+echo "== benchmark harness tests, XtalkSched search, characterization & serving identity =="
 # The benchmark harness is a package of its own (empty [workspace]), so
 # the workspace stages above neither build nor test it.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
@@ -55,6 +55,17 @@ charac_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Ca
 charac_exact="$(echo "$charac_out" | grep '^exact ' | head -n1)"
 [ "$charac_exact" = "$pinned_charac" ] || {
     echo "charac_daily exact counts moved:"; echo "  got:    $charac_exact"; echo "  pinned: $pinned_charac"; exit 1;
+}
+# Serving must stay bit-identical too: seed 1's exact counts (requests
+# per load phase, simulated shots, requests served and jobs answered) are
+# pinned, so a change to the serve path's contexts, caches or snapshots
+# that moves a single reply fails here.
+pinned_serve="exact requests_per_phase=19,135,135,19,135,135,15,135,135,16,135,135,12,135,135,17,135,135,5,7,7,12 sim.shots=3339639 server.requests=1749 server.jobs_ok=1663"
+serve_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload serve_mixed --seed 1 --seconds 3 --trace 0)"
+serve_exact="$(echo "$serve_out" | grep '^exact ' | head -n1)"
+[ "$serve_exact" = "$pinned_serve" ] || {
+    echo "serve_mixed exact counts moved:"; echo "  got:    $serve_exact"; echo "  pinned: $pinned_serve"; exit 1;
 }
 
 echo "== XtalkSched engine agreement =="

@@ -17,10 +17,9 @@
 
 use std::time::Instant;
 use xtalk_bench::Scale;
-use xtalk_core::pipeline::swap_bell_error;
 use xtalk_core::routing::swap_benchmark;
 use xtalk_core::sched::schedule_cost;
-use xtalk_core::{ParSched, Scheduler, SchedulerContext, XtalkSched};
+use xtalk_core::{Compiler, ParSched, Scheduler, SchedulerContext, XtalkSched};
 use xtalk_device::Device;
 
 fn main() {
@@ -73,16 +72,9 @@ fn main() {
         let bench = swap_benchmark(device.topology(), a, b).unwrap();
         let (_, report) =
             XtalkSched::new(0.5).schedule_with_report(&bench.circuit, &tctx).unwrap();
-        let out = swap_bell_error(
-            &device,
-            &tctx,
-            &XtalkSched::new(0.5),
-            a,
-            b,
-            scale.tomo_shots,
-            scale.seed,
-        )
-        .unwrap();
+        let out = Compiler::new(&device, tctx)
+            .swap_bell_error(&XtalkSched::new(0.5), a, b, scale.tomo_shots, scale.seed, 1)
+            .unwrap();
         println!(
             "{:<10.1} {:>11} {:>14} {:>10} {:>12.4} {:>12}",
             threshold,
@@ -110,21 +102,22 @@ fn main() {
             .with_ordering(xtalk_core::OrderingPolicy::ProgramOrder)
             .schedule_with_report(&bench.circuit, &ctx)
             .unwrap();
-        let e_opt =
-            swap_bell_error(&device, &ctx, &XtalkSched::new(0.5), a, b, scale.tomo_shots, 21)
-                .unwrap()
-                .error_rate;
-        let e_fixed = swap_bell_error(
-            &device,
-            &ctx,
-            &XtalkSched::new(0.5).with_ordering(xtalk_core::OrderingPolicy::ProgramOrder),
-            a,
-            b,
-            scale.tomo_shots,
-            21,
-        )
-        .unwrap()
-        .error_rate;
+        let compiler = Compiler::new(&device, ctx.clone());
+        let e_opt = compiler
+            .swap_bell_error(&XtalkSched::new(0.5), a, b, scale.tomo_shots, 21, 1)
+            .unwrap()
+            .error_rate;
+        let e_fixed = compiler
+            .swap_bell_error(
+                &XtalkSched::new(0.5).with_ordering(xtalk_core::OrderingPolicy::ProgramOrder),
+                a,
+                b,
+                scale.tomo_shots,
+                21,
+                1,
+            )
+            .unwrap()
+            .error_rate;
         println!(
             "{:<10} {:>16.4} {:>18.4} {:>11.2}x",
             format!("{a},{b}"),

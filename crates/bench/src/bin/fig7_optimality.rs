@@ -8,15 +8,15 @@
 
 use std::collections::BTreeMap;
 use xtalk_bench::{geomean, mean_sd, Scale};
-use xtalk_core::pipeline::swap_bell_error;
 use xtalk_core::routing::endpoint_pairs_by_crosstalk;
-use xtalk_core::{ParSched, Scheduler, SchedulerContext, SerialSched, XtalkSched};
+use xtalk_core::{Compiler, ParSched, Scheduler, SchedulerContext, SerialSched, XtalkSched};
 use xtalk_device::Device;
 
 fn main() {
     let scale = Scale::from_args();
     let device = Device::poughkeepsie(scale.seed);
     let ctx = SchedulerContext::from_ground_truth(&device);
+    let compiler = Compiler::new(&device, ctx.clone());
     let cap_per_len = if scale.full { usize::MAX } else { 3 };
 
     println!("=== Figure 7: XtalkSched vs crosstalk-free ideal, {} ===\n", device.name());
@@ -49,7 +49,8 @@ fn main() {
             let best = schedulers
                 .iter()
                 .map(|s| {
-                    swap_bell_error(&device, &ctx, *s, a, b, scale.tomo_shots, scale.seed)
+                    compiler
+                        .swap_bell_error(*s, a, b, scale.tomo_shots, scale.seed, 1)
                         .expect("routing succeeds")
                         .error_rate
                 })
@@ -59,16 +60,16 @@ fn main() {
         let (ideal_mean, ideal_sd) = mean_sd(&ideal_errors);
 
         for &(a, b) in &affected {
-            let xt = swap_bell_error(
-                &device,
-                &ctx,
-                &XtalkSched::new(0.5),
-                a,
-                b,
-                scale.tomo_shots,
-                scale.seed ^ (u64::from(a) << 8) ^ u64::from(b),
-            )
-            .expect("routing succeeds")
+            let xt = compiler
+                .swap_bell_error(
+                    &XtalkSched::new(0.5),
+                    a,
+                    b,
+                    scale.tomo_shots,
+                    scale.seed ^ (u64::from(a) << 8) ^ u64::from(b),
+                    1,
+                )
+                .expect("routing succeeds")
             .error_rate;
             println!(
                 "{:<10} {:>14.4} {:>14.4} ± {:.3} {:>8}",

@@ -8,15 +8,14 @@
 
 use xtalk_bench::{geomean, mean_sd, Scale};
 use xtalk_core::bench_circuits::qaoa_ansatz;
-use xtalk_core::pipeline::qaoa_cross_entropy;
-use xtalk_core::{ParSched, Scheduler, SchedulerContext, SerialSched, XtalkSched};
+use xtalk_core::{Compiler, ParSched, Scheduler, SchedulerContext, SerialSched, XtalkSched};
 use xtalk_device::Device;
 use xtalk_sim::{ideal, metrics};
 
 fn main() {
     let scale = Scale::from_args();
     let device = Device::poughkeepsie(scale.seed);
-    let ctx = SchedulerContext::from_ground_truth(&device);
+    let compiler = Compiler::new(&device, SchedulerContext::from_ground_truth(&device));
 
     // Crosstalk-prone regions: chains crossing the planted hot pairs.
     // (The paper lists [5,10,11,12], [7,12,13,14], [15,10,11,12],
@@ -40,7 +39,8 @@ fn main() {
         println!("{:>8} {:>14}", "omega", "cross entropy");
         let mut best = f64::INFINITY;
         let ce_at = |sched: &dyn Scheduler, tag: f64| -> f64 {
-            qaoa_cross_entropy(&device, &ctx, sched, &circuit, scale.app_shots, scale.seed ^ (tag * 100.0) as u64)
+            compiler
+                .qaoa_cross_entropy(sched, &circuit, scale.app_shots, scale.seed ^ (tag * 100.0) as u64)
                 .expect("scheduling succeeds")
         };
         for &omega in &omegas {
@@ -71,15 +71,9 @@ fn main() {
     for region in &free_regions {
         let circuit = qaoa_ansatz(20, region, scale.seed ^ 0x8a);
         let floor = metrics::entropy(&ideal::distribution(&circuit));
-        let ce = qaoa_cross_entropy(
-            &device,
-            &ctx,
-            &ParSched::new(),
-            &circuit,
-            scale.app_shots,
-            scale.seed ^ 0xf2ee,
-        )
-        .expect("scheduling succeeds");
+        let ce = compiler
+            .qaoa_cross_entropy(&ParSched::new(), &circuit, scale.app_shots, scale.seed ^ 0xf2ee)
+            .expect("scheduling succeeds");
         free_ce.push(ce - floor);
     }
     let (band_mean, band_sd) = mean_sd(&free_ce);

@@ -8,14 +8,13 @@
 
 use xtalk_bench::Scale;
 use xtalk_core::bench_circuits::hidden_shift;
-use xtalk_core::pipeline::hidden_shift_error;
-use xtalk_core::{ParSched, Scheduler, SchedulerContext, SerialSched, XtalkSched};
+use xtalk_core::{Compiler, ParSched, Scheduler, SchedulerContext, SerialSched, XtalkSched};
 use xtalk_device::Device;
 
 fn main() {
     let scale = Scale::from_args();
     let device = Device::poughkeepsie(scale.seed);
-    let ctx = SchedulerContext::from_ground_truth(&device);
+    let compiler = Compiler::new(&device, SchedulerContext::from_ground_truth(&device));
     let regions: [[u32; 4]; 4] =
         [[5, 10, 11, 12], [9, 14, 13, 12], [15, 10, 11, 12], [11, 12, 13, 14]];
     let omegas = [0.0, 0.2, 0.35, 0.5, 0.75, 1.0];
@@ -43,16 +42,15 @@ fn main() {
                 } else {
                     Box::new(XtalkSched::new(omega))
                 };
-                let err = hidden_shift_error(
-                    &device,
-                    &ctx,
-                    sched.as_ref(),
-                    &circuit,
-                    shift as u64,
-                    scale.app_shots,
-                    scale.seed ^ ((r as u64) << 16) ^ (omega * 100.0) as u64,
-                )
-                .expect("scheduling succeeds");
+                let err = compiler
+                    .hidden_shift_error(
+                        sched.as_ref(),
+                        &circuit,
+                        shift as u64,
+                        scale.app_shots,
+                        scale.seed ^ ((r as u64) << 16) ^ (omega * 100.0) as u64,
+                    )
+                    .expect("scheduling succeeds");
                 if omega == 0.0 {
                     base_errors[r] = err;
                 }

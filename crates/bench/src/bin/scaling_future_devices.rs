@@ -11,8 +11,7 @@ use std::time::Instant;
 use xtalk_bench::Scale;
 use xtalk_charac::policy::TimeModel;
 use xtalk_charac::{CharacterizationPolicy, RbConfig};
-use xtalk_core::pipeline::swap_bell_error;
-use xtalk_core::{ParSched, SchedulerContext, XtalkSched};
+use xtalk_core::{Compiler, ParSched, SchedulerContext, XtalkSched};
 use xtalk_device::Device;
 
 fn main() {
@@ -57,6 +56,7 @@ fn main() {
     println!("=== Scheduler on a 49-qubit grid (6% hot pairs) ===\n");
     let device = Device::synthetic_grid(7, 7, 0.06, scale.seed);
     let ctx = SchedulerContext::from_ground_truth(&device);
+    let compiler = Compiler::new(&device, ctx.clone());
     // Endpoint pairs whose routed circuit actually contains overlappable
     // hot CNOT pairs (the fig-5 selection criterion), longest paths first.
     let pairs = xtalk_bench::affected_swap_pairs(&device, &ctx, Some(4));
@@ -72,18 +72,19 @@ fn main() {
             .schedule_with_report(&bench.circuit, &ctx)
             .unwrap();
         let compile_ms = t0.elapsed().as_secs_f64() * 1000.0;
-        let par = swap_bell_error(&device, &ctx, &ParSched::new(), a, b, scale.tomo_shots, 3)
+        let par = compiler
+            .swap_bell_error(&ParSched::new(), a, b, scale.tomo_shots, 3, 1)
             .unwrap();
-        let xt = swap_bell_error(
-            &device,
-            &ctx,
-            &XtalkSched::new(0.5).with_max_leaves(5_000),
-            a,
-            b,
-            scale.tomo_shots,
-            3,
-        )
-        .unwrap();
+        let xt = compiler
+            .swap_bell_error(
+                &XtalkSched::new(0.5).with_max_leaves(5_000),
+                a,
+                b,
+                scale.tomo_shots,
+                3,
+                1,
+            )
+            .unwrap();
         println!(
             "{:<10} {:>8} {:>12.4} {:>12.4} {:>14.1} {:>11.2}x",
             format!("{a},{b}"),

@@ -16,7 +16,6 @@ use crate::passes::{
     ExecutePass, LowerPass, NativeCircuit, PlacePass, PlacedCircuit, RealizePass,
     RealizedSchedule, RoutePass, SchedulePass, ScheduledArtifact,
 };
-use crate::pipeline::SwapRunOutcome;
 use crate::{CoreError, Scheduler, SchedulerContext};
 use xtalk_budget::Budget;
 use xtalk_device::Device;
@@ -27,6 +26,14 @@ use xtalk_sim::tomography::{
     bell_phi_plus, expectations_from_distributions, tomography_circuits, DensityMatrix2,
 };
 use xtalk_sim::{ideal, metrics, RunOutcome};
+
+/// The SWAP-circuit metric's outcome (Figures 5–7).
+pub struct SwapRunOutcome {
+    /// `1 − F(ρ, |Φ+⟩)` — lower is better.
+    pub error_rate: f64,
+    /// Schedule makespan in ns (Figure 5d).
+    pub duration_ns: u64,
+}
 
 /// The unified compile/execute flow over a device.
 ///
@@ -421,8 +428,13 @@ mod tests {
         let artifact = compiler.compile(&c, &ParSched::new()).unwrap();
         let outcome = compiler.run(&artifact.sched, 256, 7, 2).unwrap();
         assert!(outcome.complete);
-        #[allow(deprecated)]
-        let plain = crate::pipeline::run_scheduled(&device, &artifact.sched, 256, 7);
-        assert_eq!(outcome.counts, plain);
+        let plain = crate::run_scheduled_opts(
+            &device,
+            &artifact.sched,
+            256,
+            7,
+            &crate::RunOpts::default(),
+        );
+        assert_eq!(outcome.counts, plain.counts);
     }
 }

@@ -4,6 +4,7 @@ use std::sync::Arc;
 use xtalk_charac::{CharacError, Characterization};
 use xtalk_device::{Calibration, Device, Edge};
 use xtalk_ir::{Gate, Qubit};
+use xtalk_pass::{ContentHash, Fnv1a};
 
 /// Everything a scheduler is allowed to know about the machine: the daily
 /// calibration (gate durations, independent errors, coherence times) and
@@ -12,6 +13,9 @@ use xtalk_ir::{Gate, Qubit};
 /// Crucially this does *not* expose the device's ground-truth
 /// [`xtalk_device::CrosstalkMap`] — the compiler sees measurements, the
 /// simulator sees truth (paper Figure 2).
+///
+/// A context is a handle: the model is built once and shared, so
+/// `clone()` only bumps a reference count.
 ///
 /// ```
 /// use xtalk_core::SchedulerContext;
@@ -24,37 +28,21 @@ use xtalk_ir::{Gate, Qubit};
 /// ```
 #[derive(Clone, Debug)]
 pub struct SchedulerContext {
-    calibration: Calibration,
-    characterization: Characterization,
-    threshold: f64,
-    /// Dense lookups derived from `characterization` and `threshold`,
-    /// shared between clones.
-    tables: Arc<CrosstalkTables>,
+    model: Arc<CrosstalkModel>,
 }
 
-/// Contexts are equal when their inputs are: the tables are derived.
 impl PartialEq for SchedulerContext {
     fn eq(&self, other: &Self) -> bool {
-        self.calibration == other.calibration
-            && self.characterization == other.characterization
-            && self.threshold == other.threshold
+        Arc::ptr_eq(&self.model, &other.model) || self.model == other.model
     }
 }
 
 impl SchedulerContext {
     /// Builds a context from a device's calibration and a measured
-    /// characterization.
-    pub fn new(device: &Device, characterization: Characterization) -> Self {
-        let threshold = 3.0;
+    /// characterization, in O(entries).
+    pub fn new(device: &Device, characterization: &Characterization) -> Self {
         SchedulerContext {
-            calibration: device.calibration().clone(),
-            tables: Arc::new(CrosstalkTables::new(
-                &characterization,
-                device.calibration().num_qubits(),
-                threshold,
-            )),
-            characterization,
-            threshold,
+            model: Arc::new(CrosstalkModel::new(device.calibration(), characterization, 3.0)),
         }
     }
 
@@ -62,204 +50,273 @@ impl SchedulerContext {
     /// ground truth — the upper-bound configuration used in tests and
     /// optimality studies.
     pub fn from_ground_truth(device: &Device) -> Self {
-        SchedulerContext::new(device, Characterization::from_ground_truth(device))
+        SchedulerContext::new(device, &Characterization::from_ground_truth(device))
     }
 
     /// Overrides the high-crosstalk threshold (default 3×, the paper's
     /// Figure 3 criterion).
     pub fn with_threshold(mut self, threshold: f64) -> Self {
         assert!(threshold >= 1.0, "threshold below 1 is meaningless");
-        self.threshold = threshold;
-        Arc::make_mut(&mut self.tables).set_threshold(&self.characterization, threshold);
+        Arc::make_mut(&mut self.model).set_threshold(threshold);
         self
+    }
+
+    /// `true` if both handles share one model, as a context and its
+    /// clones do.
+    pub fn ptr_eq(&self, other: &SchedulerContext) -> bool {
+        Arc::ptr_eq(&self.model, &other.model)
     }
 
     /// The calibration.
     pub fn calibration(&self) -> &Calibration {
-        &self.calibration
-    }
-
-    /// The characterization.
-    pub fn characterization(&self) -> &Characterization {
-        &self.characterization
+        &self.model.calibration
     }
 
     /// The high-crosstalk threshold.
     pub fn threshold(&self) -> f64 {
-        self.threshold
+        self.model.threshold
     }
 
     /// Duration of a gate under this calibration.
     pub fn duration_of(&self, gate: &Gate, qubits: &[Qubit]) -> u64 {
-        self.calibration.duration_of(gate, qubits)
+        self.model.calibration.duration_of(gate, qubits)
     }
 
     /// Usable coherence time `min(T1, T2)` of qubit `q`, in ns.
     pub fn coherence_ns(&self, q: u32) -> f64 {
-        self.calibration.coherence_ns(q)
+        self.model.calibration.coherence_ns(q)
     }
 
     /// Independent CNOT error for an edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics, with the characterization's message, if the edge has no
+    /// independent rate.
     pub fn independent_error(&self, e: Edge) -> f64 {
-        match self.tables.id(e) {
-            Some(id) => self.tables.independent(id),
-            None => self.characterization.independent(e),
-        }
+        self.model.independent(self.model.named(e))
     }
 
     /// The conditional error `E(of | given)` the scheduler should assume
-    /// when the two gates overlap.
+    /// when the two gates overlap: the measured rate, else the
+    /// independent rate of `of`.
     pub fn conditional_error(&self, of: Edge, given: Edge) -> f64 {
-        match (self.tables.id(of), self.tables.id(given)) {
-            (Some(of), Some(given)) => self.tables.conditional(of, given),
-            _ => self.characterization.conditional_or_independent(of, given),
-        }
+        let m = &self.model;
+        let of = m.named(of);
+        m.id(given)
+            .and_then(|given| m.measured(of, given))
+            .unwrap_or_else(|| m.independent(of))
     }
 
     /// `true` if the pair's measured conditional error exceeds
     /// `threshold × independent` in either direction — i.e. the scheduler
     /// should consider serializing them.
     pub fn is_high_pair(&self, a: Edge, b: Edge) -> bool {
-        match (self.tables.id(a), self.tables.id(b)) {
-            (Some(a), Some(b)) => self.tables.is_high(a, b),
-            // An edge without an independent rate: the map path panics
-            // with the characterization's message.
-            _ => {
-                let ch = &self.characterization;
-                let (ia, ib) = (ch.independent(a), ch.independent(b));
-                ch.conditional(a, b).is_some_and(|c| c > self.threshold * ia)
-                    || ch.conditional(b, a).is_some_and(|c| c > self.threshold * ib)
-            }
-        }
+        let (a, b) = (self.edge_id(a), self.edge_id(b));
+        self.model.is_high(a, b)
     }
 
-    /// The dense crosstalk tables.
-    pub(crate) fn tables(&self) -> &CrosstalkTables {
-        &self.tables
+    /// The crosstalk model, addressed by edge id.
+    pub(crate) fn model(&self) -> &CrosstalkModel {
+        &self.model
     }
 
-    /// The dense id of an edge the scheduler must cost.
+    /// The id of an edge the scheduler must cost.
     ///
     /// # Panics
     ///
     /// Panics, with the characterization's message, if the edge has no
     /// independent rate.
     pub(crate) fn edge_id(&self, e: Edge) -> u32 {
-        self.tables
-            .id(e)
-            .unwrap_or_else(|| panic!("{}", CharacError::Uncharacterized(e)))
+        let id = self.model.named(e);
+        self.model.independent(id);
+        id
     }
 }
 
-/// End of the qubit-pair index: no characterized edge.
-const NO_EDGE: u32 = u32::MAX;
-
-/// The characterization as dense arrays over the device's edges with an
-/// independent rate (ids in edge order): what the scheduler's inner loops
-/// read, each lookup one load after the ids are known.
-///
-/// Built in O(entries) plus one `k × k` fill for `k` edges. Conditional
-/// cells hold the measured rate, or the independent rate of the affected
-/// edge when the pair was not measured — exactly
-/// [`Characterization::conditional_or_independent`]. Queries about edges
-/// outside the tables take the characterization's map path.
-#[derive(Clone, Debug)]
-pub(crate) struct CrosstalkTables {
-    /// Side of the qubit-pair index: the device's qubit count.
-    num_qubits: usize,
-    /// `index[lo * num_qubits + hi]` is the id of edge `(lo, hi)`, or
-    /// [`NO_EDGE`].
-    index: Vec<u32>,
-    independent: Vec<f64>,
-    /// `conditional[of * k + given]`.
-    conditional: Vec<f64>,
-    /// `high[a * k + b]`: [`SchedulerContext::is_high_pair`] at the
-    /// context's threshold.
-    high: Vec<bool>,
+/// A cache key for everything that steers scheduling: calibration,
+/// characterization (hashed once, when the context is built) and the
+/// high-pair threshold.
+impl ContentHash for SchedulerContext {
+    fn content_hash(&self, h: &mut Fnv1a) {
+        h.write_u64(self.model.inputs_hash);
+        h.write_f64(self.model.threshold);
+    }
 }
 
-impl CrosstalkTables {
-    /// Tables over the characterized edges of a `num_qubits`-qubit
-    /// device: one pass over each map plus the `k × k` fill.
-    fn new(characterization: &Characterization, num_qubits: usize, threshold: f64) -> Self {
-        let mut index = vec![NO_EDGE; num_qubits * num_qubits];
-        let rates = characterization.independent_iter();
-        let mut independent = Vec::with_capacity(rates.size_hint().0);
-        for (e, rate) in rates {
-            if (e.hi() as usize) < num_qubits {
-                index[e.lo() as usize * num_qubits + e.hi() as usize] = independent.len() as u32;
-                independent.push(rate);
-            }
+/// The characterization as sparse per-edge rows: what every scheduler
+/// reads. An edge's id is its position among the edges the
+/// characterization names, in edge order. The paper measures conditional
+/// rates for nearby pairs only (Section 5), so a row holds a handful of
+/// entries and any pair absent from it falls back to the independent
+/// rate of the affected edge.
+#[derive(Clone, PartialEq, Debug)]
+pub(crate) struct CrosstalkModel {
+    calibration: Calibration,
+    threshold: f64,
+    /// Every edge named by an independent or a conditional entry, sorted.
+    edges: Vec<Edge>,
+    /// CSR offsets of `edges` by lower endpoint: the ids of the edges
+    /// whose lower endpoint is qubit `q`.
+    by_lo: Vec<u32>,
+    /// Independent rate by id; `None` for an edge named only by
+    /// conditional entries.
+    independent: Vec<Option<f64>>,
+    /// Measured `E(of | given)`: row `of` is the CSR row `of` of `given`,
+    /// sorted by given id, with the rates at the same positions of `rate`.
+    rows: Vec<u32>,
+    given: Vec<u32>,
+    rate: Vec<f64>,
+    /// High partners at `threshold`: those of `a` are the CSR row `a` of
+    /// `high`, sorted.
+    high_rows: Vec<u32>,
+    high: Vec<u32>,
+    /// Content hash of the calibration and the characterization.
+    inputs_hash: u64,
+}
+
+impl CrosstalkModel {
+    /// One pass over each characterization map plus a sort of the
+    /// named edges.
+    fn new(calibration: &Calibration, ch: &Characterization, threshold: f64) -> Self {
+        let mut edges: Vec<Edge> = ch.independent_iter().map(|(e, _)| e).collect();
+        edges.extend(ch.conditional_iter().flat_map(|((of, given), _)| [of, given]));
+        edges.sort_unstable();
+        edges.dedup();
+        let id = |e: Edge| edges.binary_search(&e).expect("named edge") as u32;
+        let qubits = edges.last().map_or(0, |e| e.lo() as usize + 1);
+        let by_lo = offsets(qubits, edges.iter().map(|e| e.lo() as usize));
+
+        let mut independent = vec![None; edges.len()];
+        for (e, rate) in ch.independent_iter() {
+            independent[id(e) as usize] = Some(rate);
         }
-        let k = independent.len();
-        let mut conditional = vec![0.0; k * k];
-        for (row, &ind) in conditional.chunks_exact_mut(k).zip(&independent) {
-            row.fill(ind);
-        }
-        let mut tables = CrosstalkTables {
-            num_qubits,
-            index,
+        // The conditional map iterates in `(of, given)` order, which is
+        // id order: the entries arrive row by row, each row sorted.
+        let rows = offsets(edges.len(), ch.conditional_iter().map(|((of, _), _)| id(of) as usize));
+        let given = ch.conditional_iter().map(|((_, g), _)| id(g)).collect();
+        let rate = ch.conditional_iter().map(|(_, r)| r).collect();
+
+        let mut hash = Fnv1a::new();
+        calibration.content_hash(&mut hash);
+        ch.content_hash(&mut hash);
+        let mut model = CrosstalkModel {
+            calibration: calibration.clone(),
+            threshold,
+            edges,
+            by_lo,
             independent,
-            conditional,
-            high: vec![false; k * k],
+            rows,
+            given,
+            rate,
+            high_rows: Vec::new(),
+            high: Vec::new(),
+            inputs_hash: hash.finish(),
         };
-        for ((of, given), rate) in characterization.conditional_iter() {
-            if let (Some(of), Some(given)) = (tables.id(of), tables.id(given)) {
-                tables.conditional[of as usize * k + given as usize] = rate;
-                tables.mark_high(of, given, rate, threshold);
+        model.set_threshold(threshold);
+        model
+    }
+
+    /// Recomputes the high-partner lists for a new threshold: a pair is
+    /// high when a measured `E(of | given)` exceeds `threshold ×` the
+    /// independent rate of `of`, in either direction.
+    fn set_threshold(&mut self, threshold: f64) {
+        self.threshold = threshold;
+        let mut pairs = Vec::new();
+        for of in 0..self.edges.len() as u32 {
+            let Some(ind) = self.independent[of as usize] else { continue };
+            for (given, rate) in self.row(of) {
+                if rate > threshold * ind {
+                    pairs.extend([(of, given), (given, of)]);
+                }
             }
         }
-        tables
+        pairs.sort_unstable();
+        pairs.dedup();
+        self.high_rows = offsets(self.edges.len(), pairs.iter().map(|&(a, _)| a as usize));
+        self.high = pairs.into_iter().map(|(_, b)| b).collect();
     }
 
-    /// Recomputes the high-pair bits for a new threshold.
-    fn set_threshold(&mut self, characterization: &Characterization, threshold: f64) {
-        self.high.fill(false);
-        for ((of, given), rate) in characterization.conditional_iter() {
-            if let (Some(of), Some(given)) = (self.id(of), self.id(given)) {
-                self.mark_high(of, given, rate, threshold);
-            }
-        }
-    }
-
-    /// Marks the pair high if the measured `E(of | given) = rate` exceeds
-    /// `threshold ×` the independent rate of `of` — the map path's test,
-    /// which only measured pairs can pass.
-    fn mark_high(&mut self, of: u32, given: u32, rate: f64, threshold: f64) {
-        if rate > threshold * self.independent(of) {
-            let (k, of, given) = (self.num_edges(), of as usize, given as usize);
-            self.high[of * k + given] = true;
-            self.high[given * k + of] = true;
-        }
-    }
-
-    /// Id of a characterized edge.
+    /// Id of a named edge.
     pub(crate) fn id(&self, e: Edge) -> Option<u32> {
-        let (lo, hi) = (e.lo() as usize, e.hi() as usize);
-        if hi >= self.num_qubits {
+        if e.lo() as usize + 1 >= self.by_lo.len() {
             return None;
         }
-        let id = self.index[lo * self.num_qubits + hi];
-        (id != NO_EDGE).then_some(id)
+        let span = span(&self.by_lo, e.lo());
+        let k = self.edges[span.clone()].iter().position(|x| x.hi() == e.hi())?;
+        Some((span.start + k) as u32)
     }
 
-    /// Number of characterized edges (ids are `0..num_edges()`).
+    /// Id of a named edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics, with the characterization's message, if the
+    /// characterization does not name the edge.
+    fn named(&self, e: Edge) -> u32 {
+        self.id(e).unwrap_or_else(|| panic!("{}", CharacError::Uncharacterized(e)))
+    }
+
+    /// Number of named edges (ids are `0..num_edges()`).
     pub(crate) fn num_edges(&self) -> usize {
-        self.independent.len()
+        self.edges.len()
     }
 
+    /// Independent rate of an edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics, with the characterization's message, if the edge has none.
     pub(crate) fn independent(&self, e: u32) -> f64 {
-        self.independent[e as usize]
+        self.independent[e as usize].unwrap_or_else(|| {
+            panic!("{}", CharacError::Uncharacterized(self.edges[e as usize]))
+        })
     }
 
-    /// `E(of | given)`, falling back to the independent rate.
+    /// The measured `(given, rate)` entries of row `of`.
+    pub(crate) fn row(&self, of: u32) -> impl Iterator<Item = (u32, f64)> + '_ {
+        let span = span(&self.rows, of);
+        self.given[span.clone()].iter().copied().zip(self.rate[span].iter().copied())
+    }
+
+    /// Measured `E(of | given)`, if any.
+    fn measured(&self, of: u32, given: u32) -> Option<f64> {
+        let span = span(&self.rows, of);
+        let k = self.given[span.clone()].binary_search(&given).ok()?;
+        Some(self.rate[span.start + k])
+    }
+
+    /// `E(of | given)`, falling back to the independent rate of `of`.
     pub(crate) fn conditional(&self, of: u32, given: u32) -> f64 {
-        self.conditional[of as usize * self.independent.len() + given as usize]
+        self.measured(of, given).unwrap_or_else(|| self.independent(of))
+    }
+
+    /// High partners of `a`, sorted.
+    pub(crate) fn high_partners(&self, a: u32) -> &[u32] {
+        &self.high[span(&self.high_rows, a)]
     }
 
     pub(crate) fn is_high(&self, a: u32, b: u32) -> bool {
-        self.high[a as usize * self.independent.len() + b as usize]
+        self.high_partners(a).binary_search(&b).is_ok()
     }
+}
+
+/// CSR offsets over `len` rows of entries that arrive row by row, given
+/// the row of each entry: row `r` holds entries `span(offsets, r)`.
+fn offsets(len: usize, entry_rows: impl Iterator<Item = usize>) -> Vec<u32> {
+    let mut offsets = vec![0u32; len + 1];
+    for r in entry_rows {
+        offsets[r + 1] += 1;
+    }
+    for r in 1..offsets.len() {
+        offsets[r] += offsets[r - 1];
+    }
+    offsets
+}
+
+/// The entries of row `r` under CSR `offsets`.
+fn span(offsets: &[u32], r: u32) -> std::ops::Range<usize> {
+    offsets[r as usize] as usize..offsets[r as usize + 1] as usize
 }
 
 /// Devices and measured characterizations shared by the crate's unit
@@ -331,46 +388,37 @@ mod tests {
         assert!(!strict.is_high_pair(Edge::new(13, 14), Edge::new(18, 19)));
     }
 
-    /// The map path of [`SchedulerContext::is_high_pair`].
-    fn map_is_high_pair(ctx: &SchedulerContext, a: Edge, b: Edge) -> bool {
-        let ch = ctx.characterization();
-        let (ia, ib) = (ch.independent(a), ch.independent(b));
-        ch.conditional(a, b)
-            .is_some_and(|c| c > ctx.threshold() * ia)
-            || ch
-                .conditional(b, a)
-                .is_some_and(|c| c > ctx.threshold() * ib)
-    }
-
     #[test]
-    fn dense_tables_match_the_characterization_maps() {
+    fn sparse_rows_match_the_characterization_maps() {
+        let mut inputs: Vec<(Device, Characterization)> = Vec::new();
+        for (device, measured) in fixtures::devices().into_iter().zip(fixtures::measured()) {
+            inputs.push((device.clone(), Characterization::from_ground_truth(&device)));
+            inputs.push((device, measured.clone()));
+        }
+        let grid = Device::synthetic_grid(32, 32, 0.08, 1);
+        inputs.push((grid.clone(), Characterization::from_ground_truth(&grid)));
+
         let mut high = 0;
-        for (device, measured) in fixtures::devices().iter().zip(fixtures::measured()) {
-            let truth = SchedulerContext::from_ground_truth(device);
-            let measured = SchedulerContext::new(device, measured.clone());
-            let contexts = [
-                truth.clone(),
-                measured.clone(),
-                truth.with_threshold(10.0),
-                measured.with_threshold(10.0),
-            ];
+        for (device, ch) in &inputs {
+            let ctx = SchedulerContext::new(device, ch);
             let edges = device.topology().edges();
-            for ctx in &contexts {
-                assert_eq!(*ctx, ctx.clone());
-                let ch = ctx.characterization();
-                for &a in edges {
-                    assert_eq!(
-                        ctx.independent_error(a).to_bits(),
-                        ch.independent(a).to_bits()
-                    );
-                    for &b in edges {
+            let independent: Vec<f64> = edges.iter().map(|&e| ch.independent(e)).collect();
+            for ctx in [ctx.clone(), ctx.with_threshold(10.0)] {
+                assert_eq!(ctx, ctx.clone());
+                let t = ctx.threshold();
+                for (&a, &ia) in edges.iter().zip(&independent) {
+                    assert_eq!(ctx.independent_error(a).to_bits(), ia.to_bits());
+                    for (&b, &ib) in edges.iter().zip(&independent) {
+                        // The maps' answers: `conditional_or_independent`
+                        // and the high-pair test, from one lookup each way.
+                        let (ab, ba) = (ch.conditional(a, b), ch.conditional(b, a));
                         assert_eq!(
                             ctx.conditional_error(a, b).to_bits(),
-                            ch.conditional_or_independent(a, b).to_bits(),
+                            ab.unwrap_or(ia).to_bits(),
                             "{} E({a} | {b})",
                             device.name()
                         );
-                        let expected = map_is_high_pair(ctx, a, b);
+                        let expected = ab.is_some_and(|c| c > t * ia) || ba.is_some_and(|c| c > t * ib);
                         assert_eq!(
                             ctx.is_high_pair(a, b),
                             expected,
@@ -383,6 +431,29 @@ mod tests {
             }
         }
         assert!(high > 50, "only {high} high pairs over the contexts");
+    }
+
+    #[test]
+    fn a_1024_qubit_context_stores_only_the_measured_rates() {
+        let grid = Device::synthetic_grid(32, 32, 0.08, 1);
+        let ch = Characterization::from_ground_truth(&grid);
+        let ctx = SchedulerContext::new(&grid, &ch);
+        let m = ctx.model();
+        let (k, entries) = (grid.topology().num_edges(), ch.num_conditional());
+        assert_eq!(k, 1984);
+        assert!(entries > 0);
+        assert_eq!(m.num_edges(), k);
+        // One rate per independent entry and one per measured conditional
+        // entry; every other array is an id list or an offset table.
+        assert_eq!(m.independent.len() + m.rate.len(), k + entries);
+        assert!(m.independent.iter().all(Option::is_some));
+        assert_eq!((m.rows.len(), m.given.len()), (k + 1, entries));
+        assert!(m.by_lo.len() <= grid.topology().num_qubits() + 1);
+        assert_eq!(m.high_rows.len(), k + 1);
+        assert!(m.high.len() <= 2 * entries);
+        // A clone shares the model.
+        assert!(ctx.clone().ptr_eq(&ctx));
+        assert!(!SchedulerContext::new(&grid, &ch).ptr_eq(&ctx));
     }
 
     /// The panic message of `f`.
@@ -406,7 +477,7 @@ mod tests {
         }
         ch.set_conditional(missing, hot, 0.2);
         ch.set_conditional(hot, missing, 0.3);
-        let ctx = SchedulerContext::new(&dev, ch.clone());
+        let ctx = SchedulerContext::new(&dev, &ch);
         assert_eq!(ctx, ctx.clone());
 
         let off_device = Edge::new(0, 99);

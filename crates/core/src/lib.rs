@@ -25,8 +25,9 @@
 //! as in the paper's Figure 8/9 sweeps.
 //!
 //! Also here: SWAP-path routing ([`routing`]), the paper's application
-//! benchmarks ([`bench_circuits`]), and end-to-end helpers ([`pipeline`])
-//! that schedule, execute (via `xtalk-sim`) and score circuits.
+//! benchmarks ([`bench_circuits`]), and plain execution of a schedule
+//! ([`pipeline`]); [`Compiler`] schedules, executes (via `xtalk-sim`)
+//! and scores circuits.
 //!
 //! The compile flow itself is expressed as typed passes ([`passes`])
 //! over hashable artifacts, driven by a [`Compiler`] that applies
@@ -47,7 +48,7 @@ pub mod sched;
 mod timeline;
 pub mod transpile;
 
-pub use compile::Compiler;
+pub use compile::{Compiler, SwapRunOutcome};
 pub use context::SchedulerContext;
 pub use error::CoreError;
 pub use passes::{NativeCircuit, PlacedCircuit, RealizedSchedule, ScheduledArtifact};

@@ -121,14 +121,6 @@ impl ContentHash for RealizedSchedule {
     }
 }
 
-/// Folds a [`SchedulerContext`] into a cache key: calibration,
-/// characterization and the high-pair threshold all steer scheduling.
-fn hash_context(ctx: &SchedulerContext, h: &mut Fnv1a) {
-    ctx.calibration().content_hash(h);
-    ctx.characterization().content_hash(h);
-    h.write_f64(ctx.threshold());
-}
-
 /// Lowers to the native basis, optionally fusing single-qubit runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LowerPass {
@@ -282,7 +274,7 @@ impl Pass for SchedulePass<'_> {
 
     fn config_hash(&self, h: &mut Fnv1a) {
         self.scheduler.fingerprint(h);
-        hash_context(self.ctx, h);
+        self.ctx.content_hash(h);
     }
 
     fn cache_output(&self, out: &ScheduledArtifact) -> bool {

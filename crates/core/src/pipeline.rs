@@ -1,19 +1,12 @@
-//! End-to-end flows: schedule → execute → score, with readout-error
-//! mitigation — the measurement methodology of the paper's Section 8.4.
-//!
-//! Execution has one entry point, [`run_scheduled_opts`], parameterized
-//! by [`RunOpts`]; the historical `run_scheduled` /
-//! `run_scheduled_threads` / `run_scheduled_budgeted` triplet survives
-//! as deprecated one-line shims. The metric functions delegate to an
-//! ephemeral [`crate::Compiler`] so every stage runs through the pass
-//! manager; construct the `Compiler` yourself to share its artifact
-//! cache across calls.
+//! Execution of a schedule outside the pass manager: one entry point,
+//! [`run_scheduled_opts`], parameterized by [`RunOpts`]. The paper's
+//! metrics (Section 8.4: schedule → execute → score, readout-error
+//! mitigated) are [`crate::Compiler`] methods.
 
-use crate::{Compiler, CoreError, Scheduler, SchedulerContext};
 use xtalk_budget::Budget;
 use xtalk_device::Device;
-use xtalk_ir::{Circuit, ScheduledCircuit};
-use xtalk_sim::{Counts, Executor, ExecutorConfig, RunOutcome};
+use xtalk_ir::ScheduledCircuit;
+use xtalk_sim::{Executor, ExecutorConfig, RunOutcome};
 
 /// Execution options for [`run_scheduled_opts`].
 #[derive(Clone, Debug)]
@@ -27,7 +20,7 @@ pub struct RunOpts {
 }
 
 impl Default for RunOpts {
-    /// Sequential, unlimited — the behavior of the old `run_scheduled`.
+    /// Sequential, unlimited.
     fn default() -> Self {
         RunOpts { threads: 1, budget: Budget::unlimited() }
     }
@@ -48,148 +41,24 @@ pub fn run_scheduled_opts(
     Executor::with_config(device, cfg).run_budgeted(sched, opts.threads, &opts.budget)
 }
 
-/// Executes a schedule sequentially with an unlimited budget.
-#[deprecated(since = "0.6.0", note = "use `run_scheduled_opts` with `RunOpts::default()`")]
-pub fn run_scheduled(device: &Device, sched: &ScheduledCircuit, shots: u64, seed: u64) -> Counts {
-    run_scheduled_opts(device, sched, shots, seed, &RunOpts::default()).counts
-}
-
-/// Executes a schedule across `threads` OS threads.
-#[deprecated(since = "0.6.0", note = "use `run_scheduled_opts` with `RunOpts { threads, .. }`")]
-pub fn run_scheduled_threads(
-    device: &Device,
-    sched: &ScheduledCircuit,
-    shots: u64,
-    seed: u64,
-    threads: usize,
-) -> Counts {
-    run_scheduled_opts(device, sched, shots, seed, &RunOpts { threads, ..Default::default() })
-        .counts
-}
-
-/// Executes a schedule under a cooperative [`Budget`].
-#[deprecated(since = "0.6.0", note = "use `run_scheduled_opts` with `RunOpts { threads, budget }`")]
-pub fn run_scheduled_budgeted(
-    device: &Device,
-    sched: &ScheduledCircuit,
-    shots: u64,
-    seed: u64,
-    threads: usize,
-    budget: &Budget,
-) -> RunOutcome {
-    run_scheduled_opts(
-        device,
-        sched,
-        shots,
-        seed,
-        &RunOpts { threads, budget: budget.clone() },
-    )
-}
-
-/// The SWAP-circuit metric's outcome (Figures 5–7).
-pub struct SwapRunOutcome {
-    /// `1 − F(ρ, |Φ+⟩)` — lower is better.
-    pub error_rate: f64,
-    /// Schedule makespan in ns (Figure 5d).
-    pub duration_ns: u64,
-}
-
-/// The SWAP-circuit metric (Figures 5–7): schedules the meet-in-the-middle
-/// benchmark from `a` to `b`, runs two-qubit state tomography on the
-/// resulting Bell pair (9 bases × `shots_per_basis` trials, readout-error
-/// mitigated) and returns `1 − fidelity` with `|Φ+⟩`.
-///
-/// # Errors
-///
-/// Propagates routing/scheduling failures.
-pub fn swap_bell_error(
-    device: &Device,
-    ctx: &SchedulerContext,
-    scheduler: &dyn Scheduler,
-    a: u32,
-    b: u32,
-    shots_per_basis: u64,
-    seed: u64,
-) -> Result<SwapRunOutcome, CoreError> {
-    swap_bell_error_threads(device, ctx, scheduler, a, b, shots_per_basis, seed, 1)
-}
-
-/// [`swap_bell_error`] with the trajectory sampling of each tomography
-/// basis split across `threads` OS threads (`0` = available
-/// parallelism). Bit-identical to the sequential form.
-///
-/// # Errors
-///
-/// Propagates routing/scheduling failures.
-#[allow(clippy::too_many_arguments)]
-pub fn swap_bell_error_threads(
-    device: &Device,
-    ctx: &SchedulerContext,
-    scheduler: &dyn Scheduler,
-    a: u32,
-    b: u32,
-    shots_per_basis: u64,
-    seed: u64,
-    threads: usize,
-) -> Result<SwapRunOutcome, CoreError> {
-    Compiler::new(device, ctx.clone())
-        .swap_bell_error(scheduler, a, b, shots_per_basis, seed, threads)
-}
-
-/// The QAOA metric (Figure 8): cross entropy of the mitigated measured
-/// distribution against the noise-free ideal (lower is better; the
-/// noise-free floor is the ideal distribution's entropy).
-///
-/// # Errors
-///
-/// Propagates scheduling failures.
-pub fn qaoa_cross_entropy(
-    device: &Device,
-    ctx: &SchedulerContext,
-    scheduler: &dyn Scheduler,
-    circuit: &Circuit,
-    shots: u64,
-    seed: u64,
-) -> Result<f64, CoreError> {
-    Compiler::new(device, ctx.clone()).qaoa_cross_entropy(scheduler, circuit, shots, seed)
-}
-
-/// The Hidden Shift metric (Figure 9): fraction of (mitigated) trials
-/// that did *not* return the correct bitstring.
-///
-/// # Errors
-///
-/// Propagates scheduling failures.
-pub fn hidden_shift_error(
-    device: &Device,
-    ctx: &SchedulerContext,
-    scheduler: &dyn Scheduler,
-    circuit: &Circuit,
-    target: u64,
-    shots: u64,
-    seed: u64,
-) -> Result<f64, CoreError> {
-    Compiler::new(device, ctx.clone())
-        .hidden_shift_error(scheduler, circuit, target, shots, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bench_circuits::{hidden_shift, qaoa_ansatz};
-    use crate::{ParSched, SerialSched, XtalkSched};
+    use crate::{Compiler, ParSched, Scheduler, SchedulerContext, SerialSched, XtalkSched};
+    use xtalk_ir::Circuit;
     use xtalk_sim::{ideal, metrics};
 
     #[test]
-    #[allow(deprecated)] // the shims must stay bit-identical to the new entry point
     fn budgeted_run_matches_plain_run_when_unlimited() {
         let device = Device::line(3, 2);
         let ctx = SchedulerContext::from_ground_truth(&device);
         let mut c = Circuit::new(3, 3);
         c.h(0).cx(0, 1).cx(1, 2).measure_all();
         let sched = ParSched::new().schedule(&c, &ctx).unwrap();
-        let plain = run_scheduled(&device, &sched, 300, 9);
-        let out = run_scheduled_budgeted(&device, &sched, 300, 9, 2, &Budget::unlimited());
+        let plain = run_scheduled_opts(&device, &sched, 300, 9, &RunOpts::default()).counts;
+        let two_threads = |budget: &Budget| RunOpts { threads: 2, budget: budget.clone() };
+        let out = run_scheduled_opts(&device, &sched, 300, 9, &two_threads(&Budget::unlimited()));
         assert!(out.complete);
         assert_eq!(out.shots_completed, 300);
         assert_eq!(out.counts, plain);
@@ -204,7 +73,7 @@ mod tests {
         // A cancelled budget yields an honest empty prefix.
         let budget = Budget::unlimited();
         budget.cancel_token().cancel();
-        let out = run_scheduled_budgeted(&device, &sched, 300, 9, 2, &budget);
+        let out = run_scheduled_opts(&device, &sched, 300, 9, &two_threads(&budget));
         assert!(!out.complete);
         assert_eq!(out.shots_completed, 0);
     }
@@ -212,9 +81,8 @@ mod tests {
     #[test]
     fn swap_error_is_sane_on_clean_line() {
         let device = Device::line(5, 4);
-        let ctx = SchedulerContext::from_ground_truth(&device);
-        let out =
-            swap_bell_error(&device, &ctx, &ParSched::new(), 0, 4, 256, 1).unwrap();
+        let compiler = Compiler::new(&device, SchedulerContext::from_ground_truth(&device));
+        let out = compiler.swap_bell_error(&ParSched::new(), 0, 4, 256, 1, 1).unwrap();
         assert!(out.error_rate > 0.0 && out.error_rate < 0.5, "error {}", out.error_rate);
         assert!(out.duration_ns > 0);
     }
@@ -224,11 +92,9 @@ mod tests {
         // The paper's marquee comparison, miniature edition: route across
         // the Poughkeepsie 11x hot spot and compare measured Bell error.
         let device = Device::poughkeepsie(1);
-        let ctx = SchedulerContext::from_ground_truth(&device);
-        let par =
-            swap_bell_error(&device, &ctx, &ParSched::new(), 0, 13, 384, 7).unwrap();
-        let xt = swap_bell_error(&device, &ctx, &XtalkSched::new(0.5), 0, 13, 384, 7)
-            .unwrap();
+        let compiler = Compiler::new(&device, SchedulerContext::from_ground_truth(&device));
+        let par = compiler.swap_bell_error(&ParSched::new(), 0, 13, 384, 7, 1).unwrap();
+        let xt = compiler.swap_bell_error(&XtalkSched::new(0.5), 0, 13, 384, 7, 1).unwrap();
         assert!(
             xt.error_rate < par.error_rate,
             "XtalkSched {} should beat ParSched {}",
@@ -242,13 +108,11 @@ mod tests {
     #[test]
     fn qaoa_cross_entropy_ranks_schedulers() {
         let device = Device::poughkeepsie(1);
-        let ctx = SchedulerContext::from_ground_truth(&device);
+        let compiler = Compiler::new(&device, SchedulerContext::from_ground_truth(&device));
         let circuit = qaoa_ansatz(20, &[5, 10, 11, 12], 3);
-        let ce_par =
-            qaoa_cross_entropy(&device, &ctx, &ParSched::new(), &circuit, 2048, 11).unwrap();
+        let ce_par = compiler.qaoa_cross_entropy(&ParSched::new(), &circuit, 2048, 11).unwrap();
         let ce_xt =
-            qaoa_cross_entropy(&device, &ctx, &XtalkSched::new(0.1), &circuit, 2048, 11)
-                .unwrap();
+            compiler.qaoa_cross_entropy(&XtalkSched::new(0.1), &circuit, 2048, 11).unwrap();
         let ideal = ideal::distribution(&circuit);
         let floor = metrics::entropy(&ideal);
         assert!(ce_par > floor && ce_xt > floor, "noisy CE must exceed the floor");
@@ -261,15 +125,15 @@ mod tests {
     #[test]
     fn hidden_shift_error_detects_serialization_cost() {
         let device = Device::poughkeepsie(1);
-        let ctx = SchedulerContext::from_ground_truth(&device);
+        let compiler = Compiler::new(&device, SchedulerContext::from_ground_truth(&device));
         // Region aligned with the planted (5,10)|(11,12) pair.
         let circuit = hidden_shift(20, &[5, 10, 11, 12], 0b1001, true);
-        let serial =
-            hidden_shift_error(&device, &ctx, &SerialSched::new(), &circuit, 0b1001, 2048, 5)
-                .unwrap();
-        let xt =
-            hidden_shift_error(&device, &ctx, &XtalkSched::new(0.3), &circuit, 0b1001, 2048, 5)
-                .unwrap();
+        let serial = compiler
+            .hidden_shift_error(&SerialSched::new(), &circuit, 0b1001, 2048, 5)
+            .unwrap();
+        let xt = compiler
+            .hidden_shift_error(&XtalkSched::new(0.3), &circuit, 0b1001, 2048, 5)
+            .unwrap();
         assert!(serial > 0.0 && serial < 1.0);
         assert!(xt <= serial + 0.05, "xtalk {xt} vs serial {serial}");
     }

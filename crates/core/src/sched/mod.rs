@@ -95,7 +95,7 @@ pub fn check_hardware_compliant(
 /// off each qubit's first and last operation in program order.
 pub fn schedule_cost(sched: &ScheduledCircuit, ctx: &SchedulerContext, omega: f64) -> f64 {
     let slots = sched.slots();
-    CostModel::new(sched.circuit(), ctx).cost(ctx.tables(), omega, |i| slots[i])
+    CostModel::new(sched.circuit(), ctx).cost(ctx.model(), omega, |i| slots[i])
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! `XtalkSched`: the crosstalk-adaptive scheduler (paper Sections 6–7).
 
-use crate::context::CrosstalkTables;
+use crate::context::CrosstalkModel;
 use crate::sched::{check_hardware_compliant, Scheduler};
 use crate::timeline::{CostModel, Incremental, Timeline};
 use crate::{CoreError, SchedulerContext};
@@ -141,8 +141,8 @@ impl XtalkSched {
     pub fn candidate_pairs(circuit: &Circuit, ctx: &SchedulerContext) -> Vec<(usize, usize)> {
         // Two-qubit gates bucketed by edge, buckets in order of first use;
         // only the buckets of high edge pairs are paired up.
-        let tables = ctx.tables();
-        let mut bucket_of = vec![usize::MAX; tables.num_edges()];
+        let model = ctx.model();
+        let mut bucket_of = vec![usize::MAX; model.num_edges()];
         let mut buckets: Vec<(Edge, u32, Vec<usize>)> = Vec::new();
         for (i, ins) in circuit.iter().enumerate() {
             if ins.gate().is_two_qubit() {
@@ -158,10 +158,12 @@ impl XtalkSched {
         let mut dag = None;
         let mut out = Vec::new();
         for (x, (ea, a, gates_a)) in buckets.iter().enumerate() {
-            for (eb, b, gates_b) in &buckets[x + 1..] {
-                if ea.shares_qubit(*eb) || !tables.is_high(*a, *b) {
+            for &b in model.high_partners(*a) {
+                let y = bucket_of[b as usize];
+                if y == usize::MAX || y <= x || ea.shares_qubit(buckets[y].0) {
                     continue;
                 }
+                let gates_b = &buckets[y].2;
                 let dag = dag.get_or_insert_with(|| circuit.dag());
                 for &i in gates_a {
                     for &j in gates_b {
@@ -209,14 +211,14 @@ impl XtalkSched {
         let _span = xtalk_obs::span("sched.xtalk");
         check_hardware_compliant(circuit, ctx)?;
         let candidates = Self::candidate_pairs(circuit, ctx);
-        let tables = ctx.tables();
+        let model = ctx.model();
         let edge_of =
             |i: usize| ctx.edge_id(Edge::from(circuit.instructions()[i].edge().expect("edge")));
         let severity = candidates
             .iter()
             .map(|&(i, j)| {
                 let (a, b) = (edge_of(i), edge_of(j));
-                tables.conditional(a, b).max(tables.conditional(b, a))
+                model.conditional(a, b).max(model.conditional(b, a))
             })
             .collect();
 
@@ -226,7 +228,7 @@ impl XtalkSched {
         let mut search = Search {
             nodes: Incremental::seed(&timeline),
             cost: CostModel::new(circuit, ctx),
-            tables,
+            model,
             omega: self.omega,
             candidates: &candidates,
             severity,
@@ -433,7 +435,7 @@ struct Search<'a> {
     nodes: Incremental<'a>,
     /// Costs each leaf off the node's slots.
     cost: CostModel,
-    tables: &'a CrosstalkTables,
+    model: &'a CrosstalkModel,
     omega: f64,
     /// Sorted candidate pairs, with their severities — the worst
     /// conditional error the scheduler believes the overlap causes — and
@@ -496,7 +498,7 @@ impl Search<'_> {
     /// The Eq. 17 cost of the current node.
     fn node_cost(&mut self) -> f64 {
         let nodes = &self.nodes;
-        self.cost.cost(self.tables, self.omega, |i| nodes.slot(i))
+        self.cost.cost(self.model, self.omega, |i| nodes.slot(i))
     }
 
     /// The slots of the current node.

@@ -47,16 +47,16 @@ fn reference_candidate_pairs(circuit: &Circuit, ctx: &SchedulerContext) -> Vec<(
     out
 }
 
-/// The Eq. 17 cost before hot gates and dense tables: every overlapping
+/// The Eq. 17 cost before hot gates and edge ids: every overlapping
 /// two-qubit pair through the characterization's maps, lifetimes as the
 /// minimum start and maximum finish over each qubit's operations.
 fn reference_cost(
     circuit: &Circuit,
     ctx: &SchedulerContext,
+    ch: &Characterization,
     slots: &[ScheduleSlot],
     omega: f64,
 ) -> f64 {
-    let ch = ctx.characterization();
     let twoq = two_qubit(circuit);
     let mut eps = vec![0.0f64; circuit.len()];
     for &i in &twoq {
@@ -97,6 +97,7 @@ fn reference_cost(
 struct ReferenceSearch<'a> {
     circuit: &'a Circuit,
     ctx: &'a SchedulerContext,
+    ch: &'a Characterization,
     timeline: Timeline<'a>,
     two_qubit: Vec<usize>,
     omega: f64,
@@ -150,7 +151,7 @@ impl ReferenceSearch<'_> {
                 self.leaves += 1;
                 self.budget.charge(1);
                 let slots = self.timeline.slots();
-                let cost = reference_cost(self.circuit, self.ctx, slots, self.omega);
+                let cost = reference_cost(self.circuit, self.ctx, self.ch, slots, self.omega);
                 if self.best.as_ref().is_none_or(|(c, _)| cost < *c) {
                     self.best = Some((cost, serialized.clone()));
                     self.best_slots = slots.to_vec();
@@ -176,16 +177,16 @@ impl ReferenceSearch<'_> {
 }
 
 /// `XtalkSched::schedule_budgeted` as it was before incremental nodes:
-/// the slots it returns and its report.
+/// the slots it returns and its report, with `ctx` built from `ch`.
 fn reference_schedule(
     sched: &XtalkSched,
     circuit: &Circuit,
     ctx: &SchedulerContext,
+    ch: &Characterization,
     budget: &Budget,
 ) -> Result<(Vec<ScheduleSlot>, XtalkSchedReport), CoreError> {
     check_hardware_compliant(circuit, ctx)?;
     let candidates = reference_candidate_pairs(circuit, ctx);
-    let ch = ctx.characterization();
     let severity = candidates
         .iter()
         .map(|&(i, j)| {
@@ -197,6 +198,7 @@ fn reference_schedule(
     let mut search = ReferenceSearch {
         circuit,
         ctx,
+        ch,
         timeline: Timeline::new(circuit, ctx),
         two_qubit: two_qubit(circuit),
         omega: sched.omega,
@@ -228,7 +230,7 @@ fn reference_schedule(
         None if !complete => {
             search.timeline.solve(&[])?;
             let slots = search.timeline.slots().to_vec();
-            let cost = reference_cost(circuit, ctx, &slots, sched.omega);
+            let cost = reference_cost(circuit, ctx, ch, &slots, sched.omega);
             Ok((slots, report(cost, Vec::new(), true)))
         }
         None => Err(CoreError::CyclicConstraints),
@@ -244,24 +246,37 @@ fn independent_only(device: &Device) -> Characterization {
     c
 }
 
+/// A named characterization and the context built from it.
+type Input = (&'static str, Characterization, SchedulerContext);
+
 /// Each device with its ground-truth, measured and independent-only
-/// contexts, at the default threshold.
-fn fleet() -> Vec<(Device, Vec<(&'static str, SchedulerContext)>)> {
+/// characterizations and contexts, at the default threshold.
+fn fleet() -> Vec<(Device, Vec<Input>)> {
     devices()
         .into_iter()
         .zip(measured())
         .map(|(device, measured)| {
-            let contexts = vec![
-                ("truth", SchedulerContext::from_ground_truth(&device)),
-                ("measured", SchedulerContext::new(&device, measured.clone())),
-                (
-                    "independent",
-                    SchedulerContext::new(&device, independent_only(&device)),
-                ),
-            ];
+            let contexts = [
+                ("truth", Characterization::from_ground_truth(&device)),
+                ("measured", measured.clone()),
+                ("independent", independent_only(&device)),
+            ]
+            .into_iter()
+            .map(|(name, ch)| {
+                let ctx = SchedulerContext::new(&device, &ch);
+                (name, ch, ctx)
+            })
+            .collect();
             (device, contexts)
         })
         .collect()
+}
+
+/// The ground-truth characterization and context of a device.
+fn truth(device: &Device) -> (Characterization, SchedulerContext) {
+    let ch = Characterization::from_ground_truth(device);
+    let ctx = SchedulerContext::new(device, &ch);
+    (ch, ctx)
 }
 
 /// A connected region of `size` qubits grown breadth-first from `start`.
@@ -281,11 +296,12 @@ fn region(topo: &Topology, start: u32, size: usize) -> Vec<u32> {
 
 /// Seeded supremacy-style circuits grown around the device's high
 /// crosstalk pairs and crosstalk-affected SWAP paths (the Figure 5
-/// circuits) on `device`, each with candidate pairs under `truth`.
-fn circuits(device: &Device, truth: &SchedulerContext) -> Vec<(String, Circuit)> {
+/// circuits) on `device`, each with candidate pairs under `truth`, the
+/// context of the ground-truth characterization `ch`.
+fn circuits(device: &Device, ch: &Characterization, truth: &SchedulerContext) -> Vec<(String, Circuit)> {
     let topo = device.topology();
     let mut out = Vec::new();
-    let high = truth.characterization().high_pairs(truth.threshold());
+    let high = ch.high_pairs(truth.threshold());
     for (seed, (size, depth)) in [(8, 4), (10, 5), (9, 6)].into_iter().enumerate() {
         let start = high[seed % high.len()].0.lo();
         out.push((
@@ -311,13 +327,13 @@ fn assert_same_search(
     what: &str,
     sched: &XtalkSched,
     circuit: &Circuit,
-    ctx: &SchedulerContext,
+    (ch, ctx): (&Characterization, &SchedulerContext),
     budget: impl Fn() -> Budget,
 ) -> XtalkSchedReport {
     let (got, report) = sched
         .schedule_budgeted(circuit, ctx, &budget())
         .unwrap_or_else(|e| panic!("{what}: {e}"));
-    let (slots, expected) = reference_schedule(sched, circuit, ctx, &budget())
+    let (slots, expected) = reference_schedule(sched, circuit, ctx, ch, &budget())
         .unwrap_or_else(|e| panic!("{what}: {e}"));
     assert_eq!(report.leaves, expected.leaves, "{what}: leaves");
     assert_eq!(
@@ -345,14 +361,14 @@ fn assert_same_search(
 fn incremental_search_matches_the_reference_search() {
     let (mut searches, mut serialized, mut truncated) = (0, 0, 0);
     for (device, contexts) in fleet() {
-        let corpus = circuits(&device, &contexts[0].1);
+        let corpus = circuits(&device, &contexts[0].1, &contexts[0].2);
         assert!(
             corpus.len() >= 4,
             "{}: {} circuits",
             device.name(),
             corpus.len()
         );
-        for (ctx_name, ctx) in &contexts {
+        for (ctx_name, ch, ctx) in &contexts {
             for threshold in [1.5, 3.0, 10.0] {
                 let ctx = ctx.clone().with_threshold(threshold);
                 for (name, circuit) in &corpus {
@@ -372,7 +388,7 @@ fn incremental_search_matches_the_reference_search() {
                                     &what,
                                     &sched,
                                     circuit,
-                                    &ctx,
+                                    (ch, &ctx),
                                     Budget::unlimited,
                                 );
                                 searches += 1;
@@ -395,12 +411,12 @@ fn incremental_search_matches_the_reference_search() {
 fn quota_budgets_truncate_both_searches_alike() {
     let mut mid_search = 0;
     for device in devices() {
-        let truth = SchedulerContext::from_ground_truth(&device);
-        for (name, circuit) in circuits(&device, &truth) {
+        let (ch, truth) = truth(&device);
+        for (name, circuit) in circuits(&device, &ch, &truth) {
             for quota in [1, 2, 5, 17] {
                 let what = format!("{} {name}, quota {quota}", device.name());
                 let report =
-                    assert_same_search(&what, &XtalkSched::new(0.5), &circuit, &truth, || {
+                    assert_same_search(&what, &XtalkSched::new(0.5), &circuit, (&ch, &truth), || {
                         Budget::unlimited().with_quota(quota)
                     });
                 mid_search += usize::from(!report.complete && report.leaves > 0);
@@ -416,14 +432,15 @@ fn quota_budgets_truncate_both_searches_alike() {
 #[test]
 fn cancelled_budget_falls_back_like_the_reference() {
     let device = devices().swap_remove(0);
-    let truth = SchedulerContext::from_ground_truth(&device);
-    for (name, circuit) in circuits(&device, &truth) {
+    let (ch, truth) = truth(&device);
+    for (name, circuit) in circuits(&device, &ch, &truth) {
         let cancelled = || {
             let budget = Budget::unlimited();
             budget.cancel_token().cancel();
             budget
         };
-        let report = assert_same_search(&name, &XtalkSched::new(0.5), &circuit, &truth, cancelled);
+        let report =
+            assert_same_search(&name, &XtalkSched::new(0.5), &circuit, (&ch, &truth), cancelled);
         assert!(report.fallback, "{name}");
     }
 }
@@ -449,7 +466,7 @@ fn equally_severe_conflicts_break_ties_in_sweep_order() {
         ch.set_conditional(x, y, 0.5);
         ch.set_conditional(y, x, 0.5);
     }
-    let ctx = SchedulerContext::new(&device, ch);
+    let ctx = SchedulerContext::new(&device, &ch);
     let durations: Vec<u64> = edges.iter().map(|&e| cal.cx_duration(e)).collect();
     assert!(
         durations[0].min(durations[1]) != durations[2].min(durations[3]),
@@ -468,7 +485,8 @@ fn equally_severe_conflicts_break_ties_in_sweep_order() {
             for cap in [1, 2, 100] {
                 let sched = XtalkSched::new(omega).with_max_leaves(cap);
                 let what = format!("{first:?} first, ω={omega}, cap {cap}");
-                let report = assert_same_search(&what, &sched, &circuit, &ctx, Budget::unlimited);
+                let report =
+                    assert_same_search(&what, &sched, &circuit, (&ch, &ctx), Budget::unlimited);
                 tied += usize::from(!report.serializations.is_empty());
             }
         }
@@ -480,8 +498,8 @@ fn equally_severe_conflicts_break_ties_in_sweep_order() {
 fn bucketed_candidate_pairs_match_all_pairs() {
     let mut found = 0;
     for (device, contexts) in fleet() {
-        let corpus = circuits(&device, &contexts[0].1);
-        for (ctx_name, ctx) in &contexts {
+        let corpus = circuits(&device, &contexts[0].1, &contexts[0].2);
+        for (ctx_name, _, ctx) in &contexts {
             for threshold in [1.5, 3.0, 10.0] {
                 let ctx = ctx.clone().with_threshold(threshold);
                 for (name, circuit) in &corpus {
@@ -507,8 +525,8 @@ fn bucketed_candidate_pairs_match_all_pairs() {
 fn hot_gates_are_those_a_conditional_error_can_raise() {
     let (mut below, mut partly_hot) = (0, 0);
     for (device, contexts) in fleet() {
-        let corpus = circuits(&device, &contexts[0].1);
-        for (ctx_name, ctx) in &contexts {
+        let corpus = circuits(&device, &contexts[0].1, &contexts[0].2);
+        for (ctx_name, _, ctx) in &contexts {
             let raises = |a: Edge, b: Edge| {
                 ctx.conditional_error(a, b) > ctx.independent_error(a)
                     || ctx.conditional_error(b, a) > ctx.independent_error(b)
@@ -533,7 +551,7 @@ fn hot_gates_are_those_a_conditional_error_can_raise() {
         }
         // Measured rates below the independent one are what makes a
         // conditional entry unable to raise a gate's error.
-        let measured = contexts[1].1.characterization();
+        let measured = &contexts[1].1;
         below += measured
             .conditional_iter()
             .filter(|&((of, _), rate)| rate < measured.independent(of))

@@ -16,7 +16,7 @@
 //! one [`CostModel`]; a [`ScheduledCircuit`] (and the circuit clone it
 //! owns) is only built for the schedule returned.
 
-use crate::context::CrosstalkTables;
+use crate::context::CrosstalkModel;
 use crate::{CoreError, SchedulerContext};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -219,7 +219,7 @@ impl<'a> Timeline<'a> {
             .cost
             .get_or_insert_with(|| CostModel::new(self.circuit, self.ctx));
         let slots = &self.slots;
-        model.cost(self.ctx.tables(), omega, |i| slots[i])
+        model.cost(self.ctx.model(), omega, |i| slots[i])
     }
 
     /// Base successors of instruction `i`.
@@ -519,7 +519,7 @@ pub(crate) struct CostModel {
 impl CostModel {
     pub(crate) fn new(circuit: &Circuit, ctx: &SchedulerContext) -> Self {
         let n = circuit.len();
-        let tables = ctx.tables();
+        let model = ctx.model();
         let mut two_qubit = Vec::new();
         let mut edge = vec![0; n];
         let mut independent = vec![0.0; n];
@@ -529,7 +529,7 @@ impl CostModel {
                 let id = ctx.edge_id(Edge::from(ins.edge().expect("two-qubit gate has an edge")));
                 two_qubit.push(i);
                 edge[i] = id;
-                independent[i] = tables.independent(id);
+                independent[i] = model.independent(id);
             }
             if !ins.gate().is_barrier() {
                 for q in ins.qubits() {
@@ -542,15 +542,19 @@ impl CostModel {
         let mut present: Vec<u32> = two_qubit.iter().map(|&i| edge[i]).collect();
         present.sort_unstable();
         present.dedup();
-        let raises = |a: u32, b: u32| {
-            tables.conditional(a, b) > tables.independent(a)
-                || tables.conditional(b, a) > tables.independent(b)
-        };
-        let hot_edges: Vec<u32> = present
-            .iter()
-            .copied()
-            .filter(|&a| present.iter().any(|&b| raises(a, b)))
-            .collect();
+        // Only a measured entry can exceed the independent rate: walk the
+        // rows of the circuit's edges for entries against its edges.
+        let mut hot_edges = Vec::new();
+        for &a in &present {
+            let independent = model.independent(a);
+            for (b, rate) in model.row(a) {
+                if rate > independent && present.binary_search(&b).is_ok() {
+                    hot_edges.extend([a, b]);
+                }
+            }
+        }
+        hot_edges.sort_unstable();
+        hot_edges.dedup();
         let hot = two_qubit
             .iter()
             .enumerate()
@@ -583,7 +587,7 @@ impl CostModel {
     /// [`crate::sched::schedule_cost`]).
     pub(crate) fn cost(
         &mut self,
-        tables: &CrosstalkTables,
+        model: &CrosstalkModel,
         omega: f64,
         slot: impl Fn(usize) -> ScheduleSlot,
     ) -> f64 {
@@ -605,8 +609,8 @@ impl CostModel {
             eps[i] = independent[i];
         }
         sweep.run(hot.iter().map(|&(i, _)| i), slots, |i, j| {
-            eps[i] = eps[i].max(tables.conditional(edge[i], edge[j]));
-            eps[j] = eps[j].max(tables.conditional(edge[j], edge[i]));
+            eps[i] = eps[i].max(model.conditional(edge[i], edge[j]));
+            eps[j] = eps[j].max(model.conditional(edge[j], edge[i]));
         });
         for &(i, pos) in hot.iter() {
             log_error[pos] = eps[i].max(1e-12).ln();

@@ -8,7 +8,7 @@
 //!   (lower → fuse → pad → place → route → `Scheduler::schedule`),
 //! * a warm cache replays the exact artifacts a cold cache produced,
 //! * execution counts are bit-identical at any thread count, cold or
-//!   warm, and identical to the legacy `run_scheduled` entry points.
+//!   warm, and identical to the standalone `run_scheduled_opts`.
 
 use xtalk_core::layout::{greedy_layout, route, Layout};
 use xtalk_core::optimize::fuse_single_qubit_gates;
@@ -137,12 +137,12 @@ fn execution_counts_are_thread_and_cache_invariant() {
         assert!(seq.complete && par4.complete);
         assert_eq!(seq.counts, par4.counts, "{}: thread count changed counts", s.name());
 
-        // The standalone entry points see the same stream.
-        let via_opts =
-            xtalk_core::run_scheduled_opts(&device, &artifact.sched, 256, 7, &RunOpts::default());
-        assert_eq!(via_opts.counts, seq.counts);
-        #[allow(deprecated)]
-        let legacy = xtalk_core::pipeline::run_scheduled(&device, &artifact.sched, 256, 7);
-        assert_eq!(legacy, seq.counts, "{}: legacy shim diverged", s.name());
+        // The standalone entry point sees the same stream at any thread
+        // count.
+        for threads in [1, 2] {
+            let opts = RunOpts { threads, ..Default::default() };
+            let via_opts = xtalk_core::run_scheduled_opts(&device, &artifact.sched, 256, 7, &opts);
+            assert_eq!(via_opts.counts, seq.counts, "{}: {threads} threads", s.name());
+        }
     }
 }

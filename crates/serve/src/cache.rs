@@ -13,6 +13,8 @@
 
 use std::sync::Arc;
 use xtalk_charac::{Characterization, CharacterizationReport};
+use xtalk_core::SchedulerContext;
+use xtalk_device::Device;
 use xtalk_pass::{ArtifactCache, EpochToken, Fnv1a};
 
 /// The RB settings a measured characterization policy runs with.
@@ -55,13 +57,29 @@ impl CacheKey {
     }
 }
 
-/// A cached characterization plus (for measured policies) its cost report.
+/// A cached characterization, the scheduler context built from it and
+/// (for measured policies) its cost report.
 #[derive(Clone, PartialEq, Debug)]
 pub struct CacheEntry {
-    /// The compiler-facing error tables.
+    /// The error tables, as measured.
     pub charac: Characterization,
+    /// The scheduler context over `charac` and the calibration of the
+    /// device it was characterized on: every job served from this entry
+    /// shares it.
+    pub ctx: SchedulerContext,
     /// Cost accounting; `None` for the free `truth` policy.
     pub report: Option<CharacterizationReport>,
+}
+
+impl CacheEntry {
+    /// An entry for tables characterized on `device`.
+    pub fn new(
+        device: &Device,
+        charac: Characterization,
+        report: Option<CharacterizationReport>,
+    ) -> Self {
+        CacheEntry { ctx: SchedulerContext::new(device, &charac), charac, report }
+    }
 }
 
 /// The pass id characterization entries are stored under.
@@ -95,32 +113,13 @@ impl CharacCache {
         &self.artifacts
     }
 
-    /// Looks up `key`; on a miss, runs `build` (outside the lock — two
-    /// racing misses may both build, last write wins, both results are
-    /// identical because characterization is deterministic in the key)
-    /// and stores the result. Returns the entry and whether it was a hit.
-    pub fn get_or_build(
-        &self,
-        key: CacheKey,
-        build: impl FnOnce() -> CacheEntry,
-    ) -> (Arc<CacheEntry>, bool) {
-        if let Some(hit) = self.get(&key) {
-            return (hit, true);
-        }
-        let entry = Arc::new(build());
-        self.insert(key, entry.clone());
-        (entry, false)
-    }
-
-    /// Direct lookup without building.
+    /// Looks up `key`.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<CacheEntry>> {
         let (hash, epoch) = key.coords();
         self.artifacts.get::<CacheEntry>(PASS_ID, hash, &epoch)
     }
 
-    /// Stores an entry (used by the fallible-build path in
-    /// [`crate::state::ServeState::characterization`], which cannot use
-    /// [`CharacCache::get_or_build`]'s infallible closure).
+    /// Stores an entry.
     pub fn insert(&self, key: CacheKey, entry: Arc<CacheEntry>) {
         let (hash, epoch) = key.coords();
         self.artifacts.put(PASS_ID, hash, &epoch, entry);
@@ -148,7 +147,6 @@ impl CharacCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xtalk_device::Device;
 
     fn key(epoch: u64) -> CacheKey {
         CacheKey { device: "d".into(), policy: "truth".into(), rb: None, epoch }
@@ -163,18 +161,19 @@ mod tests {
         }
     }
 
-    fn entry() -> CacheEntry {
+    fn entry() -> Arc<CacheEntry> {
         let device = Device::line(3, 1);
-        CacheEntry { charac: Characterization::from_ground_truth(&device), report: None }
+        Arc::new(CacheEntry::new(&device, Characterization::from_ground_truth(&device), None))
     }
 
     #[test]
     fn hit_after_miss() {
         let cache = CharacCache::new();
-        let (_, hit) = cache.get_or_build(key(0), entry);
-        assert!(!hit);
-        let (_, hit) = cache.get_or_build(key(0), || panic!("must not rebuild"));
-        assert!(hit);
+        assert!(cache.get(&key(0)).is_none());
+        let stored = entry();
+        cache.insert(key(0), Arc::clone(&stored));
+        let hit = cache.get(&key(0)).expect("stored entry must hit");
+        assert!(Arc::ptr_eq(&hit, &stored));
         assert_eq!(cache.len(), 1);
     }
 
@@ -189,8 +188,8 @@ mod tests {
             measured(7, 3, 128),
         ];
         for k in &keys {
-            let (_, hit) = cache.get_or_build(k.clone(), entry);
-            assert!(!hit, "{k:?} must not hit another key's entry");
+            assert!(cache.get(k).is_none(), "{k:?} must not hit another key's entry");
+            cache.insert(k.clone(), entry());
         }
         assert_eq!(cache.len(), keys.len());
     }
@@ -198,21 +197,19 @@ mod tests {
     #[test]
     fn epoch_invalidation() {
         let cache = CharacCache::new();
-        cache.get_or_build(key(0), entry);
-        cache.get_or_build(key(1), entry);
+        cache.insert(key(0), entry());
+        cache.insert(key(1), entry());
         cache.invalidate_before(1);
         assert_eq!(cache.len(), 1);
-        let (_, hit) = cache.get_or_build(key(0), entry);
-        assert!(!hit, "epoch-0 entry must be gone");
-        let (_, hit) = cache.get_or_build(key(1), || panic!("epoch-1 entry must survive"));
-        assert!(hit);
+        assert!(cache.get(&key(0)).is_none(), "epoch-0 entry must be gone");
+        assert!(cache.get(&key(1)).is_some(), "epoch-1 entry must survive");
     }
 
     #[test]
     fn charac_and_compile_artifacts_share_the_store() {
         let artifacts = Arc::new(ArtifactCache::new());
         let cache = CharacCache::over(Arc::clone(&artifacts));
-        cache.insert(key(0), Arc::new(entry()));
+        cache.insert(key(0), entry());
         // A compile artifact under another pass id coexists but is not
         // counted as a characterization.
         artifacts.put("lower", 1, &EpochToken::new("d", 0), Arc::new(1u64));

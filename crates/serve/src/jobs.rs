@@ -25,8 +25,8 @@
 //!
 //! All compilers are built over the server's one content-addressed
 //! artifact store ([`ServeState::cache`]'s underlying
-//! [`xtalk_pass::ArtifactCache`]), keyed to the device's current
-//! calibration epoch — so two jobs compiling the same source for the
+//! [`xtalk_pass::ArtifactCache`]), keyed to the calibration epoch of the
+//! job's device snapshot — so two jobs compiling the same source for the
 //! same device share the lower/place/route prefix even across different
 //! schedulers, and `advance_day` invalidates compile artifacts together
 //! with characterizations.
@@ -34,7 +34,8 @@
 use crate::json::{obj, Json};
 use crate::metrics::Metrics;
 use crate::protocol::{err_response, Request};
-use crate::state::{CharacSource, ServeState};
+use crate::cache::RbSettings;
+use crate::state::{CharacSource, ServeState, Snapshot};
 use std::sync::Arc;
 use xtalk_budget::Budget;
 use xtalk_charac::Characterization;
@@ -42,7 +43,6 @@ use xtalk_core::{
     Compiler, ParSched, Scheduler, SchedulerContext, ScheduledArtifact, SerialSched,
     XtalkSched, XtalkSchedReport,
 };
-use xtalk_device::Device;
 use xtalk_ir::{qasm, Circuit};
 use xtalk_pass::EpochToken;
 
@@ -99,8 +99,10 @@ fn run(state: &ServeState, req: &Request, budget: &Budget) -> Result<Json, Strin
             Ok(Json::Obj(pairs))
         }
         Request::Characterize { device, policy, seed, seqs, shots } => {
+            let snapshot = state.snapshot(device)?;
+            let rb = RbSettings { seed: *seed, seqs: *seqs, shots: *shots };
             let (entry, source) =
-                state.characterization_budgeted(device, policy, *seed, *seqs, *shots, budget)?;
+                state.characterization_budgeted(device, &snapshot, policy, rb, budget)?;
             let high: Vec<Json> = entry
                 .charac
                 .high_pairs(3.0)
@@ -110,7 +112,7 @@ fn run(state: &ServeState, req: &Request, budget: &Budget) -> Result<Json, Strin
             let mut fields = vec![
                 ("device".to_string(), Json::Str(device.clone())),
                 ("policy".to_string(), Json::Str(policy.clone())),
-                ("epoch".to_string(), state.epoch().into()),
+                ("epoch".to_string(), snapshot.epoch.into()),
                 (
                     "cached".to_string(),
                     matches!(source, CharacSource::Fresh { cached: true }).into(),
@@ -138,19 +140,19 @@ fn run(state: &ServeState, req: &Request, budget: &Budget) -> Result<Json, Strin
             Ok(Json::Obj(pairs))
         }
         Request::Schedule { device, qasm, scheduler, omega, policy, seed } => {
-            let (dev, ctx, meta) = context_for(state, device, policy, *seed, budget)?;
-            let (prep, budgeted) = compilers(state, &dev, &ctx, budget);
+            let (snapshot, ctx, meta) = context_for(state, device, policy, *seed, budget)?;
+            let (prep, budgeted) = compilers(state, &snapshot, ctx, budget);
             let circuit = prepare_circuit(qasm, &prep)?;
             let (artifact, sched_name) =
                 schedule_budget_aware(scheduler, *omega, &meta, &circuit, &budgeted)?;
             let sched = &artifact.sched;
             let mut fields = vec![
-                ("device".to_string(), dev.name().into()),
+                ("device".to_string(), snapshot.device.name().into()),
                 ("scheduler".to_string(), sched_name.into()),
                 ("makespan_ns".to_string(), sched.makespan().into()),
                 ("instructions".to_string(), sched.circuit().len().into()),
                 ("cached".to_string(), meta.cached.into()),
-                ("epoch".to_string(), state.epoch().into()),
+                ("epoch".to_string(), snapshot.epoch.into()),
             ];
             let truncated = annotate_search(&mut fields, &artifact.report);
             annotate_budget(&mut fields, budget, truncated);
@@ -160,8 +162,8 @@ fn run(state: &ServeState, req: &Request, budget: &Budget) -> Result<Json, Strin
             Ok(Json::Obj(pairs))
         }
         Request::Run { device, qasm, scheduler, omega, policy, shots, seed, threads } => {
-            let (dev, ctx, meta) = context_for(state, device, policy, *seed, budget)?;
-            let (prep, budgeted) = compilers(state, &dev, &ctx, budget);
+            let (snapshot, ctx, meta) = context_for(state, device, policy, *seed, budget)?;
+            let (prep, budgeted) = compilers(state, &snapshot, ctx, budget);
             let circuit = prepare_circuit(qasm, &prep)?;
             let (artifact, sched_name) =
                 schedule_budget_aware(scheduler, *omega, &meta, &circuit, &budgeted)?;
@@ -180,7 +182,7 @@ fn run(state: &ServeState, req: &Request, budget: &Budget) -> Result<Json, Strin
                     .collect(),
             );
             let mut fields = vec![
-                ("device".to_string(), dev.name().into()),
+                ("device".to_string(), snapshot.device.name().into()),
                 ("scheduler".to_string(), sched_name.into()),
                 ("makespan_ns".to_string(), sched.makespan().into()),
                 ("shots".to_string(), counts.shots().into()),
@@ -197,8 +199,8 @@ fn run(state: &ServeState, req: &Request, budget: &Budget) -> Result<Json, Strin
             Ok(Json::Obj(pairs))
         }
         Request::SwapDemo { device, from, to, shots, seed } => {
-            let (dev, ctx, _meta) = context_for(state, device, "truth", *seed, budget)?;
-            let (prep, _) = compilers(state, &dev, &ctx, budget);
+            let (snapshot, ctx, _meta) = context_for(state, device, "truth", *seed, budget)?;
+            let (prep, _) = compilers(state, &snapshot, ctx, budget);
             let schedulers: Vec<Box<dyn Scheduler>> = vec![
                 Box::new(SerialSched::new()),
                 Box::new(ParSched::new()),
@@ -224,7 +226,7 @@ fn run(state: &ServeState, req: &Request, budget: &Budget) -> Result<Json, Strin
             }
             let truncated = rows.len() < schedulers.len();
             let mut fields = vec![
-                ("device".to_string(), dev.name().into()),
+                ("device".to_string(), snapshot.device.name().into()),
                 ("from".to_string(), (*from).into()),
                 ("to".to_string(), (*to).into()),
                 ("results".to_string(), Json::Arr(rows)),
@@ -276,9 +278,10 @@ impl ContextMeta {
     }
 }
 
-/// Builds the device snapshot plus a scheduler context fed from the
-/// characterization cache, riding the degradation ladder: a failed build
-/// yields a stale last-known-good context when one exists, else an
+/// Takes the device snapshot plus a scheduler context fed from the
+/// characterization cache, riding the degradation ladder: a fresh entry
+/// lends its shared context; a failed build yields a context over the
+/// stale last-known-good tables when they exist, else an
 /// independent-error-only context with the `par` scheduler forced.
 fn context_for(
     state: &ServeState,
@@ -286,29 +289,31 @@ fn context_for(
     policy: &str,
     seed: u64,
     budget: &Budget,
-) -> Result<(Device, SchedulerContext, ContextMeta), String> {
-    let dev = state.device(device)?;
+) -> Result<(Snapshot, SchedulerContext, ContextMeta), String> {
+    let snapshot = state.snapshot(device)?;
     if !matches!(policy, "truth" | "all" | "onehop" | "binpacked") {
         return Err(format!("unknown policy `{policy}`"));
     }
-    match state.characterization_budgeted(device, policy, seed, 3, 96, budget) {
+    let rb = RbSettings { seed, seqs: 3, shots: 96 };
+    match state.characterization_budgeted(device, &snapshot, policy, rb, budget) {
         Ok((entry, source)) => {
-            let ctx = SchedulerContext::new(&dev, entry.charac.clone());
-            let meta = match source {
-                CharacSource::Fresh { cached } => ContextMeta {
-                    cached,
-                    degraded: None,
-                    charac_epoch: None,
-                    force_par: false,
-                },
-                CharacSource::StaleLkg { epoch, .. } => ContextMeta {
-                    cached: false,
-                    degraded: Some("stale_characterization"),
-                    charac_epoch: Some(epoch),
-                    force_par: false,
-                },
+            let (ctx, meta) = match source {
+                CharacSource::Fresh { cached } => (
+                    entry.ctx.clone(),
+                    ContextMeta { cached, degraded: None, charac_epoch: None, force_par: false },
+                ),
+                // Stale tables under the current calibration.
+                CharacSource::StaleLkg { epoch, .. } => (
+                    SchedulerContext::new(&snapshot.device, &entry.charac),
+                    ContextMeta {
+                        cached: false,
+                        degraded: Some("stale_characterization"),
+                        charac_epoch: Some(epoch),
+                        force_par: false,
+                    },
+                ),
             };
-            Ok((dev, ctx, meta))
+            Ok((snapshot, ctx, meta))
         }
         Err(_) => {
             // Rung 3: parameters are known-good (device and policy were
@@ -318,40 +323,41 @@ fn context_for(
             // force the scheduler that never consults them.
             Metrics::inc(&state.metrics.degraded_independent);
             xtalk_obs::counter!("serve.charac.independent_fallback");
+            let dev = &snapshot.device;
             let mut charac = Characterization::new();
             for &e in dev.topology().edges() {
                 charac.set_independent(e, dev.calibration().cx_error(e));
             }
-            let ctx = SchedulerContext::new(&dev, charac);
+            let ctx = SchedulerContext::new(dev, &charac);
             let meta = ContextMeta {
                 cached: false,
                 degraded: Some("independent_fallback"),
                 charac_epoch: None,
                 force_par: true,
             };
-            Ok((dev, ctx, meta))
+            Ok((snapshot, ctx, meta))
         }
     }
 }
 
 /// The two compilers a job runs through, both over the server's shared
-/// artifact store keyed to the device's current calibration epoch: an
+/// artifact store keyed to the snapshot's calibration epoch: an
 /// *unbudgeted* one for preparation (lower/place/route always complete,
 /// so even a cancelled job has a valid circuit to answer honestly about)
 /// and a *budgeted* one whose anytime schedule/execute passes thread the
 /// job's [`Budget`] into the crosstalk search and the shot loop.
 fn compilers<'d>(
     state: &ServeState,
-    dev: &'d Device,
-    ctx: &SchedulerContext,
+    snapshot: &'d Snapshot,
+    ctx: SchedulerContext,
     budget: &Budget,
 ) -> (Compiler<'d>, Compiler<'d>) {
-    let epoch = EpochToken::new(dev.name(), state.epoch());
+    let dev = &*snapshot.device;
+    let epoch = EpochToken::new(dev.name(), snapshot.epoch);
     let artifacts = Arc::clone(state.cache.artifacts());
     let prep =
         Compiler::with_cache(dev, ctx.clone(), Arc::clone(&artifacts), epoch.clone());
-    let budgeted = Compiler::with_cache(dev, ctx.clone(), artifacts, epoch)
-        .with_budget(budget.clone());
+    let budgeted = Compiler::with_cache(dev, ctx, artifacts, epoch).with_budget(budget.clone());
     (prep, budgeted)
 }
 
@@ -461,6 +467,32 @@ mod tests {
         assert!(first.get("makespan_ns").and_then(Json::as_u64).unwrap() > 0);
         let second = handle(&state, &req);
         assert_eq!(second.get("cached").and_then(Json::as_bool), Some(true));
+    }
+
+    #[test]
+    fn cached_schedule_shares_the_entry_context_and_device() {
+        let _gate = crate::testutil::fault_gate();
+        let state = ServeState::new(ServeConfig::default());
+        let req = Request::Schedule {
+            device: "boeblingen".into(),
+            qasm: BELL.into(),
+            scheduler: "xtalk".into(),
+            omega: 0.5,
+            policy: "truth".into(),
+            seed: 3,
+        };
+        let first = handle(&state, &req);
+        assert_eq!(first.get("cached").and_then(Json::as_bool), Some(false));
+        let (entry, _) = state.characterization("boeblingen", "truth", 3, 3, 96).unwrap();
+        let (snapshot, ctx, meta) =
+            context_for(&state, "boeblingen", "truth", 3, &Budget::unlimited()).unwrap();
+        assert!(meta.cached);
+        assert!(ctx.ptr_eq(&entry.ctx), "a cache hit must not build a context");
+        let fleet = state.snapshot("boeblingen").unwrap();
+        assert!(Arc::ptr_eq(&snapshot.device, &fleet.device), "a job must not copy the device");
+        let second = handle(&state, &req);
+        assert_eq!(second.get("cached").and_then(Json::as_bool), Some(true));
+        assert_eq!(second.get("makespan_ns"), first.get("makespan_ns"));
     }
 
     #[test]

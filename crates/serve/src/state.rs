@@ -99,14 +99,26 @@ impl ServeConfig {
     }
 }
 
+/// A device model and the calibration epoch it belongs to, read together
+/// under the fleet lock: everything a job derives from the device (its
+/// characterization key, scheduler context and compile-artifact epoch)
+/// comes from one snapshot.
+#[derive(Clone, Debug)]
+pub struct Snapshot {
+    /// The device model at `epoch`, shared with the fleet.
+    pub device: Arc<Device>,
+    /// The calibration epoch.
+    pub epoch: u64,
+}
+
 /// Everything shared between the acceptor, connection threads and the
 /// worker pool.
 pub struct ServeState {
     /// The configuration the server started with.
     pub config: ServeConfig,
     /// The simulated device fleet, keyed by name. Mutated only by
-    /// `advance_day`.
-    devices: Mutex<BTreeMap<String, Device>>,
+    /// `advance_day`, which bumps `epoch` under the same lock.
+    devices: Mutex<BTreeMap<String, Arc<Device>>>,
     /// The characterization cache — a typed layer over the shared
     /// content-addressed artifact store ([`CharacCache::artifacts`]) that
     /// also backs every job's compile pipeline, so `compare`-style jobs
@@ -142,7 +154,7 @@ impl ServeState {
     pub fn new(config: ServeConfig) -> Arc<ServeState> {
         let devices = Device::all_ibmq(config.device_seed)
             .into_iter()
-            .map(|d| (d.name().to_string(), d))
+            .map(|d| (d.name().to_string(), Arc::new(d)))
             .collect();
         Arc::new(ServeState {
             config,
@@ -193,16 +205,18 @@ impl ServeState {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    /// A snapshot of the named device's current (possibly drifted) model.
-    /// Accepts both preset names (`ibmq_poughkeepsie`) and the short form
-    /// the CLI uses (`poughkeepsie`).
-    pub fn device(&self, name: &str) -> Result<Device, String> {
+    /// The named device's current (possibly drifted) model with its
+    /// epoch, read in one critical section. Accepts both preset names
+    /// (`ibmq_poughkeepsie`) and the short form the CLI uses
+    /// (`poughkeepsie`).
+    pub fn snapshot(&self, name: &str) -> Result<Snapshot, String> {
         let devices = self.devices.lock().unwrap();
-        devices
+        let device = devices
             .get(name)
             .or_else(|| devices.get(&format!("ibmq_{name}")))
             .cloned()
-            .ok_or_else(|| format!("unknown device `{name}` (try poughkeepsie, johannesburg, boeblingen)"))
+            .ok_or_else(|| format!("unknown device `{name}` (try poughkeepsie, johannesburg, boeblingen)"))?;
+        Ok(Snapshot { device, epoch: self.epoch() })
     }
 
     /// Advances the simulated calibration day: every device drifts via
@@ -214,7 +228,7 @@ impl ServeState {
         // step for concurrent observers.
         let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         for device in devices.values_mut() {
-            *device = device.on_day(epoch as u32);
+            *device = Arc::new(device.on_day(epoch as u32));
         }
         drop(devices);
         self.cache.invalidate_before(epoch);
@@ -222,11 +236,8 @@ impl ServeState {
     }
 
     /// The characterization for `(device, policy)` — with `(seed, seqs,
-    /// shots)` for a measured policy — at the current epoch, from cache when possible, degrading to a stale
-    /// last-known-good entry when the build fails (see the module docs).
-    /// `Err` means both rungs 1 and 2 are exhausted — the *request
-    /// parameters* are bad, or the build failed with no usable fallback —
-    /// and the caller decides whether rung 3 applies.
+    /// shots)` for a measured policy — at the current epoch, unbudgeted
+    /// (see [`ServeState::characterization_budgeted`]).
     pub fn characterization(
         &self,
         device_name: &str,
@@ -235,10 +246,19 @@ impl ServeState {
         seqs: usize,
         shots: u64,
     ) -> Result<(Arc<CacheEntry>, CharacSource), String> {
-        self.characterization_budgeted(device_name, policy, seed, seqs, shots, &Budget::unlimited())
+        let snapshot = self.snapshot(device_name)?;
+        let rb = RbSettings { seed, seqs, shots };
+        self.characterization_budgeted(device_name, &snapshot, policy, rb, &Budget::unlimited())
     }
 
-    /// [`ServeState::characterization`] under a cooperative [`Budget`].
+    /// The characterization for `(device, policy)` — with the RB settings
+    /// `rb` for a measured policy — of the device `snapshot`, from cache
+    /// when possible, degrading to a stale last-known-good entry when the
+    /// build fails (see the module docs). `Err` means both rungs 1 and 2
+    /// are exhausted — the *request parameters* are bad, or the build
+    /// failed with no usable fallback — and the caller decides whether
+    /// rung 3 applies.
+    ///
     /// A budget-truncated build is treated exactly like a failed one: the
     /// partial tables are *not* cached (they would poison every later
     /// request sharing the key) and the request rides the degradation
@@ -246,13 +266,12 @@ impl ServeState {
     pub fn characterization_budgeted(
         &self,
         device_name: &str,
+        snapshot: &Snapshot,
         policy: &str,
-        seed: u64,
-        seqs: usize,
-        shots: u64,
+        rb: RbSettings,
         budget: &Budget,
     ) -> Result<(Arc<CacheEntry>, CharacSource), String> {
-        let device = self.device(device_name)?;
+        let (device, epoch) = (&*snapshot.device, snapshot.epoch);
         let policy_obj = match policy {
             "truth" => None,
             "all" => Some(CharacterizationPolicy::AllPairs),
@@ -260,13 +279,12 @@ impl ServeState {
             "binpacked" => Some(CharacterizationPolicy::OneHopBinPacked { k_hops: 2 }),
             other => return Err(format!("unknown policy `{other}`")),
         };
-        let epoch = self.epoch();
         // Key on what the tables depend on: a measured policy's effective
         // RB settings, nothing for `truth` (the ground truth ignores them).
         let rb = policy_obj.is_some().then(|| RbSettings {
-            seed,
-            seqs: seqs.max(1),
-            shots: shots.max(16),
+            seed: rb.seed,
+            seqs: rb.seqs.max(1),
+            shots: rb.shots.max(16),
         });
         // The stale fallback is already flagged approximate: it takes the
         // latest tables of the same measured seed whatever their RB
@@ -294,10 +312,9 @@ impl ServeState {
                     return Err(format!("characterization failed: {msg}"));
                 }
                 match policy_obj {
-                    None => Ok(CacheEntry {
-                        charac: Characterization::from_ground_truth(&device),
-                        report: None,
-                    }),
+                    None => {
+                        Ok(CacheEntry::new(device, Characterization::from_ground_truth(device), None))
+                    }
                     Some(p) => {
                         let rb = rb.expect("measured policies carry RB settings");
                         let config = RbConfig {
@@ -307,7 +324,7 @@ impl ServeState {
                             ..Default::default()
                         };
                         let (charac, report) =
-                            characterize_budgeted(&device, &p, &config, &TimeModel::default(), budget);
+                            characterize_budgeted(device, &p, &config, &TimeModel::default(), budget);
                         if !report.complete {
                             // A truncated sweep is a failed build: partial
                             // tables must not enter the cache or the LKG
@@ -317,7 +334,7 @@ impl ServeState {
                                 report.bins_completed, report.bins_total
                             ));
                         }
-                        Ok(CacheEntry { charac, report: Some(report) })
+                        Ok(CacheEntry::new(device, charac, Some(report)))
                     }
                 }
             }));
@@ -363,11 +380,64 @@ mod tests {
     #[test]
     fn devices_drift_on_advance_day() {
         let state = ServeState::new(ServeConfig::default());
-        let before = state.device("poughkeepsie").unwrap();
+        let before = state.snapshot("poughkeepsie").unwrap();
+        assert_eq!(before.epoch, 0);
         assert_eq!(state.advance_day(), 1);
-        let after = state.device("poughkeepsie").unwrap();
-        assert_ne!(before.calibration(), after.calibration());
-        assert!(state.device("nonesuch").is_err());
+        let after = state.snapshot("poughkeepsie").unwrap();
+        assert_eq!(after.epoch, 1);
+        assert_ne!(before.device.calibration(), after.device.calibration());
+        assert!(state.snapshot("nonesuch").is_err());
+        // Snapshots share the fleet's model instead of copying it.
+        let again = state.snapshot("ibmq_poughkeepsie").unwrap();
+        assert!(Arc::ptr_eq(&after.device, &again.device));
+    }
+
+    /// Characterizations requested while another thread advances the
+    /// day: whenever the epoch did not move during a request, the entry
+    /// (tables and context) is the ground truth of that epoch's device.
+    /// A device and an epoch read apart can pair day-k tables with epoch
+    /// k + 1; the window is short, so a run only catches that sometimes.
+    #[test]
+    fn truth_entries_match_their_epoch_under_concurrent_drift() {
+        const DAYS: u32 = 500;
+        let _gate = fault_gate();
+        let state = ServeState::new(ServeConfig::default());
+        let mut devices = vec![Device::poughkeepsie(state.config.device_seed)];
+        for day in 1..=DAYS {
+            let next = devices[day as usize - 1].on_day(day);
+            devices.push(next);
+        }
+        let expected: Vec<Characterization> =
+            devices.iter().map(Characterization::from_ground_truth).collect();
+        let done = AtomicBool::new(false);
+        let checked = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for _ in 0..DAYS {
+                    state.advance_day();
+                    std::thread::yield_now();
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            let mut checked = 0;
+            loop {
+                // One last request after the final day, which no advance
+                // can race.
+                let finished = done.load(Ordering::SeqCst);
+                let before = state.epoch();
+                let (entry, _) = state.characterization("poughkeepsie", "truth", 7, 3, 96).unwrap();
+                if state.epoch() == before {
+                    let e = before as usize;
+                    assert_eq!(entry.charac, expected[e], "epoch {e}: tables of another day");
+                    let ctx = xtalk_core::SchedulerContext::new(&devices[e], &expected[e]);
+                    assert_eq!(entry.ctx, ctx, "epoch {e}: context of another day");
+                    checked += 1;
+                }
+                if finished {
+                    break checked;
+                }
+            }
+        });
+        assert!(checked > 0, "no request completed within an epoch");
     }
 
     #[test]
@@ -495,8 +565,10 @@ mod tests {
         // LKG the ladder is exhausted and the partial must not be cached.
         let dead = Budget::unlimited();
         dead.cancel_token().cancel();
+        let rb = RbSettings { seed: 7, seqs: 1, shots: 32 };
+        let snapshot = state.snapshot("boeblingen").unwrap();
         let err = state
-            .characterization_budgeted("boeblingen", "onehop", 7, 1, 32, &dead)
+            .characterization_budgeted("boeblingen", &snapshot, "onehop", rb, &dead)
             .unwrap_err();
         assert!(err.contains("budget exhausted"), "unexpected error: {err}");
         assert_eq!(state.cache.len(), 0, "partial tables must not be cached");
@@ -506,8 +578,9 @@ mod tests {
         // Once an LKG exists, a truncated rebuild after drift degrades to
         // the stale entry instead of failing.
         state.advance_day();
+        let snapshot = state.snapshot("boeblingen").unwrap();
         let (_, src) = state
-            .characterization_budgeted("boeblingen", "onehop", 7, 1, 32, &dead)
+            .characterization_budgeted("boeblingen", &snapshot, "onehop", rb, &dead)
             .unwrap();
         assert_eq!(src, CharacSource::StaleLkg { epoch: 0, age: 1 });
     }

@@ -45,7 +45,7 @@ fn main() {
             known_pairs: known.clone(),
         };
         let (charac, report) = characterize(&device, &policy, &rb, &tm);
-        let ctx = SchedulerContext::new(&device, charac);
+        let ctx = SchedulerContext::new(&device, &charac);
 
         // Compile & run the day's workload with the fresh estimates. A
         // per-day compiler mirrors the epoch-keyed serving cache: a new

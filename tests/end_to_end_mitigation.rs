@@ -5,8 +5,7 @@
 
 use crosstalk_mitigation::charac::policy::TimeModel;
 use crosstalk_mitigation::charac::{characterize, CharacterizationPolicy, RbConfig};
-use crosstalk_mitigation::core::pipeline::swap_bell_error;
-use crosstalk_mitigation::core::{ParSched, SchedulerContext, SerialSched, XtalkSched};
+use crosstalk_mitigation::core::{Compiler, ParSched, SchedulerContext, SerialSched, XtalkSched};
 use crosstalk_mitigation::device::Device;
 
 fn rb_config() -> RbConfig {
@@ -37,9 +36,9 @@ fn measured_characterization_drives_mitigation() {
     );
 
     // 2. Schedule the Figure 6 path with the *measured* context.
-    let ctx = SchedulerContext::new(&device, charac);
-    let par = swap_bell_error(&device, &ctx, &ParSched::new(), 0, 13, 512, 5).unwrap();
-    let xt = swap_bell_error(&device, &ctx, &XtalkSched::new(0.5), 0, 13, 512, 5).unwrap();
+    let compiler = Compiler::new(&device, SchedulerContext::new(&device, &charac));
+    let par = compiler.swap_bell_error(&ParSched::new(), 0, 13, 512, 5, 1).unwrap();
+    let xt = compiler.swap_bell_error(&XtalkSched::new(0.5), 0, 13, 512, 5, 1).unwrap();
 
     // 3. The measured-characterization scheduler must still win.
     assert!(
@@ -57,10 +56,10 @@ fn all_three_schedulers_rank_correctly_on_hot_path() {
     // Ground-truth context; the ranking Par > Serial > Xtalk (in error)
     // holds on strongly-affected paths.
     let device = Device::poughkeepsie(7);
-    let ctx = SchedulerContext::from_ground_truth(&device);
-    let par = swap_bell_error(&device, &ctx, &ParSched::new(), 6, 13, 512, 11).unwrap();
-    let ser = swap_bell_error(&device, &ctx, &SerialSched::new(), 6, 13, 512, 11).unwrap();
-    let xt = swap_bell_error(&device, &ctx, &XtalkSched::new(0.5), 6, 13, 512, 11).unwrap();
+    let compiler = Compiler::new(&device, SchedulerContext::from_ground_truth(&device));
+    let par = compiler.swap_bell_error(&ParSched::new(), 6, 13, 512, 11, 1).unwrap();
+    let ser = compiler.swap_bell_error(&SerialSched::new(), 6, 13, 512, 11, 1).unwrap();
+    let xt = compiler.swap_bell_error(&XtalkSched::new(0.5), 6, 13, 512, 11, 1).unwrap();
     assert!(xt.error_rate < par.error_rate, "xt {} par {}", xt.error_rate, par.error_rate);
     assert!(xt.error_rate <= ser.error_rate + 0.03, "xt {} ser {}", xt.error_rate, ser.error_rate);
     // Durations: Serial longest, Par shortest.
@@ -73,9 +72,9 @@ fn crosstalk_free_devices_see_no_downside() {
     // On a crosstalk-free device XtalkSched degenerates to ParSched:
     // identical schedule, identical measured error.
     let device = Device::line(6, 9);
-    let ctx = SchedulerContext::from_ground_truth(&device);
-    let par = swap_bell_error(&device, &ctx, &ParSched::new(), 0, 5, 512, 3).unwrap();
-    let xt = swap_bell_error(&device, &ctx, &XtalkSched::new(0.5), 0, 5, 512, 3).unwrap();
+    let compiler = Compiler::new(&device, SchedulerContext::from_ground_truth(&device));
+    let par = compiler.swap_bell_error(&ParSched::new(), 0, 5, 512, 3, 1).unwrap();
+    let xt = compiler.swap_bell_error(&XtalkSched::new(0.5), 0, 5, 512, 3, 1).unwrap();
     assert_eq!(par.duration_ns, xt.duration_ns);
     assert!((par.error_rate - xt.error_rate).abs() < 1e-9);
 }
@@ -85,10 +84,9 @@ fn bernstein_vazirani_benefits_from_mitigation() {
     // A BV instance whose oracle CNOTs funnel into an ancilla placed so
     // that parallel oracle gates cross the planted hot pairs.
     use crosstalk_mitigation::core::bench_circuits::bernstein_vazirani;
-    use crosstalk_mitigation::core::pipeline::hidden_shift_error;
 
     let device = Device::poughkeepsie(7);
-    let ctx = SchedulerContext::from_ground_truth(&device);
+    let compiler = Compiler::new(&device, SchedulerContext::from_ground_truth(&device));
     let logical = bernstein_vazirani(4, &[0, 1, 2, 3], 0b101);
     let native = crosstalk_mitigation::core::transpile::lower_to_native(&logical);
     let mut padded = crosstalk_mitigation::ir::Circuit::new(20, native.num_clbits());
@@ -102,18 +100,12 @@ fn bernstein_vazirani_benefits_from_mitigation() {
     let routed =
         crosstalk_mitigation::core::layout::route(&padded, device.topology(), layout).unwrap();
 
-    let par = hidden_shift_error(&device, &ctx, &ParSched::new(), &routed.circuit, 0b101, 2048, 3)
+    let par = compiler
+        .hidden_shift_error(&ParSched::new(), &routed.circuit, 0b101, 2048, 3)
         .unwrap();
-    let xt = hidden_shift_error(
-        &device,
-        &ctx,
-        &XtalkSched::new(0.5),
-        &routed.circuit,
-        0b101,
-        2048,
-        3,
-    )
-    .unwrap();
+    let xt = compiler
+        .hidden_shift_error(&XtalkSched::new(0.5), &routed.circuit, 0b101, 2048, 3)
+        .unwrap();
     assert!(par > 0.0 && par < 1.0, "par error {par}");
     assert!(xt <= par + 0.03, "xtalk {xt} should not lose to par {par}");
 }
