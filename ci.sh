@@ -130,6 +130,12 @@ echo "== xtalk profile smoke =="
 snapshot="$(mktemp)"
 target/release/xtalk profile fig5 --seed 3 --shots 128 --threads 2 > "$snapshot"
 target/release/xtalk profile-check "$snapshot"
+# perfbench's sim.run_ms and sim.shots_per_s rows read the executor's two
+# entry spans by name: a rename must fail here, not zero those rows.
+for span in sim.run_parallel sim.run_budgeted; do
+    grep -q "\"name\":\"[^\"]*$span\"" "$snapshot" \
+        || { echo "profile snapshot has no $span span"; exit 1; }
+done
 # The sharing counters are checked too: a snapshot claiming more state
 # updates than shot-steps must be rejected.
 sed 's/"sim.group_steps","value":[0-9]*/"sim.group_steps","value":999999999999/' \

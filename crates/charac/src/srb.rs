@@ -34,74 +34,18 @@ pub struct SrbOutcome {
 /// Panics if a bin entry shares a qubit between its edges or across
 /// pairs, or references a non-edge.
 pub fn run_srb_bin(device: &Device, bin: &[(Edge, Edge)], config: &RbConfig) -> Vec<SrbOutcome> {
-    let topo = device.topology();
-    let mut used: Vec<u32> = Vec::new();
     for &(a, b) in bin {
-        assert!(topo.has_edge(a) && topo.has_edge(b), "bin references a non-edge");
         assert!(!a.shares_qubit(b), "pair {a},{b} shares a qubit");
-        for e in [a, b] {
-            for q in [e.lo(), e.hi()] {
-                assert!(!used.contains(&q), "qubit {q} reused across the bin");
-                used.push(q);
-            }
-        }
     }
-
-    let n = topo.num_qubits();
     let edges: Vec<Edge> = bin.iter().flat_map(|&(a, b)| [a, b]).collect();
-    let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5bb5);
-
-    // survival[edge index] → (length, mean survival)
-    let mut survival: Vec<Vec<(usize, f64)>> = vec![Vec::new(); edges.len()];
-    let mut cx_counts = vec![0usize; edges.len()];
-    let mut clifford_counts = vec![0usize; edges.len()];
-
-    for &m in &config.lengths {
-        let mut means = vec![0.0f64; edges.len()];
-        for s in 0..config.seqs_per_length {
-            let mut c = Circuit::new(n, 2 * edges.len());
-            for (k, e) in edges.iter().enumerate() {
-                let [qa, qb] = e.qubits();
-                cx_counts[k] += rb_sequence(&mut c, qa, qb, m, 2 * k as u32, &mut rng);
-                clifford_counts[k] += m + 1;
-            }
-            // Native lowering shared with the compiler's LowerPass.
-            let c = xtalk_pass::lower_to_native(&c);
-            let sched = Executor::asap_schedule(&c, device.calibration());
-            let cfg = ExecutorConfig {
-                shots: config.shots,
-                seed: config.seed ^ ((m as u64) << 24) ^ ((s as u64) << 8) ^ 0xcafe,
-                ..Default::default()
-            };
-            let counts = Executor::with_config(device, cfg).run(&sched);
-            // Survival of edge k: both of its clbits read 0.
-            for (k, mean) in means.iter_mut().enumerate() {
-                let mask: u64 = 0b11 << (2 * k);
-                let mut p = 0.0;
-                for (outcome, cnt) in counts.iter() {
-                    if outcome & mask == 0 {
-                        p += cnt as f64;
-                    }
-                }
-                *mean += p / counts.shots() as f64;
-            }
-        }
-        for (k, mean) in means.iter().enumerate() {
-            survival[k].push((m, mean / config.seqs_per_length as f64));
-        }
-    }
-
+    let errors = simultaneous_rb(device, &edges, config, 0x5bb5, 0xcafe);
     bin.iter()
-        .enumerate()
-        .map(|(p, &(a, b))| {
-            let ka = 2 * p;
-            let kb = 2 * p + 1;
-            SrbOutcome {
-                first: a,
-                second: b,
-                first_given_second: conditional_error(&survival[ka], cx_counts[ka], clifford_counts[ka]),
-                second_given_first: conditional_error(&survival[kb], cx_counts[kb], clifford_counts[kb]),
-            }
+        .zip(errors.chunks_exact(2))
+        .map(|(&(a, b), e)| SrbOutcome {
+            first: a,
+            second: b,
+            first_given_second: e[0],
+            second_given_first: e[1],
         })
         .collect()
 }
@@ -123,6 +67,27 @@ pub fn run_srb_pair(device: &Device, a: Edge, b: Edge, config: &RbConfig) -> Srb
 ///
 /// Panics if edges share qubits or reference non-edges.
 pub fn run_rb_bin(device: &Device, edges: &[Edge], config: &RbConfig) -> Vec<(Edge, f64)> {
+    let errors = simultaneous_rb(device, edges, config, 0x1bb1, 0xbead);
+    edges.iter().copied().zip(errors).collect()
+}
+
+/// The survival-curve loop shared by RB and SRB bins: every edge runs an
+/// independent RB sequence of each length at the same time, edge `k`
+/// measured into clbits `2k` and `2k + 1`, and each edge's CNOT error is
+/// fitted from its own curve. Sequences draw from one stream seeded with
+/// `config.seed ^ draw_salt`; the executor seed of sequence `s` at length
+/// `m` mixes `m`, `s` and `run_salt` into `config.seed`.
+///
+/// # Panics
+///
+/// Panics if edges share qubits or reference non-edges.
+fn simultaneous_rb(
+    device: &Device,
+    edges: &[Edge],
+    config: &RbConfig,
+    draw_salt: u64,
+    run_salt: u64,
+) -> Vec<f64> {
     let topo = device.topology();
     let mut used: Vec<u32> = Vec::new();
     for &e in edges {
@@ -133,7 +98,8 @@ pub fn run_rb_bin(device: &Device, edges: &[Edge], config: &RbConfig) -> Vec<(Ed
         }
     }
     let n = topo.num_qubits();
-    let mut rng = StdRng::seed_from_u64(config.seed ^ 0x1bb1);
+    let mut rng = StdRng::seed_from_u64(config.seed ^ draw_salt);
+    // survival[edge index] → (length, mean survival)
     let mut survival: Vec<Vec<(usize, f64)>> = vec![Vec::new(); edges.len()];
     let mut cx_counts = vec![0usize; edges.len()];
     let mut clifford_counts = vec![0usize; edges.len()];
@@ -147,14 +113,16 @@ pub fn run_rb_bin(device: &Device, edges: &[Edge], config: &RbConfig) -> Vec<(Ed
                 cx_counts[k] += rb_sequence(&mut c, qa, qb, m, 2 * k as u32, &mut rng);
                 clifford_counts[k] += m + 1;
             }
+            // Native lowering shared with the compiler's LowerPass.
             let c = xtalk_pass::lower_to_native(&c);
             let sched = Executor::asap_schedule(&c, device.calibration());
             let cfg = ExecutorConfig {
                 shots: config.shots,
-                seed: config.seed ^ ((m as u64) << 24) ^ ((s as u64) << 8) ^ 0xbead,
+                seed: config.seed ^ ((m as u64) << 24) ^ ((s as u64) << 8) ^ run_salt,
                 ..Default::default()
             };
             let counts = Executor::with_config(device, cfg).run(&sched);
+            // Survival of edge k: both of its clbits read 0.
             for (k, mean) in means.iter_mut().enumerate() {
                 let mask: u64 = 0b11 << (2 * k);
                 let mut p = 0.0;
@@ -171,10 +139,8 @@ pub fn run_rb_bin(device: &Device, edges: &[Edge], config: &RbConfig) -> Vec<(Ed
         }
     }
 
-    edges
-        .iter()
-        .enumerate()
-        .map(|(k, &e)| (e, conditional_error(&survival[k], cx_counts[k], clifford_counts[k])))
+    (0..edges.len())
+        .map(|k| conditional_error(&survival[k], cx_counts[k], clifford_counts[k]))
         .collect()
 }
 

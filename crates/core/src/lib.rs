@@ -24,10 +24,9 @@
 //! reproduces maximal parallelism, `ω = 1` ignores decoherence, exactly
 //! as in the paper's Figure 8/9 sweeps.
 //!
-//! Also here: SWAP-path routing ([`routing`]), the paper's application
-//! benchmarks ([`bench_circuits`]), and plain execution of a schedule
-//! ([`pipeline`]); [`Compiler`] schedules, executes (via `xtalk-sim`)
-//! and scores circuits.
+//! Also here: SWAP-path routing ([`routing`]) and the paper's
+//! application benchmarks ([`bench_circuits`]); [`Compiler`] schedules,
+//! executes (via `xtalk-sim`) and scores circuits.
 //!
 //! The compile flow itself is expressed as typed passes ([`passes`])
 //! over hashable artifacts, driven by a [`Compiler`] that applies
@@ -41,7 +40,6 @@ mod error;
 pub mod layout;
 pub mod optimize;
 pub mod passes;
-pub mod pipeline;
 mod realize;
 pub mod routing;
 pub mod sched;
@@ -52,7 +50,6 @@ pub use compile::{Compiler, SwapRunOutcome};
 pub use context::SchedulerContext;
 pub use error::CoreError;
 pub use passes::{NativeCircuit, PlacedCircuit, RealizedSchedule, ScheduledArtifact};
-pub use pipeline::{run_scheduled_opts, RunOpts};
 pub use realize::{realize, to_barriered_circuit};
 pub use sched::par::ParSched;
 pub use sched::serial::SerialSched;

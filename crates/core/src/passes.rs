@@ -18,14 +18,13 @@
 
 use crate::layout::{greedy_layout, route, Layout, RoutedCircuit};
 use crate::optimize::fuse_single_qubit_gates;
-use crate::pipeline::{run_scheduled_opts, RunOpts};
 use crate::sched::xtalk::XtalkSchedReport;
 use crate::{to_barriered_circuit, CoreError, Scheduler, SchedulerContext};
 use xtalk_budget::Budget;
 use xtalk_device::{Device, Edge, Topology};
 use xtalk_ir::{Circuit, ScheduledCircuit};
 use xtalk_pass::{ContentHash, Fnv1a, Pass};
-use xtalk_sim::RunOutcome;
+use xtalk_sim::{Executor, ExecutorConfig, RunOutcome};
 
 /// A circuit lowered to the IBMQ native basis (and optionally fused).
 #[derive(Clone, PartialEq, Debug)]
@@ -355,8 +354,8 @@ impl Pass for ExecutePass<'_> {
     }
 
     fn run(&self, input: &ScheduledCircuit, budget: &Budget) -> Result<RunOutcome, CoreError> {
-        let opts = RunOpts { threads: self.threads, budget: budget.clone() };
-        Ok(run_scheduled_opts(self.device, input, self.shots, self.seed, &opts))
+        let cfg = ExecutorConfig { shots: self.shots, seed: self.seed, ..Default::default() };
+        Ok(Executor::with_config(self.device, cfg).run_budgeted(input, self.threads, budget))
     }
 }
 

@@ -8,16 +8,15 @@
 //!   (lower → fuse → pad → place → route → `Scheduler::schedule`),
 //! * a warm cache replays the exact artifacts a cold cache produced,
 //! * execution counts are bit-identical at any thread count, cold or
-//!   warm, and identical to the standalone `run_scheduled_opts`.
+//!   warm, and identical to a plain `Executor::run`.
 
 use xtalk_core::layout::{greedy_layout, route, Layout};
 use xtalk_core::optimize::fuse_single_qubit_gates;
 use xtalk_core::transpile::lower_to_native;
-use xtalk_core::{
-    Compiler, ParSched, RunOpts, Scheduler, SchedulerContext, SerialSched, XtalkSched,
-};
+use xtalk_core::{Compiler, ParSched, Scheduler, SchedulerContext, SerialSched, XtalkSched};
 use xtalk_device::Device;
 use xtalk_ir::{Circuit, ScheduledCircuit};
+use xtalk_sim::{Executor, ExecutorConfig};
 
 /// Seed circuits exercising every pipeline branch: already-compliant,
 /// padding-only, and routing-heavy (greedy layout + SWAP insertion).
@@ -133,16 +132,17 @@ fn execution_counts_are_thread_and_cache_invariant() {
     for s in schedulers() {
         let artifact = compiler.compile(&circuit, s.as_ref()).unwrap();
         let seq = compiler.run(&artifact.sched, 256, 7, 1).unwrap();
-        let par4 = compiler.run(&artifact.sched, 256, 7, 4).unwrap();
-        assert!(seq.complete && par4.complete);
-        assert_eq!(seq.counts, par4.counts, "{}: thread count changed counts", s.name());
-
-        // The standalone entry point sees the same stream at any thread
-        // count.
-        for threads in [1, 2] {
-            let opts = RunOpts { threads, ..Default::default() };
-            let via_opts = xtalk_core::run_scheduled_opts(&device, &artifact.sched, 256, 7, &opts);
-            assert_eq!(via_opts.counts, seq.counts, "{}: {threads} threads", s.name());
+        assert!(seq.complete);
+        for threads in [2, 4] {
+            let par = compiler.run(&artifact.sched, 256, 7, threads).unwrap();
+            assert!(par.complete);
+            assert_eq!(seq.counts, par.counts, "{}: {threads} threads changed counts", s.name());
         }
+
+        // The plain executor, whose batches are sized differently, sees
+        // the same stream.
+        let cfg = ExecutorConfig { shots: 256, seed: 7, ..Default::default() };
+        let plain = Executor::with_config(&device, cfg).run(&artifact.sched);
+        assert_eq!(plain, seq.counts, "{}: plain executor", s.name());
     }
 }

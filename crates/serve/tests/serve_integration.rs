@@ -47,14 +47,8 @@ fn served_run_matches_direct_execution() {
         .unwrap()
         .schedule(&circuit, &ctx)
         .unwrap();
-    let direct = xtalk_core::pipeline::run_scheduled_opts(
-        &device,
-        &sched,
-        512,
-        9,
-        &xtalk_core::RunOpts::default(),
-    )
-    .counts;
+    let cfg = xtalk_sim::ExecutorConfig { shots: 512, seed: 9, ..Default::default() };
+    let direct = xtalk_sim::Executor::with_config(&device, cfg).run(&sched);
 
     let served = counts_map(&resp);
     assert_eq!(served.iter().map(|(_, n)| n).sum::<u64>(), direct.shots());

@@ -20,7 +20,7 @@ use xtalk_ir::{Circuit, Gate, ScheduleSlot, ScheduledCircuit};
 /// budget is always a prefix `0..shots_completed` whose counts are
 /// bit-identical to a fresh run of exactly that many shots at any thread
 /// count.
-pub const BUDGET_BATCH_SHOTS: u64 = 64;
+const BUDGET_BATCH_SHOTS: u64 = 64;
 
 /// Best-effort result of a budgeted run ([`Executor::run_budgeted`]).
 #[derive(Clone, PartialEq, Debug)]
@@ -134,73 +134,27 @@ impl<'a> Executor<'a> {
     /// Executes the schedule, returning measured counts over the circuit's
     /// classical register.
     ///
-    /// Equivalent to [`Executor::run_parallel`] with one thread: every
+    /// Runs on the calling thread in batches of 4,096 shots, so a run of up
+    /// to that many shots is one shared-trajectory block. Every
     /// trajectory derives its own RNG stream from `(seed, shot)`, so the
-    /// counts are identical however the shots are later split over
-    /// threads.
+    /// counts equal [`Executor::run_budgeted`]'s under an unlimited budget
+    /// at any thread count.
     ///
     /// # Panics
     ///
     /// Panics if the schedule is invalid ([`ScheduledCircuit::validate`])
     /// or if a component exceeds the statevector limit.
     pub fn run(&self, sched: &ScheduledCircuit) -> Counts {
-        self.run_parallel(sched, 1)
-    }
-
-    /// Executes the schedule with the Monte-Carlo trials split across
-    /// `threads` OS threads (`0` = all available parallelism).
-    ///
-    /// Each shot seeds its own RNG from `(config.seed, shot)`, which makes
-    /// the result **bit-identical** for a fixed seed regardless of thread
-    /// count — `run_parallel(s, 8)` returns exactly `run(s)`'s counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule is invalid ([`ScheduledCircuit::validate`]),
-    /// if a component exceeds the statevector limit, or if a worker thread
-    /// panics.
-    pub fn run_parallel(&self, sched: &ScheduledCircuit, threads: usize) -> Counts {
         let _span = xtalk_obs::span("sim.run_parallel");
-        sched.validate().expect("executor requires a valid schedule");
-        let prep = self.prepare(sched);
-        let shots = self.config.shots;
-        let threads = match threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        }
-        .min(shots.max(1) as usize)
-        .max(1);
-
-        if threads == 1 {
-            return self.run_shot_batch(&prep, 0, shots, 0, &mut Runner::new());
-        }
-
-        let chunk = shots.div_ceil(threads as u64);
-        std::thread::scope(|scope| {
-            let prep = &prep;
-            let handles: Vec<_> = (0..threads as u64)
-                .map(|t| {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(shots);
-                    scope.spawn(move || {
-                        self.run_shot_batch(prep, lo, hi, t as usize, &mut Runner::new())
-                    })
-                })
-                .collect();
-            let mut counts = Counts::new(sched.circuit().num_clbits().max(1));
-            for handle in handles {
-                counts.merge(&handle.join().expect("trajectory worker panicked"));
-            }
-            counts
-        })
+        self.run_batches(sched, 1, LANE_BLOCK as u64, &Budget::unlimited()).counts
     }
 
-    /// Executes the schedule under a cooperative [`Budget`], checked only
+    /// Executes the schedule across `threads` OS threads (`0` = all
+    /// available parallelism) under a cooperative [`Budget`], checked only
     /// at shot-batch boundaries.
     ///
-    /// Shots are split into fixed-size batches of [`BUDGET_BATCH_SHOTS`]
-    /// claimed from a shared atomic counter in index order; a worker polls
-    /// the budget *before* claiming and always finishes a batch it
+    /// Shots run in fixed batches of 64, claimed in index order; a worker
+    /// polls the budget *before* claiming and always finishes a batch it
     /// claimed. Completed batches therefore form a prefix `0..n`, so the
     /// returned [`RunOutcome`] reports an exact `shots_completed` and its
     /// counts are **bit-identical** to a fresh run of exactly that many
@@ -220,10 +174,28 @@ impl<'a> Executor<'a> {
         budget: &Budget,
     ) -> RunOutcome {
         let _span = xtalk_obs::span("sim.run_budgeted");
+        self.run_batches(sched, threads, BUDGET_BATCH_SHOTS, budget)
+    }
+
+    /// The batch loop behind both entries. Shots are cut into batches of
+    /// `batch` shots, claimed in index order from one atomic counter by
+    /// `threads` workers (`0` = available parallelism; never more workers
+    /// than batches). A worker polls `budget` *before* each claim and
+    /// always finishes a batch it claimed, so the completed batches form a
+    /// prefix `0..n` whatever the thread count. Each batch runs as one
+    /// [`Runner`] block, so `batch` must not exceed [`LANE_BLOCK`].
+    fn run_batches(
+        &self,
+        sched: &ScheduledCircuit,
+        threads: usize,
+        batch: u64,
+        budget: &Budget,
+    ) -> RunOutcome {
+        debug_assert!(batch > 0 && batch <= LANE_BLOCK as u64);
         sched.validate().expect("executor requires a valid schedule");
         let prep = self.prepare(sched);
         let shots = self.config.shots;
-        let num_batches = shots.div_ceil(BUDGET_BATCH_SHOTS);
+        let num_batches = shots.div_ceil(batch);
         let threads = match threads {
             0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
             n => n,
@@ -233,21 +205,19 @@ impl<'a> Executor<'a> {
 
         let next = AtomicU64::new(0);
         let run_worker = |thread_idx: usize| -> Counts {
-            let mut counts = Counts::new(sched.circuit().num_clbits().max(1));
+            let mut counts = Counts::new(prep.num_clbits.max(1));
             let mut runner = Runner::new();
             loop {
-                // Poll *before* claiming: a claimed batch always runs to
-                // completion, keeping the completed set a prefix.
                 if budget.exhausted().is_some() {
                     break;
                 }
-                let batch = next.fetch_add(1, Ordering::Relaxed);
-                if batch >= num_batches {
+                let claimed = next.fetch_add(1, Ordering::Relaxed);
+                if claimed >= num_batches {
                     break;
                 }
-                let lo = batch * BUDGET_BATCH_SHOTS;
-                let hi = (lo + BUDGET_BATCH_SHOTS).min(shots);
-                counts.merge(&self.run_shot_batch(&prep, lo, hi, thread_idx, &mut runner));
+                let lo = claimed * batch;
+                let hi = (lo + batch).min(shots);
+                self.run_block(&prep, lo..hi, thread_idx, &mut runner, &mut counts);
                 budget.charge(1);
             }
             counts
@@ -260,7 +230,7 @@ impl<'a> Executor<'a> {
                 let run_worker = &run_worker;
                 let handles: Vec<_> =
                     (0..threads).map(|t| scope.spawn(move || run_worker(t))).collect();
-                let mut counts = Counts::new(sched.circuit().num_clbits().max(1));
+                let mut counts = Counts::new(prep.num_clbits.max(1));
                 for handle in handles {
                     counts.merge(&handle.join().expect("trajectory worker panicked"));
                 }
@@ -271,7 +241,7 @@ impl<'a> Executor<'a> {
         // Every batch index below the final counter value was claimed and
         // completed (overshoot past `num_batches` claims nothing).
         let claimed = next.load(Ordering::Relaxed).min(num_batches);
-        let shots_completed = (claimed * BUDGET_BATCH_SHOTS).min(shots);
+        let shots_completed = (claimed * batch).min(shots);
         debug_assert_eq!(counts.shots(), shots_completed);
         RunOutcome {
             counts,
@@ -279,40 +249,6 @@ impl<'a> Executor<'a> {
             shots_requested: shots,
             complete: shots_completed == shots,
         }
-    }
-
-    /// [`Executor::run_shot_range`] plus per-batch observability: batch
-    /// wall time, per-thread shot counts, and the sharing counters
-    /// `sim.lane_steps` (shot-steps a per-shot interpreter would have run)
-    /// and `sim.group_steps` (state updates made). Metrics never feed back
-    /// into the trajectory RNG streams, so parallel results stay
-    /// bit-identical whether profiling is on or off.
-    fn run_shot_batch(
-        &self,
-        prep: &Prepared,
-        lo: u64,
-        hi: u64,
-        thread_idx: usize,
-        runner: &mut Runner,
-    ) -> Counts {
-        // `sim.batch` injection point: an injected error panics the batch
-        // (propagating to the caller as a worker/job panic, exercising the
-        // serve stack's quarantine path); a delay only stalls wall time.
-        // Neither touches the per-shot RNG streams, so counts from
-        // surviving runs stay bit-identical.
-        if let Some(msg) = xtalk_fault::fire("sim.batch") {
-            panic!("injected sim.batch fault: {msg}");
-        }
-        let _batch = xtalk_obs::span("sim.shot_batch");
-        let steps_before = (runner.lane_steps, runner.group_steps);
-        let counts = self.run_shot_range(prep, lo, hi, runner);
-        if xtalk_obs::enabled() {
-            xtalk_obs::counter_add("sim.shots", hi - lo);
-            xtalk_obs::counter_add(&format!("sim.thread{thread_idx}.shots"), hi - lo);
-            xtalk_obs::counter_add("sim.lane_steps", runner.lane_steps - steps_before.0);
-            xtalk_obs::counter_add("sim.group_steps", runner.group_steps - steps_before.1);
-        }
-        counts
     }
 
     /// Compiles the schedule into one [`Program`] per connected component.
@@ -425,31 +361,55 @@ impl<'a> Executor<'a> {
         Prepared { num_clbits: circuit.num_clbits(), mats, programs }
     }
 
-    /// Runs shots `lo..hi`, each on its own derived RNG stream, through the
-    /// shared-trajectory [`Runner`]: lanes are taken in blocks of at most
-    /// `runner.block`, and every component runs over a block in chunks of
-    /// [`lanes_per_chunk`] lanes, in component order, so each lane's stream
-    /// continues from one component to the next exactly as one shot's did.
-    fn run_shot_range(&self, prep: &Prepared, lo: u64, hi: u64, runner: &mut Runner) -> Counts {
-        let mut counts = Counts::new(prep.num_clbits.max(1));
-        let mut start = lo;
-        while start < hi {
-            let end = hi.min(start + runner.block as u64);
-            runner.begin_block(self.config.seed, start..end);
-            let lanes = (end - start) as usize;
-            for program in &prep.programs {
-                let chunk = runner.chunk.unwrap_or_else(|| lanes_per_chunk(program.width));
-                for first in (0..lanes).step_by(chunk) {
-                    let last = lanes.min(first.saturating_add(chunk));
-                    runner.run_chunk(&prep.mats, program, first..last);
-                }
-            }
-            for &bits in &runner.bits {
-                counts.record(bits);
-            }
-            start = end;
+    /// Runs one batch, `shots`, as one block of the shared-trajectory
+    /// [`Runner`], each shot on its own derived RNG stream, and records
+    /// their outcomes in `counts`. Every component runs over the block in
+    /// chunks of [`lanes_per_chunk`] lanes, in component order, so each
+    /// lane's stream continues from one component to the next exactly as
+    /// one shot's did.
+    ///
+    /// Per batch it also records the batch wall time, per-thread shot
+    /// counts, and the sharing counters `sim.lane_steps` (shot-steps a
+    /// per-shot interpreter would have run) and `sim.group_steps` (state
+    /// updates made). Metrics never feed back into the trajectory RNG
+    /// streams, so parallel results stay bit-identical whether profiling
+    /// is on or off.
+    fn run_block(
+        &self,
+        prep: &Prepared,
+        shots: std::ops::Range<u64>,
+        thread_idx: usize,
+        runner: &mut Runner,
+        counts: &mut Counts,
+    ) {
+        // `sim.batch` injection point: an injected error panics the batch
+        // (propagating to the caller as a worker/job panic, exercising the
+        // serve stack's quarantine path); a delay only stalls wall time.
+        // Neither touches the per-shot RNG streams, so counts from
+        // surviving runs stay bit-identical.
+        if let Some(msg) = xtalk_fault::fire("sim.batch") {
+            panic!("injected sim.batch fault: {msg}");
         }
-        counts
+        let _batch = xtalk_obs::span("sim.shot_batch");
+        let steps_before = (runner.lane_steps, runner.group_steps);
+        runner.begin_block(self.config.seed, shots);
+        let lanes = runner.rngs.len();
+        for program in &prep.programs {
+            let chunk = runner.chunk.unwrap_or_else(|| lanes_per_chunk(program.width));
+            for first in (0..lanes).step_by(chunk) {
+                let last = lanes.min(first.saturating_add(chunk));
+                runner.run_chunk(&prep.mats, program, first..last);
+            }
+        }
+        for &bits in &runner.bits {
+            counts.record(bits);
+        }
+        if xtalk_obs::enabled() {
+            xtalk_obs::counter_add("sim.shots", lanes as u64);
+            xtalk_obs::counter_add(&format!("sim.thread{thread_idx}.shots"), lanes as u64);
+            xtalk_obs::counter_add("sim.lane_steps", runner.lane_steps - steps_before.0);
+            xtalk_obs::counter_add("sim.group_steps", runner.group_steps - steps_before.1);
+        }
     }
 }
 
@@ -530,8 +490,9 @@ enum Step {
 /// one state, when a single state is larger).
 const BUDGET: usize = 1 << 20;
 
-/// Lanes per block of [`Executor::run_shot_range`]: bounds the per-lane
-/// bookkeeping (RNG stream, outcome, position) however many shots run.
+/// Lanes per [`Runner`] block, and shots per batch in [`Executor::run`]:
+/// bounds the per-lane bookkeeping (RNG stream, outcome, position) however
+/// many shots run.
 const LANE_BLOCK: usize = 4096;
 
 /// Lanes simulated together in one chunk of a `width`-qubit component.
@@ -553,8 +514,6 @@ fn lanes_per_chunk(width: usize) -> usize {
 /// alone. One runner serves one thread; its buffers are reused across
 /// chunks, components and shot batches.
 struct Runner {
-    /// Lanes per block (`LANE_BLOCK` outside tests).
-    block: usize,
     /// Lanes per chunk, overriding [`lanes_per_chunk`] (tests only).
     chunk: Option<usize>,
     /// Per lane of the block: its RNG stream and its measured bits.
@@ -586,7 +545,6 @@ struct Group {
 impl Runner {
     fn new() -> Self {
         Runner {
-            block: LANE_BLOCK,
             chunk: None,
             rngs: Vec::new(),
             bits: Vec::new(),
@@ -956,28 +914,7 @@ mod tests {
     }
 
     #[test]
-    fn run_parallel_is_bit_identical_to_run() {
-        let device = Device::line(3, 1);
-        let mut c = Circuit::new(3, 3);
-        c.h(0).cx(0, 1).cx(1, 2).measure_all();
-        let sched = Executor::asap_schedule(&c, device.calibration());
-        // 1000 shots: deliberately not a multiple of the thread count.
-        let cfg = ExecutorConfig { shots: 1000, seed: 99, ..Default::default() };
-        let exec = Executor::with_config(&device, cfg);
-        let serial = exec.run(&sched);
-        for threads in [2, 3, 4, 7] {
-            assert_eq!(
-                serial,
-                exec.run_parallel(&sched, threads),
-                "thread count {threads} changed the counts"
-            );
-        }
-        // `0` = auto must also match.
-        assert_eq!(serial, exec.run_parallel(&sched, 0));
-    }
-
-    #[test]
-    fn run_parallel_handles_more_threads_than_shots() {
+    fn run_budgeted_handles_more_threads_than_shots() {
         let device = Device::line(2, 0);
         let mut c = Circuit::new(2, 2);
         c.h(0).cx(0, 1).measure_all();
@@ -985,7 +922,7 @@ mod tests {
         let mut cfg = noiseless();
         cfg.shots = 3;
         let exec = Executor::with_config(&device, cfg);
-        let counts = exec.run_parallel(&sched, 64);
+        let counts = exec.run_budgeted(&sched, 64, &Budget::unlimited()).counts;
         assert_eq!(counts.shots(), 3);
         assert_eq!(counts, exec.run(&sched));
     }
@@ -1000,7 +937,8 @@ mod tests {
         let cfg = ExecutorConfig { shots: 1000, seed: 99, ..Default::default() };
         let exec = Executor::with_config(&device, cfg);
         let serial = exec.run(&sched);
-        for threads in [1usize, 2, 4, 7] {
+        // `0` = available parallelism must match too.
+        for threads in [0usize, 1, 2, 3, 4, 7] {
             let out = exec.run_budgeted(&sched, threads, &Budget::unlimited());
             assert!(out.complete);
             assert_eq!(out.shots_completed, 1000);
@@ -1046,7 +984,7 @@ mod tests {
         let fresh = Executor::with_config(&device, fresh_cfg);
         for threads in [1usize, 3, 8] {
             assert_eq!(
-                fresh.run_parallel(&sched, threads),
+                fresh.run_budgeted(&sched, threads, &Budget::unlimited()).counts,
                 out.counts,
                 "partial counts diverge from a fresh {}-shot run at {threads} threads",
                 out.shots_completed
@@ -1081,7 +1019,8 @@ mod tests {
         let device = Device::line(1, 0);
         let exec = Executor::with_config(&device, ExecutorConfig { shots: 4096, ..noiseless() });
         let mut runner = Runner::new();
-        let counts = exec.run_shot_range(&prep, 0, 4096, &mut runner);
+        let mut counts = Counts::new(1);
+        exec.run_block(&prep, 0..4096, 0, &mut runner, &mut counts);
         assert_eq!(counts.shots(), 4096);
         let state = std::mem::size_of::<C64>() << 14;
         let held = runner.states.capacity() * std::mem::size_of::<C64>();

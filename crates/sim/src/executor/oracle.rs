@@ -155,21 +155,23 @@ impl Executor<'_> {
 const CHUNKS: [usize; 6] = [1, 2, 3, 7, 64, usize::MAX];
 
 impl Executor<'_> {
-    /// All shots through one [`Runner`] with `block` lanes per block and
-    /// `chunk` lanes per chunk (`None`: [`lanes_per_chunk`]); returns the
-    /// counts and the runner, for its step counters.
-    fn run_shaped(
-        &self,
-        sched: &ScheduledCircuit,
-        block: usize,
-        chunk: Option<usize>,
-    ) -> (Counts, Runner) {
+    /// All shots as one [`Runner`] block with `chunk` lanes per chunk
+    /// (`None`: [`lanes_per_chunk`]); returns the counts and the runner,
+    /// for its step counters.
+    fn run_chunked(&self, sched: &ScheduledCircuit, chunk: Option<usize>) -> (Counts, Runner) {
+        assert!(self.config.shots <= LANE_BLOCK as u64, "one block holds the run");
         let prep = self.prepare(sched);
         let mut runner = Runner::new();
-        runner.block = block;
         runner.chunk = chunk;
-        let counts = self.run_shot_range(&prep, 0, self.config.shots, &mut runner);
+        let mut counts = Counts::new(prep.num_clbits.max(1));
+        self.run_block(&prep, 0..self.config.shots, 0, &mut runner, &mut counts);
         (counts, runner)
+    }
+
+    /// All shots through the batch loop in batches of `batch` shots on
+    /// `threads` threads, unbudgeted.
+    fn run_shaped(&self, sched: &ScheduledCircuit, batch: u64, threads: usize) -> Counts {
+        self.run_batches(sched, threads, batch, &Budget::unlimited()).counts
     }
 }
 
@@ -410,7 +412,7 @@ fn compiled_programs_match_reference_under_every_noise_switch() {
             let reference = exec.run_reference(&sched);
             assert_eq!(exec.run(&sched), reference, "{name} under {cfg:?}");
             for chunk in CHUNKS {
-                let (counts, _) = exec.run_shaped(&sched, LANE_BLOCK, Some(chunk));
+                let (counts, _) = exec.run_chunked(&sched, Some(chunk));
                 assert_eq!(counts, reference, "{name} under {cfg:?}, {chunk} lanes per chunk");
             }
         }
@@ -429,17 +431,35 @@ fn compiled_programs_match_reference_at_every_thread_count() {
         ] {
             let exec = Executor::with_config(&device, cfg);
             let reference = exec.run_reference(&sched);
-            // Blocks that end mid-chunk and mid-batch.
-            let (counts, _) = exec.run_shaped(&sched, 37, None);
-            assert_eq!(counts, reference, "{name}, 37-lane blocks");
+            assert_eq!(exec.run(&sched), reference, "{name}, run");
+            // Batches that end mid-chunk and off the 64-shot grid.
+            for threads in [1usize, 3] {
+                let counts = exec.run_shaped(&sched, 37, threads);
+                assert_eq!(counts, reference, "{name}, 37-shot batches x{threads}");
+            }
             for threads in [1usize, 2, 4] {
-                assert_eq!(exec.run_parallel(&sched, threads), reference, "{name}, parallel x{threads}");
                 let out = exec.run_budgeted(&sched, threads, &Budget::unlimited());
                 assert!(out.complete);
                 assert_eq!(out.counts, reference, "{name}, budgeted x{threads}");
             }
         }
     }
+}
+
+#[test]
+fn run_past_one_lane_block_matches_reference() {
+    // `run` cuts 4,196 shots into one full `LANE_BLOCK` batch and a
+    // partial one; the mixed-widths case also chunks inside each block.
+    let shots = LANE_BLOCK as u64 + 100;
+    let (name, device, sched) =
+        cases().into_iter().find(|(name, _, _)| *name == "mixed widths").unwrap();
+    let cfg = ExecutorConfig { shots, seed: 6, ..Default::default() };
+    let exec = Executor::with_config(&device, cfg);
+    let reference = exec.run_reference(&sched);
+    assert_eq!(exec.run(&sched), reference, "{name}, run");
+    let out = exec.run_budgeted(&sched, 3, &Budget::unlimited());
+    assert!(out.complete);
+    assert_eq!(out.counts, reference, "{name}, budgeted x3");
 }
 
 #[test]
@@ -473,7 +493,7 @@ fn cases_exercise_every_step_kind() {
     let shots = 96;
     for (name, device, sched) in &cases {
         let cfg = ExecutorConfig { shots, seed: 0x5eed, ..Default::default() };
-        let (_, runner) = Executor::with_config(device, cfg).run_shaped(sched, LANE_BLOCK, None);
+        let (_, runner) = Executor::with_config(device, cfg).run_chunked(sched, None);
         assert!(
             runner.group_steps > runner.lane_steps / shots,
             "{name}: no group split ({} group steps, {} lane steps)",

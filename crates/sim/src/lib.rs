@@ -38,7 +38,7 @@ pub mod tomography;
 
 pub use complex::C64;
 pub use counts::Counts;
-pub use executor::{Executor, ExecutorConfig, RunOutcome, BUDGET_BATCH_SHOTS};
+pub use executor::{Executor, ExecutorConfig, RunOutcome};
 pub use matrix::{single_qubit_matrix, two_qubit_matrix, Mat2, Mat4};
 pub use noise::{
     depolarizing_prob_for_error_1q, depolarizing_prob_for_error_2q, NoiseModel,

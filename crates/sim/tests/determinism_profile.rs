@@ -1,4 +1,4 @@
-//! Determinism matrix: `Executor::run_parallel` must return bit-identical
+//! Determinism matrix: `Executor::run_budgeted` must return bit-identical
 //! counts for every thread count **with profiling enabled**. The obs
 //! layer records wall times and counters but must never touch the
 //! per-shot RNG streams or reorder the merged counts.
@@ -7,6 +7,7 @@
 //! toggle is process-global.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
+use xtalk_budget::Budget;
 use xtalk_device::Device;
 use xtalk_ir::Circuit;
 use xtalk_sim::{Counts, Executor, ExecutorConfig};
@@ -31,15 +32,15 @@ fn bench_circuit() -> (Device, Circuit) {
 fn run_with_threads(device: &Device, c: &Circuit, shots: u64, threads: usize) -> Counts {
     let sched = Executor::asap_schedule(c, device.calibration());
     let cfg = ExecutorConfig { shots, seed: 41, ..Default::default() };
-    Executor::with_config(device, cfg).run_parallel(&sched, threads)
+    Executor::with_config(device, cfg).run_budgeted(&sched, threads, &Budget::unlimited()).counts
 }
 
 #[test]
 fn counts_bit_identical_across_thread_matrix_with_profiling_on() {
     let _gate = obs_lock();
     let (device, c) = bench_circuit();
-    // 999 shots: not a multiple of any thread count in the matrix, so
-    // chunk boundaries differ between runs.
+    // 999 shots: not a multiple of the batch size or of any thread count
+    // in the matrix, so workers claim uneven shares of the batches.
     let shots = 999;
 
     // Reference run with profiling off.
@@ -61,7 +62,7 @@ fn counts_bit_identical_across_thread_matrix_with_profiling_on() {
 
     // The profile itself must be coherent: 4 instrumented runs, and the
     // per-thread shot counters must account for every sampled shot.
-    let runs = snap.span("sim.run_parallel").expect("run span missing");
+    let runs = snap.span("sim.run_budgeted").expect("run span missing");
     assert_eq!(runs.count, 4);
     assert_eq!(snap.counter("sim.shots"), Some(4 * shots));
     let per_thread: u64 = snap
