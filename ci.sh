@@ -13,6 +13,11 @@ cargo test -q --workspace
 echo "== cargo clippy -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc -D warnings =="
+# Intra-doc links are checked, so renaming or deleting a type cannot
+# leave a broken or ambiguous link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== observability suites =="
 # The toggle is process-global, so these live in dedicated test binaries:
 # determinism with profiling ON, overhead budget with profiling OFF.

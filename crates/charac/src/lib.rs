@@ -32,5 +32,5 @@ pub mod srb;
 
 pub use fit::{error_per_clifford, fit_decay, fit_decay_bootstrap, fit_decay_fixed_offset, DecayFit};
 pub use pipeline::{characterize, characterize_budgeted, CharacError, Characterization, CharacterizationReport};
-pub use policy::CharacterizationPolicy;
+pub use policy::{CharacterizationPolicy, PolicyName};
 pub use rb::RbConfig;

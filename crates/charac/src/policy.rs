@@ -63,6 +63,61 @@ impl CharacterizationPolicy {
     }
 }
 
+/// A characterization policy by the name the `xtalk` CLI and the job
+/// service accept: the device model's ground truth or one of the
+/// measured policies. This is the one table of those names.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum PolicyName {
+    /// `truth`: the tables are read off the device model; nothing is
+    /// measured.
+    Truth,
+    /// `all`: [`CharacterizationPolicy::AllPairs`].
+    All,
+    /// `onehop`: [`CharacterizationPolicy::OneHop`].
+    OneHop,
+    /// `binpacked`: [`CharacterizationPolicy::OneHopBinPacked`] with
+    /// `k_hops = 2`.
+    BinPacked,
+}
+
+impl PolicyName {
+    /// Every accepted policy.
+    const ALL: [PolicyName; 4] =
+        [PolicyName::Truth, PolicyName::All, PolicyName::OneHop, PolicyName::BinPacked];
+
+    /// The policy named `name`.
+    ///
+    /// # Errors
+    ///
+    /// `` unknown policy `name` `` for any other name.
+    pub fn parse(name: &str) -> Result<PolicyName, String> {
+        PolicyName::ALL
+            .into_iter()
+            .find(|p| p.as_str() == name)
+            .ok_or_else(|| format!("unknown policy `{name}`"))
+    }
+
+    /// The accepted name.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            PolicyName::Truth => "truth",
+            PolicyName::All => "all",
+            PolicyName::OneHop => "onehop",
+            PolicyName::BinPacked => "binpacked",
+        }
+    }
+
+    /// The SRB plan a measured policy runs; `None` for `truth`.
+    pub fn measured(self) -> Option<CharacterizationPolicy> {
+        match self {
+            PolicyName::Truth => None,
+            PolicyName::All => Some(CharacterizationPolicy::AllPairs),
+            PolicyName::OneHop => Some(CharacterizationPolicy::OneHop),
+            PolicyName::BinPacked => Some(CharacterizationPolicy::OneHopBinPacked { k_hops: 2 }),
+        }
+    }
+}
+
 /// Machine-time accounting for a characterization run.
 ///
 /// The paper reports ~22.6 M circuit executions for 221 all-pairs SRB
@@ -152,5 +207,14 @@ mod tests {
         uniq.sort_unstable();
         uniq.dedup();
         assert_eq!(uniq.len(), 4);
+    }
+
+    #[test]
+    fn policy_names_round_trip() {
+        for policy in PolicyName::ALL {
+            assert_eq!(PolicyName::parse(policy.as_str()), Ok(policy));
+            assert_eq!(policy.measured().is_none(), policy == PolicyName::Truth);
+        }
+        assert_eq!(PolicyName::parse("psychic"), Err("unknown policy `psychic`".to_string()));
     }
 }

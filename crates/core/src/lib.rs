@@ -53,5 +53,5 @@ pub use passes::{NativeCircuit, PlacedCircuit, RealizedSchedule, ScheduledArtifa
 pub use realize::{realize, to_barriered_circuit};
 pub use sched::par::ParSched;
 pub use sched::serial::SerialSched;
-pub use sched::xtalk::{Engine, OrderingPolicy, XtalkSched, XtalkSchedReport};
-pub use sched::Scheduler;
+pub use sched::xtalk::{OrderingPolicy, XtalkSched, XtalkSchedReport};
+pub use sched::{scheduler_by_name, Scheduler};

@@ -33,7 +33,7 @@ pub trait Scheduler {
 
     /// Folds the scheduler's identity *and configuration* into a cache
     /// key. The default covers configuration-free schedulers; schedulers
-    /// with knobs (e.g. `XtalkSched`'s ω, leaf cap, ordering, engine)
+    /// with knobs (e.g. `XtalkSched`'s ω, leaf cap, ordering)
     /// must override it so differently-configured instances never share
     /// cached schedules.
     fn fingerprint(&self, h: &mut Fnv1a) {
@@ -57,6 +57,26 @@ pub trait Scheduler {
         let _ = budget;
         Ok((self.schedule(circuit, ctx)?, None))
     }
+}
+
+/// The scheduler the CLI and the job service name `name`: `xtalk`
+/// ([`XtalkSched`](xtalk::XtalkSched) with crosstalk weight `omega`),
+/// `par` or `serial`. `omega` is checked whatever the name, so a bad
+/// weight fails loudly even where it would go unused.
+///
+/// # Errors
+///
+/// `omega` outside `[0, 1]`, or an unknown name.
+pub fn scheduler_by_name(name: &str, omega: f64) -> Result<Box<dyn Scheduler>, String> {
+    if !(0.0..=1.0).contains(&omega) {
+        return Err(format!("omega must be in [0,1], got {omega}"));
+    }
+    Ok(match name {
+        "xtalk" => Box::new(xtalk::XtalkSched::new(omega)),
+        "par" => Box::new(par::ParSched::new()),
+        "serial" => Box::new(serial::SerialSched::new()),
+        other => return Err(format!("unknown scheduler `{other}`")),
+    })
 }
 
 /// Verifies that every two-qubit gate sits on a calibrated coupling edge.

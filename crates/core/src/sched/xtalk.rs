@@ -26,7 +26,8 @@ use xtalk_ir::{Circuit, ScheduleSlot, ScheduledCircuit};
 ///   eagerly into the [`xtalk_smt`] optimizer (one boolean per
 ///   serialization direction, guarded difference constraints), mirroring
 ///   the paper's Z3 formulation. Exponential in candidate pairs; used to
-///   cross-validate the lazy engine on small instances.
+///   cross-validate the lazy engine on small instances. The
+///   [`Scheduler`] impl always runs the lazy engine.
 ///
 /// `ω = 0` considers only decoherence (≈ `ParSched`); `ω = 1` only
 /// crosstalk (serializes every interfering pair, ≈ `SerialSched` on
@@ -36,19 +37,6 @@ pub struct XtalkSched {
     omega: f64,
     max_leaves: u64,
     ordering: OrderingPolicy,
-    engine: Engine,
-}
-
-/// Which decision engine [`Scheduler::schedule_report`] dispatches to.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Engine {
-    /// Lazy conflict-driven branch-and-bound (the default).
-    #[default]
-    Lazy,
-    /// Eager SMT-style encoding solved by [`xtalk_smt::Optimizer`] —
-    /// exponential in candidate pairs; for small instances and
-    /// cross-validation.
-    Smt,
 }
 
 /// How serialization *order* is decided when a pair must be serialized.
@@ -101,7 +89,6 @@ impl XtalkSched {
             omega,
             max_leaves: 100_000,
             ordering: OrderingPolicy::Optimal,
-            engine: Engine::Lazy,
         }
     }
 
@@ -109,17 +96,6 @@ impl XtalkSched {
     pub fn with_ordering(mut self, ordering: OrderingPolicy) -> Self {
         self.ordering = ordering;
         self
-    }
-
-    /// Selects the decision engine (see [`Engine`]).
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The configured decision engine.
-    pub fn engine(&self) -> Engine {
-        self.engine
     }
 
     /// Overrides the anytime leaf budget.
@@ -392,10 +368,7 @@ impl Scheduler for XtalkSched {
         circuit: &Circuit,
         ctx: &SchedulerContext,
     ) -> Result<ScheduledCircuit, CoreError> {
-        match self.engine {
-            Engine::Lazy => self.schedule_with_report(circuit, ctx).map(|(s, _)| s),
-            Engine::Smt => self.schedule_via_smt(circuit, ctx).map(|(s, _)| s),
-        }
+        self.schedule_with_report(circuit, ctx).map(|(s, _)| s)
     }
 
     fn name(&self) -> &'static str {
@@ -410,10 +383,6 @@ impl Scheduler for XtalkSched {
             OrderingPolicy::Optimal => 0,
             OrderingPolicy::ProgramOrder => 1,
         });
-        h.write_u8(match self.engine {
-            Engine::Lazy => 0,
-            Engine::Smt => 1,
-        });
     }
 
     fn schedule_report(
@@ -422,10 +391,7 @@ impl Scheduler for XtalkSched {
         ctx: &SchedulerContext,
         budget: &Budget,
     ) -> Result<(ScheduledCircuit, Option<XtalkSchedReport>), CoreError> {
-        let (sched, report) = match self.engine {
-            Engine::Lazy => self.schedule_budgeted(circuit, ctx, budget)?,
-            Engine::Smt => self.schedule_via_smt_budgeted(circuit, ctx, budget)?,
-        };
+        let (sched, report) = self.schedule_budgeted(circuit, ctx, budget)?;
         Ok((sched, Some(report)))
     }
 }

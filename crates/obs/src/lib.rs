@@ -6,9 +6,9 @@
 //! relaxed atomic load and returns without allocating, so instrumented
 //! hot loops pay effectively nothing. When enabled:
 //!
-//! * [`span`] returns an RAII guard that records wall time into a
-//!   log-scale [`Histogram`](hist::Histogram) keyed by the span's
-//!   hierarchical path. Nested spans join their names with `/` via a
+//! * [`span()`] returns an RAII guard that records wall time into a
+//!   log-scale [`Histogram`] keyed by the span's hierarchical path.
+//!   Nested spans join their names with `/` via a
 //!   thread-local stack, so a `realize` span opened inside a
 //!   `sched.xtalk` span shows up as `sched.xtalk/realize`.
 //! * [`counter_add`] bumps a named monotonic counter.

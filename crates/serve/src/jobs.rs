@@ -1,13 +1,13 @@
 //! Job handlers: the worker-pool side of every heavy request.
 //!
-//! Scheduling jobs ride the degradation ladder of
-//! [`ServeState::characterization`]: a failed characterization build
-//! degrades first to a stale last-known-good entry (response flagged
-//! `"degraded": "stale_characterization"`), then to an
-//! independent-error-only model built from the live calibration with the
-//! crosstalk-oblivious `par` scheduler forced
-//! (`"degraded": "independent_fallback"`) — the service answers with a
-//! valid, honestly-labelled schedule instead of an error.
+//! Every job that needs error tables takes them from the degradation
+//! ladder in [`crate::cache`]: `characterize` answers from the fresh or
+//! stale rung and fails past them, while `schedule`, `run` and
+//! `swap_demo` fall through to the independent-error model with the
+//! crosstalk-oblivious `par` scheduler forced — the service answers with
+//! a valid, honestly-labelled schedule instead of an error. The rung's
+//! [`Provenance`] writes the reply's `cached`, `degraded`,
+//! `charac_epoch` and `stale_epochs` fields.
 //!
 //! # Budgets
 //!
@@ -31,17 +31,16 @@
 //! schedulers, and `advance_day` invalidates compile artifacts together
 //! with characterizations.
 
+use crate::cache::{Provenance, RbSettings, Resolved};
 use crate::json::{obj, Json};
-use crate::metrics::Metrics;
 use crate::protocol::{err_response, Request};
-use crate::cache::RbSettings;
-use crate::state::{CharacSource, ServeState, Snapshot};
+use crate::state::{ServeState, Snapshot};
 use std::sync::Arc;
 use xtalk_budget::Budget;
-use xtalk_charac::Characterization;
+use xtalk_charac::PolicyName;
 use xtalk_core::{
-    Compiler, ParSched, Scheduler, SchedulerContext, ScheduledArtifact, SerialSched,
-    XtalkSched, XtalkSchedReport,
+    scheduler_by_name, Compiler, ParSched, Scheduler, SchedulerContext, ScheduledArtifact,
+    SerialSched, XtalkSched, XtalkSchedReport,
 };
 use xtalk_ir::{qasm, Circuit};
 use xtalk_pass::EpochToken;
@@ -64,6 +63,12 @@ pub fn handle(state: &ServeState, req: &Request, budget: &Budget) -> Json {
             resp
         }
     }
+}
+
+/// A success reply: `ok: true` ahead of the job's fields.
+fn reply(mut fields: Vec<(String, Json)>) -> Json {
+    fields.insert(0, ("ok".to_string(), Json::Bool(true)));
+    Json::Obj(fields)
 }
 
 /// Appends the `budget_exhausted` flag (plus the reason) when `truncated`
@@ -94,15 +99,15 @@ fn run(state: &ServeState, req: &Request, budget: &Budget) -> Result<Json, Strin
                 ("requested_ms".to_string(), (*ms).into()),
             ];
             annotate_budget(&mut fields, budget, slept < *ms);
-            let mut pairs = vec![("ok".to_string(), Json::Bool(true))];
-            pairs.extend(fields);
-            Ok(Json::Obj(pairs))
+            Ok(reply(fields))
         }
         Request::Characterize { device, policy, seed, seqs, shots } => {
             let snapshot = state.snapshot(device)?;
             let rb = RbSettings { seed: *seed, seqs: *seqs, shots: *shots };
-            let (entry, source) =
-                state.characterization_budgeted(device, &snapshot, policy, rb, budget)?;
+            // No rung 3: a characterization answers with measured tables
+            // or not at all.
+            let resolved = state.cache.resolve(&snapshot, *policy, rb, budget, &state.metrics)?;
+            let entry = &resolved.entry;
             let high: Vec<Json> = entry
                 .charac
                 .high_pairs(3.0)
@@ -111,19 +116,11 @@ fn run(state: &ServeState, req: &Request, budget: &Budget) -> Result<Json, Strin
                 .collect();
             let mut fields = vec![
                 ("device".to_string(), Json::Str(device.clone())),
-                ("policy".to_string(), Json::Str(policy.clone())),
+                ("policy".to_string(), policy.as_str().into()),
                 ("epoch".to_string(), snapshot.epoch.into()),
-                (
-                    "cached".to_string(),
-                    matches!(source, CharacSource::Fresh { cached: true }).into(),
-                ),
                 ("high_pairs".to_string(), Json::Arr(high)),
             ];
-            if let CharacSource::StaleLkg { epoch, age } = source {
-                fields.push(("degraded".to_string(), "stale_characterization".into()));
-                fields.push(("charac_epoch".to_string(), epoch.into()));
-                fields.push(("stale_epochs".to_string(), age.into()));
-            }
+            resolved.provenance.annotate(&mut fields);
             if let Some(report) = &entry.report {
                 fields.push((
                     "report".to_string(),
@@ -135,38 +132,33 @@ fn run(state: &ServeState, req: &Request, budget: &Budget) -> Result<Json, Strin
                     ]),
                 ));
             }
-            let mut pairs = vec![("ok".to_string(), Json::Bool(true))];
-            pairs.extend(fields);
-            Ok(Json::Obj(pairs))
+            Ok(reply(fields))
         }
         Request::Schedule { device, qasm, scheduler, omega, policy, seed } => {
-            let (snapshot, ctx, meta) = context_for(state, device, policy, *seed, budget)?;
-            let (prep, budgeted) = compilers(state, &snapshot, ctx, budget);
+            let (snapshot, tables) = scheduling_tables(state, device, *policy, *seed, budget)?;
+            let (prep, budgeted) = compilers(state, &snapshot, tables.ctx, budget);
             let circuit = prepare_circuit(qasm, &prep)?;
             let (artifact, sched_name) =
-                schedule_budget_aware(scheduler, *omega, &meta, &circuit, &budgeted)?;
+                schedule_budget_aware(scheduler, *omega, tables.provenance, &circuit, &budgeted)?;
             let sched = &artifact.sched;
             let mut fields = vec![
                 ("device".to_string(), snapshot.device.name().into()),
                 ("scheduler".to_string(), sched_name.into()),
                 ("makespan_ns".to_string(), sched.makespan().into()),
                 ("instructions".to_string(), sched.circuit().len().into()),
-                ("cached".to_string(), meta.cached.into()),
                 ("epoch".to_string(), snapshot.epoch.into()),
             ];
             let truncated = annotate_search(&mut fields, &artifact.report);
             annotate_budget(&mut fields, budget, truncated);
-            meta.annotate(&mut fields);
-            let mut pairs = vec![("ok".to_string(), Json::Bool(true))];
-            pairs.extend(fields);
-            Ok(Json::Obj(pairs))
+            tables.provenance.annotate(&mut fields);
+            Ok(reply(fields))
         }
         Request::Run { device, qasm, scheduler, omega, policy, shots, seed, threads } => {
-            let (snapshot, ctx, meta) = context_for(state, device, policy, *seed, budget)?;
-            let (prep, budgeted) = compilers(state, &snapshot, ctx, budget);
+            let (snapshot, tables) = scheduling_tables(state, device, *policy, *seed, budget)?;
+            let (prep, budgeted) = compilers(state, &snapshot, tables.ctx, budget);
             let circuit = prepare_circuit(qasm, &prep)?;
             let (artifact, sched_name) =
-                schedule_budget_aware(scheduler, *omega, &meta, &circuit, &budgeted)?;
+                schedule_budget_aware(scheduler, *omega, tables.provenance, &circuit, &budgeted)?;
             let sched = &artifact.sched;
             let outcome =
                 budgeted.run(sched, *shots, *seed, *threads).map_err(|e| e.to_string())?;
@@ -188,19 +180,17 @@ fn run(state: &ServeState, req: &Request, budget: &Budget) -> Result<Json, Strin
                 ("shots".to_string(), counts.shots().into()),
                 ("shots_requested".to_string(), outcome.shots_requested.into()),
                 ("shots_completed".to_string(), outcome.shots_completed.into()),
-                ("cached".to_string(), meta.cached.into()),
                 ("counts".to_string(), counts_obj),
             ];
             let search_truncated = annotate_search(&mut fields, &artifact.report);
             annotate_budget(&mut fields, budget, search_truncated || !outcome.complete);
-            meta.annotate(&mut fields);
-            let mut pairs = vec![("ok".to_string(), Json::Bool(true))];
-            pairs.extend(fields);
-            Ok(Json::Obj(pairs))
+            tables.provenance.annotate(&mut fields);
+            Ok(reply(fields))
         }
         Request::SwapDemo { device, from, to, shots, seed } => {
-            let (snapshot, ctx, _meta) = context_for(state, device, "truth", *seed, budget)?;
-            let (prep, _) = compilers(state, &snapshot, ctx, budget);
+            let (snapshot, tables) =
+                scheduling_tables(state, device, PolicyName::Truth, *seed, budget)?;
+            let (prep, _) = compilers(state, &snapshot, tables.ctx, budget);
             let schedulers: Vec<Box<dyn Scheduler>> = vec![
                 Box::new(SerialSched::new()),
                 Box::new(ParSched::new()),
@@ -232,9 +222,7 @@ fn run(state: &ServeState, req: &Request, budget: &Budget) -> Result<Json, Strin
                 ("results".to_string(), Json::Arr(rows)),
             ];
             annotate_budget(&mut fields, budget, truncated);
-            let mut pairs = vec![("ok".to_string(), Json::Bool(true))];
-            pairs.extend(fields);
-            Ok(Json::Obj(pairs))
+            Ok(reply(fields))
         }
         light => Err(format!("`{}` is not a pooled job", light.kind())),
     }
@@ -252,92 +240,23 @@ fn annotate_search(fields: &mut Vec<(String, Json)>, report: &Option<XtalkSchedR
     !report.complete
 }
 
-/// How the scheduler context for a job was obtained.
-pub struct ContextMeta {
-    /// Characterization cache hit.
-    pub cached: bool,
-    /// `None` on the happy path; the degradation label otherwise
-    /// (`"stale_characterization"` or `"independent_fallback"`).
-    pub degraded: Option<&'static str>,
-    /// For stale fallbacks, the epoch the tables were built for.
-    pub charac_epoch: Option<u64>,
-    /// Rung 3: the context has no conditional terms, so the
-    /// crosstalk-aware scheduler must be replaced by `par`.
-    pub force_par: bool,
-}
-
-impl ContextMeta {
-    /// Appends the degradation fields to a response under construction.
-    fn annotate(&self, fields: &mut Vec<(String, Json)>) {
-        if let Some(label) = self.degraded {
-            fields.push(("degraded".to_string(), label.into()));
-        }
-        if let Some(epoch) = self.charac_epoch {
-            fields.push(("charac_epoch".to_string(), epoch.into()));
-        }
-    }
-}
-
-/// Takes the device snapshot plus a scheduler context fed from the
-/// characterization cache, riding the degradation ladder: a fresh entry
-/// lends its shared context; a failed build yields a context over the
-/// stale last-known-good tables when they exist, else an
-/// independent-error-only context with the `par` scheduler forced.
-fn context_for(
+/// The device snapshot and the error tables a scheduling job runs with:
+/// the whole degradation ladder, down to the independent-error model when
+/// neither a build nor a last-known-good entry is available.
+fn scheduling_tables(
     state: &ServeState,
     device: &str,
-    policy: &str,
+    policy: PolicyName,
     seed: u64,
     budget: &Budget,
-) -> Result<(Snapshot, SchedulerContext, ContextMeta), String> {
+) -> Result<(Snapshot, Resolved), String> {
     let snapshot = state.snapshot(device)?;
-    if !matches!(policy, "truth" | "all" | "onehop" | "binpacked") {
-        return Err(format!("unknown policy `{policy}`"));
-    }
     let rb = RbSettings { seed, seqs: 3, shots: 96 };
-    match state.characterization_budgeted(device, &snapshot, policy, rb, budget) {
-        Ok((entry, source)) => {
-            let (ctx, meta) = match source {
-                CharacSource::Fresh { cached } => (
-                    entry.ctx.clone(),
-                    ContextMeta { cached, degraded: None, charac_epoch: None, force_par: false },
-                ),
-                // Stale tables under the current calibration.
-                CharacSource::StaleLkg { epoch, .. } => (
-                    SchedulerContext::new(&snapshot.device, &entry.charac),
-                    ContextMeta {
-                        cached: false,
-                        degraded: Some("stale_characterization"),
-                        charac_epoch: Some(epoch),
-                        force_par: false,
-                    },
-                ),
-            };
-            Ok((snapshot, ctx, meta))
-        }
-        Err(_) => {
-            // Rung 3: parameters are known-good (device and policy were
-            // validated above), so this is a build failure with no usable
-            // last-known-good. Degrade to the independent rates the daily
-            // calibration always provides — no conditional terms — and
-            // force the scheduler that never consults them.
-            Metrics::inc(&state.metrics.degraded_independent);
-            xtalk_obs::counter!("serve.charac.independent_fallback");
-            let dev = &snapshot.device;
-            let mut charac = Characterization::new();
-            for &e in dev.topology().edges() {
-                charac.set_independent(e, dev.calibration().cx_error(e));
-            }
-            let ctx = SchedulerContext::new(dev, &charac);
-            let meta = ContextMeta {
-                cached: false,
-                degraded: Some("independent_fallback"),
-                charac_epoch: None,
-                force_par: true,
-            };
-            Ok((snapshot, ctx, meta))
-        }
-    }
+    let tables = state
+        .cache
+        .resolve(&snapshot, policy, rb, budget, &state.metrics)
+        .unwrap_or_else(|_| Resolved::independent(&snapshot, &state.metrics));
+    Ok((snapshot, tables))
 }
 
 /// The two compilers a job runs through, both over the server's shared
@@ -362,38 +281,28 @@ fn compilers<'d>(
 }
 
 /// Schedules with the scheduler a job actually runs with: the requested
-/// one, unless the context degraded to rung 3 (no conditional terms), in
-/// which case the crosstalk-oblivious `par` replaces it. The requested
-/// name is still validated so a typo fails loudly rather than being
-/// masked by the degradation. Scheduling goes through the budgeted
-/// [`Compiler`], so the crosstalk scheduler's anytime search sees the
-/// job's budget (and its report rides along in the artifact), while
-/// complete schedules land in the shared artifact cache.
+/// one, unless the tables fell to the independent-error model (no
+/// conditional terms), in which case the crosstalk-oblivious `par`
+/// replaces it. The requested name is still validated so a typo fails
+/// loudly rather than being masked by the degradation. Scheduling goes
+/// through the budgeted [`Compiler`], so the crosstalk scheduler's
+/// anytime search sees the job's budget (and its report rides along in
+/// the artifact), while complete schedules land in the shared artifact
+/// cache.
 fn schedule_budget_aware(
     name: &str,
     omega: f64,
-    meta: &ContextMeta,
+    provenance: Provenance,
     circuit: &Circuit,
     compiler: &Compiler<'_>,
 ) -> Result<(Arc<ScheduledArtifact>, String), String> {
     let requested = scheduler_by_name(name, omega)?;
-    let actual: Box<dyn Scheduler> =
-        if meta.force_par { Box::new(ParSched::new()) } else { requested };
+    let actual: Box<dyn Scheduler> = match provenance {
+        Provenance::Independent => Box::new(ParSched::new()),
+        _ => requested,
+    };
     let artifact = compiler.schedule(circuit, actual.as_ref()).map_err(|e| e.to_string())?;
     Ok((artifact, actual.name().to_string()))
-}
-
-/// Names a scheduler the same way the CLI does.
-pub fn scheduler_by_name(name: &str, omega: f64) -> Result<Box<dyn Scheduler>, String> {
-    if !(0.0..=1.0).contains(&omega) {
-        return Err(format!("omega must be in [0,1], got {omega}"));
-    }
-    Ok(match name {
-        "xtalk" => Box::new(XtalkSched::new(omega)),
-        "par" => Box::new(ParSched::new()),
-        "serial" => Box::new(SerialSched::new()),
-        other => return Err(format!("unknown scheduler `{other}`")),
-    })
 }
 
 /// Parses QASM and makes it hardware-compliant for the compiler's
@@ -434,7 +343,7 @@ mod tests {
             qasm: BELL.into(),
             scheduler: "par".into(),
             omega: 0.5,
-            policy: "truth".into(),
+            policy: PolicyName::Truth,
             shots: 128,
             seed: 3,
             threads: 1,
@@ -459,7 +368,7 @@ mod tests {
             qasm: BELL.into(),
             scheduler: "xtalk".into(),
             omega: 0.5,
-            policy: "truth".into(),
+            policy: PolicyName::Truth,
             seed: 3,
         };
         let first = handle(&state, &req);
@@ -478,16 +387,20 @@ mod tests {
             qasm: BELL.into(),
             scheduler: "xtalk".into(),
             omega: 0.5,
-            policy: "truth".into(),
+            policy: PolicyName::Truth,
             seed: 3,
         };
         let first = handle(&state, &req);
         assert_eq!(first.get("cached").and_then(Json::as_bool), Some(false));
-        let (entry, _) = state.characterization("boeblingen", "truth", 3, 3, 96).unwrap();
-        let (snapshot, ctx, meta) =
-            context_for(&state, "boeblingen", "truth", 3, &Budget::unlimited()).unwrap();
-        assert!(meta.cached);
-        assert!(ctx.ptr_eq(&entry.ctx), "a cache hit must not build a context");
+        let lookup = || {
+            scheduling_tables(&state, "boeblingen", PolicyName::Truth, 3, &Budget::unlimited())
+                .unwrap()
+        };
+        let (_, cached) = lookup();
+        let (snapshot, again) = lookup();
+        assert_eq!(again.provenance, Provenance::Fresh { cached: true });
+        assert!(Arc::ptr_eq(&cached.entry, &again.entry));
+        assert!(again.ctx.ptr_eq(&cached.entry.ctx), "a cache hit must not build a context");
         let fleet = state.snapshot("boeblingen").unwrap();
         assert!(Arc::ptr_eq(&snapshot.device, &fleet.device), "a job must not copy the device");
         let second = handle(&state, &req);
@@ -504,7 +417,7 @@ mod tests {
             qasm: "this is not qasm".into(),
             scheduler: "par".into(),
             omega: 0.5,
-            policy: "truth".into(),
+            policy: PolicyName::Truth,
             shots: 8,
             seed: 3,
             threads: 1,
@@ -528,7 +441,7 @@ mod tests {
             qasm: BELL.into(),
             scheduler: "xtalk".into(),
             omega: 0.5,
-            policy: "truth".into(),
+            policy: PolicyName::Truth,
             seed: 11,
         };
         let resp = handle(&state, &req);
@@ -547,7 +460,7 @@ mod tests {
             qasm: BELL.into(),
             scheduler: "quantum-leap".into(),
             omega: 0.5,
-            policy: "truth".into(),
+            policy: PolicyName::Truth,
             seed: 11,
         };
         let resp = handle(&state, &bad);
@@ -563,7 +476,7 @@ mod tests {
             qasm: BELL.into(),
             scheduler: "par".into(),
             omega: 0.5,
-            policy: "truth".into(),
+            policy: PolicyName::Truth,
             shots: 128,
             seed: 3,
             threads: 1,
@@ -586,7 +499,7 @@ mod tests {
             qasm: BELL.into(),
             scheduler: "xtalk".into(),
             omega: 0.5,
-            policy: "truth".into(),
+            policy: PolicyName::Truth,
             shots: 128,
             seed: 3,
             threads: 1,
@@ -620,7 +533,7 @@ mod tests {
             qasm: BELL.into(),
             scheduler: "xtalk".into(),
             omega: 0.5,
-            policy: "truth".into(),
+            policy: PolicyName::Truth,
             seed: 3,
         };
         let resp = super::handle(&state, &req, &cancelled_budget());
@@ -628,5 +541,52 @@ mod tests {
         assert_eq!(resp.get("budget_exhausted").and_then(Json::as_bool), Some(true));
         assert_eq!(resp.get("search_complete").and_then(Json::as_bool), Some(false));
         assert!(resp.get("makespan_ns").and_then(Json::as_u64).unwrap() > 0);
+    }
+
+    /// A stale `characterize`, `schedule` and `run` reply carry the same
+    /// degradation fields.
+    #[test]
+    fn stale_replies_share_their_degradation_fields() {
+        let _gate = crate::testutil::fault_gate();
+        let state = ServeState::new(ServeConfig::default());
+        let characterize = Request::Characterize {
+            device: "poughkeepsie".into(),
+            policy: PolicyName::Truth,
+            seed: 7,
+            seqs: 3,
+            shots: 96,
+        };
+        let fresh = handle(&state, &characterize);
+        assert_eq!(fresh.get("degraded"), None, "{}", fresh.dump());
+        state.advance_day();
+        xtalk_fault::install_spec("charac.run:err:1.0", 1).unwrap();
+        let schedule = Request::Schedule {
+            device: "poughkeepsie".into(),
+            qasm: BELL.into(),
+            scheduler: "xtalk".into(),
+            omega: 0.5,
+            policy: PolicyName::Truth,
+            seed: 3,
+        };
+        let run = Request::Run {
+            device: "poughkeepsie".into(),
+            qasm: BELL.into(),
+            scheduler: "xtalk".into(),
+            omega: 0.5,
+            policy: PolicyName::Truth,
+            shots: 64,
+            seed: 3,
+            threads: 1,
+        };
+        let replies = [&characterize, &schedule, &run].map(|req| handle(&state, req));
+        xtalk_fault::clear();
+        for resp in &replies {
+            assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{}", resp.dump());
+            let fields = ["cached", "degraded", "charac_epoch", "stale_epochs"]
+                .map(|k| resp.get(k).map(Json::dump));
+            let expected = ["false", "\"stale_characterization\"", "0", "1"]
+                .map(|v| Some(v.to_string()));
+            assert_eq!(fields, expected, "{}", resp.dump());
+        }
     }
 }

@@ -31,12 +31,24 @@
 //!   [`RetryPolicy`]: retryable responses (`busy`, `shutting_down`,
 //!   `quarantined`, caught panics) and transient I/O errors are retried
 //!   with seeded decorrelated-jitter backoff and transparent reconnects.
-//! * **Characterization cache** — results keyed by device, policy, a
-//!   measured policy's RB settings `(seed, seqs, shots)` and the
-//!   calibration epoch ([`cache`]);
+//! * **Characterization cache and degradation ladder** — results keyed
+//!   by device, policy, a measured policy's RB settings
+//!   `(seed, seqs, shots)` and the calibration epoch, plus a
+//!   last-known-good table; [`cache`] resolves every job's error tables
+//!   fresh, stale (a failed rebuild serves the newest earlier epoch's
+//!   tables within the TTL) or independent-only (scheduling jobs with no
+//!   usable fallback run `par` over the live calibration's independent
+//!   rates), and tags each reply with that [`cache::Provenance`].
 //!   `advance_day` drifts every device through
 //!   [`xtalk_device::Device::on_day`] (the daily-drift model of the
-//!   paper's Section 5.1) and invalidates the cache.
+//!   paper's Section 5.1), invalidates the cache and prunes
+//!   last-known-good entries past the TTL.
+//! * **Typed names** — a request's policy is parsed once, in
+//!   [`Request::parse`], through `xtalk-charac`'s
+//!   [`PolicyName`](xtalk_charac::PolicyName) table; an unknown name is a
+//!   bad request that never reaches a worker. Schedulers are named
+//!   through [`xtalk_core::scheduler_by_name`]; the `xtalk` CLI shares
+//!   both tables.
 //! * **Metrics** — request/latency/queue-depth/cache counters surfaced by
 //!   the `stats` request and the shutdown summary ([`metrics`]).
 //! * **Determinism** — `run` jobs execute through

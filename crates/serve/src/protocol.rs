@@ -37,6 +37,7 @@
 
 use crate::json::{obj, Json};
 use std::io::{self, BufRead, Read, Write};
+use xtalk_charac::PolicyName;
 
 /// Upper bound on one frame, to keep a misbehaving peer from ballooning
 /// memory. Generous enough for any QASM payload this toolchain emits.
@@ -52,11 +53,9 @@ pub enum Request {
     /// Graceful server shutdown.
     Shutdown,
     /// Advances the simulated calibration day: drifts every device's
-    /// calibration and invalidates the characterization cache.
-    AdvanceDay {
-        /// Drift seed (deterministic drift per day).
-        seed: u64,
-    },
+    /// calibration (deterministically, by the new epoch) and invalidates
+    /// the characterization cache.
+    AdvanceDay,
     /// Sleeps on a worker for `ms` milliseconds — a deterministic stand-in
     /// for a slow job, used to exercise backpressure and timeouts.
     Sleep {
@@ -67,8 +66,9 @@ pub enum Request {
     Characterize {
         /// Device name (`poughkeepsie` | `johannesburg` | `boeblingen`).
         device: String,
-        /// Policy name (`truth` | `all` | `onehop` | `binpacked`).
-        policy: String,
+        /// Characterization policy (`truth` | `all` | `onehop` |
+        /// `binpacked`).
+        policy: PolicyName,
         /// RB seed (with `seqs` and `shots`, part of a measured policy's
         /// cache key; `truth` ignores all three).
         seed: u64,
@@ -88,7 +88,7 @@ pub enum Request {
         /// XtalkSched's crosstalk/decoherence weight ω.
         omega: f64,
         /// Characterization policy feeding the scheduler.
-        policy: String,
+        policy: PolicyName,
         /// Characterization seed (part of a measured policy's cache key).
         seed: u64,
     },
@@ -103,7 +103,7 @@ pub enum Request {
         /// XtalkSched's ω.
         omega: f64,
         /// Characterization policy feeding the scheduler.
-        policy: String,
+        policy: PolicyName,
         /// Trajectories to sample.
         shots: u64,
         /// Executor base seed.
@@ -149,6 +149,12 @@ impl Request {
                 Some(x) => x.as_u64().ok_or(format!("`{key}` must be a non-negative integer")),
             }
         };
+        // Parsed here, once: an unknown name is a bad request that never
+        // reaches a worker.
+        let policy_field = |default: PolicyName| match v.get("policy").and_then(Json::as_str) {
+            None => Ok(default),
+            Some(name) => PolicyName::parse(name),
+        };
         let f64_field = |key: &str, default: f64| -> Result<f64, String> {
             match v.get(key) {
                 None => Ok(default),
@@ -159,11 +165,11 @@ impl Request {
             "ping" => Ok(Request::Ping),
             "stats" => Ok(Request::Stats),
             "shutdown" => Ok(Request::Shutdown),
-            "advance_day" => Ok(Request::AdvanceDay { seed: u64_field("seed", 1)? }),
+            "advance_day" => Ok(Request::AdvanceDay),
             "sleep" => Ok(Request::Sleep { ms: u64_field("ms", 10)?.min(60_000) }),
             "characterize" => Ok(Request::Characterize {
                 device: str_field("device", "poughkeepsie"),
-                policy: str_field("policy", "binpacked"),
+                policy: policy_field(PolicyName::BinPacked)?,
                 seed: u64_field("seed", 7)?,
                 seqs: u64_field("seqs", 3)? as usize,
                 shots: u64_field("shots", 96)?,
@@ -177,7 +183,7 @@ impl Request {
                     .to_string(),
                 scheduler: str_field("scheduler", "xtalk"),
                 omega: f64_field("omega", 0.5)?,
-                policy: str_field("policy", "truth"),
+                policy: policy_field(PolicyName::Truth)?,
                 seed: u64_field("seed", 7)?,
             }),
             "run" => Ok(Request::Run {
@@ -189,7 +195,7 @@ impl Request {
                     .to_string(),
                 scheduler: str_field("scheduler", "xtalk"),
                 omega: f64_field("omega", 0.5)?,
-                policy: str_field("policy", "truth"),
+                policy: policy_field(PolicyName::Truth)?,
                 shots: u64_field("shots", 2048)?,
                 seed: u64_field("seed", 7)?,
                 threads: u64_field("threads", 0)? as usize,
@@ -218,7 +224,7 @@ impl Request {
             Request::Ping => "ping",
             Request::Stats => "stats",
             Request::Shutdown => "shutdown",
-            Request::AdvanceDay { .. } => "advance_day",
+            Request::AdvanceDay => "advance_day",
             Request::Sleep { .. } => "sleep",
             Request::Characterize { .. } => "characterize",
             Request::Schedule { .. } => "schedule",
@@ -422,6 +428,23 @@ mod tests {
         ] {
             let v = Json::parse(bad).unwrap();
             assert!(Request::parse(&v).is_err(), "accepted {bad}");
+        }
+    }
+
+    #[test]
+    fn policies_are_parsed_once_at_the_edge() {
+        let parse = |text: &str| Request::parse(&Json::parse(text).unwrap());
+        match parse(r#"{"type":"schedule","qasm":"x"}"#).unwrap() {
+            Request::Schedule { policy, .. } => assert_eq!(policy, PolicyName::Truth),
+            other => panic!("wrong variant {other:?}"),
+        }
+        match parse(r#"{"type":"characterize","policy":"onehop"}"#).unwrap() {
+            Request::Characterize { policy, .. } => assert_eq!(policy, PolicyName::OneHop),
+            other => panic!("wrong variant {other:?}"),
+        }
+        for kind in ["characterize", "schedule", "run"] {
+            let text = format!(r#"{{"type":"{kind}","qasm":"x","policy":"psychic"}}"#);
+            assert_eq!(parse(&text), Err("unknown policy `psychic`".to_string()), "{kind}");
         }
     }
 

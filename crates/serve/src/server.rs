@@ -191,7 +191,7 @@ fn dispatch(
                 }
                 snapshot
             }
-            Request::AdvanceDay { .. } => {
+            Request::AdvanceDay => {
                 let epoch = state.advance_day();
                 ok_response([("epoch", epoch.into())])
             }

@@ -1,55 +1,15 @@
-//! Shared server state: configuration, device fleet, cache, metrics —
-//! and the characterization **degradation ladder**.
-//!
-//! # Degradation ladder
-//!
-//! [`ServeState::characterization`] tries three rungs, in order:
-//!
-//! 1. **Fresh** — the characterization for the current calibration epoch,
-//!    from cache or built on demand.
-//! 2. **Stale last-known-good** — if the build fails (panics, errors, or
-//!    an injected `cache.lookup`/`charac.run` fault), fall back to the
-//!    most recent successful characterization of the same
-//!    `(device, policy, RB seed)` from an earlier epoch, provided it is no
-//!    older than [`ServeConfig::stale_ttl_epochs`]. The response is
-//!    flagged so the caller knows the error tables predate current
-//!    calibration.
-//! 3. **Independent-error model** — if there is no last-known-good within
-//!    the TTL, the caller ([`crate::jobs`]) degrades to a
-//!    characterization holding only per-gate independent error rates from
-//!    the live calibration (no conditional/crosstalk terms) and forces
-//!    the crosstalk-oblivious `par` scheduler, which never consults the
-//!    missing terms.
+//! Shared server state: configuration, the device fleet, the
+//! characterization store (with its degradation ladder, see
+//! [`crate::cache`]), metrics and the cancel registry.
 
-use crate::cache::{CacheEntry, CacheKey, CharacCache, RbSettings};
+use crate::cache::CharacCache;
 use crate::metrics::Metrics;
 use std::collections::{BTreeMap, HashMap};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use xtalk_budget::{Budget, CancelToken};
-use xtalk_charac::policy::TimeModel;
-use xtalk_charac::{characterize_budgeted, Characterization, CharacterizationPolicy, RbConfig};
+use xtalk_budget::CancelToken;
 use xtalk_device::Device;
-
-/// Where a characterization came from, for response flagging.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CharacSource {
-    /// Built (or cached) for the current calibration epoch.
-    Fresh {
-        /// `true` if served from cache without rebuilding.
-        cached: bool,
-    },
-    /// The current-epoch build failed; this is the last-known-good entry
-    /// from an earlier epoch, within the staleness TTL.
-    StaleLkg {
-        /// Epoch the entry was built for.
-        epoch: u64,
-        /// How many epochs old it is (`current - epoch`, ≥ 1).
-        age: u64,
-    },
-}
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -71,7 +31,8 @@ pub struct ServeConfig {
     pub profile: bool,
     /// How many epochs a last-known-good characterization may lag the
     /// current calibration before it is refused as a fallback (rung 2 of
-    /// the degradation ladder). `0` disables stale fallback entirely.
+    /// the degradation ladder in [`crate::cache`]). `0` disables stale
+    /// fallback entirely.
     pub stale_ttl_epochs: u64,
 }
 
@@ -119,12 +80,13 @@ pub struct ServeState {
     /// The simulated device fleet, keyed by name. Mutated only by
     /// `advance_day`, which bumps `epoch` under the same lock.
     devices: Mutex<BTreeMap<String, Arc<Device>>>,
-    /// The characterization cache — a typed layer over the shared
-    /// content-addressed artifact store ([`CharacCache::artifacts`]) that
-    /// also backs every job's compile pipeline, so `compare`-style jobs
-    /// reuse the lower/place/route prefix across schedulers and one
-    /// `advance_day` sweep invalidates characterizations and compile
-    /// artifacts alike.
+    /// The characterization store and its last-known-good table — a
+    /// typed layer over the shared content-addressed artifact store
+    /// ([`CharacCache::artifacts`]) that also backs every job's compile
+    /// pipeline, so `compare`-style jobs reuse the lower/place/route
+    /// prefix across schedulers and one `advance_day` sweep invalidates
+    /// characterizations and compile artifacts alike. Every job's error
+    /// tables come from its degradation ladder ([`CharacCache::resolve`]).
     pub cache: CharacCache,
     /// Service counters.
     pub metrics: Metrics,
@@ -132,22 +94,12 @@ pub struct ServeState {
     epoch: AtomicU64,
     /// Set to stop the accept loop.
     pub shutdown: AtomicBool,
-    /// Last-known-good characterizations by `(device, policy, RB seed)`,
-    /// with the epoch each was built for. Unlike [`CharacCache`] this
-    /// map survives `advance_day`: it exists precisely so a *failed*
-    /// rebuild can fall back to the previous epoch's result.
-    lkg: Mutex<LkgMap>,
     /// In-flight cancellable jobs: client-chosen label → the cancel token
     /// the job's [`Budget`] polls. Registered at admission (so a queued
     /// job can be cancelled before it runs), unregistered by the
     /// connection thread once the reply lands.
     cancels: Mutex<HashMap<String, CancelToken>>,
 }
-
-/// Last-known-good side table: `(device, policy, RB seed)` (no seed for
-/// `truth`) → the latest successful characterization's full key (its
-/// epoch and RB settings) and the entry itself.
-type LkgMap = HashMap<(String, String, Option<u64>), (CacheKey, Arc<CacheEntry>)>;
 
 impl ServeState {
     /// Builds the state with the three IBMQ device models at day 0.
@@ -157,13 +109,12 @@ impl ServeState {
             .map(|d| (d.name().to_string(), Arc::new(d)))
             .collect();
         Arc::new(ServeState {
+            cache: CharacCache::new(config.stale_ttl_epochs),
             config,
             devices: Mutex::new(devices),
-            cache: CharacCache::new(),
             metrics: Metrics::default(),
             epoch: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            lkg: Mutex::new(HashMap::new()),
             cancels: Mutex::new(HashMap::new()),
         })
     }
@@ -220,7 +171,8 @@ impl ServeState {
     }
 
     /// Advances the simulated calibration day: every device drifts via
-    /// [`Device::on_day`] and the characterization cache is invalidated.
+    /// [`Device::on_day`], the characterization cache is invalidated and
+    /// last-known-good entries past the staleness TTL are dropped.
     /// Returns the new epoch.
     pub fn advance_day(&self) -> u64 {
         let mut devices = self.devices.lock().unwrap();
@@ -234,148 +186,15 @@ impl ServeState {
         self.cache.invalidate_before(epoch);
         epoch
     }
-
-    /// The characterization for `(device, policy)` — with `(seed, seqs,
-    /// shots)` for a measured policy — at the current epoch, unbudgeted
-    /// (see [`ServeState::characterization_budgeted`]).
-    pub fn characterization(
-        &self,
-        device_name: &str,
-        policy: &str,
-        seed: u64,
-        seqs: usize,
-        shots: u64,
-    ) -> Result<(Arc<CacheEntry>, CharacSource), String> {
-        let snapshot = self.snapshot(device_name)?;
-        let rb = RbSettings { seed, seqs, shots };
-        self.characterization_budgeted(device_name, &snapshot, policy, rb, &Budget::unlimited())
-    }
-
-    /// The characterization for `(device, policy)` — with the RB settings
-    /// `rb` for a measured policy — of the device `snapshot`, from cache
-    /// when possible, degrading to a stale last-known-good entry when the
-    /// build fails (see the module docs). `Err` means both rungs 1 and 2
-    /// are exhausted — the *request parameters* are bad, or the build
-    /// failed with no usable fallback — and the caller decides whether
-    /// rung 3 applies.
-    ///
-    /// A budget-truncated build is treated exactly like a failed one: the
-    /// partial tables are *not* cached (they would poison every later
-    /// request sharing the key) and the request rides the degradation
-    /// ladder — stale last-known-good, then the independent model.
-    pub fn characterization_budgeted(
-        &self,
-        device_name: &str,
-        snapshot: &Snapshot,
-        policy: &str,
-        rb: RbSettings,
-        budget: &Budget,
-    ) -> Result<(Arc<CacheEntry>, CharacSource), String> {
-        let (device, epoch) = (&*snapshot.device, snapshot.epoch);
-        let policy_obj = match policy {
-            "truth" => None,
-            "all" => Some(CharacterizationPolicy::AllPairs),
-            "onehop" => Some(CharacterizationPolicy::OneHop),
-            "binpacked" => Some(CharacterizationPolicy::OneHopBinPacked { k_hops: 2 }),
-            other => return Err(format!("unknown policy `{other}`")),
-        };
-        // Key on what the tables depend on: a measured policy's effective
-        // RB settings, nothing for `truth` (the ground truth ignores them).
-        let rb = policy_obj.is_some().then(|| RbSettings {
-            seed: rb.seed,
-            seqs: rb.seqs.max(1),
-            shots: rb.shots.max(16),
-        });
-        // The stale fallback is already flagged approximate: it takes the
-        // latest tables of the same measured seed whatever their RB
-        // sample sizes.
-        let lkg_key = (device_name.to_string(), policy.to_string(), rb.map(|rb| rb.seed));
-        let key = CacheKey {
-            device: device_name.to_string(),
-            policy: policy.to_string(),
-            rb,
-            epoch,
-        };
-        // Rung 1: fresh, from cache or a guarded build. Injected
-        // `cache.lookup`/`charac.run` faults and build panics all land in
-        // `failure` below instead of taking down the worker.
-        let failure: String = 'fresh: {
-            if let Some(msg) = xtalk_fault::fire("cache.lookup") {
-                break 'fresh format!("characterization store unavailable: {msg}");
-            }
-            if let Some(entry) = self.cache.get(&key) {
-                Metrics::inc(&self.metrics.cache_hits);
-                return Ok((entry, CharacSource::Fresh { cached: true }));
-            }
-            let built = catch_unwind(AssertUnwindSafe(|| -> Result<CacheEntry, String> {
-                if let Some(msg) = xtalk_fault::fire("charac.run") {
-                    return Err(format!("characterization failed: {msg}"));
-                }
-                match policy_obj {
-                    None => {
-                        Ok(CacheEntry::new(device, Characterization::from_ground_truth(device), None))
-                    }
-                    Some(p) => {
-                        let rb = rb.expect("measured policies carry RB settings");
-                        let config = RbConfig {
-                            seqs_per_length: rb.seqs,
-                            shots: rb.shots,
-                            seed: rb.seed,
-                            ..Default::default()
-                        };
-                        let (charac, report) =
-                            characterize_budgeted(device, &p, &config, &TimeModel::default(), budget);
-                        if !report.complete {
-                            // A truncated sweep is a failed build: partial
-                            // tables must not enter the cache or the LKG
-                            // side-table.
-                            return Err(format!(
-                                "characterization budget exhausted after {}/{} bins",
-                                report.bins_completed, report.bins_total
-                            ));
-                        }
-                        Ok(CacheEntry::new(device, charac, Some(report)))
-                    }
-                }
-            }));
-            match built {
-                Ok(Ok(entry)) => {
-                    let entry = Arc::new(entry);
-                    self.cache.insert(key.clone(), entry.clone());
-                    self.lkg
-                        .lock()
-                        .unwrap()
-                        .insert(lkg_key, (key, entry.clone()));
-                    Metrics::inc(&self.metrics.cache_misses);
-                    return Ok((entry, CharacSource::Fresh { cached: false }));
-                }
-                Ok(Err(msg)) => msg,
-                Err(_) => "characterization panicked".to_string(),
-            }
-        };
-        // Rung 2: stale last-known-good within the TTL.
-        Metrics::inc(&self.metrics.charac_failures);
-        xtalk_obs::counter!("serve.charac.failure");
-        if let Some((lkg, entry)) = self.lkg.lock().unwrap().get(&lkg_key).cloned() {
-            let (lkg_epoch, age) = (lkg.epoch, epoch.saturating_sub(lkg.epoch));
-            if lkg == key {
-                // The primary lookup failed but the side-table holds this
-                // very entry — not actually stale.
-                return Ok((entry, CharacSource::Fresh { cached: true }));
-            }
-            if (1..=self.config.stale_ttl_epochs).contains(&age) {
-                Metrics::inc(&self.metrics.degraded_stale);
-                xtalk_obs::counter!("serve.charac.stale_fallback");
-                return Ok((entry, CharacSource::StaleLkg { epoch: lkg_epoch, age }));
-            }
-        }
-        Err(failure)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::RbSettings;
+    use crate::testutil::fault_gate;
+    use xtalk_budget::Budget;
+    use xtalk_charac::{Characterization, PolicyName};
 
     #[test]
     fn devices_drift_on_advance_day() {
@@ -424,7 +243,14 @@ mod tests {
                 // can race.
                 let finished = done.load(Ordering::SeqCst);
                 let before = state.epoch();
-                let (entry, _) = state.characterization("poughkeepsie", "truth", 7, 3, 96).unwrap();
+                let snapshot = state.snapshot("poughkeepsie").unwrap();
+                let rb = RbSettings { seed: 7, seqs: 3, shots: 96 };
+                let budget = Budget::unlimited();
+                let resolved = state
+                    .cache
+                    .resolve(&snapshot, PolicyName::Truth, rb, &budget, &state.metrics)
+                    .unwrap();
+                let entry = resolved.entry;
                 if state.epoch() == before {
                     let e = before as usize;
                     assert_eq!(entry.charac, expected[e], "epoch {e}: tables of another day");
@@ -438,103 +264,6 @@ mod tests {
             }
         });
         assert!(checked > 0, "no request completed within an epoch");
-    }
-
-    #[test]
-    fn characterization_caches_until_day_advances() {
-        let _gate = fault_gate();
-        let state = ServeState::new(ServeConfig::default());
-        let (_, src) = state.characterization("boeblingen", "truth", 7, 3, 96).unwrap();
-        assert_eq!(src, CharacSource::Fresh { cached: false });
-        let (_, src) = state.characterization("boeblingen", "truth", 7, 3, 96).unwrap();
-        assert_eq!(src, CharacSource::Fresh { cached: true });
-        state.advance_day();
-        let (_, src) = state.characterization("boeblingen", "truth", 7, 3, 96).unwrap();
-        assert_eq!(src, CharacSource::Fresh { cached: false }, "drift must invalidate the cache");
-        assert_eq!(state.metrics.cache_hits.load(Ordering::Relaxed), 1);
-        assert_eq!(state.metrics.cache_misses.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn measured_policies_key_on_their_rb_settings() {
-        let _gate = fault_gate();
-        let state = ServeState::new(ServeConfig::default());
-        let (a, src) = state.characterization("boeblingen", "onehop", 7, 1, 32).unwrap();
-        assert_eq!(src, CharacSource::Fresh { cached: false });
-        // Same seed, different shots: different RB data, so a fresh build.
-        let (b, src) = state.characterization("boeblingen", "onehop", 7, 1, 48).unwrap();
-        assert_eq!(src, CharacSource::Fresh { cached: false });
-        assert_ne!(a.report, b.report);
-        // Settings below the floors clamp to the same effective run.
-        let (_, src) = state.characterization("boeblingen", "onehop", 7, 0, 8).unwrap();
-        assert_eq!(src, CharacSource::Fresh { cached: false });
-        let (_, src) = state.characterization("boeblingen", "onehop", 7, 1, 16).unwrap();
-        assert_eq!(src, CharacSource::Fresh { cached: true });
-        assert_eq!(state.cache.len(), 3);
-    }
-
-    #[test]
-    fn store_fault_does_not_pass_other_rb_settings_off_as_fresh() {
-        let _gate = fault_gate();
-        let state = ServeState::new(ServeConfig::default());
-        state.characterization("boeblingen", "onehop", 7, 1, 32).unwrap();
-        xtalk_fault::install_spec("cache.lookup:err:1.0", 1).unwrap();
-        // The side table holds this epoch's tables for seed 7, but at
-        // other shots: neither fresh nor stale, so the ladder is exhausted.
-        let err = state.characterization("boeblingen", "onehop", 7, 1, 48).unwrap_err();
-        let same = state.characterization("boeblingen", "onehop", 7, 1, 32);
-        xtalk_fault::clear();
-        assert!(err.contains("store unavailable"), "unexpected error: {err}");
-        assert_eq!(same.unwrap().1, CharacSource::Fresh { cached: true });
-    }
-
-    #[test]
-    fn truth_ignores_the_seed() {
-        let _gate = fault_gate();
-        let state = ServeState::new(ServeConfig::default());
-        let (first, src) = state.characterization("poughkeepsie", "truth", 1, 3, 96).unwrap();
-        assert_eq!(src, CharacSource::Fresh { cached: false });
-        for seed in 2..6 {
-            let (entry, src) = state.characterization("poughkeepsie", "truth", seed, 1, 32).unwrap();
-            assert_eq!(src, CharacSource::Fresh { cached: true }, "seed {seed}");
-            assert_eq!(entry.charac, first.charac);
-        }
-        assert_eq!(state.cache.len(), 1);
-        assert_eq!(state.metrics.cache_misses.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn unknown_policy_is_rejected() {
-        let state = ServeState::new(ServeConfig::default());
-        assert!(state.characterization("poughkeepsie", "psychic", 7, 3, 96).is_err());
-    }
-
-    use crate::testutil::fault_gate;
-
-    #[test]
-    fn failed_rebuild_falls_back_to_stale_lkg_within_ttl() {
-        let _gate = fault_gate();
-        let config = ServeConfig {
-            stale_ttl_epochs: 2,
-            ..ServeConfig::default()
-        };
-        let state = ServeState::new(config);
-        let (fresh, src) = state.characterization("boeblingen", "truth", 7, 1, 32).unwrap();
-        assert_eq!(src, CharacSource::Fresh { cached: false });
-        state.advance_day();
-        // Every build from now on fails.
-        xtalk_fault::install_spec("charac.run:err:1.0", 1).unwrap();
-        let (stale, src) = state.characterization("boeblingen", "truth", 7, 1, 32).unwrap();
-        assert_eq!(src, CharacSource::StaleLkg { epoch: 0, age: 1 });
-        assert_eq!(stale.charac, fresh.charac, "stale entry must be the day-0 tables");
-        // Past the TTL the ladder is exhausted at this level.
-        state.advance_day();
-        state.advance_day();
-        let err = state.characterization("boeblingen", "truth", 7, 1, 32).unwrap_err();
-        assert!(err.contains("characterization failed"), "unexpected error: {err}");
-        xtalk_fault::clear();
-        assert!(state.metrics.degraded_stale.load(Ordering::Relaxed) >= 1);
-        assert!(state.metrics.charac_failures.load(Ordering::Relaxed) >= 2);
     }
 
     #[test]
@@ -555,47 +284,5 @@ mod tests {
         assert!(state.cancel_job("dup"));
         assert!(!first.is_cancelled());
         assert!(second.is_cancelled());
-    }
-
-    #[test]
-    fn budget_truncated_build_rides_the_ladder_without_caching() {
-        let _gate = fault_gate();
-        let state = ServeState::new(ServeConfig::default());
-        // An exhausted budget truncates the RB sweep immediately: with no
-        // LKG the ladder is exhausted and the partial must not be cached.
-        let dead = Budget::unlimited();
-        dead.cancel_token().cancel();
-        let rb = RbSettings { seed: 7, seqs: 1, shots: 32 };
-        let snapshot = state.snapshot("boeblingen").unwrap();
-        let err = state
-            .characterization_budgeted("boeblingen", &snapshot, "onehop", rb, &dead)
-            .unwrap_err();
-        assert!(err.contains("budget exhausted"), "unexpected error: {err}");
-        assert_eq!(state.cache.len(), 0, "partial tables must not be cached");
-        // A later unbudgeted request rebuilds from scratch and succeeds.
-        let (_, src) = state.characterization("boeblingen", "onehop", 7, 1, 32).unwrap();
-        assert_eq!(src, CharacSource::Fresh { cached: false });
-        // Once an LKG exists, a truncated rebuild after drift degrades to
-        // the stale entry instead of failing.
-        state.advance_day();
-        let snapshot = state.snapshot("boeblingen").unwrap();
-        let (_, src) = state
-            .characterization_budgeted("boeblingen", &snapshot, "onehop", rb, &dead)
-            .unwrap();
-        assert_eq!(src, CharacSource::StaleLkg { epoch: 0, age: 1 });
-    }
-
-    #[test]
-    fn store_fault_with_current_lkg_is_not_stale() {
-        let _gate = fault_gate();
-        let state = ServeState::new(ServeConfig::default());
-        let (_, src) = state.characterization("poughkeepsie", "truth", 9, 1, 32).unwrap();
-        assert_eq!(src, CharacSource::Fresh { cached: false });
-        // The store lookup fails, but the LKG side-table has a
-        // current-epoch entry: served fresh, not flagged stale.
-        xtalk_fault::install_spec("cache.lookup:err:1.0", 1).unwrap();
-        let (_, src) = state.characterization("poughkeepsie", "truth", 9, 1, 32).unwrap();
-        xtalk_fault::clear();
-        assert_eq!(src, CharacSource::Fresh { cached: true });
     }
 }

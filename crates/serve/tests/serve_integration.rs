@@ -43,7 +43,7 @@ fn served_run_matches_direct_execution() {
     let ctx = xtalk_core::SchedulerContext::from_ground_truth(&device);
     let compiler = xtalk_core::Compiler::new(&device, ctx.clone());
     let circuit = xtalk_serve::jobs::prepare_circuit(BELL, &compiler).unwrap();
-    let sched = xtalk_serve::jobs::scheduler_by_name("par", 0.5)
+    let sched = xtalk_core::scheduler_by_name("par", 0.5)
         .unwrap()
         .schedule(&circuit, &ctx)
         .unwrap();
@@ -227,6 +227,35 @@ fn unknown_device_and_scheduler_are_reported() {
     assert!(resp.get("error").and_then(Json::as_str).unwrap().contains("unknown device"));
     let resp = client.run_qasm(BELL, "poughkeepsie", "warp", 16, 1).unwrap();
     assert!(resp.get("error").and_then(Json::as_str).unwrap().contains("unknown scheduler"));
+    server.shutdown();
+    server.join();
+}
+
+/// An unknown policy is a bad request: answered before any
+/// characterization, so neither the ladder nor a worker sees it.
+#[test]
+fn unknown_policy_is_a_bad_request() {
+    let server = start(|_| {});
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let resp = client
+        .request(&obj([
+            ("type", "schedule".into()),
+            ("qasm", BELL.into()),
+            ("policy", "psychic".into()),
+        ]))
+        .unwrap();
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(resp.get("error").and_then(Json::as_str), Some("unknown policy `psychic`"));
+    let stats = client.stats().unwrap();
+    let counters = [
+        ("bad_requests", 1),
+        ("jobs_failed", 0),
+        ("charac_failures", 0),
+        ("degraded_independent", 0),
+    ];
+    for (counter, expected) in counters {
+        assert_eq!(stats.get(counter).and_then(Json::as_u64), Some(expected), "{counter}");
+    }
     server.shutdown();
     server.join();
 }

@@ -17,10 +17,10 @@
 //! across its three schedulers.
 
 use crosstalk_mitigation::charac::policy::TimeModel;
-use crosstalk_mitigation::charac::{characterize, CharacterizationPolicy, RbConfig};
+use crosstalk_mitigation::charac::{characterize, CharacterizationPolicy, PolicyName, RbConfig};
 use crosstalk_mitigation::budget::Budget;
 use crosstalk_mitigation::core::{
-    Compiler, ParSched, Scheduler, SchedulerContext, SerialSched, XtalkSched,
+    scheduler_by_name, Compiler, ParSched, Scheduler, SchedulerContext, SerialSched, XtalkSched,
 };
 use crosstalk_mitigation::device::Device;
 use crosstalk_mitigation::ir::{qasm, Circuit};
@@ -155,16 +155,7 @@ fn device_from(flags: &Flags) -> Result<Device, String> {
 }
 
 fn scheduler_from(flags: &Flags) -> Result<Box<dyn Scheduler>, String> {
-    let omega = flags.get_parse("omega", 0.5f64)?;
-    if !(0.0..=1.0).contains(&omega) {
-        return Err(format!("--omega must be in [0,1], got {omega}"));
-    }
-    Ok(match flags.get("scheduler").unwrap_or("xtalk") {
-        "xtalk" => Box::new(XtalkSched::new(omega)),
-        "par" => Box::new(ParSched::new()),
-        "serial" => Box::new(SerialSched::new()),
-        other => return Err(format!("unknown scheduler `{other}`")),
-    })
+    scheduler_by_name(flags.get("scheduler").unwrap_or("xtalk"), flags.get_parse("omega", 0.5f64)?)
 }
 
 fn cmd_devices() -> Result<(), String> {
@@ -192,12 +183,12 @@ fn cmd_characterize(args: &[String]) -> Result<(), String> {
         seed: flags.get_parse("seed", 7u64)?,
         ..Default::default()
     };
-    let policy = match flags.get("policy").unwrap_or("binpacked") {
-        "all" => CharacterizationPolicy::AllPairs,
-        "onehop" => CharacterizationPolicy::OneHop,
-        "binpacked" => CharacterizationPolicy::OneHopBinPacked { k_hops: 2 },
-        other => return Err(format!("unknown policy `{other}`")),
-    };
+    // `truth` names the device model's own tables: nothing to measure.
+    let policy = flags
+        .get("policy")
+        .map_or(Ok(PolicyName::BinPacked), PolicyName::parse)?
+        .measured()
+        .ok_or("unknown policy `truth` (characterize runs all|onehop|binpacked)")?;
     println!("characterizing {} with policy `{}`…", device.name(), policy.name());
     let (charac, report) = characterize(&device, &policy, &config, &TimeModel::default());
     println!(
