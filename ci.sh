@@ -61,6 +61,15 @@ charac_exact="$(echo "$charac_out" | grep '^exact ' | head -n1)"
 [ "$charac_exact" = "$pinned_charac" ] || {
     echo "charac_daily exact counts moved:"; echo "  got:    $charac_exact"; echo "  pinned: $pinned_charac"; exit 1;
 }
+# Seed 2 starts on another day with other RB seeds, so sequence synthesis
+# and the executor are checked on a second set of device-days.
+pinned_charac2="exact charac.experiments=71 charac.bins=87 sim.shots=125280 charac_recall=13/14 charac_false_pairs=0 charac_digest=233f7ad0dfd0a144"
+charac_out2="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload charac_daily --seed 2 --seconds 3 --trace 0)"
+charac_exact2="$(echo "$charac_out2" | grep '^exact ' | head -n1)"
+[ "$charac_exact2" = "$pinned_charac2" ] || {
+    echo "charac_daily seed 2 exact counts moved:"; echo "  got:    $charac_exact2"; echo "  pinned: $pinned_charac2"; exit 1;
+}
 # Serving must stay bit-identical too: seed 1's exact counts (requests
 # per load phase, simulated shots, requests served and jobs answered) are
 # pinned, so a change to the serve path's contexts, caches or snapshots

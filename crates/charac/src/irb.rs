@@ -11,12 +11,10 @@
 //! paper builds on, so the reproduction carries it too.
 
 use crate::fit::{fit_decay_fixed_offset, DecayFit};
-use crate::rb::RbConfig;
+use crate::rb::{clifford_sequence, RbConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use xtalk_clifford::group::two_qubit_cliffords;
-use xtalk_clifford::random::uniform_element;
-use xtalk_clifford::{instantiate, CliffordTableau};
+use xtalk_clifford::group::{two_qubit_cliffords, Templates};
 use xtalk_device::{Device, Edge};
 use xtalk_ir::{Circuit, Gate};
 use xtalk_sim::{Executor, ExecutorConfig};
@@ -47,7 +45,9 @@ pub fn run_irb(device: &Device, edge: Edge, config: &RbConfig) -> IrbOutcome {
     let n = device.topology().num_qubits();
     let group = two_qubit_cliffords();
     let [qa, qb] = edge.qubits();
-    let phys = [qa, qb];
+    // Raw gates: the interleaved CNOT must reach the executor as itself.
+    let templates = Templates::raw(group, &[qa, qb]);
+    let cx = group.generator_index(&(Gate::Cx, vec![0, 1])).expect("CX(0,1) generates the group");
     let mut rng = StdRng::seed_from_u64(
         config.seed ^ 0x12b ^ ((edge.lo() as u64) << 32) ^ edge.hi() as u64,
     );
@@ -58,26 +58,7 @@ pub fn run_irb(device: &Device, edge: Edge, config: &RbConfig) -> IrbOutcome {
             let mut mean = 0.0;
             for s in 0..config.seqs_per_length {
                 let mut c = Circuit::new(n, 2);
-                let mut total = CliffordTableau::identity(2);
-                for _ in 0..m {
-                    let idx = uniform_element(group, rng);
-                    for instr in instantiate(&group.decomposition(idx), &phys) {
-                        c.push(instr);
-                    }
-                    for (g, qs) in group.decomposition(idx) {
-                        total.apply_gate(&g, &qs);
-                    }
-                    if interleave {
-                        c.push(xtalk_ir::Instruction::two_qubit(Gate::Cx, qa, qb));
-                        total.apply_gate(&Gate::Cx, &[0, 1]);
-                    }
-                }
-                for instr in instantiate(
-                    &group.inverse_decomposition(&total).expect("closed group"),
-                    &phys,
-                ) {
-                    c.push(instr);
-                }
+                clifford_sequence(&mut c, group, &templates, m, interleave.then_some(cx), rng);
                 c.measure(qa, 0).measure(qb, 1);
                 let sched = Executor::asap_schedule(&c, device.calibration());
                 let cfg = ExecutorConfig {
@@ -109,6 +90,60 @@ mod tests {
 
     fn config() -> RbConfig {
         RbConfig { lengths: vec![2, 6, 12, 20], seqs_per_length: 5, shots: 192, seed: 4 }
+    }
+
+    /// `run_irb`'s sequence as it was: raw gates, a running tableau built
+    /// gate by gate (the interleaved CNOT included), the inverse looked up
+    /// by tableau: the oracle for the table path.
+    fn irb_sequence_per_gate(
+        c: &mut Circuit,
+        phys: [xtalk_ir::Qubit; 2],
+        m: usize,
+        interleave: bool,
+        rng: &mut StdRng,
+    ) {
+        use xtalk_clifford::random::uniform_element;
+        use xtalk_clifford::{instantiate, CliffordTableau};
+        let group = two_qubit_cliffords();
+        let mut total = CliffordTableau::identity(2);
+        for _ in 0..m {
+            let idx = uniform_element(group, rng);
+            for instr in instantiate(&group.decomposition(idx), &phys) {
+                c.push(instr);
+            }
+            for (g, qs) in group.decomposition(idx) {
+                total.apply_gate(&g, &qs);
+            }
+            if interleave {
+                c.push(xtalk_ir::Instruction::two_qubit(Gate::Cx, phys[0], phys[1]));
+                total.apply_gate(&Gate::Cx, &[0, 1]);
+            }
+        }
+        for instr in instantiate(&group.inverse_decomposition(&total).unwrap(), &phys) {
+            c.push(instr);
+        }
+    }
+
+    #[test]
+    fn table_sequences_emit_the_tableau_oracle_circuits() {
+        let group = two_qubit_cliffords();
+        let phys = Edge::new(1, 4).qubits();
+        let templates = Templates::raw(group, &phys);
+        let cx = group.generator_index(&(Gate::Cx, vec![0, 1])).unwrap();
+        for seed in 0..30u64 {
+            for m in [0usize, 1, 4, 13, 25] {
+                for interleave in [false, true] {
+                    let (mut a, mut b) = (Circuit::new(5, 2), Circuit::new(5, 2));
+                    let mut ra = StdRng::seed_from_u64(seed);
+                    let mut rb = StdRng::seed_from_u64(seed);
+                    let interleave_cx = interleave.then_some(cx);
+                    clifford_sequence(&mut a, group, &templates, m, interleave_cx, &mut ra);
+                    irb_sequence_per_gate(&mut b, phys, m, interleave, &mut rb);
+                    assert_eq!(a, b, "seed {seed}, length {m}, interleave {interleave}");
+                    assert_eq!(ra, rb, "seed {seed}, length {m}: RNG positions differ");
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,9 +3,8 @@
 use crate::fit::{error_per_clifford, fit_decay_fixed_offset, DecayFit};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use xtalk_clifford::group::{two_qubit_cliffords, LocalGate};
+use xtalk_clifford::group::{single_qubit_cliffords, two_qubit_cliffords, CliffordGroup, Templates};
 use xtalk_clifford::random::uniform_element;
-use xtalk_clifford::CliffordTableau;
 use xtalk_device::{Device, Edge};
 use xtalk_ir::{Circuit, Qubit};
 use xtalk_sim::{Executor, ExecutorConfig};
@@ -53,44 +52,69 @@ impl RbConfig {
     }
 }
 
-/// One random RB sequence on a pair of physical qubits: `m` uniform
-/// two-qubit Cliffords followed by the inverse of their product, as native
-/// gates, ending with measurement of both qubits into clbits
+/// The native-basis templates RB sequences on `physical` are emitted
+/// through: each generator of `group` (and its inverse) lowered once by
+/// the compiler's native lowering, so an emitted sequence is exactly its
+/// raw gates lowered and needs no lowering pass.
+pub fn native_templates(group: &CliffordGroup, physical: &[Qubit]) -> Templates {
+    Templates::raw(group, physical).expand(|instr| {
+        let width = instr.qubits().iter().map(|q| q.index() + 1).max().unwrap_or(0);
+        let mut lowered = Circuit::new(width, 0);
+        xtalk_pass::lower_instruction(&mut lowered, instr);
+        lowered.instructions().to_vec()
+    })
+}
+
+/// Appends one random Clifford sequence of `group` through `templates`:
+/// `m` uniformly drawn elements, each followed by generator `interleave`
+/// when given (interleaved RB), then the inverse of their whole product,
+/// so a noiseless run returns to the initial state. The running product
+/// goes through the group's successor table; the draws are `m` calls of
+/// [`uniform_element`], in order.
+pub fn clifford_sequence(
+    circuit: &mut Circuit,
+    group: &CliffordGroup,
+    templates: &Templates,
+    m: usize,
+    interleave: Option<usize>,
+    rng: &mut StdRng,
+) {
+    let mut total = CliffordGroup::IDENTITY;
+    for _ in 0..m {
+        let idx = uniform_element(group, rng);
+        group.emit(idx, false, templates, circuit);
+        total = group.compose(total, idx);
+        if let Some(g) = interleave {
+            for instr in templates.generator(g) {
+                circuit.push(instr.clone());
+            }
+            total = group.then_generator(total, g);
+        }
+    }
+    group.emit(total, true, templates, circuit);
+}
+
+/// One random RB sequence on the pair of physical qubits of `templates`
+/// (two-qubit group templates, see [`native_templates`]): `m` uniform
+/// two-qubit Cliffords followed by the inverse of their product, ending
+/// with measurement of both qubits into clbits
 /// `(clbit_base, clbit_base+1)`.
 ///
-/// Returns the circuit fragment (to be appended to a wider circuit) and
-/// the number of CNOTs it contains.
+/// Returns the number of CNOTs the fragment contains.
 pub fn rb_sequence(
     circuit: &mut Circuit,
-    qa: Qubit,
-    qb: Qubit,
+    templates: &Templates,
     m: usize,
     clbit_base: u32,
     rng: &mut StdRng,
 ) -> usize {
-    let group = two_qubit_cliffords();
-    let mut total = CliffordTableau::identity(2);
-    let mut cx = 0usize;
-    let phys = [qa, qb];
-    let emit = |circuit: &mut Circuit, gates: &[LocalGate], cx: &mut usize| {
-        for instr in xtalk_clifford::instantiate(gates, &phys) {
-            if instr.gate().is_two_qubit() {
-                *cx += 1;
-            }
-            circuit.push(instr);
-        }
-    };
-    for _ in 0..m {
-        let idx = uniform_element(group, rng);
-        emit(circuit, &group.decomposition(idx), &mut cx);
-        // Tableau composition is exact (integer phases), so composing the
-        // element's stored tableau equals composing its gates one by one.
-        total = total.then(group.tableau(idx));
-    }
-    let inv = group
-        .inverse_decomposition(&total)
-        .expect("product of group elements is in the group");
-    emit(circuit, &inv, &mut cx);
+    let start = circuit.len();
+    clifford_sequence(circuit, two_qubit_cliffords(), templates, m, None, rng);
+    let cx = circuit.instructions()[start..]
+        .iter()
+        .filter(|instr| instr.gate().is_two_qubit())
+        .count();
+    let [qa, qb] = [templates.physical()[0], templates.physical()[1]];
     circuit.measure(qa, clbit_base).measure(qb, clbit_base + 1);
     cx
 }
@@ -101,9 +125,9 @@ pub fn rb_sequence(
 /// 1q error rates are ~10× below CNOT rates (Section 7.2); this measures
 /// exactly that ratio on our devices.
 pub fn run_rb_1q(device: &Device, q: u32, config: &RbConfig) -> f64 {
-    use xtalk_clifford::group::single_qubit_cliffords;
     let n = device.topology().num_qubits();
     let group = single_qubit_cliffords();
+    let templates = native_templates(group, &[Qubit::new(q)]);
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x1111 ^ u64::from(q));
     let mut data = Vec::new();
     let mut total_gates = 0usize;
@@ -111,36 +135,15 @@ pub fn run_rb_1q(device: &Device, q: u32, config: &RbConfig) -> f64 {
     for &m in &config.lengths {
         let mut mean = 0.0;
         for s in 0..config.seqs_per_length {
+            // Native gates, as hardware executes them: one physical pulse
+            // per non-virtual Clifford generator, so EPC accounting is
+            // that of the raw gates. Virtual gates (S, Z, …) are
+            // error-free frame changes; only physical pulses carry error.
             let mut c = Circuit::new(n, 1);
-            let mut total = CliffordTableau::identity(1);
-            let phys = [Qubit::new(q)];
-            for _ in 0..m {
-                let idx = uniform_element(group, &mut rng);
-                for instr in xtalk_clifford::instantiate(&group.decomposition(idx), &phys) {
-                    // Virtual gates (S, Z, …) are error-free frame changes;
-                    // only physical pulses carry error.
-                    if !instr.gate().is_virtual() {
-                        total_gates += 1;
-                    }
-                    c.push(instr);
-                }
-                total = total.then(group.tableau(idx));
-            }
-            for instr in xtalk_clifford::instantiate(
-                &group.inverse_decomposition(&total).expect("closed group"),
-                &phys,
-            ) {
-                if !instr.gate().is_virtual() {
-                    total_gates += 1;
-                }
-                c.push(instr);
-            }
+            clifford_sequence(&mut c, group, &templates, m, None, &mut rng);
+            total_gates += c.iter().filter(|instr| !instr.gate().is_virtual()).count();
             total_cliffords += m + 1;
             c.measure(q, 0);
-            // Execute what hardware would: the native lowering shared
-            // with the compiler's LowerPass (1 physical pulse per
-            // non-virtual Clifford gate, so EPC accounting is unchanged).
-            let c = xtalk_pass::lower_to_native(&c);
             let sched = Executor::asap_schedule(&c, device.calibration());
             let cfg = ExecutorConfig {
                 shots: config.shots,
@@ -186,7 +189,7 @@ pub fn run_rb(device: &Device, edge: Edge, config: &RbConfig) -> RbOutcome {
     let mut rng = StdRng::seed_from_u64(
         config.seed ^ 0xda7a ^ ((edge.lo() as u64) << 32) ^ edge.hi() as u64,
     );
-    let [qa, qb] = edge.qubits();
+    let templates = native_templates(two_qubit_cliffords(), &edge.qubits());
 
     let mut survival = Vec::new();
     let mut data = Vec::new();
@@ -196,9 +199,8 @@ pub fn run_rb(device: &Device, edge: Edge, config: &RbConfig) -> RbOutcome {
         let mut mean = 0.0;
         for s in 0..config.seqs_per_length {
             let mut c = Circuit::new(n, 2);
-            total_cx += rb_sequence(&mut c, qa, qb, m, 0, &mut rng);
+            total_cx += rb_sequence(&mut c, &templates, m, 0, &mut rng);
             total_cliffords += m + 1;
-            let c = xtalk_pass::lower_to_native(&c);
             let sched = Executor::asap_schedule(&c, device.calibration());
             let cfg = ExecutorConfig {
                 shots: config.shots,
@@ -227,10 +229,12 @@ pub fn run_rb(device: &Device, edge: Edge, config: &RbConfig) -> RbOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+    use xtalk_clifford::group::LocalGate;
+    use xtalk_clifford::{instantiate, CliffordTableau};
 
     /// `rb_sequence` as it was when the running product composed every
-    /// generator gate's tableau: the reference for the identity test.
+    /// generator gate's tableau, with raw gates and a lookup of the
+    /// product's tableau for the inverse: the oracle for the table path.
     fn rb_sequence_per_gate(
         circuit: &mut Circuit,
         qa: Qubit,
@@ -244,7 +248,7 @@ mod tests {
         let mut cx = 0usize;
         let phys = [qa, qb];
         let emit = |circuit: &mut Circuit, gates: &[LocalGate], cx: &mut usize| {
-            for instr in xtalk_clifford::instantiate(gates, &phys) {
+            for instr in instantiate(gates, &phys) {
                 if instr.gate().is_two_qubit() {
                     *cx += 1;
                 }
@@ -267,35 +271,55 @@ mod tests {
         cx
     }
 
-    #[test]
-    fn per_clifford_product_equals_per_gate_product_for_one_qubit() {
-        // `run_rb_1q`'s running product, both ways.
-        let group = xtalk_clifford::group::single_qubit_cliffords();
-        let mut rng = StdRng::seed_from_u64(9);
-        for _ in 0..200 {
-            let (mut per_gate, mut per_clifford) =
-                (CliffordTableau::identity(1), CliffordTableau::identity(1));
-            for _ in 0..rng.gen_range(0..40usize) {
-                let idx = uniform_element(group, &mut rng);
-                for (g, qs) in group.decomposition(idx) {
-                    per_gate.apply_gate(&g, &qs);
-                }
-                per_clifford = per_clifford.then(group.tableau(idx));
+    /// `run_rb_1q`'s sequence as it was: raw gates, a running tableau
+    /// product per Clifford, the inverse looked up by tableau, then the
+    /// whole circuit lowered to native gates.
+    fn one_qubit_sequence_per_clifford(q: u32, m: usize, rng: &mut StdRng) -> Circuit {
+        let group = single_qubit_cliffords();
+        let mut c = Circuit::new(q as usize + 1, 1);
+        let mut total = CliffordTableau::identity(1);
+        let phys = [Qubit::new(q)];
+        for _ in 0..m {
+            let idx = uniform_element(group, rng);
+            for instr in instantiate(&group.decomposition(idx), &phys) {
+                c.push(instr);
             }
-            assert_eq!(per_gate, per_clifford);
+            total = total.then(group.tableau(idx));
         }
+        for instr in instantiate(&group.inverse_decomposition(&total).unwrap(), &phys) {
+            c.push(instr);
+        }
+        xtalk_pass::lower_to_native(&c)
     }
 
     #[test]
-    fn per_clifford_product_emits_the_per_gate_circuits() {
+    fn table_sequences_emit_the_tableau_oracle_circuits() {
+        let (qa, qb) = (Qubit::new(3), Qubit::new(1));
+        let templates = native_templates(two_qubit_cliffords(), &[qa, qb]);
         for seed in 0..40u64 {
             for m in [0usize, 1, 2, 5, 12, 30] {
                 let (mut a, mut b) = (Circuit::new(4, 4), Circuit::new(4, 4));
                 let (mut ra, mut rb) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-                let (qa, qb) = (Qubit::new(3), Qubit::new(1));
-                let cx_a = rb_sequence(&mut a, qa, qb, m, 2, &mut ra);
+                let cx_a = rb_sequence(&mut a, &templates, m, 2, &mut ra);
                 let cx_b = rb_sequence_per_gate(&mut b, qa, qb, m, 2, &mut rb);
+                let b = xtalk_pass::lower_to_native(&b);
                 assert_eq!((cx_a, &a), (cx_b, &b), "seed {seed}, length {m}");
+                assert_eq!(ra, rb, "seed {seed}, length {m}: RNG positions differ");
+            }
+        }
+    }
+
+    #[test]
+    fn one_qubit_table_sequences_emit_the_tableau_oracle_circuits() {
+        let group = single_qubit_cliffords();
+        let templates = native_templates(group, &[Qubit::new(2)]);
+        for seed in 0..40u64 {
+            for m in [0usize, 1, 3, 16, 40] {
+                let mut a = Circuit::new(3, 1);
+                let (mut ra, mut rb) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                clifford_sequence(&mut a, group, &templates, m, None, &mut ra);
+                let b = one_qubit_sequence_per_clifford(2, m, &mut rb);
+                assert_eq!(a, b, "seed {seed}, length {m}");
                 assert_eq!(ra, rb, "seed {seed}, length {m}: RNG positions differ");
             }
         }
@@ -305,7 +329,8 @@ mod tests {
     fn sequence_inverts_to_identity() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut c = Circuit::new(2, 2);
-        rb_sequence(&mut c, Qubit::new(0), Qubit::new(1), 6, 0, &mut rng);
+        let templates = Templates::raw(two_qubit_cliffords(), &[Qubit::new(0), Qubit::new(1)]);
+        rb_sequence(&mut c, &templates, 6, 0, &mut rng);
         // Strip measurements, check the unitary is identity.
         let mut unitary_only = Circuit::new(2, 0);
         for instr in c.iter().filter(|i| !i.gate().is_measurement()) {
@@ -319,7 +344,8 @@ mod tests {
         let device = Device::line(2, 0);
         let mut rng = StdRng::seed_from_u64(4);
         let mut c = Circuit::new(2, 2);
-        rb_sequence(&mut c, Qubit::new(0), Qubit::new(1), 10, 0, &mut rng);
+        let templates = native_templates(two_qubit_cliffords(), &[Qubit::new(0), Qubit::new(1)]);
+        rb_sequence(&mut c, &templates, 10, 0, &mut rng);
         let sched = Executor::asap_schedule(&c, device.calibration());
         let cfg = ExecutorConfig {
             shots: 64,

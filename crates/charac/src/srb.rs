@@ -1,9 +1,10 @@
 //! Simultaneous randomized benchmarking (SRB) of CNOT pairs.
 
 use crate::fit::{error_per_clifford, fit_decay_fixed_offset};
-use crate::rb::{rb_sequence, RbConfig};
+use crate::rb::{native_templates, rb_sequence, RbConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use xtalk_clifford::group::{two_qubit_cliffords, Templates};
 use xtalk_device::{Device, Edge};
 use xtalk_ir::Circuit;
 use xtalk_sim::{Executor, ExecutorConfig};
@@ -103,18 +104,18 @@ fn simultaneous_rb(
     let mut survival: Vec<Vec<(usize, f64)>> = vec![Vec::new(); edges.len()];
     let mut cx_counts = vec![0usize; edges.len()];
     let mut clifford_counts = vec![0usize; edges.len()];
+    let group = two_qubit_cliffords();
+    let templates: Vec<Templates> =
+        edges.iter().map(|e| native_templates(group, &e.qubits())).collect();
 
     for &m in &config.lengths {
         let mut means = vec![0.0f64; edges.len()];
         for s in 0..config.seqs_per_length {
             let mut c = Circuit::new(n, 2 * edges.len());
-            for (k, e) in edges.iter().enumerate() {
-                let [qa, qb] = e.qubits();
-                cx_counts[k] += rb_sequence(&mut c, qa, qb, m, 2 * k as u32, &mut rng);
+            for (k, templates) in templates.iter().enumerate() {
+                cx_counts[k] += rb_sequence(&mut c, templates, m, 2 * k as u32, &mut rng);
                 clifford_counts[k] += m + 1;
             }
-            // Native lowering shared with the compiler's LowerPass.
-            let c = xtalk_pass::lower_to_native(&c);
             let sched = Executor::asap_schedule(&c, device.calibration());
             let cfg = ExecutorConfig {
                 shots: config.shots,

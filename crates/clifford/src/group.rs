@@ -6,7 +6,7 @@ use crate::CliffordTableau;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::OnceLock;
-use xtalk_ir::Gate;
+use xtalk_ir::{Circuit, Gate, Instruction, Qubit};
 
 /// A gate applied to local (0-based) qubit indices within the group's
 /// register.
@@ -14,8 +14,8 @@ pub type LocalGate = (Gate, Vec<usize>);
 
 struct Element {
     tableau: CliffordTableau,
-    /// `(parent element, appended gate)` — `None` for the identity.
-    parent: Option<(usize, LocalGate)>,
+    /// `(parent element, appended generator)` — `None` for the identity.
+    parent: Option<(usize, u8)>,
     cx_count: usize,
     gate_count: usize,
 }
@@ -25,24 +25,47 @@ struct Element {
 /// `(CX count, total gate count)` — so every element's stored
 /// decomposition uses the minimum possible number of CNOTs.
 ///
+/// The enumeration also keeps what it looked up on the way: the
+/// successor table `succ[i][g]`, the index of "element `i`, then
+/// generator `g`", and each element's generator word. Products of
+/// elements ([`CliffordGroup::compose`]) and circuits of elements or
+/// their inverses ([`CliffordGroup::emit`]) then need no tableau work.
+///
 /// ```
 /// use xtalk_clifford::group;
 /// let g1 = group::single_qubit_cliffords();
 /// assert_eq!(g1.len(), 24);
 /// // Single-qubit Cliffords never need a CX.
 /// assert!((0..g1.len()).all(|i| g1.cx_count(i) == 0));
+/// // H is its own inverse: composed with itself it is the identity.
+/// let h = g1.index_of(&xtalk_clifford::gate_tableau(1, &xtalk_ir::Gate::H, &[0])).unwrap();
+/// assert_eq!(g1.compose(h, h), group::CliffordGroup::IDENTITY);
 /// ```
 pub struct CliffordGroup {
     n: usize,
+    generators: Vec<LocalGate>,
     elements: Vec<Element>,
     index: HashMap<CliffordTableau, usize>,
+    /// `succ[i · generators + g]`: the index of element `i` followed by
+    /// generator `g`.
+    succ: Vec<u16>,
+    /// Element `i`'s generator word is `words[word_start[i]..word_start[i + 1]]`,
+    /// in application order.
+    words: Vec<u8>,
+    word_start: Vec<u32>,
 }
 
 impl CliffordGroup {
+    /// Index of the identity element.
+    pub const IDENTITY: usize = 0;
+
     /// Enumerates the group generated by `generators` on `n` qubits.
     fn enumerate(n: usize, generators: &[LocalGate]) -> Self {
+        let gen_tableaus: Vec<CliffordTableau> =
+            generators.iter().map(|(g, qs)| gate_tableau(n, g, qs)).collect();
         let mut elements: Vec<Element> = Vec::new();
         let mut index: HashMap<CliffordTableau, usize> = HashMap::new();
+        let mut succ: Vec<u16> = Vec::new();
         let identity = CliffordTableau::identity(n);
         elements.push(Element {
             tableau: identity.clone(),
@@ -53,7 +76,9 @@ impl CliffordGroup {
         index.insert(identity, 0);
 
         // Dijkstra with cost (cx, gates). Generator application costs are
-        // uniform per generator, so a monotone frontier suffices.
+        // uniform per generator, so a monotone frontier suffices. Every
+        // element is settled exactly once, and settling it looks up all of
+        // its successors: that lookup is the successor table's row.
         let mut heap: BinaryHeap<Reverse<((usize, usize), usize)>> = BinaryHeap::new();
         heap.push(Reverse(((0, 0), 0)));
         let mut settled = vec![false; 1];
@@ -63,39 +88,73 @@ impl CliffordGroup {
                 continue;
             }
             settled[i] = true;
-            for g in generators {
-                let gt = gate_tableau(n, &g.0, &g.1);
-                let next = elements[i].tableau.then(&gt);
-                let add_cx = usize::from(g.0.is_two_qubit());
+            if succ.len() < elements.len() * generators.len() {
+                succ.resize(elements.len() * generators.len(), u16::MAX);
+            }
+            for (g, (gate, gt)) in generators.iter().zip(&gen_tableaus).enumerate() {
+                let next = elements[i].tableau.then(gt);
+                let add_cx = usize::from(gate.0.is_two_qubit());
                 let ncost = (cost.0 + add_cx, cost.1 + 1);
-                match index.get(&next) {
+                let j = match index.get(&next) {
                     Some(&j) => {
                         if !settled[j]
                             && ncost < (elements[j].cx_count, elements[j].gate_count)
                         {
-                            elements[j].parent = Some((i, g.clone()));
+                            elements[j].parent = Some((i, g as u8));
                             elements[j].cx_count = ncost.0;
                             elements[j].gate_count = ncost.1;
                             heap.push(Reverse((ncost, j)));
                         }
+                        j
                     }
                     None => {
                         let j = elements.len();
                         index.insert(next.clone(), j);
                         elements.push(Element {
                             tableau: next,
-                            parent: Some((i, g.clone())),
+                            parent: Some((i, g as u8)),
                             cx_count: ncost.0,
                             gate_count: ncost.1,
                         });
                         settled.push(false);
                         heap.push(Reverse((ncost, j)));
+                        j
                     }
-                }
+                };
+                succ[i * generators.len() + g] =
+                    u16::try_from(j).expect("group order fits the successor table");
             }
         }
+        assert!(
+            succ.len() == elements.len() * generators.len() && !succ.contains(&u16::MAX),
+            "every element was settled"
+        );
 
-        CliffordGroup { n, elements, index }
+        // Words from the settled parent chains, in application order.
+        let mut words = Vec::new();
+        let mut word_start = Vec::with_capacity(elements.len() + 1);
+        let mut rev = Vec::new();
+        for i in 0..elements.len() {
+            word_start.push(words.len() as u32);
+            rev.clear();
+            let mut cur = i;
+            while let Some((p, g)) = elements[cur].parent {
+                rev.push(g);
+                cur = p;
+            }
+            words.extend(rev.iter().rev());
+        }
+        word_start.push(words.len() as u32);
+
+        CliffordGroup {
+            n,
+            generators: generators.to_vec(),
+            elements,
+            index,
+            succ,
+            words,
+            word_start,
+        }
     }
 
     /// Register width.
@@ -123,17 +182,36 @@ impl CliffordGroup {
         self.elements[i].cx_count
     }
 
+    /// Index of `gate` within the generating set, if it is a generator.
+    pub fn generator_index(&self, gate: &LocalGate) -> Option<usize> {
+        self.generators.iter().position(|g| g == gate)
+    }
+
+    /// Element `i`'s stored decomposition as generator indices, in
+    /// application order.
+    fn word(&self, i: usize) -> &[u8] {
+        &self.words[self.word_start[i] as usize..self.word_start[i + 1] as usize]
+    }
+
+    /// The index of "element `i`, then generator `g`".
+    pub fn then_generator(&self, i: usize, g: usize) -> usize {
+        usize::from(self.succ[i * self.generators.len() + g])
+    }
+
+    /// The index of "first element `i`, then element `j`" (the tableau
+    /// `tableau(i).then(tableau(j))`): `j`'s word walked through the
+    /// successor table from `i`.
+    pub fn compose(&self, i: usize, j: usize) -> usize {
+        let stride = self.generators.len();
+        self.word(j)
+            .iter()
+            .fold(i, |cur, &g| usize::from(self.succ[cur * stride + usize::from(g)]))
+    }
+
     /// The stored decomposition of element `i` into generator gates, in
     /// application order.
     pub fn decomposition(&self, i: usize) -> Vec<LocalGate> {
-        let mut rev = Vec::new();
-        let mut cur = i;
-        while let Some((p, g)) = &self.elements[cur].parent {
-            rev.push(g.clone());
-            cur = *p;
-        }
-        rev.reverse();
-        rev
+        self.word(i).iter().map(|&g| self.generators[usize::from(g)].clone()).collect()
     }
 
     /// Index of a tableau within the group, if it belongs to it.
@@ -152,6 +230,86 @@ impl CliffordGroup {
             *g = g.inverse().expect("generator gates are invertible");
         }
         Some(gates)
+    }
+
+    /// Appends element `i` to `out` as its generator word, each generator
+    /// through its template. With `inverse`, appends `i⁻¹` instead: the
+    /// reversed word through the inverse templates, the same gates as
+    /// [`CliffordGroup::inverse_decomposition`].
+    pub fn emit(&self, i: usize, inverse: bool, templates: &Templates, out: &mut Circuit) {
+        let word = self.word(i);
+        if inverse {
+            for &g in word.iter().rev() {
+                for instr in &templates.inverse[usize::from(g)] {
+                    out.push(instr.clone());
+                }
+            }
+        } else {
+            for &g in word {
+                for instr in &templates.forward[usize::from(g)] {
+                    out.push(instr.clone());
+                }
+            }
+        }
+    }
+}
+
+/// The instructions each generator of a group, and each generator's
+/// inverse, emits on fixed physical qubits: what
+/// [`CliffordGroup::emit`] writes for one generator of a word.
+#[derive(Clone, PartialEq, Debug)]
+pub struct Templates {
+    physical: Vec<Qubit>,
+    forward: Vec<Vec<Instruction>>,
+    inverse: Vec<Vec<Instruction>>,
+}
+
+impl Templates {
+    /// The generator gates themselves (and their inverses), local qubit
+    /// `k` mapped to `physical[k]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `physical` is narrower than the group.
+    pub fn raw(group: &CliffordGroup, physical: &[Qubit]) -> Templates {
+        assert!(physical.len() >= group.num_qubits(), "one physical qubit per group qubit");
+        let place = |gate: Gate, qs: &[usize]| {
+            let mapped: Vec<Qubit> = qs.iter().map(|&q| physical[q]).collect();
+            vec![Instruction::new(gate, mapped, None)]
+        };
+        Templates {
+            physical: physical[..group.num_qubits()].to_vec(),
+            forward: group.generators.iter().map(|(g, qs)| place(*g, qs)).collect(),
+            inverse: group
+                .generators
+                .iter()
+                .map(|(g, qs)| place(g.inverse().expect("generator gates are invertible"), qs))
+                .collect(),
+        }
+    }
+
+    /// Replaces every template instruction by its expansion under
+    /// `expand` — native lowering, say, so emitted sequences need no
+    /// lowering pass.
+    pub fn expand(self, mut expand: impl FnMut(&Instruction) -> Vec<Instruction>) -> Templates {
+        let mut each = |ts: Vec<Vec<Instruction>>| -> Vec<Vec<Instruction>> {
+            ts.iter().map(|t| t.iter().flat_map(&mut expand).collect()).collect()
+        };
+        Templates {
+            physical: self.physical,
+            forward: each(self.forward),
+            inverse: each(self.inverse),
+        }
+    }
+
+    /// The physical qubit of each group qubit.
+    pub fn physical(&self) -> &[Qubit] {
+        &self.physical
+    }
+
+    /// What generator `g` emits.
+    pub fn generator(&self, g: usize) -> &[Instruction] {
+        &self.forward[g]
     }
 }
 
@@ -261,6 +419,90 @@ mod tests {
         }
         // A tableau outside the register width is simply absent.
         assert_eq!(g.index_of(&CliffordTableau::identity(2)), None);
+    }
+
+    #[test]
+    fn successor_table_matches_tableau_products_exhaustively() {
+        for g in [single_qubit_cliffords(), two_qubit_cliffords()] {
+            let gens: Vec<CliffordTableau> = g
+                .generators
+                .iter()
+                .map(|(gate, qs)| gate_tableau(g.num_qubits(), gate, qs))
+                .collect();
+            for i in 0..g.len() {
+                for (k, gt) in gens.iter().enumerate() {
+                    let want = g.index_of(&g.tableau(i).then(gt));
+                    assert_eq!(Some(g.then_generator(i, k)), want, "element {i}, generator {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn words_reproduce_every_element() {
+        for g in [single_qubit_cliffords(), two_qubit_cliffords()] {
+            for i in 0..g.len() {
+                let word = g.word(i);
+                // Applying the word's gates one by one builds the tableau…
+                let mut t = CliffordTableau::identity(g.num_qubits());
+                for &k in word {
+                    let (gate, qs) = &g.generators[usize::from(k)];
+                    t.apply_gate(gate, qs);
+                }
+                assert_eq!(&t, g.tableau(i), "element {i}");
+                // …walking it through the table from the identity lands
+                // on the element, and its CX count is the stored one.
+                assert_eq!(g.compose(CliffordGroup::IDENTITY, i), i, "element {i}");
+                let cx = word
+                    .iter()
+                    .filter(|&&k| g.generators[usize::from(k)].0.is_two_qubit())
+                    .count();
+                assert_eq!(cx, g.cx_count(i), "element {i}");
+                assert_eq!(word.len(), g.elements[i].gate_count, "element {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn table_products_equal_tableau_products() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        for g in [single_qubit_cliffords(), two_qubit_cliffords()] {
+            for _ in 0..2000 {
+                let (i, j) = (rng.gen_range(0..g.len()), rng.gen_range(0..g.len()));
+                let want = g.index_of(&g.tableau(i).then(g.tableau(j)));
+                assert_eq!(Some(g.compose(i, j)), want, "{i} then {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn emitted_words_are_the_decompositions_on_physical_qubits() {
+        let g = two_qubit_cliffords();
+        let phys = [Qubit::new(4), Qubit::new(1)];
+        let templates = Templates::raw(g, &phys);
+        for i in (0..g.len()).step_by(97) {
+            let (mut fwd, mut inv) = (Circuit::new(5, 0), Circuit::new(5, 0));
+            g.emit(i, false, &templates, &mut fwd);
+            g.emit(i, true, &templates, &mut inv);
+            let inverse = g.inverse_decomposition(g.tableau(i)).unwrap();
+            assert_eq!(fwd.instructions(), crate::instantiate(&g.decomposition(i), &phys));
+            assert_eq!(inv.instructions(), crate::instantiate(&inverse, &phys));
+        }
+    }
+
+    #[test]
+    fn expanded_templates_replace_each_instruction() {
+        let g = single_qubit_cliffords();
+        let templates = Templates::raw(g, &[Qubit::new(2)]).expand(|instr| {
+            vec![instr.clone(), Instruction::new(Gate::I, instr.qubits().to_vec(), None)]
+        });
+        let mut c = Circuit::new(3, 0);
+        let i = (0..g.len()).find(|&i| g.word(i).len() == 3).unwrap();
+        g.emit(i, true, &templates, &mut c);
+        assert_eq!(c.len(), 6);
+        assert!(c.iter().skip(1).step_by(2).all(|instr| *instr.gate() == Gate::I));
     }
 
     #[test]

@@ -54,4 +54,4 @@ pub use realize::{realize, to_barriered_circuit};
 pub use sched::par::ParSched;
 pub use sched::serial::SerialSched;
 pub use sched::xtalk::{OrderingPolicy, XtalkSched, XtalkSchedReport};
-pub use sched::{scheduler_by_name, Scheduler};
+pub use sched::{scheduler_by_name, Scheduler, SchedulerName};

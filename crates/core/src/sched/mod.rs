@@ -59,24 +59,61 @@ pub trait Scheduler {
     }
 }
 
-/// The scheduler the CLI and the job service name `name`: `xtalk`
+/// A scheduler by name, as the CLI and the job service take it: `xtalk`
 /// ([`XtalkSched`](xtalk::XtalkSched) with crosstalk weight `omega`),
-/// `par` or `serial`. `omega` is checked whatever the name, so a bad
-/// weight fails loudly even where it would go unused.
+/// `par` or `serial`. [`SchedulerName::parse`] is the one name table;
+/// a request parses its scheduler once, so an unknown name is rejected
+/// before any work runs.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum SchedulerName {
+    /// XtalkSched with crosstalk/decoherence weight `omega` ∈ [0, 1].
+    Xtalk {
+        /// The Eq. 17 weight ω.
+        omega: f64,
+    },
+    /// ParSched: maximal parallelism.
+    Par,
+    /// SerialSched: no two-qubit gates overlap.
+    Serial,
+}
+
+impl SchedulerName {
+    /// Parses `name` with weight `omega`. `omega` is checked whatever the
+    /// name, so a bad weight fails loudly even where it would go unused.
+    ///
+    /// # Errors
+    ///
+    /// `omega` outside `[0, 1]`, or an unknown name.
+    pub fn parse(name: &str, omega: f64) -> Result<SchedulerName, String> {
+        if !(0.0..=1.0).contains(&omega) {
+            return Err(format!("omega must be in [0,1], got {omega}"));
+        }
+        Ok(match name {
+            "xtalk" => SchedulerName::Xtalk { omega },
+            "par" => SchedulerName::Par,
+            "serial" => SchedulerName::Serial,
+            other => return Err(format!("unknown scheduler `{other}`")),
+        })
+    }
+
+    /// The scheduler this names.
+    pub fn build(self) -> Box<dyn Scheduler> {
+        match self {
+            SchedulerName::Xtalk { omega } => Box::new(xtalk::XtalkSched::new(omega)),
+            SchedulerName::Par => Box::new(par::ParSched::new()),
+            SchedulerName::Serial => Box::new(serial::SerialSched::new()),
+        }
+    }
+}
+
+/// The scheduler named `name` with weight `omega`
+/// ([`SchedulerName::parse`], then [`SchedulerName::build`]).
 ///
 /// # Errors
 ///
 /// `omega` outside `[0, 1]`, or an unknown name.
 pub fn scheduler_by_name(name: &str, omega: f64) -> Result<Box<dyn Scheduler>, String> {
-    if !(0.0..=1.0).contains(&omega) {
-        return Err(format!("omega must be in [0,1], got {omega}"));
-    }
-    Ok(match name {
-        "xtalk" => Box::new(xtalk::XtalkSched::new(omega)),
-        "par" => Box::new(par::ParSched::new()),
-        "serial" => Box::new(serial::SerialSched::new()),
-        other => return Err(format!("unknown scheduler `{other}`")),
-    })
+    SchedulerName::parse(name, omega).map(SchedulerName::build)
 }
 
 /// Verifies that every two-qubit gate sits on a calibrated coupling edge.

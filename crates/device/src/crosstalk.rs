@@ -61,6 +61,27 @@ impl CrosstalkMap {
         self.factors.get(&(affected, aggressor)).copied().unwrap_or(1.0)
     }
 
+    /// Every aggressor that worsens `affected`, with its factor, in edge
+    /// order: one range of the map, empty for an edge no entry names as
+    /// affected.
+    ///
+    /// ```
+    /// use xtalk_device::{CrosstalkMap, Edge};
+    /// let mut xt = CrosstalkMap::new();
+    /// xt.set(Edge::new(0, 1), Edge::new(2, 3), 4.0);
+    /// let row: Vec<_> = xt.aggressors(Edge::new(0, 1)).collect();
+    /// assert_eq!(row, vec![(Edge::new(2, 3), 4.0)]);
+    /// assert_eq!(xt.aggressors(Edge::new(2, 3)).count(), 0);
+    /// ```
+    pub fn aggressors(&self, affected: Edge) -> impl Iterator<Item = (Edge, f64)> + '_ {
+        // `CX0,1` is the least edge, so the range starts at `affected`'s
+        // first entry.
+        self.factors
+            .range((affected, Edge::new(0, 1))..)
+            .take_while(move |((a, _), _)| *a == affected)
+            .map(|(&(_, aggressor), &f)| (aggressor, f))
+    }
+
     /// The conditional error rate `E(affected|aggressor)` under
     /// `calibration`, clamped to 1.
     pub fn conditional_error(&self, cal: &Calibration, affected: Edge, aggressor: Edge) -> f64 {

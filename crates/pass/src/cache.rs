@@ -57,9 +57,19 @@ struct ArtifactKey {
 /// panicking.
 #[derive(Default)]
 pub struct ArtifactCache {
-    map: Mutex<HashMap<ArtifactKey, Arc<dyn Any + Send + Sync>>>,
+    store: Mutex<Store>,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+/// The artifacts, and the oldest epoch they may come from: the floor the
+/// last [`ArtifactCache::invalidate_before`] set. Both live under one
+/// lock, so a `put` racing an invalidation either lands before the sweep
+/// (and is swept) or sees the new floor (and is dropped).
+#[derive(Default)]
+struct Store {
+    map: HashMap<ArtifactKey, Arc<dyn Any + Send + Sync>>,
+    floor: u64,
 }
 
 impl ArtifactCache {
@@ -80,9 +90,10 @@ impl ArtifactCache {
     ) -> Option<Arc<T>> {
         let key = ArtifactKey { pass, input_hash, epoch: epoch.clone() };
         let found = self
-            .map
+            .store
             .lock()
             .expect("artifact cache poisoned")
+            .map
             .get(&key)
             .cloned()
             .and_then(|a| a.downcast::<T>().ok());
@@ -100,7 +111,10 @@ impl ArtifactCache {
     }
 
     /// Stores `value` as the artifact of `pass` for `input_hash` at
-    /// `epoch`, replacing any previous entry.
+    /// `epoch`, replacing any previous entry. An artifact of an epoch
+    /// already invalidated — one whose build started before the drift
+    /// clock advanced and finished after — is dropped: no lookup could
+    /// reach it.
     pub fn put<T: Send + Sync + 'static>(
         &self,
         pass: &'static str,
@@ -108,11 +122,12 @@ impl ArtifactCache {
         epoch: &EpochToken,
         value: Arc<T>,
     ) {
+        let mut store = self.store.lock().expect("artifact cache poisoned");
+        if epoch.epoch < store.floor {
+            return;
+        }
         let key = ArtifactKey { pass, input_hash, epoch: epoch.clone() };
-        self.map
-            .lock()
-            .expect("artifact cache poisoned")
-            .insert(key, value);
+        store.map.insert(key, value);
     }
 
     /// Total lookup hits since construction.
@@ -127,7 +142,7 @@ impl ArtifactCache {
 
     /// Number of stored artifacts.
     pub fn len(&self) -> usize {
-        self.map.lock().expect("artifact cache poisoned").len()
+        self.store.lock().expect("artifact cache poisoned").map.len()
     }
 
     /// `true` when nothing is cached.
@@ -137,26 +152,34 @@ impl ArtifactCache {
 
     /// Number of stored artifacts produced by `pass`.
     pub fn len_of(&self, pass: &str) -> usize {
-        self.map
+        self.store
             .lock()
             .expect("artifact cache poisoned")
+            .map
             .keys()
             .filter(|k| k.pass == pass)
             .count()
     }
 
     /// Drops every artifact derived from an epoch older than `epoch`
-    /// (any device). Called when the drift clock advances.
+    /// (any device), and every later `put` of one. Called when the drift
+    /// clock advances; the floor never moves back.
     pub fn invalidate_before(&self, epoch: u64) {
-        self.map
-            .lock()
-            .expect("artifact cache poisoned")
-            .retain(|k, _| k.epoch.epoch >= epoch);
+        let mut store = self.store.lock().expect("artifact cache poisoned");
+        store.floor = store.floor.max(epoch);
+        let floor = store.floor;
+        store.map.retain(|k, _| k.epoch.epoch >= floor);
     }
 
-    /// Drops everything (counters keep their totals).
+    /// The oldest epoch an artifact may be stored for: the largest epoch
+    /// [`ArtifactCache::invalidate_before`] was called with (0 before).
+    pub fn floor(&self) -> u64 {
+        self.store.lock().expect("artifact cache poisoned").floor
+    }
+
+    /// Drops everything (counters and the floor are kept).
     pub fn clear(&self) {
-        self.map.lock().expect("artifact cache poisoned").clear();
+        self.store.lock().expect("artifact cache poisoned").map.clear();
     }
 }
 
@@ -193,6 +216,22 @@ mod tests {
         cache.invalidate_before(5);
         assert_eq!(cache.len(), 1);
         assert!(cache.get::<u64>("p", 2, &EpochToken::new("dev", 5)).is_some());
+    }
+
+    #[test]
+    fn puts_below_the_invalidation_floor_are_dropped() {
+        let cache = ArtifactCache::new();
+        cache.invalidate_before(2);
+        // A build of epoch 1 that finishes after the sweep.
+        cache.put("p", 1, &EpochToken::new("dev", 1), Arc::new(1u64));
+        assert_eq!(cache.len(), 0);
+        cache.put("p", 1, &EpochToken::new("dev", 2), Arc::new(2u64));
+        assert_eq!(cache.len(), 1);
+        // The floor never moves back.
+        cache.invalidate_before(1);
+        assert_eq!(cache.floor(), 2);
+        cache.put("p", 2, &EpochToken::new("dev", 1), Arc::new(3u64));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

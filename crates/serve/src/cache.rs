@@ -235,12 +235,17 @@ impl CharacCache {
         self.artifacts.get::<CacheEntry>(PASS_ID, hash, &epoch)
     }
 
-    /// Stores a successful build and records it as last-known-good,
-    /// unless a newer epoch's build is recorded already: a build that
-    /// started before an `advance_day` can finish after the next epoch's.
+    /// Stores a successful build and records it as last-known-good. A
+    /// build that started before an `advance_day` can finish after it:
+    /// the store drops it if its epoch was invalidated already, and the
+    /// table keeps a newer epoch's build, and never takes one that rung 2
+    /// could not serve any more.
     pub fn insert(&self, key: CacheKey, entry: Arc<CacheEntry>) {
         let (hash, epoch) = key.coords();
         self.artifacts.put(PASS_ID, hash, &epoch, Arc::clone(&entry));
+        if self.artifacts.floor().saturating_sub(key.epoch) > self.stale_ttl_epochs {
+            return;
+        }
         let slot = key.lkg_key();
         let mut lkg = self.lkg.lock().expect("last-known-good table poisoned");
         if lkg.get(&slot).is_none_or(|(newest, _)| newest.epoch <= key.epoch) {
@@ -644,6 +649,32 @@ mod tests {
         let stale = resolve(&state, "boeblingen", "truth", 7, 1, 32);
         xtalk_fault::clear();
         assert_eq!(stale.unwrap().provenance, Provenance::Stale { epoch: 1, age: 1 });
+    }
+
+    /// A build of an epoch `advance_day` has already swept is served but
+    /// not stored: no lookup could reach it.
+    #[test]
+    fn late_build_of_a_swept_epoch_is_not_stored() {
+        let _gate = fault_gate();
+        let config = ServeConfig {
+            stale_ttl_epochs: 1,
+            ..ServeConfig::default()
+        };
+        let state = ServeState::new(config);
+        let day0 = state.snapshot("boeblingen").unwrap();
+        state.advance_day();
+        let rb = RbSettings { seed: 7, seqs: 1, shots: 32 };
+        let unlimited = Budget::unlimited();
+        let late = resolve_at(&state, &day0, "truth", rb, &unlimited).unwrap();
+        assert_eq!(late.provenance, Provenance::Fresh { cached: false });
+        assert_eq!(state.cache.len(), 0, "a swept epoch's build must not be stored");
+        assert_eq!(state.cache.artifacts().len(), 0);
+        // Within the TTL it still backs rung 2 …
+        assert_eq!(lkg_len(&state), 1);
+        // … past it, it is not remembered either.
+        state.advance_day();
+        resolve_at(&state, &day0, "truth", rb, &unlimited).unwrap();
+        assert_eq!(lkg_len(&state), 0);
     }
 
     /// Per-request seeds give a measured policy one last-known-good slot

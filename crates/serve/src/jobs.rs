@@ -39,7 +39,7 @@ use std::sync::Arc;
 use xtalk_budget::Budget;
 use xtalk_charac::PolicyName;
 use xtalk_core::{
-    scheduler_by_name, Compiler, ParSched, Scheduler, SchedulerContext, ScheduledArtifact,
+    Compiler, ParSched, Scheduler, SchedulerContext, SchedulerName, ScheduledArtifact,
     SerialSched, XtalkSched, XtalkSchedReport,
 };
 use xtalk_ir::{qasm, Circuit};
@@ -134,12 +134,12 @@ fn run(state: &ServeState, req: &Request, budget: &Budget) -> Result<Json, Strin
             }
             Ok(reply(fields))
         }
-        Request::Schedule { device, qasm, scheduler, omega, policy, seed } => {
+        Request::Schedule { device, qasm, scheduler, policy, seed } => {
             let (snapshot, tables) = scheduling_tables(state, device, *policy, *seed, budget)?;
             let (prep, budgeted) = compilers(state, &snapshot, tables.ctx, budget);
             let circuit = prepare_circuit(qasm, &prep)?;
             let (artifact, sched_name) =
-                schedule_budget_aware(scheduler, *omega, tables.provenance, &circuit, &budgeted)?;
+                schedule_budget_aware(*scheduler, tables.provenance, &circuit, &budgeted)?;
             let sched = &artifact.sched;
             let mut fields = vec![
                 ("device".to_string(), snapshot.device.name().into()),
@@ -153,12 +153,12 @@ fn run(state: &ServeState, req: &Request, budget: &Budget) -> Result<Json, Strin
             tables.provenance.annotate(&mut fields);
             Ok(reply(fields))
         }
-        Request::Run { device, qasm, scheduler, omega, policy, shots, seed, threads } => {
+        Request::Run { device, qasm, scheduler, policy, shots, seed, threads } => {
             let (snapshot, tables) = scheduling_tables(state, device, *policy, *seed, budget)?;
             let (prep, budgeted) = compilers(state, &snapshot, tables.ctx, budget);
             let circuit = prepare_circuit(qasm, &prep)?;
             let (artifact, sched_name) =
-                schedule_budget_aware(scheduler, *omega, tables.provenance, &circuit, &budgeted)?;
+                schedule_budget_aware(*scheduler, tables.provenance, &circuit, &budgeted)?;
             let sched = &artifact.sched;
             let outcome =
                 budgeted.run(sched, *shots, *seed, *threads).map_err(|e| e.to_string())?;
@@ -283,23 +283,21 @@ fn compilers<'d>(
 /// Schedules with the scheduler a job actually runs with: the requested
 /// one, unless the tables fell to the independent-error model (no
 /// conditional terms), in which case the crosstalk-oblivious `par`
-/// replaces it. The requested name is still validated so a typo fails
-/// loudly rather than being masked by the degradation. Scheduling goes
+/// replaces it. (The request parsed its scheduler name, so a typo was
+/// rejected before any work ran, degraded or not.) Scheduling goes
 /// through the budgeted [`Compiler`], so the crosstalk scheduler's
 /// anytime search sees the job's budget (and its report rides along in
 /// the artifact), while complete schedules land in the shared artifact
 /// cache.
 fn schedule_budget_aware(
-    name: &str,
-    omega: f64,
+    scheduler: SchedulerName,
     provenance: Provenance,
     circuit: &Circuit,
     compiler: &Compiler<'_>,
 ) -> Result<(Arc<ScheduledArtifact>, String), String> {
-    let requested = scheduler_by_name(name, omega)?;
     let actual: Box<dyn Scheduler> = match provenance {
         Provenance::Independent => Box::new(ParSched::new()),
-        _ => requested,
+        _ => scheduler.build(),
     };
     let artifact = compiler.schedule(circuit, actual.as_ref()).map_err(|e| e.to_string())?;
     Ok((artifact, actual.name().to_string()))
@@ -341,8 +339,7 @@ mod tests {
         let req = Request::Run {
             device: "poughkeepsie".into(),
             qasm: BELL.into(),
-            scheduler: "par".into(),
-            omega: 0.5,
+            scheduler: SchedulerName::Par,
             policy: PolicyName::Truth,
             shots: 128,
             seed: 3,
@@ -366,8 +363,7 @@ mod tests {
         let req = Request::Schedule {
             device: "boeblingen".into(),
             qasm: BELL.into(),
-            scheduler: "xtalk".into(),
-            omega: 0.5,
+            scheduler: SchedulerName::Xtalk { omega: 0.5 },
             policy: PolicyName::Truth,
             seed: 3,
         };
@@ -385,8 +381,7 @@ mod tests {
         let req = Request::Schedule {
             device: "boeblingen".into(),
             qasm: BELL.into(),
-            scheduler: "xtalk".into(),
-            omega: 0.5,
+            scheduler: SchedulerName::Xtalk { omega: 0.5 },
             policy: PolicyName::Truth,
             seed: 3,
         };
@@ -415,8 +410,7 @@ mod tests {
         let req = Request::Run {
             device: "poughkeepsie".into(),
             qasm: "this is not qasm".into(),
-            scheduler: "par".into(),
-            omega: 0.5,
+            scheduler: SchedulerName::Par,
             policy: PolicyName::Truth,
             shots: 8,
             seed: 3,
@@ -425,8 +419,6 @@ mod tests {
         let resp = handle(&state, &req);
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
         assert!(resp.get("error").and_then(Json::as_str).unwrap().contains("qasm"));
-        assert!(scheduler_by_name("quantum-leap", 0.5).is_err());
-        assert!(scheduler_by_name("xtalk", 1.5).is_err());
     }
 
     #[test]
@@ -439,8 +431,7 @@ mod tests {
         let req = Request::Schedule {
             device: "poughkeepsie".into(),
             qasm: BELL.into(),
-            scheduler: "xtalk".into(),
-            omega: 0.5,
+            scheduler: SchedulerName::Xtalk { omega: 0.5 },
             policy: PolicyName::Truth,
             seed: 11,
         };
@@ -454,17 +445,6 @@ mod tests {
             state.metrics.degraded_independent.load(std::sync::atomic::Ordering::Relaxed),
             1
         );
-        // A bad scheduler name still fails loudly even while degraded.
-        let bad = Request::Schedule {
-            device: "poughkeepsie".into(),
-            qasm: BELL.into(),
-            scheduler: "quantum-leap".into(),
-            omega: 0.5,
-            policy: PolicyName::Truth,
-            seed: 11,
-        };
-        let resp = handle(&state, &bad);
-        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
     }
 
     #[test]
@@ -474,8 +454,7 @@ mod tests {
         let req = Request::Run {
             device: "poughkeepsie".into(),
             qasm: BELL.into(),
-            scheduler: "par".into(),
-            omega: 0.5,
+            scheduler: SchedulerName::Par,
             policy: PolicyName::Truth,
             shots: 128,
             seed: 3,
@@ -497,8 +476,7 @@ mod tests {
         let req = Request::Run {
             device: "poughkeepsie".into(),
             qasm: BELL.into(),
-            scheduler: "xtalk".into(),
-            omega: 0.5,
+            scheduler: SchedulerName::Xtalk { omega: 0.5 },
             policy: PolicyName::Truth,
             shots: 128,
             seed: 3,
@@ -531,8 +509,7 @@ mod tests {
         let req = Request::Schedule {
             device: "poughkeepsie".into(),
             qasm: BELL.into(),
-            scheduler: "xtalk".into(),
-            omega: 0.5,
+            scheduler: SchedulerName::Xtalk { omega: 0.5 },
             policy: PolicyName::Truth,
             seed: 3,
         };
@@ -563,16 +540,14 @@ mod tests {
         let schedule = Request::Schedule {
             device: "poughkeepsie".into(),
             qasm: BELL.into(),
-            scheduler: "xtalk".into(),
-            omega: 0.5,
+            scheduler: SchedulerName::Xtalk { omega: 0.5 },
             policy: PolicyName::Truth,
             seed: 3,
         };
         let run = Request::Run {
             device: "poughkeepsie".into(),
             qasm: BELL.into(),
-            scheduler: "xtalk".into(),
-            omega: 0.5,
+            scheduler: SchedulerName::Xtalk { omega: 0.5 },
             policy: PolicyName::Truth,
             shots: 64,
             seed: 3,

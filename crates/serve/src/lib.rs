@@ -43,12 +43,12 @@
 //!   [`xtalk_device::Device::on_day`] (the daily-drift model of the
 //!   paper's Section 5.1), invalidates the cache and prunes
 //!   last-known-good entries past the TTL.
-//! * **Typed names** — a request's policy is parsed once, in
-//!   [`Request::parse`], through `xtalk-charac`'s
-//!   [`PolicyName`](xtalk_charac::PolicyName) table; an unknown name is a
-//!   bad request that never reaches a worker. Schedulers are named
-//!   through [`xtalk_core::scheduler_by_name`]; the `xtalk` CLI shares
-//!   both tables.
+//! * **Typed names** — a request's policy and scheduler are parsed once,
+//!   in [`Request::parse`], through `xtalk-charac`'s
+//!   [`PolicyName`](xtalk_charac::PolicyName) table and `xtalk-core`'s
+//!   [`SchedulerName`](xtalk_core::SchedulerName) table (with ω); an
+//!   unknown name is a bad request that never reaches a worker. The
+//!   `xtalk` CLI shares both tables.
 //! * **Metrics** — request/latency/queue-depth/cache counters surfaced by
 //!   the `stats` request and the shutdown summary ([`metrics`]).
 //! * **Determinism** — `run` jobs execute through

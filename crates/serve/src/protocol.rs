@@ -38,6 +38,7 @@
 use crate::json::{obj, Json};
 use std::io::{self, BufRead, Read, Write};
 use xtalk_charac::PolicyName;
+use xtalk_core::SchedulerName;
 
 /// Upper bound on one frame, to keep a misbehaving peer from ballooning
 /// memory. Generous enough for any QASM payload this toolchain emits.
@@ -83,10 +84,9 @@ pub enum Request {
         device: String,
         /// OpenQASM 2.0 source.
         qasm: String,
-        /// Scheduler (`xtalk` | `par` | `serial`).
-        scheduler: String,
-        /// XtalkSched's crosstalk/decoherence weight ω.
-        omega: f64,
+        /// Scheduler (`xtalk` | `par` | `serial`), with XtalkSched's
+        /// crosstalk/decoherence weight ω.
+        scheduler: SchedulerName,
         /// Characterization policy feeding the scheduler.
         policy: PolicyName,
         /// Characterization seed (part of a measured policy's cache key).
@@ -98,10 +98,8 @@ pub enum Request {
         device: String,
         /// OpenQASM 2.0 source.
         qasm: String,
-        /// Scheduler (`xtalk` | `par` | `serial`).
-        scheduler: String,
-        /// XtalkSched's ω.
-        omega: f64,
+        /// Scheduler (`xtalk` | `par` | `serial`), with XtalkSched's ω.
+        scheduler: SchedulerName,
         /// Characterization policy feeding the scheduler.
         policy: PolicyName,
         /// Trajectories to sample.
@@ -161,6 +159,10 @@ impl Request {
                 Some(x) => x.as_f64().ok_or(format!("`{key}` must be a number")),
             }
         };
+        // Likewise for the scheduler and its weight: an unknown name or
+        // a weight outside [0, 1] never reaches a worker.
+        let scheduler_field =
+            || SchedulerName::parse(&str_field("scheduler", "xtalk"), f64_field("omega", 0.5)?);
         match kind {
             "ping" => Ok(Request::Ping),
             "stats" => Ok(Request::Stats),
@@ -181,8 +183,7 @@ impl Request {
                     .and_then(Json::as_str)
                     .ok_or("`schedule` needs a `qasm` string")?
                     .to_string(),
-                scheduler: str_field("scheduler", "xtalk"),
-                omega: f64_field("omega", 0.5)?,
+                scheduler: scheduler_field()?,
                 policy: policy_field(PolicyName::Truth)?,
                 seed: u64_field("seed", 7)?,
             }),
@@ -193,8 +194,7 @@ impl Request {
                     .and_then(Json::as_str)
                     .ok_or("`run` needs a `qasm` string")?
                     .to_string(),
-                scheduler: str_field("scheduler", "xtalk"),
-                omega: f64_field("omega", 0.5)?,
+                scheduler: scheduler_field()?,
                 policy: policy_field(PolicyName::Truth)?,
                 shots: u64_field("shots", 2048)?,
                 seed: u64_field("seed", 7)?,
@@ -410,7 +410,7 @@ mod tests {
         match req {
             Request::Run { device, scheduler, shots, threads, .. } => {
                 assert_eq!(device, "poughkeepsie");
-                assert_eq!(scheduler, "xtalk");
+                assert_eq!(scheduler, SchedulerName::Xtalk { omega: 0.5 });
                 assert_eq!(shots, 2048);
                 assert_eq!(threads, 0);
             }
@@ -445,6 +445,27 @@ mod tests {
         for kind in ["characterize", "schedule", "run"] {
             let text = format!(r#"{{"type":"{kind}","qasm":"x","policy":"psychic"}}"#);
             assert_eq!(parse(&text), Err("unknown policy `psychic`".to_string()), "{kind}");
+        }
+    }
+
+    #[test]
+    fn schedulers_are_parsed_once_at_the_edge() {
+        let parse = |text: &str| Request::parse(&Json::parse(text).unwrap());
+        match parse(r#"{"type":"schedule","qasm":"x","scheduler":"par","omega":0.25}"#).unwrap() {
+            Request::Schedule { scheduler, .. } => assert_eq!(scheduler, SchedulerName::Par),
+            other => panic!("wrong variant {other:?}"),
+        }
+        match parse(r#"{"type":"run","qasm":"x","omega":0.25}"#).unwrap() {
+            Request::Run { scheduler, .. } => {
+                assert_eq!(scheduler, SchedulerName::Xtalk { omega: 0.25 })
+            }
+            other => panic!("wrong variant {other:?}"),
+        }
+        for kind in ["schedule", "run"] {
+            let text = format!(r#"{{"type":"{kind}","qasm":"x","scheduler":"warp"}}"#);
+            assert_eq!(parse(&text), Err("unknown scheduler `warp`".to_string()), "{kind}");
+            let text = format!(r#"{{"type":"{kind}","qasm":"x","scheduler":"par","omega":1.5}}"#);
+            assert_eq!(parse(&text), Err("omega must be in [0,1], got 1.5".to_string()), "{kind}");
         }
     }
 

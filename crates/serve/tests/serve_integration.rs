@@ -234,6 +234,30 @@ fn unknown_device_and_scheduler_are_reported() {
 /// An unknown policy is a bad request: answered before any
 /// characterization, so neither the ladder nor a worker sees it.
 #[test]
+fn unknown_scheduler_is_a_bad_request() {
+    // A measured policy would cost a characterization build: the name is
+    // rejected before it starts.
+    let server = start(|_| {});
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let resp = client
+        .request(&obj([
+            ("type", "schedule".into()),
+            ("qasm", BELL.into()),
+            ("scheduler", "warp".into()),
+            ("policy", "onehop".into()),
+        ]))
+        .unwrap();
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(resp.get("error").and_then(Json::as_str), Some("unknown scheduler `warp`"));
+    let stats = client.stats().unwrap();
+    for (counter, expected) in [("bad_requests", 1), ("cache_misses", 0), ("jobs_failed", 0)] {
+        assert_eq!(stats.get(counter).and_then(Json::as_u64), Some(expected), "{counter}");
+    }
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn unknown_policy_is_a_bad_request() {
     let server = start(|_| {});
     let mut client = Client::connect(server.local_addr()).unwrap();

@@ -8,12 +8,12 @@ use crate::state::{self, kernel, sample_outcome};
 use crate::{Counts, C64};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::mem::Discriminant;
 use std::sync::atomic::{AtomicU64, Ordering};
 use xtalk_budget::Budget;
 use xtalk_device::{Calibration, Device, Edge};
-use xtalk_ir::{Circuit, Gate, ScheduleSlot, ScheduledCircuit};
+use xtalk_ir::{Circuit, Gate, OverlapSweep, ScheduleSlot, ScheduledCircuit};
 
 /// Shots per batch in [`Executor::run_budgeted`]. Fixed (independent of
 /// the thread count) so the set of completed shots under an exhausted
@@ -262,25 +262,8 @@ impl<'a> Executor<'a> {
         let cal = self.device.calibration();
         let cfg = self.config;
 
-        // Effective (crosstalk-conditioned) error factor per 2q gate: the
-        // paper's Eq. 6 takes the max conditional error over overlapping
-        // gates; with `compound_crosstalk` the excesses add instead.
-        let mut factor = vec![1.0f64; circuit.len()];
-        if cfg.crosstalk {
-            for (i, j) in sched.overlapping_two_qubit_pairs() {
-                let ei = edge_of(circuit, i);
-                let ej = edge_of(circuit, j);
-                let fi = self.device.crosstalk().factor(ei, ej);
-                let fj = self.device.crosstalk().factor(ej, ei);
-                if cfg.compound_crosstalk {
-                    factor[i] += fi - 1.0;
-                    factor[j] += fj - 1.0;
-                } else {
-                    factor[i] = factor[i].max(fi);
-                    factor[j] = factor[j].max(fj);
-                }
-            }
-        }
+        let edges = EdgeTable::new(circuit, self.device, cfg);
+        let factor = self.crosstalk_factors(sched, &edges);
 
         // Component and local index of every active qubit.
         let comps = components(circuit);
@@ -293,24 +276,28 @@ impl<'a> Executor<'a> {
         // Per-component instruction lists in time order, and each qubit's
         // first start: idle clocks start there (IBM convention:
         // decoherence starts at the first gate).
-        let mut comp_instrs: Vec<Vec<usize>> = vec![Vec::new(); comps.len()];
+        let mut comp_instrs: Vec<Vec<(u64, usize)>> = vec![Vec::new(); comps.len()];
         let mut busy_until = vec![u64::MAX; circuit.num_qubits()];
         for (i, instr) in circuit.iter().enumerate() {
             if instr.gate().is_barrier() {
                 continue;
             }
-            comp_instrs[home[instr.qubits()[0].index()].0].push(i);
+            let start = sched.slot(i).start;
+            comp_instrs[home[instr.qubits()[0].index()].0].push((start, i));
             for q in instr.qubits() {
-                busy_until[q.index()] = busy_until[q.index()].min(sched.slot(i).start);
+                busy_until[q.index()] = busy_until[q.index()].min(start);
             }
         }
 
         let mut mats = Matrices::default();
+        // Idle channels by `(gap, qubit)`: a channel depends on nothing
+        // else, and RB-style circuits repeat a handful of gaps per qubit.
+        let mut idles: BTreeMap<(u64, u32), IdleChannel> = BTreeMap::new();
         let mut programs = Vec::with_capacity(comps.len());
         for (qubits, mut instrs) in comps.iter().zip(comp_instrs) {
-            instrs.sort_by_key(|&i| (sched.slot(i).start, i));
+            sort_nearly_sorted(&mut instrs);
             let mut steps = Vec::with_capacity(instrs.len());
-            for i in instrs {
+            for (_, i) in instrs {
                 let instr = &circuit.instructions()[i];
                 let slot = sched.slot(i);
                 let local = |k: usize| home[instr.qubits()[k].index()].1;
@@ -318,11 +305,13 @@ impl<'a> Executor<'a> {
                     let gap = slot.start.saturating_sub(busy_until[q.index()]);
                     busy_until[q.index()] = slot.finish();
                     if cfg.decoherence && gap > 0 {
-                        let channel = IdleChannel::new(
-                            gap as f64,
-                            cal.t1_us(q.raw()) * 1000.0,
-                            cal.t2_us(q.raw()) * 1000.0,
-                        );
+                        let channel = *idles.entry((gap, q.raw())).or_insert_with(|| {
+                            IdleChannel::new(
+                                gap as f64,
+                                cal.t1_us(q.raw()) * 1000.0,
+                                cal.t2_us(q.raw()) * 1000.0,
+                            )
+                        });
                         if !channel.is_inert() {
                             steps.push(Step::Idle { q: local(k), channel });
                         }
@@ -339,8 +328,7 @@ impl<'a> Executor<'a> {
                         a: local(0),
                         b: local(1),
                         mat: mats.two(g),
-                        depol: cfg.gate_noise.then(|| {
-                            let p1 = cal.cx_error(edge_of(circuit, i));
+                        depol: edges.of(i).cx_error.map(|p1| {
                             let base = match g {
                                 Gate::Swap => 1.0 - (1.0 - p1).powi(3),
                                 _ => p1,
@@ -359,6 +347,40 @@ impl<'a> Executor<'a> {
             programs.push(Program { width: qubits.len(), steps });
         }
         Prepared { num_clbits: circuit.num_clbits(), mats, programs }
+    }
+
+    /// Effective (crosstalk-conditioned) error factor per instruction (1
+    /// off two-qubit gates): the paper's Eq. 6 takes the max conditional
+    /// error over overlapping gates; with `compound_crosstalk` the excesses
+    /// add instead.
+    ///
+    /// Only gates on an edge of some crosstalk entry whose other edge is in
+    /// the circuit can move a factor, so the sweep visits the overlapping
+    /// pairs among those alone — in the order the full sweep visits them,
+    /// so compound sums add in the same order — and a circuit with none
+    /// skips it.
+    fn crosstalk_factors(&self, sched: &ScheduledCircuit, edges: &EdgeTable) -> Vec<f64> {
+        let mut factor = vec![1.0f64; sched.circuit().len()];
+        let involved = edges.involved();
+        if !involved.iter().any(|&x| x) {
+            return factor;
+        }
+        let gates = (0..factor.len())
+            .filter(|&i| edges.ix[i] != u32::MAX && involved[edges.ix[i] as usize]);
+        let compound = self.config.compound_crosstalk;
+        OverlapSweep::default().run(gates, sched.slots(), |i, j| {
+            let (ei, ej) = (edges.of(i), edges.of(j));
+            let fi = ei.factor(ej.edge);
+            let fj = ej.factor(ei.edge);
+            if compound {
+                factor[i] += fi - 1.0;
+                factor[j] += fj - 1.0;
+            } else {
+                factor[i] = factor[i].max(fi);
+                factor[j] = factor[j].max(fj);
+            }
+        });
+        factor
     }
 
     /// Runs one batch, `shots`, as one block of the shared-trajectory
@@ -430,19 +452,16 @@ struct Matrices {
     two: Vec<Mat4>,
     /// `one` indices by gate kind and parameter bits, so a repeated gate
     /// costs a lookup instead of its trigonometry.
-    one_index: HashMap<(Discriminant<Gate>, [u64; 3]), u32>,
+    one_index: BTreeMap<GateKey, u32>,
+    /// `two` indices by gate kind (`cx`, `cz` and `swap` have no
+    /// parameters).
+    two_index: Vec<(Discriminant<Gate>, u32)>,
 }
 
 impl Matrices {
     /// Index of a single-qubit gate's matrix, interning it on first use.
     fn one(&mut self, gate: &Gate) -> u32 {
-        let params = gate.params();
-        assert!(params.len() <= 3, "`{gate}` has more parameters than a u3");
-        let mut key = (std::mem::discriminant(gate), [0u64; 3]);
-        for (k, p) in key.1.iter_mut().zip(&params) {
-            *k = p.to_bits();
-        }
-        *self.one_index.entry(key).or_insert_with(|| {
+        *self.one_index.entry(GateKey::new(gate)).or_insert_with(|| {
             self.one.push(single_qubit_matrix(gate));
             (self.one.len() - 1) as u32
         })
@@ -450,12 +469,132 @@ impl Matrices {
 
     /// Index of a two-qubit gate's matrix, interning it on first use.
     fn two(&mut self, gate: &Gate) -> u32 {
-        let m = two_qubit_matrix(gate);
-        let i = self.two.iter().position(|t| *t == m).unwrap_or_else(|| {
-            self.two.push(m);
-            self.two.len() - 1
-        });
-        i as u32
+        let kind = std::mem::discriminant(gate);
+        if let Some(&(_, i)) = self.two_index.iter().find(|(k, _)| *k == kind) {
+            return i;
+        }
+        self.two.push(two_qubit_matrix(gate));
+        let i = (self.two.len() - 1) as u32;
+        self.two_index.push((kind, i));
+        i
+    }
+}
+
+/// A single-qubit gate's interning key: its kind and its parameters'
+/// bits, built without allocating. Ordered, not hashed: the angles come
+/// from the submitted circuit, so an ordered map keeps a crafted set of
+/// them from degrading every lookup.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct GateKey {
+    kind: u8,
+    params: [u64; 3],
+}
+
+impl GateKey {
+    fn new(gate: &Gate) -> GateKey {
+        let (kind, params) = match *gate {
+            Gate::I => (0, [0.0; 3]),
+            Gate::X => (1, [0.0; 3]),
+            Gate::Y => (2, [0.0; 3]),
+            Gate::Z => (3, [0.0; 3]),
+            Gate::H => (4, [0.0; 3]),
+            Gate::S => (5, [0.0; 3]),
+            Gate::Sdg => (6, [0.0; 3]),
+            Gate::T => (7, [0.0; 3]),
+            Gate::Tdg => (8, [0.0; 3]),
+            Gate::U1(l) => (9, [l, 0.0, 0.0]),
+            Gate::U2(p, l) => (10, [p, l, 0.0]),
+            Gate::U3(t, p, l) => (11, [t, p, l]),
+            Gate::Rx(a) => (12, [a, 0.0, 0.0]),
+            Gate::Ry(a) => (13, [a, 0.0, 0.0]),
+            Gate::Rz(a) => (14, [a, 0.0, 0.0]),
+            // Not single-qubit unitaries: `single_qubit_matrix` rejects them.
+            Gate::Cx | Gate::Cz | Gate::Swap | Gate::Measure | Gate::Barrier => (15, [0.0; 3]),
+        };
+        GateKey { kind, params: params.map(f64::to_bits) }
+    }
+}
+
+/// The distinct two-qubit edges of a run: each one's independent error
+/// (with gate noise) and crosstalk row (with crosstalk), looked up once.
+struct EdgeTable {
+    index: BTreeMap<Edge, u32>,
+    info: Vec<EdgeInfo>,
+    /// Per instruction: its edge's record, `u32::MAX` off two-qubit gates.
+    ix: Vec<u32>,
+}
+
+struct EdgeInfo {
+    edge: Edge,
+    cx_error: Option<f64>,
+    /// `(aggressor, factor)` for every map entry that names this edge as
+    /// affected.
+    aggressors: Vec<(Edge, f64)>,
+}
+
+impl EdgeTable {
+    /// The table of `circuit`'s two-qubit gates, under the noise switches
+    /// of `cfg`.
+    fn new(circuit: &Circuit, device: &Device, cfg: ExecutorConfig) -> EdgeTable {
+        let mut table = EdgeTable { index: BTreeMap::new(), info: Vec::new(), ix: Vec::new() };
+        table.ix = circuit
+            .iter()
+            .enumerate()
+            .map(|(i, instr)| {
+                if instr.gate().is_two_qubit() {
+                    table.intern(edge_of(circuit, i), device, cfg)
+                } else {
+                    u32::MAX
+                }
+            })
+            .collect();
+        table
+    }
+
+    /// The record of two-qubit instruction `i`'s edge.
+    fn of(&self, i: usize) -> &EdgeInfo {
+        &self.info[self.ix[i] as usize]
+    }
+
+    /// Index of `edge`'s record, looking it up on first use.
+    fn intern(&mut self, edge: Edge, device: &Device, cfg: ExecutorConfig) -> u32 {
+        let info = &mut self.info;
+        *self.index.entry(edge).or_insert_with(|| {
+            info.push(EdgeInfo {
+                edge,
+                cx_error: cfg.gate_noise.then(|| device.calibration().cx_error(edge)),
+                aggressors: if cfg.crosstalk {
+                    device.crosstalk().aggressors(edge).collect()
+                } else {
+                    Vec::new()
+                },
+            });
+            (info.len() - 1) as u32
+        })
+    }
+
+    /// Per edge: `true` if it is either edge of a crosstalk entry whose
+    /// other edge is in the table too. An overlap of two gates can only
+    /// change a factor if both are.
+    fn involved(&self) -> Vec<bool> {
+        let mut involved = vec![false; self.info.len()];
+        for (e, info) in self.info.iter().enumerate() {
+            for (a, _) in &info.aggressors {
+                if let Some(&k) = self.index.get(a) {
+                    involved[e] = true;
+                    involved[k as usize] = true;
+                }
+            }
+        }
+        involved
+    }
+}
+
+impl EdgeInfo {
+    /// The factor by which `aggressor` worsens this edge (1 without an
+    /// entry): the map's own value.
+    fn factor(&self, aggressor: Edge) -> f64 {
+        self.aggressors.iter().find(|(a, _)| *a == aggressor).map_or(1.0, |&(_, f)| f)
     }
 }
 
@@ -714,6 +853,30 @@ impl Runner {
     }
 }
 
+/// Sorts `v` ascending. A component's instructions arrive in circuit
+/// order, and each qubit's in time order, so an insertion sort moves few
+/// of them; one that would move more than a few per element falls back
+/// to the general sort. Keys must be distinct for the result to be
+/// unique.
+fn sort_nearly_sorted<T: Ord + Copy>(v: &mut [T]) {
+    let mut moves = 4 * v.len();
+    for k in 1..v.len() {
+        let x = v[k];
+        let mut j = k;
+        while j > 0 && v[j - 1] > x {
+            if moves == 0 {
+                v[j] = x;
+                v.sort_unstable();
+                return;
+            }
+            moves -= 1;
+            v[j] = v[j - 1];
+            j -= 1;
+        }
+        v[j] = x;
+    }
+}
+
 /// Derives shot `shot`'s RNG seed from the base seed (SplitMix64-style
 /// finalizer). Independent of thread layout, so sequential and parallel
 /// execution sample identical trajectories.
@@ -759,14 +922,21 @@ fn components(circuit: &Circuit) -> Vec<Vec<usize>> {
             parent[a] = b;
         }
     }
-    let mut groups: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
+    // Components in the order of their roots, each's qubits ascending.
+    let mut slot = vec![usize::MAX; n];
+    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
     for q in 0..n {
         if active[q] {
             let root = find(&mut parent, q);
-            groups.entry(root).or_default().push(q);
+            if slot[root] == usize::MAX {
+                slot[root] = groups.len();
+                groups.push((root, Vec::new()));
+            }
+            groups[slot[root]].1.push(q);
         }
     }
-    groups.into_values().collect()
+    groups.sort_unstable_by_key(|&(root, _)| root);
+    groups.into_iter().map(|(_, qubits)| qubits).collect()
 }
 
 #[cfg(test)]
@@ -1026,6 +1196,56 @@ mod tests {
         let held = runner.states.capacity() * std::mem::size_of::<C64>();
         assert!(held <= BUDGET + state, "held {held} bytes against a budget of {BUDGET}");
         assert!(runner.group_steps > 2 * 1024, "the chunks never split");
+    }
+
+    #[test]
+    fn nearly_sorted_lists_sort_like_the_general_sort() {
+        let mut rng = StdRng::seed_from_u64(8);
+        for len in [0usize, 1, 2, 7, 120, 600] {
+            // Runs of local disorder, as a component's circuit order
+            // gives, and a reversed list that exhausts the move budget.
+            let mut near: Vec<(u64, usize)> = (0..len)
+                .map(|i| ((i as u64 / 3) * 10 + rand::Rng::gen_range(&mut rng, 0..25u64), i))
+                .collect();
+            let mut reversed: Vec<(u64, usize)> = (0..len).map(|i| ((len - i) as u64, i)).collect();
+            for v in [&mut near, &mut reversed] {
+                let mut want = v.clone();
+                want.sort_unstable();
+                sort_nearly_sorted(v);
+                assert_eq!(*v, want, "length {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn gate_keys_hold_the_parameter_bits() {
+        let gates = [
+            Gate::H,
+            Gate::X,
+            Gate::U1(0.5),
+            Gate::U1(-0.5),
+            Gate::Rz(0.5),
+            Gate::U2(0.0, std::f64::consts::PI),
+            Gate::U3(0.1, 0.2, 0.3),
+            Gate::U3(0.1, 0.3, 0.2),
+            Gate::Rx(0.25),
+            Gate::Ry(0.25),
+        ];
+        for (a, ga) in gates.iter().enumerate() {
+            let key = GateKey::new(ga);
+            let params: Vec<u64> = ga.params().iter().map(|p| p.to_bits()).collect();
+            assert_eq!(key.params[..params.len()], params[..], "{ga}");
+            assert!(key.params[params.len()..].iter().all(|&b| b == 0), "{ga}");
+            for (b, gb) in gates.iter().enumerate() {
+                assert_eq!(key == GateKey::new(gb), a == b, "{ga} vs {gb}");
+            }
+        }
+        // Interning: one matrix per distinct gate.
+        let mut mats = Matrices::default();
+        let ids: Vec<u32> = gates.iter().chain(&gates).map(|g| mats.one(g)).collect();
+        assert_eq!(ids[..gates.len()], ids[gates.len()..]);
+        assert_eq!(mats.one.len(), gates.len());
+        assert_eq!((mats.two(&Gate::Cx), mats.two(&Gate::Swap), mats.two(&Gate::Cx)), (0, 1, 0));
     }
 
     #[test]

@@ -5,6 +5,7 @@
 
 use super::*;
 use rand::Rng;
+use std::collections::HashMap;
 use crate::{StateVector, C64};
 use xtalk_device::CrosstalkMap;
 use xtalk_ir::Qubit;
@@ -14,22 +15,7 @@ impl Executor<'_> {
     fn run_reference(&self, sched: &ScheduledCircuit) -> Counts {
         sched.validate().expect("executor requires a valid schedule");
         let circuit = sched.circuit();
-        let mut factor = vec![1.0f64; circuit.len()];
-        if self.config.crosstalk {
-            for (i, j) in sched.overlapping_two_qubit_pairs() {
-                let ei = edge_of(circuit, i);
-                let ej = edge_of(circuit, j);
-                let fi = self.device.crosstalk().factor(ei, ej);
-                let fj = self.device.crosstalk().factor(ej, ei);
-                if self.config.compound_crosstalk {
-                    factor[i] += fi - 1.0;
-                    factor[j] += fj - 1.0;
-                } else {
-                    factor[i] = factor[i].max(fi);
-                    factor[j] = factor[j].max(fj);
-                }
-            }
-        }
+        let factor = self.reference_factors(sched);
         let comps = components(circuit);
         let comp_instrs: Vec<Vec<usize>> = comps
             .iter()
@@ -56,6 +42,29 @@ impl Executor<'_> {
             counts.record(outcome);
         }
         counts
+    }
+
+    /// The crosstalk factors as every overlapping pair's map lookups gave
+    /// them.
+    fn reference_factors(&self, sched: &ScheduledCircuit) -> Vec<f64> {
+        let circuit = sched.circuit();
+        let mut factor = vec![1.0f64; circuit.len()];
+        if self.config.crosstalk {
+            for (i, j) in sched.overlapping_two_qubit_pairs() {
+                let ei = edge_of(circuit, i);
+                let ej = edge_of(circuit, j);
+                let fi = self.device.crosstalk().factor(ei, ej);
+                let fj = self.device.crosstalk().factor(ej, ei);
+                if self.config.compound_crosstalk {
+                    factor[i] += fi - 1.0;
+                    factor[j] += fj - 1.0;
+                } else {
+                    factor[i] = factor[i].max(fi);
+                    factor[j] = factor[j].max(fj);
+                }
+            }
+        }
+        factor
     }
 
     /// One trajectory over one connected component; returns measured bits
@@ -536,4 +545,37 @@ fn cases_exercise_every_step_kind() {
         })
         .count();
     assert!(attacks >= 2, "edge (2,3) needs two aggressors, got {attacks}");
+}
+
+#[test]
+fn crosstalk_factors_match_every_pairs_lookups() {
+    // The sweep over involved gates alone must give the full sweep's
+    // factors bit for bit, compound sums included. The cases hold edges
+    // with entries whose aggressor is absent ("rb bin"), none at all
+    // (lines) and a gate under two aggressors at once ("crosstalk triad");
+    // one more has one-way entries, whose aggressor no entry names as
+    // affected.
+    let mut xt = CrosstalkMap::new();
+    xt.set(Edge::new(0, 1), Edge::new(2, 3), 3.0);
+    xt.set(Edge::new(4, 5), Edge::new(2, 3), 2.0);
+    let one_way = Device::line(6, 1).with_crosstalk(xt);
+    let mut c = Circuit::new(6, 0);
+    for _ in 0..3 {
+        c.cx(0, 1).cx(2, 3).cx(4, 5).h(3);
+    }
+    let one_way_sched = Executor::asap_schedule(&c, one_way.calibration());
+    let mut cases = cases();
+    cases.push(("one-way entries", one_way, one_way_sched));
+    for (name, device, sched) in cases {
+        for cfg in all_configs(1, 0).into_iter().filter(|c| c.crosstalk) {
+            let exec = Executor::with_config(&device, cfg);
+            let edges = EdgeTable::new(sched.circuit(), &device, cfg);
+            let bits = |f: Vec<f64>| f.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(
+                bits(exec.crosstalk_factors(&sched, &edges)),
+                bits(exec.reference_factors(&sched)),
+                "{name} under {cfg:?}"
+            );
+        }
+    }
 }
