@@ -70,6 +70,23 @@ charac_exact2="$(echo "$charac_out2" | grep '^exact ' | head -n1)"
 [ "$charac_exact2" = "$pinned_charac2" ] || {
     echo "charac_daily seed 2 exact counts moved:"; echo "  got:    $charac_exact2"; echo "  pinned: $pinned_charac2"; exit 1;
 }
+# The CLI's one-hop policy runs unpacked SRB pairs, a path the binpacked
+# charac_daily pins do not take: its whole report is pinned.
+pinned_onehop="$(cat <<'PIN'
+characterizing ibmq_johannesburg with policy `Opt 1: One hop`…
+44 experiments over 44 pairs (28160 executions; 0.01 h at this scale)
+detected high-crosstalk pairs (>3x):
+  CX5,10 | CX6,7: E(CX5,10)=0.0128, E(CX5,10|CX6,7)=0.0473
+  CX7,12 | CX8,9: E(CX7,12)=0.0360, E(CX7,12|CX8,9)=0.1334
+  CX7,12 | CX10,11: E(CX7,12)=0.0360, E(CX7,12|CX10,11)=0.1694
+  CX9,14 | CX12,13: E(CX9,14)=0.0153, E(CX9,14|CX12,13)=0.0332
+PIN
+)"
+onehop_out="$(target/release/xtalk characterize --device johannesburg --policy onehop \
+    --seqs 2 --shots 64 --seed 3)"
+[ "$onehop_out" = "$pinned_onehop" ] || {
+    echo "xtalk characterize --policy onehop moved:"; echo "$onehop_out"; exit 1;
+}
 # Serving must stay bit-identical too: seed 1's exact counts (requests
 # per load phase, simulated shots, requests served and jobs answered) are
 # pinned, so a change to the serve path's contexts, caches or snapshots

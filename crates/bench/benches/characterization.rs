@@ -4,7 +4,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use xtalk_charac::srb::{run_rb_bin, run_srb_pair};
 use xtalk_charac::RbConfig;
-use xtalk_clifford::random::random_two_qubit_clifford;
 use xtalk_device::{Device, Edge};
 
 fn tiny_config() -> RbConfig {
@@ -27,11 +26,20 @@ fn srb_pair(c: &mut Criterion) {
 fn clifford_sampling(c: &mut Criterion) {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    // Force group construction outside the measurement.
-    let _ = xtalk_clifford::group::two_qubit_cliffords();
-    c.bench_function("random_two_qubit_clifford", |b| {
+    use xtalk_charac::rb::{clifford_sequence, native_templates};
+    use xtalk_clifford::group::two_qubit_cliffords;
+    use xtalk_ir::{Circuit, Qubit};
+    // Build the group and the templates outside the measurement: one
+    // 12-Clifford RB sequence on a pair, drawn and emitted as RB runs it.
+    let group = two_qubit_cliffords();
+    let templates = native_templates(group, &[Qubit::new(0), Qubit::new(1)]);
+    c.bench_function("rb_clifford_sequence_m12", |b| {
         let mut rng = StdRng::seed_from_u64(3);
-        b.iter(|| random_two_qubit_clifford(&mut rng));
+        b.iter(|| {
+            let mut circuit = Circuit::new(2, 0);
+            clifford_sequence(&mut circuit, group, &templates, 12, None, &mut rng);
+            circuit
+        });
     });
 }
 

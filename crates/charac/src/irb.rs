@@ -10,14 +10,13 @@
 //! per-gate conditional errors and ships in the same Ignis toolbox the
 //! paper builds on, so the reproduction carries it too.
 
-use crate::fit::{fit_decay_fixed_offset, DecayFit};
-use crate::rb::{clifford_sequence, RbConfig};
+use crate::fit::DecayFit;
+use crate::rb::{survival_curves, RbConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xtalk_clifford::group::{two_qubit_cliffords, Templates};
 use xtalk_device::{Device, Edge};
-use xtalk_ir::{Circuit, Gate};
-use xtalk_sim::{Executor, ExecutorConfig};
+use xtalk_ir::Gate;
 
 /// Result of an interleaved-RB experiment on one CNOT.
 #[derive(Clone, PartialEq, Debug)]
@@ -35,50 +34,26 @@ pub struct IrbOutcome {
 /// Runs interleaved RB for the CNOT on `edge`: a reference sequence set
 /// of `m` random two-qubit Cliffords, and an interleaved set where the
 /// target CNOT follows every random Clifford. Both end with the exact
-/// inverse, so noiseless survival is 1.
+/// inverse, so noiseless survival is 1. The two sets are one lane run
+/// twice, drawing from one stream: reference first.
 ///
 /// # Panics
 ///
 /// Panics if `edge` is not in the topology.
 pub fn run_irb(device: &Device, edge: Edge, config: &RbConfig) -> IrbOutcome {
-    assert!(device.topology().has_edge(edge), "edge {edge} not in topology");
-    let n = device.topology().num_qubits();
     let group = two_qubit_cliffords();
-    let [qa, qb] = edge.qubits();
     // Raw gates: the interleaved CNOT must reach the executor as itself.
-    let templates = Templates::raw(group, &[qa, qb]);
+    let lane = [Templates::raw(group, &edge.qubits())];
     let cx = group.generator_index(&(Gate::Cx, vec![0, 1])).expect("CX(0,1) generates the group");
     let mut rng = StdRng::seed_from_u64(
         config.seed ^ 0x12b ^ ((edge.lo() as u64) << 32) ^ edge.hi() as u64,
     );
-
-    let run_set = |interleave: bool, rng: &mut StdRng| -> DecayFit {
-        let mut data = Vec::new();
-        for &m in &config.lengths {
-            let mut mean = 0.0;
-            for s in 0..config.seqs_per_length {
-                let mut c = Circuit::new(n, 2);
-                clifford_sequence(&mut c, group, &templates, m, interleave.then_some(cx), rng);
-                c.measure(qa, 0).measure(qb, 1);
-                let sched = Executor::asap_schedule(&c, device.calibration());
-                let cfg = ExecutorConfig {
-                    shots: config.shots,
-                    seed: config.seed
-                        ^ ((m as u64) << 24)
-                        ^ ((s as u64) << 8)
-                        ^ u64::from(interleave),
-                    ..Default::default()
-                };
-                let counts = Executor::with_config(device, cfg).run(&sched);
-                mean += counts.probability(0b00);
-            }
-            data.push((m, mean / config.seqs_per_length as f64));
-        }
-        fit_decay_fixed_offset(&data, 0.25)
+    let mut fit = |interleave, salt| {
+        let seeds = |m: u64, s: u64| config.seed ^ (m << 24) ^ (s << 8) ^ salt;
+        survival_curves(device, &lane, interleave, config, &mut rng, seeds)[0].estimate().0
     };
-
-    let reference = run_set(false, &mut rng);
-    let interleaved = run_set(true, &mut rng);
+    let reference = fit(None, 0);
+    let interleaved = fit(Some(cx), 1);
     let ratio = (interleaved.alpha / reference.alpha.max(1e-9)).clamp(0.0, 1.0);
     let gate_error = (0.75 * (1.0 - ratio)).clamp(0.0, 1.0);
     IrbOutcome { edge, reference, interleaved, gate_error }
@@ -87,6 +62,8 @@ pub fn run_irb(device: &Device, edge: Edge, config: &RbConfig) -> IrbOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rb::clifford_sequence;
+    use xtalk_ir::Circuit;
 
     fn config() -> RbConfig {
         RbConfig { lengths: vec![2, 6, 12, 20], seqs_per_length: 5, shots: 192, seed: 4 }

@@ -1,4 +1,7 @@
-//! Two-qubit randomized benchmarking against the simulator.
+//! Randomized benchmarking against the simulator. Isolated, single-qubit,
+//! interleaved and simultaneous RB are one experiment on different lanes:
+//! each lane runs its own random Clifford sequences in the same circuits,
+//! and one loop (`survival_curves`) runs and scores them all.
 
 use crate::fit::{error_per_clifford, fit_decay_fixed_offset, DecayFit};
 use rand::rngs::StdRng;
@@ -94,71 +97,148 @@ pub fn clifford_sequence(
     group.emit(total, true, templates, circuit);
 }
 
-/// One random RB sequence on the pair of physical qubits of `templates`
-/// (two-qubit group templates, see [`native_templates`]): `m` uniform
-/// two-qubit Cliffords followed by the inverse of their product, ending
-/// with measurement of both qubits into clbits
-/// `(clbit_base, clbit_base+1)`.
-///
-/// Returns the number of CNOTs the fragment contains.
-pub fn rb_sequence(
-    circuit: &mut Circuit,
-    templates: &Templates,
+/// The two-qubit RB lane on `edge`: the group's [`native_templates`] on
+/// its qubits.
+pub(crate) fn edge_lane(edge: Edge) -> Templates {
+    native_templates(two_qubit_cliffords(), &edge.qubits())
+}
+
+/// One lane's survival curve and the gate accounting its fit needs.
+#[derive(Default)]
+pub(crate) struct Curve {
+    /// Qubits of the lane: its group's width.
+    width: usize,
+    /// Mean survival probability per sequence length.
+    pub(crate) survival: Vec<(usize, f64)>,
+    /// Emitted non-virtual gates of the lane's width: CNOTs or 1q pulses.
+    gates: usize,
+    /// Emitted Cliffords, the inverse included.
+    cliffords: usize,
+}
+
+impl Curve {
+    /// The decay fit at offset `1/2ʷ`, the error per Clifford and the
+    /// unclamped error per gate (EPC over the measured gates per Clifford).
+    pub(crate) fn estimate(&self) -> (DecayFit, f64, f64) {
+        let fit = fit_decay_fixed_offset(&self.survival, 1.0 / (1u64 << self.width) as f64);
+        let epc = error_per_clifford(fit.alpha, self.width);
+        let per_clifford = self.gates as f64 / self.cliffords as f64;
+        (fit, epc, epc / per_clifford.max(1e-9))
+    }
+
+    /// The error per gate clamped to `[0, 1]`.
+    pub(crate) fn gate_error(&self) -> f64 {
+        self.estimate().2.clamp(0.0, 1.0)
+    }
+}
+
+/// One circuit of the experiment: per lane, a random sequence of length
+/// `m` ([`clifford_sequence`]) and the measures of its qubits into the
+/// next clbits. Charges each lane's curve its gates and `m + 1` Cliffords.
+fn emit(
+    num_qubits: usize,
+    lanes: &[Templates],
+    curves: &mut [Curve],
     m: usize,
-    clbit_base: u32,
+    interleave: Option<usize>,
     rng: &mut StdRng,
-) -> usize {
-    let start = circuit.len();
-    clifford_sequence(circuit, two_qubit_cliffords(), templates, m, None, rng);
-    let cx = circuit.instructions()[start..]
+) -> Circuit {
+    let mut c = Circuit::new(num_qubits, curves.iter().map(|curve| curve.width).sum());
+    let mut clbit = 0u32;
+    for (lane, curve) in lanes.iter().zip(curves) {
+        let start = c.len();
+        let group = if curve.width == 1 { single_qubit_cliffords() } else { two_qubit_cliffords() };
+        clifford_sequence(&mut c, group, lane, m, interleave, rng);
+        curve.gates += c.instructions()[start..]
+            .iter()
+            .filter(|instr| !instr.gate().is_virtual() && instr.gate().num_qubits() == curve.width)
+            .count();
+        curve.cliffords += m + 1;
+        for &q in lane.physical() {
+            c.measure(q, clbit);
+            clbit += 1;
+        }
+    }
+    c
+}
+
+/// The survival loop of every RB flavour: `config.seqs_per_length`
+/// circuits per length `m`, each running one random sequence per lane
+/// (every Clifford followed by generator `interleave` when given), drawn
+/// from `rng` in lane order, ASAP-scheduled and run with executor seed
+/// `run_seed(m, s)` for sequence `s`. A lane survives a shot when all its
+/// clbits read 0. Returns one curve per lane, in order.
+///
+/// # Panics
+///
+/// Panics if a two-qubit lane is not on an edge of the device or two lanes
+/// share a qubit.
+pub(crate) fn survival_curves(
+    device: &Device,
+    lanes: &[Templates],
+    interleave: Option<usize>,
+    config: &RbConfig,
+    rng: &mut StdRng,
+    run_seed: impl Fn(u64, u64) -> u64,
+) -> Vec<Curve> {
+    let topo = device.topology();
+    let mut used: Vec<Qubit> = Vec::new();
+    for lane in lanes {
+        if let &[a, b] = lane.physical() {
+            let edge = Edge::new(a.raw(), b.raw());
+            assert!(topo.has_edge(edge), "edge {edge} not in topology");
+        }
+        for &q in lane.physical() {
+            assert!(!used.contains(&q), "qubit {q} reused across the bin");
+            used.push(q);
+        }
+    }
+    let mut curves: Vec<Curve> = lanes
         .iter()
-        .filter(|instr| instr.gate().is_two_qubit())
-        .count();
-    let [qa, qb] = [templates.physical()[0], templates.physical()[1]];
-    circuit.measure(qa, clbit_base).measure(qb, clbit_base + 1);
-    cx
+        .map(|lane| Curve { width: lane.physical().len(), ..Curve::default() })
+        .collect();
+    for &m in &config.lengths {
+        let mut means = vec![0.0f64; lanes.len()];
+        for s in 0..config.seqs_per_length {
+            let c = emit(topo.num_qubits(), lanes, &mut curves, m, interleave, rng);
+            let sched = Executor::asap_schedule(&c, device.calibration());
+            let cfg = ExecutorConfig {
+                shots: config.shots,
+                seed: run_seed(m as u64, s as u64),
+                ..Default::default()
+            };
+            let counts = Executor::with_config(device, cfg).run(&sched);
+            let mut clbit = 0;
+            for (mean, curve) in means.iter_mut().zip(&curves) {
+                let mask = ((1u64 << curve.width) - 1) << clbit;
+                clbit += curve.width;
+                let survived = counts
+                    .iter()
+                    .filter(|&(outcome, _)| outcome & mask == 0)
+                    .fold(0.0, |p, (_, cnt)| p + cnt as f64);
+                // An empty run survives with probability 0, as in `Counts::probability`.
+                *mean += survived / counts.shots().max(1) as f64;
+            }
+        }
+        for (curve, mean) in curves.iter_mut().zip(means) {
+            curve.survival.push((m, mean / config.seqs_per_length as f64));
+        }
+    }
+    curves
 }
 
 /// Runs single-qubit RB on `q`, estimating its 1q gate error rate.
 ///
 /// The paper ignores single-qubit conditional errors because standalone
 /// 1q error rates are ~10× below CNOT rates (Section 7.2); this measures
-/// exactly that ratio on our devices.
+/// exactly that ratio on our devices. Sequences are native gates, as
+/// hardware executes them: virtual gates (S, Z, …) are error-free frame
+/// changes, so the error is charged to physical pulses only.
 pub fn run_rb_1q(device: &Device, q: u32, config: &RbConfig) -> f64 {
-    let n = device.topology().num_qubits();
-    let group = single_qubit_cliffords();
-    let templates = native_templates(group, &[Qubit::new(q)]);
+    let lane = native_templates(single_qubit_cliffords(), &[Qubit::new(q)]);
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x1111 ^ u64::from(q));
-    let mut data = Vec::new();
-    let mut total_gates = 0usize;
-    let mut total_cliffords = 0usize;
-    for &m in &config.lengths {
-        let mut mean = 0.0;
-        for s in 0..config.seqs_per_length {
-            // Native gates, as hardware executes them: one physical pulse
-            // per non-virtual Clifford generator, so EPC accounting is
-            // that of the raw gates. Virtual gates (S, Z, …) are
-            // error-free frame changes; only physical pulses carry error.
-            let mut c = Circuit::new(n, 1);
-            clifford_sequence(&mut c, group, &templates, m, None, &mut rng);
-            total_gates += c.iter().filter(|instr| !instr.gate().is_virtual()).count();
-            total_cliffords += m + 1;
-            c.measure(q, 0);
-            let sched = Executor::asap_schedule(&c, device.calibration());
-            let cfg = ExecutorConfig {
-                shots: config.shots,
-                seed: config.seed ^ ((m as u64) << 16) ^ s as u64 ^ 0x11,
-                ..Default::default()
-            };
-            let counts = Executor::with_config(device, cfg).run(&sched);
-            mean += counts.probability(0);
-        }
-        data.push((m, mean / config.seqs_per_length as f64));
-    }
-    let fit = fit_decay_fixed_offset(&data, 0.5);
-    let epc = error_per_clifford(fit.alpha, 1);
-    let gates_per_clifford = (total_gates as f64 / total_cliffords as f64).max(1e-9);
-    (epc / gates_per_clifford).clamp(0.0, 1.0)
+    let run_seed = |m: u64, s: u64| config.seed ^ (m << 16) ^ s ^ 0x11;
+    survival_curves(device, &[lane], None, config, &mut rng, run_seed)[0].gate_error()
 }
 
 /// Outcome of an RB run on one edge.
@@ -184,46 +264,14 @@ pub struct RbOutcome {
 ///
 /// Panics if `edge` is not in the device topology.
 pub fn run_rb(device: &Device, edge: Edge, config: &RbConfig) -> RbOutcome {
-    assert!(device.topology().has_edge(edge), "edge {edge} not in topology");
-    let n = device.topology().num_qubits();
     let mut rng = StdRng::seed_from_u64(
         config.seed ^ 0xda7a ^ ((edge.lo() as u64) << 32) ^ edge.hi() as u64,
     );
-    let templates = native_templates(two_qubit_cliffords(), &edge.qubits());
-
-    let mut survival = Vec::new();
-    let mut data = Vec::new();
-    let mut total_cx = 0usize;
-    let mut total_cliffords = 0usize;
-    for &m in &config.lengths {
-        let mut mean = 0.0;
-        for s in 0..config.seqs_per_length {
-            let mut c = Circuit::new(n, 2);
-            total_cx += rb_sequence(&mut c, &templates, m, 0, &mut rng);
-            total_cliffords += m + 1;
-            let sched = Executor::asap_schedule(&c, device.calibration());
-            let cfg = ExecutorConfig {
-                shots: config.shots,
-                seed: config.seed ^ (m as u64) << 20 ^ s as u64,
-                ..Default::default()
-            };
-            let counts = Executor::with_config(device, cfg).run(&sched);
-            mean += counts.probability(0b00);
-        }
-        mean /= config.seqs_per_length as f64;
-        survival.push((m, mean));
-        data.push((m, mean));
-    }
-    let fit = fit_decay_fixed_offset(&data, 0.25);
-    let epc = error_per_clifford(fit.alpha, 2);
-    let cx_per_clifford = total_cx as f64 / total_cliffords as f64;
-    RbOutcome {
-        edge,
-        fit,
-        epc,
-        cnot_error: epc / cx_per_clifford.max(1e-9),
-        survival,
-    }
+    let run_seed = |m: u64, s: u64| config.seed ^ (m << 20) ^ s;
+    let curve = survival_curves(device, &[edge_lane(edge)], None, config, &mut rng, run_seed)
+        .remove(0);
+    let (fit, epc, cnot_error) = curve.estimate();
+    RbOutcome { edge, fit, epc, cnot_error, survival: curve.survival }
 }
 
 #[cfg(test)]
@@ -232,9 +280,10 @@ mod tests {
     use xtalk_clifford::group::LocalGate;
     use xtalk_clifford::{instantiate, CliffordTableau};
 
-    /// `rb_sequence` as it was when the running product composed every
-    /// generator gate's tableau, with raw gates and a lookup of the
-    /// product's tableau for the inverse: the oracle for the table path.
+    /// One RB lane's sequence and measures as they were when the running
+    /// product composed every generator gate's tableau, with raw gates and
+    /// a lookup of the product's tableau for the inverse: the oracle for
+    /// the table path.
     fn rb_sequence_per_gate(
         circuit: &mut Circuit,
         qa: Qubit,
@@ -292,35 +341,57 @@ mod tests {
         xtalk_pass::lower_to_native(&c)
     }
 
+    fn curves(widths: &[usize]) -> Vec<Curve> {
+        widths
+            .iter()
+            .map(|&width| Curve { width, ..Curve::default() })
+            .collect()
+    }
+
     #[test]
     fn table_sequences_emit_the_tableau_oracle_circuits() {
-        let (qa, qb) = (Qubit::new(3), Qubit::new(1));
-        let templates = native_templates(two_qubit_cliffords(), &[qa, qb]);
+        // Two lanes, so the second one's clbits and RNG draws follow the
+        // first's.
+        let pairs = [(Qubit::new(3), Qubit::new(1)), (Qubit::new(0), Qubit::new(2))];
+        let lanes: Vec<Templates> = pairs
+            .iter()
+            .map(|&(qa, qb)| native_templates(two_qubit_cliffords(), &[qa, qb]))
+            .collect();
         for seed in 0..40u64 {
             for m in [0usize, 1, 2, 5, 12, 30] {
-                let (mut a, mut b) = (Circuit::new(4, 4), Circuit::new(4, 4));
                 let (mut ra, mut rb) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-                let cx_a = rb_sequence(&mut a, &templates, m, 2, &mut ra);
-                let cx_b = rb_sequence_per_gate(&mut b, qa, qb, m, 2, &mut rb);
+                let mut charged = curves(&[2, 2]);
+                let a = emit(4, &lanes, &mut charged, m, None, &mut ra);
+                let mut b = Circuit::new(4, 4);
+                let cx: Vec<usize> = pairs
+                    .iter()
+                    .zip([0, 2])
+                    .map(|(&(qa, qb), base)| rb_sequence_per_gate(&mut b, qa, qb, m, base, &mut rb))
+                    .collect();
                 let b = xtalk_pass::lower_to_native(&b);
-                assert_eq!((cx_a, &a), (cx_b, &b), "seed {seed}, length {m}");
+                assert_eq!(a, b, "seed {seed}, length {m}");
                 assert_eq!(ra, rb, "seed {seed}, length {m}: RNG positions differ");
+                for (curve, cx) in charged.iter().zip(cx) {
+                    assert_eq!((curve.gates, curve.cliffords), (cx, m + 1), "seed {seed}, m {m}");
+                }
             }
         }
     }
 
     #[test]
     fn one_qubit_table_sequences_emit_the_tableau_oracle_circuits() {
-        let group = single_qubit_cliffords();
-        let templates = native_templates(group, &[Qubit::new(2)]);
+        let lanes = [native_templates(single_qubit_cliffords(), &[Qubit::new(2)])];
         for seed in 0..40u64 {
             for m in [0usize, 1, 3, 16, 40] {
-                let mut a = Circuit::new(3, 1);
                 let (mut ra, mut rb) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-                clifford_sequence(&mut a, group, &templates, m, None, &mut ra);
-                let b = one_qubit_sequence_per_clifford(2, m, &mut rb);
+                let mut charged = curves(&[1]);
+                let a = emit(3, &lanes, &mut charged, m, None, &mut ra);
+                let mut b = one_qubit_sequence_per_clifford(2, m, &mut rb);
+                let pulses = b.iter().filter(|instr| !instr.gate().is_virtual()).count();
+                b.measure(2, 0);
                 assert_eq!(a, b, "seed {seed}, length {m}");
                 assert_eq!(ra, rb, "seed {seed}, length {m}: RNG positions differ");
+                assert_eq!((charged[0].gates, charged[0].cliffords), (pulses, m + 1));
             }
         }
     }
@@ -328,9 +399,8 @@ mod tests {
     #[test]
     fn sequence_inverts_to_identity() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut c = Circuit::new(2, 2);
-        let templates = Templates::raw(two_qubit_cliffords(), &[Qubit::new(0), Qubit::new(1)]);
-        rb_sequence(&mut c, &templates, 6, 0, &mut rng);
+        let lanes = [Templates::raw(two_qubit_cliffords(), &[Qubit::new(0), Qubit::new(1)])];
+        let c = emit(2, &lanes, &mut curves(&[2]), 6, None, &mut rng);
         // Strip measurements, check the unitary is identity.
         let mut unitary_only = Circuit::new(2, 0);
         for instr in c.iter().filter(|i| !i.gate().is_measurement()) {
@@ -343,9 +413,8 @@ mod tests {
     fn noiseless_rb_survival_is_one() {
         let device = Device::line(2, 0);
         let mut rng = StdRng::seed_from_u64(4);
-        let mut c = Circuit::new(2, 2);
-        let templates = native_templates(two_qubit_cliffords(), &[Qubit::new(0), Qubit::new(1)]);
-        rb_sequence(&mut c, &templates, 10, 0, &mut rng);
+        let lanes = [edge_lane(Edge::new(0, 1))];
+        let c = emit(2, &lanes, &mut curves(&[2]), 10, None, &mut rng);
         let sched = Executor::asap_schedule(&c, device.calibration());
         let cfg = ExecutorConfig {
             shots: 64,
@@ -353,7 +422,6 @@ mod tests {
             crosstalk: false,
             decoherence: false,
             readout_noise: false,
-            compound_crosstalk: false,
             seed: 0,
         };
         let counts = Executor::with_config(&device, cfg).run(&sched);
@@ -378,6 +446,15 @@ mod tests {
         );
         // Survival decays with length.
         assert!(out.survival.first().unwrap().1 > out.survival.last().unwrap().1);
+    }
+
+    #[test]
+    fn zero_shot_runs_survive_with_probability_zero() {
+        // A lane's survival is `Counts::probability(0)` when it is alone,
+        // down to a run with no shots.
+        let config = RbConfig { shots: 0, ..Default::default() };
+        let out = run_rb(&Device::line(2, 0), Edge::new(0, 1), &config);
+        assert!(out.survival.iter().all(|&(_, p)| p == 0.0), "{:?}", out.survival);
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! Regression pins for the RB experiment builders, outside the
 //! `charac_daily` digest.
 //!
-//! Each test runs one experiment on a small line device with a planted
-//! crosstalk pair and compares the `f64::to_bits` of its results with
-//! values recorded from the tableau-composition implementation. Sequence
-//! synthesis, native lowering, scheduling and execution all feed these
-//! numbers, so a change that moves a single gate, a single RNG draw or a
-//! single sampled count in any of them fails here.
+//! Each test runs one experiment on a small line device with planted
+//! crosstalk and compares the `f64::to_bits` of its results with recorded
+//! values: the single-lane pins from the tableau-composition
+//! implementation, the multi-lane bin pins from the per-flavour survival
+//! loops that preceded the shared one. Sequence synthesis, native
+//! lowering, clbit offsets and masks, scheduling and execution all feed
+//! these numbers, so a change that moves a single gate, a single RNG draw
+//! or a single sampled count in any of them fails here.
 
 use xtalk_charac::irb::run_irb;
 use xtalk_charac::rb::{run_rb, run_rb_1q};
-use xtalk_charac::srb::run_srb_pair;
+use xtalk_charac::srb::{run_rb_bin, run_srb_bin, run_srb_pair};
 use xtalk_charac::RbConfig;
 use xtalk_device::{CrosstalkMap, Device, Edge};
 
@@ -19,6 +21,15 @@ fn device() -> Device {
     let mut xt = CrosstalkMap::new();
     xt.set_symmetric(Edge::new(0, 1), Edge::new(2, 3), 4.0, 4.0);
     Device::line(4, 11).with_crosstalk(xt)
+}
+
+/// An 8-qubit line with two interfering pairs (factors 4 and 2), so a
+/// two-pair SRB bin runs four lanes that each see a different neighbour.
+fn wide_device() -> Device {
+    let mut xt = CrosstalkMap::new();
+    xt.set_symmetric(Edge::new(0, 1), Edge::new(2, 3), 4.0, 4.0);
+    xt.set_symmetric(Edge::new(4, 5), Edge::new(6, 7), 2.0, 2.0);
+    Device::line(8, 11).with_crosstalk(xt)
 }
 
 fn config() -> RbConfig {
@@ -74,6 +85,35 @@ fn run_srb_pair_is_pinned() {
     assert_eq!(bits(&values), RUN_SRB_PAIR, "{values:?}");
 }
 
+#[test]
+fn run_rb_bin_is_pinned() {
+    let out = run_rb_bin(&device(), &[Edge::new(0, 1), Edge::new(2, 3)], &config());
+    assert_eq!(
+        out.iter().map(|&(e, _)| e).collect::<Vec<_>>(),
+        [Edge::new(0, 1), Edge::new(2, 3)]
+    );
+    let values: Vec<f64> = out.iter().map(|&(_, rate)| rate).collect();
+    assert_eq!(bits(&values), RUN_RB_BIN, "{values:?}");
+}
+
+#[test]
+fn run_srb_bin_is_pinned() {
+    let bin = [
+        (Edge::new(0, 1), Edge::new(2, 3)),
+        (Edge::new(4, 5), Edge::new(6, 7)),
+    ];
+    let out = run_srb_bin(&wide_device(), &bin, &config());
+    let values: Vec<f64> = out
+        .iter()
+        .flat_map(|o| [o.first_given_second, o.second_given_first])
+        .collect();
+    assert_eq!(
+        out.iter().map(|o| (o.first, o.second)).collect::<Vec<_>>(),
+        bin
+    );
+    assert_eq!(bits(&values), RUN_SRB_BIN, "{values:?}");
+}
+
 const RUN_RB: [u64; 9] = [
     4603739053677962085,
     4598175219545276416,
@@ -96,3 +136,10 @@ const RUN_IRB: [u64; 7] = [
     4585195623704413836,
 ];
 const RUN_SRB_PAIR: [u64; 2] = [4592647140325893891, 4597948005339232906];
+const RUN_RB_BIN: [u64; 2] = [4593754966321022755, 4593649528799575165];
+const RUN_SRB_BIN: [u64; 4] = [
+    4593330896145895693,
+    4587573996740781336,
+    4586218187241355305,
+    4592873090846724428,
+];

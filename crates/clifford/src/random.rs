@@ -1,19 +1,12 @@
 //! Uniform random sampling of Clifford elements.
 
 use crate::group::{self, CliffordGroup, LocalGate};
-use crate::CliffordTableau;
 use rand::Rng;
 use xtalk_ir::{Circuit, Gate};
 
 /// Samples a uniformly random element index from a fully enumerated group.
 pub fn uniform_element<R: Rng + ?Sized>(group: &CliffordGroup, rng: &mut R) -> usize {
     rng.gen_range(0..group.len())
-}
-
-/// Samples a uniformly random single-qubit Clifford decomposition.
-pub fn random_single_qubit_clifford<R: Rng + ?Sized>(rng: &mut R) -> Vec<LocalGate> {
-    let g = group::single_qubit_cliffords();
-    g.decomposition(uniform_element(g, rng))
 }
 
 /// Samples a uniformly random two-qubit Clifford decomposition
@@ -53,16 +46,6 @@ pub fn random_clifford_circuit<R: Rng + ?Sized>(n: usize, depth: usize, rng: &mu
     c
 }
 
-/// Applies a decomposition to a tableau, returning the updated tableau —
-/// convenience for sequence bookkeeping in RB.
-pub fn apply_decomposition(t: &CliffordTableau, gates: &[LocalGate]) -> CliffordTableau {
-    let mut out = t.clone();
-    for (g, qs) in gates {
-        out.apply_gate(g, qs);
-    }
-    out
-}
-
 /// `true` if a decomposition contains only gates native to IBMQ-style
 /// hardware after trivial lowering (H/S/Sdg/X/Y/Z/CX).
 pub fn is_native(gates: &[LocalGate]) -> bool {
@@ -74,6 +57,7 @@ pub fn is_native(gates: &[LocalGate]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CliffordTableau;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashSet;
@@ -120,17 +104,5 @@ mod tests {
         assert!(c.len() >= 10);
         // All Clifford: the tableau builds without panicking.
         let _ = CliffordTableau::from_circuit(&c);
-    }
-
-    #[test]
-    fn apply_decomposition_matches_manual() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let d = random_two_qubit_clifford(&mut rng);
-        let t = apply_decomposition(&CliffordTableau::identity(2), &d);
-        let mut manual = CliffordTableau::identity(2);
-        for (g, qs) in &d {
-            manual.apply_gate(g, qs);
-        }
-        assert_eq!(t, manual);
     }
 }

@@ -102,19 +102,13 @@ impl<'d> Compiler<'d> {
         self.pm.cache()
     }
 
-    /// The underlying pass manager, for running custom passes in the
-    /// same cache/budget/epoch regime.
-    pub fn pass_manager(&self) -> &PassManager {
-        &self.pm
-    }
-
     /// Lowers a circuit to the native basis and fuses single-qubit runs.
     ///
     /// # Errors
     ///
     /// Budget exhaustion or an injected fault at `pass.lower`.
     pub fn lower(&self, circuit: &Circuit) -> Result<Arc<NativeCircuit>, CoreError> {
-        self.pm.run(&LowerPass::default(), circuit).map_err(CoreError::from)
+        self.pm.run(&LowerPass, circuit).map_err(CoreError::from)
     }
 
     /// Pads a native circuit to device width and picks an initial layout.

@@ -120,19 +120,9 @@ impl ContentHash for RealizedSchedule {
     }
 }
 
-/// Lowers to the native basis, optionally fusing single-qubit runs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct LowerPass {
-    /// Fuse maximal single-qubit runs after lowering (the default — what
-    /// the CLI and serve flows have always done).
-    pub fuse: bool,
-}
-
-impl Default for LowerPass {
-    fn default() -> Self {
-        LowerPass { fuse: true }
-    }
-}
+/// Lowers to the native basis and fuses maximal single-qubit runs.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct LowerPass;
 
 impl Pass for LowerPass {
     type Input = Circuit;
@@ -143,13 +133,8 @@ impl Pass for LowerPass {
         "lower"
     }
 
-    fn config_hash(&self, h: &mut Fnv1a) {
-        h.write_u8(u8::from(self.fuse));
-    }
-
     fn run(&self, input: &Circuit, _budget: &Budget) -> Result<NativeCircuit, CoreError> {
-        let lowered = xtalk_pass::lower_to_native(input);
-        let circuit = if self.fuse { fuse_single_qubit_gates(&lowered) } else { lowered };
+        let circuit = fuse_single_qubit_gates(&xtalk_pass::lower_to_native(input));
         Ok(NativeCircuit { circuit })
     }
 }
@@ -371,7 +356,7 @@ mod tests {
         let mut c = Circuit::new(2, 2);
         c.u2(0.0, PI, 0).cx(0, 1).measure(0, 0).measure(1, 1);
         let pm = PassManager::new(EpochToken::new("t", 0));
-        let native = pm.run(&LowerPass::default(), &c).unwrap();
+        let native = pm.run(&LowerPass, &c).unwrap();
         let placed = pm.run(&PlacePass::new(&topo), &native).unwrap();
         assert_eq!(placed.circuit.num_qubits(), 5);
         assert_eq!(placed.layout, Layout::trivial(5, 5));
@@ -386,7 +371,7 @@ mod tests {
         let topo = Topology::line(2);
         let c = Circuit::new(3, 0);
         let pm = PassManager::new(EpochToken::new("t", 0));
-        let native = pm.run(&LowerPass::default(), &c).unwrap();
+        let native = pm.run(&LowerPass, &c).unwrap();
         match pm.run(&PlacePass::new(&topo), &native).map_err(CoreError::from) {
             Err(CoreError::WidthExceeded { circuit: 3, device: 2 }) => {}
             other => panic!("expected WidthExceeded, got {other:?}"),
@@ -399,7 +384,7 @@ mod tests {
         let mut c = Circuit::new(4, 0);
         c.cx(0, 3); // non-adjacent on a line
         let pm = PassManager::new(EpochToken::new("t", 0));
-        let native = pm.run(&LowerPass::default(), &c).unwrap();
+        let native = pm.run(&LowerPass, &c).unwrap();
         let placed = pm.run(&PlacePass::new(&topo), &native).unwrap();
         let routed = pm.run(&RoutePass::new(&topo), &placed).unwrap();
         // Routed output must be hardware-compliant.

@@ -142,7 +142,9 @@ impl PassManager {
 
     /// Runs `pass` on `input` with the cross-cutting machinery applied:
     /// budget poll → span → fault point → cache lookup → run → cache
-    /// store (unless vetoed by [`Pass::cache_output`]).
+    /// store (unless vetoed by [`Pass::cache_output`]). A pass that is not
+    /// [`Pass::cacheable`] skips the lookup and the store, and its input is
+    /// never hashed.
     pub fn run<P: Pass>(
         &self,
         pass: &P,
@@ -163,19 +165,20 @@ impl PassManager {
                 return Err(PassError::Fault(msg));
             }
         }
+        if !pass.cacheable() {
+            return Ok(Arc::new(pass.run(input, &self.budget).map_err(PassError::Pass)?));
+        }
         let input_hash = {
             let mut h = Fnv1a::new();
             input.content_hash(&mut h);
             pass.config_hash(&mut h);
             h.finish()
         };
-        if pass.cacheable() {
-            if let Some(hit) = self.cache.get::<P::Output>(pass.id(), input_hash, &self.epoch) {
-                return Ok(hit);
-            }
+        if let Some(hit) = self.cache.get::<P::Output>(pass.id(), input_hash, &self.epoch) {
+            return Ok(hit);
         }
         let out = Arc::new(pass.run(input, &self.budget).map_err(PassError::Pass)?);
-        if pass.cacheable() && pass.cache_output(&out) {
+        if pass.cache_output(&out) {
             self.cache.put(pass.id(), input_hash, &self.epoch, Arc::clone(&out));
         }
         Ok(out)
@@ -285,6 +288,35 @@ mod tests {
         budget.cancel_token().cancel();
         let pm = PassManager::new(EpochToken::new("dev", 0)).with_budget(budget);
         assert_eq!(*pm.run(&Anytime, &10).unwrap(), 5);
+    }
+
+    #[test]
+    fn uncacheable_passes_never_hash_their_input() {
+        struct Unhashable(u64);
+        impl ContentHash for Unhashable {
+            fn content_hash(&self, _h: &mut Fnv1a) {
+                panic!("an uncacheable pass's input was hashed");
+            }
+        }
+        struct Execute;
+        impl Pass for Execute {
+            type Input = Unhashable;
+            type Output = u64;
+            type Err = String;
+            fn id(&self) -> &'static str {
+                "execute"
+            }
+            fn cacheable(&self) -> bool {
+                false
+            }
+            fn run(&self, input: &Unhashable, _budget: &Budget) -> Result<u64, String> {
+                Ok(input.0 + 1)
+            }
+        }
+        let pm = PassManager::new(EpochToken::new("dev", 0));
+        assert_eq!(*pm.run(&Execute, &Unhashable(1)).unwrap(), 2);
+        assert_eq!(*pm.run(&Execute, &Unhashable(1)).unwrap(), 2);
+        assert_eq!((pm.cache().len(), pm.cache().hits()), (0, 0));
     }
 
     #[test]

@@ -51,11 +51,6 @@ pub struct ExecutorConfig {
     pub decoherence: bool,
     /// Apply readout assignment errors.
     pub readout_noise: bool,
-    /// Combine multiple simultaneous aggressors by *adding* their excess
-    /// error instead of taking the worst one (the paper's Eq. 6 takes the
-    /// max, noting triplet effects were not significant; this switch
-    /// exists to test that choice).
-    pub compound_crosstalk: bool,
 }
 
 impl Default for ExecutorConfig {
@@ -67,7 +62,6 @@ impl Default for ExecutorConfig {
             crosstalk: true,
             decoherence: true,
             readout_noise: true,
-            compound_crosstalk: false,
         }
     }
 }
@@ -351,14 +345,12 @@ impl<'a> Executor<'a> {
 
     /// Effective (crosstalk-conditioned) error factor per instruction (1
     /// off two-qubit gates): the paper's Eq. 6 takes the max conditional
-    /// error over overlapping gates; with `compound_crosstalk` the excesses
-    /// add instead.
+    /// error over overlapping gates, noting that triplet effects were not
+    /// significant.
     ///
     /// Only gates on an edge of some crosstalk entry whose other edge is in
     /// the circuit can move a factor, so the sweep visits the overlapping
-    /// pairs among those alone — in the order the full sweep visits them,
-    /// so compound sums add in the same order — and a circuit with none
-    /// skips it.
+    /// pairs among those alone, and a circuit with none skips it.
     fn crosstalk_factors(&self, sched: &ScheduledCircuit, edges: &EdgeTable) -> Vec<f64> {
         let mut factor = vec![1.0f64; sched.circuit().len()];
         let involved = edges.involved();
@@ -367,18 +359,10 @@ impl<'a> Executor<'a> {
         }
         let gates = (0..factor.len())
             .filter(|&i| edges.ix[i] != u32::MAX && involved[edges.ix[i] as usize]);
-        let compound = self.config.compound_crosstalk;
         OverlapSweep::default().run(gates, sched.slots(), |i, j| {
             let (ei, ej) = (edges.of(i), edges.of(j));
-            let fi = ei.factor(ej.edge);
-            let fj = ej.factor(ei.edge);
-            if compound {
-                factor[i] += fi - 1.0;
-                factor[j] += fj - 1.0;
-            } else {
-                factor[i] = factor[i].max(fi);
-                factor[j] = factor[j].max(fj);
-            }
+            factor[i] = factor[i].max(ei.factor(ej.edge));
+            factor[j] = factor[j].max(ej.factor(ei.edge));
         });
         factor
     }
@@ -955,7 +939,6 @@ mod tests {
             crosstalk: false,
             decoherence: false,
             readout_noise: false,
-            compound_crosstalk: false,
         }
     }
 

@@ -53,15 +53,8 @@ impl Executor<'_> {
             for (i, j) in sched.overlapping_two_qubit_pairs() {
                 let ei = edge_of(circuit, i);
                 let ej = edge_of(circuit, j);
-                let fi = self.device.crosstalk().factor(ei, ej);
-                let fj = self.device.crosstalk().factor(ej, ei);
-                if self.config.compound_crosstalk {
-                    factor[i] += fi - 1.0;
-                    factor[j] += fj - 1.0;
-                } else {
-                    factor[i] = factor[i].max(fi);
-                    factor[j] = factor[j].max(fj);
-                }
+                factor[i] = factor[i].max(self.device.crosstalk().factor(ei, ej));
+                factor[j] = factor[j].max(self.device.crosstalk().factor(ej, ei));
             }
         }
         factor
@@ -216,9 +209,9 @@ fn idle_reference(
     }
 }
 
-/// Every combination of the five noise switches.
+/// Every combination of the four noise switches.
 fn all_configs(shots: u64, seed: u64) -> Vec<ExecutorConfig> {
-    (0..32u32)
+    (0..16u32)
         .map(|m| ExecutorConfig {
             shots,
             seed,
@@ -226,7 +219,6 @@ fn all_configs(shots: u64, seed: u64) -> Vec<ExecutorConfig> {
             crosstalk: m & 2 != 0,
             decoherence: m & 4 != 0,
             readout_noise: m & 8 != 0,
-            compound_crosstalk: m & 16 != 0,
         })
         .collect()
 }
@@ -312,7 +304,7 @@ fn mid_circuit_measure() -> Circuit {
 }
 
 /// `line(8)` with edge (2,3) attacked by two aggressors at once, so the
-/// max and compound crosstalk rules differ.
+/// max rule has two factors to choose from.
 fn crosstalk_triad() -> (Device, Circuit) {
     let mut xt = CrosstalkMap::new();
     xt.set_symmetric(Edge::new(2, 3), Edge::new(0, 1), 4.0, 2.0);
@@ -434,23 +426,19 @@ fn compiled_programs_match_reference_at_every_thread_count() {
         // 1100 shots: more lanes than one chunk of a 6-qubit component
         // holds, so the mixed-widths case runs components in different
         // chunkings.
-        for cfg in [
-            ExecutorConfig { shots: 1100, seed: 3, ..Default::default() },
-            ExecutorConfig { shots: 150, seed: 4, compound_crosstalk: true, ..Default::default() },
-        ] {
-            let exec = Executor::with_config(&device, cfg);
-            let reference = exec.run_reference(&sched);
-            assert_eq!(exec.run(&sched), reference, "{name}, run");
-            // Batches that end mid-chunk and off the 64-shot grid.
-            for threads in [1usize, 3] {
-                let counts = exec.run_shaped(&sched, 37, threads);
-                assert_eq!(counts, reference, "{name}, 37-shot batches x{threads}");
-            }
-            for threads in [1usize, 2, 4] {
-                let out = exec.run_budgeted(&sched, threads, &Budget::unlimited());
-                assert!(out.complete);
-                assert_eq!(out.counts, reference, "{name}, budgeted x{threads}");
-            }
+        let cfg = ExecutorConfig { shots: 1100, seed: 3, ..Default::default() };
+        let exec = Executor::with_config(&device, cfg);
+        let reference = exec.run_reference(&sched);
+        assert_eq!(exec.run(&sched), reference, "{name}, run");
+        // Batches that end mid-chunk and off the 64-shot grid.
+        for threads in [1usize, 3] {
+            let counts = exec.run_shaped(&sched, 37, threads);
+            assert_eq!(counts, reference, "{name}, 37-shot batches x{threads}");
+        }
+        for threads in [1usize, 2, 4] {
+            let out = exec.run_budgeted(&sched, threads, &Budget::unlimited());
+            assert!(out.complete);
+            assert_eq!(out.counts, reference, "{name}, budgeted x{threads}");
         }
     }
 }
@@ -475,8 +463,8 @@ fn run_past_one_lane_block_matches_reference() {
 fn cases_exercise_every_step_kind() {
     // The oracle comparison is only as strong as its cases: they must hold
     // every step kind, idle gaps with and without pure dephasing, SWAPs,
-    // and a gate attacked by two aggressors (where max and compound
-    // crosstalk differ).
+    // and a gate attacked by two aggressors (where the max rule has two
+    // factors to choose from).
     let cases = cases();
     let mut kinds = [0usize; 4];
     let mut dephasing = [0usize; 2];
@@ -550,7 +538,7 @@ fn cases_exercise_every_step_kind() {
 #[test]
 fn crosstalk_factors_match_every_pairs_lookups() {
     // The sweep over involved gates alone must give the full sweep's
-    // factors bit for bit, compound sums included. The cases hold edges
+    // factors bit for bit. The cases hold edges
     // with entries whose aggressor is absent ("rb bin"), none at all
     // (lines) and a gate under two aggressors at once ("crosstalk triad");
     // one more has one-way entries, whose aggressor no entry names as

@@ -21,7 +21,6 @@ fn sampled_distribution_converges_to_ideal_without_noise() {
         crosstalk: false,
         decoherence: false,
         readout_noise: false,
-        compound_crosstalk: false,
     };
     let counts = Executor::with_config(&device, cfg).run(&sched);
     let tvd = metrics::total_variation(&ideal::distribution(&c), &counts.distribution());
@@ -97,7 +96,6 @@ fn decoherence_compounds_exponentially_with_idle_time() {
             crosstalk: false,
             decoherence: true,
             readout_noise: false,
-            compound_crosstalk: false,
         };
         Executor::with_config(&device, cfg).run(&sched).probability(1)
     };
@@ -160,7 +158,6 @@ fn crosstalk_only_fires_on_temporal_overlap() {
             crosstalk: true,
             decoherence: false,
             readout_noise: false,
-            compound_crosstalk: false,
         };
         Executor::with_config(&device, cfg).run(&sched).probability(0)
     };
@@ -191,11 +188,10 @@ fn readout_mitigation_recovers_ghz_weights() {
 }
 
 #[test]
-fn compound_crosstalk_is_at_least_as_harsh_as_max() {
-    // The paper's Eq. 6 takes the max over simultaneous aggressors; the
-    // compound variant adds their excesses. With two aggressors hitting
-    // the same victim, compound must hurt at least as much — and the
-    // scheduler's advantage must survive under either semantics.
+fn two_aggressors_under_the_max_rule_favour_xtalksched() {
+    // The paper's Eq. 6 takes the max over simultaneous aggressors. With
+    // two aggressors hitting the same victim, running them all at once
+    // must hurt, and the scheduler that serializes them must win.
     use crosstalk_mitigation::core::{ParSched, Scheduler, SchedulerContext, XtalkSched};
 
     let mut device = Device::line(6, 3);
@@ -217,30 +213,22 @@ fn compound_crosstalk_is_at_least_as_harsh_as_max() {
     }
     c.measure_all();
 
-    let run = |sched: &dyn Scheduler, compound: bool| {
+    let run = |sched: &dyn Scheduler, crosstalk: bool| {
         let s = sched.schedule(&c, &ctx).unwrap();
         let cfg = ExecutorConfig {
             shots: 4096,
             seed: 17,
             decoherence: false,
             readout_noise: false,
-            compound_crosstalk: compound,
+            crosstalk,
             ..Default::default()
         };
         Executor::with_config(&device, cfg).run(&s).probability(0)
     };
 
-    let par_max = run(&ParSched::new(), false);
-    let par_compound = run(&ParSched::new(), true);
-    assert!(
-        par_compound <= par_max + 0.02,
-        "compound should be at least as harsh: {par_compound} vs {par_max}"
-    );
-
-    // The headline conclusion is robust to the combination semantics.
-    let xt_compound = run(&XtalkSched::new(0.7), true);
-    assert!(
-        xt_compound > par_compound + 0.05,
-        "XtalkSched {xt_compound} must still beat ParSched {par_compound} under compounding"
-    );
+    let par_quiet = run(&ParSched::new(), false);
+    let par = run(&ParSched::new(), true);
+    assert!(par + 0.05 < par_quiet, "the aggressors must hurt: {par} vs {par_quiet}");
+    let xt = run(&XtalkSched::new(0.7), true);
+    assert!(xt > par + 0.05, "XtalkSched {xt} must beat ParSched {par}");
 }
