@@ -99,6 +99,12 @@ serve_exact="$(echo "$serve_out" | grep '^exact ' | head -n1)"
     echo "serve_mixed exact counts moved:"; echo "  got:    $serve_exact"; echo "  pinned: $pinned_serve"; exit 1;
 }
 
+echo "== XtalkSched search oracle in release =="
+# Release builds wrap integer overflow silently, so gap, head and tail
+# arithmetic that went wrong only there would reach the pinned line
+# unexplained: the search's oracle suite runs in release too.
+cargo test -q --release -p xtalk-core --lib sched::xtalk
+
 echo "== XtalkSched engine agreement =="
 # The lazy branch-and-bound and the eager SMT encoding must reach equal
 # costs on the SWAP paths (the binary asserts it).

@@ -27,6 +27,30 @@ fn scheduler_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// The supremacy searches of the `compile_mix` workload: Poughkeepsie
+/// circuits of 8–14 qubits at depth 10–30 under a 64-leaf budget, so most
+/// searches stop at the budget and the time is the search's own.
+fn capped_search(c: &mut Criterion) {
+    let device = Device::poughkeepsie(7);
+    let ctx = SchedulerContext::from_ground_truth(&device);
+    let scheduler = XtalkSched::new(0.5).with_max_leaves(64);
+    let mut group = c.benchmark_group("xtalksched_64_leaves");
+    group.sample_size(10);
+
+    for (nq, depth) in [(8usize, 10usize), (11, 20), (14, 30)] {
+        let qubits: Vec<u32> = (0..nq as u32).collect();
+        let circuit = supremacy_circuit(device.topology(), &qubits, depth, 1);
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("{nq}q_depth{depth}_{}gates", circuit.len())),
+            &circuit,
+            |b, circuit| {
+                b.iter(|| scheduler.schedule(circuit, &ctx).expect("schedulable"));
+            },
+        );
+    }
+    group.finish();
+}
+
 fn baseline_schedulers(c: &mut Criterion) {
     let device = Device::poughkeepsie(7);
     let ctx = SchedulerContext::from_ground_truth(&device);
@@ -43,5 +67,5 @@ fn baseline_schedulers(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, scheduler_scaling, baseline_schedulers);
+criterion_group!(benches, scheduler_scaling, capped_search, baseline_schedulers);
 criterion_main!(benches);

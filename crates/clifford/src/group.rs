@@ -398,6 +398,31 @@ mod tests {
     }
 
     #[test]
+    fn every_two_qubit_decomposition_is_native_with_canonical_cx_counts() {
+        // The whole group, not a sample: every decomposition uses only
+        // H/S/Sdg/X/Y/Z/CX, and the CNOTs they spend give 576/5184/5184/576
+        // elements at 0/1/2/3, a mean of exactly 1.5.
+        let g = two_qubit_cliffords();
+        let mut hist = [0usize; 4];
+        for i in 0..g.len() {
+            let d = g.decomposition(i);
+            for (gate, _) in &d {
+                assert!(
+                    matches!(
+                        gate,
+                        Gate::H | Gate::S | Gate::Sdg | Gate::X | Gate::Y | Gate::Z | Gate::Cx
+                    ),
+                    "element {i}: {gate:?}"
+                );
+            }
+            hist[d.iter().filter(|(gate, _)| gate.is_two_qubit()).count()] += 1;
+        }
+        assert_eq!(hist, [576, 5184, 5184, 576]);
+        let cx: usize = hist.iter().enumerate().map(|(k, n)| k * n).sum();
+        assert_eq!(2 * cx, 3 * g.len(), "mean CX count is 1.5");
+    }
+
+    #[test]
     fn inverse_decomposition_cancels() {
         let g = two_qubit_cliffords();
         for i in (0..g.len()).step_by(1733) {

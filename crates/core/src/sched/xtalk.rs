@@ -1,6 +1,5 @@
 //! `XtalkSched`: the crosstalk-adaptive scheduler (paper Sections 6–7).
 
-use crate::context::CrosstalkModel;
 use crate::sched::{check_hardware_compliant, Scheduler};
 use crate::timeline::{CostModel, Incremental, Timeline};
 use crate::{CoreError, SchedulerContext};
@@ -8,7 +7,7 @@ use std::cell::RefCell;
 use std::cmp::Ordering;
 use xtalk_budget::Budget;
 use xtalk_device::Edge;
-use xtalk_ir::{Circuit, ScheduleSlot, ScheduledCircuit};
+use xtalk_ir::{Circuit, ScheduledCircuit};
 
 /// The crosstalk-adaptive scheduler: decides, for every pair of
 /// potentially-overlapping high-crosstalk CNOTs, whether to serialize
@@ -131,22 +130,69 @@ impl XtalkSched {
                 buckets[bucket_of[id as usize]].2.push(i);
             }
         }
-        let mut dag = None;
-        let mut out = Vec::new();
-        for (x, (ea, a, gates_a)) in buckets.iter().enumerate() {
+        let mut paired = Vec::new();
+        for (x, (ea, a, _)) in buckets.iter().enumerate() {
             for &b in model.high_partners(*a) {
                 let y = bucket_of[b as usize];
-                if y == usize::MAX || y <= x || ea.shares_qubit(buckets[y].0) {
+                if y != usize::MAX && y > x && !ea.shares_qubit(buckets[y].0) {
+                    paired.push((x, y));
+                }
+            }
+        }
+        if paired.is_empty() {
+            return Vec::new();
+        }
+
+        // The gates of paired buckets are the members, numbered in program
+        // order; each instruction gets the bitset of the members it
+        // depends on, in one program-order pass along the qubits.
+        const NIL: u32 = u32::MAX;
+        let mut member = vec![NIL; circuit.len()];
+        for &(x, y) in &paired {
+            for &i in buckets[x].2.iter().chain(&buckets[y].2) {
+                member[i] = 0;
+            }
+        }
+        let (mut members, mut last_member) = (0u32, 0);
+        for (i, m) in member.iter_mut().enumerate() {
+            if *m != NIL {
+                *m = members;
+                members += 1;
+                last_member = i;
+            }
+        }
+        let words = (members as usize).div_ceil(64);
+        let mut ancestors = vec![0u64; (last_member + 1) * words];
+        let mut last_on_qubit = vec![NIL; circuit.num_qubits()];
+        for (i, ins) in circuit.iter().enumerate().take(last_member + 1) {
+            let (done, rest) = ancestors.split_at_mut(i * words);
+            let set = &mut rest[..words];
+            for q in ins.qubits() {
+                let p = std::mem::replace(&mut last_on_qubit[q.index()], i as u32);
+                if p == NIL {
                     continue;
                 }
-                let gates_b = &buckets[y].2;
-                let dag = dag.get_or_insert_with(|| circuit.dag());
-                for &i in gates_a {
-                    for &j in gates_b {
-                        let pair = (i.min(j), i.max(j));
-                        if dag.can_overlap(pair.0, pair.1) {
-                            out.push(pair);
-                        }
+                let p = p as usize;
+                for (w, &v) in set.iter_mut().zip(&done[p * words..(p + 1) * words]) {
+                    *w |= v;
+                }
+                if member[p] != NIL {
+                    set[member[p] as usize / 64] |= 1 << (member[p] % 64);
+                }
+            }
+        }
+        let depends = |later: usize, earlier: usize| {
+            let m = member[earlier] as usize;
+            ancestors[later * words + m / 64] >> (m % 64) & 1 == 1
+        };
+
+        let mut out = Vec::new();
+        for (x, y) in paired {
+            for &i in &buckets[x].2 {
+                for &j in &buckets[y].2 {
+                    let pair = (i.min(j), i.max(j));
+                    if !depends(pair.1, pair.0) {
+                        out.push(pair);
                     }
                 }
             }
@@ -198,25 +244,28 @@ impl XtalkSched {
             })
             .collect();
 
-        // The search's one realization seeds its incremental node state.
+        // The search's one realization seeds its node state, kept for the
+        // instructions the search reads: the candidates and the cost's.
         let mut timeline = Timeline::new(circuit, ctx);
         timeline.realize(&[])?;
+        let cost = CostModel::new(circuit, ctx);
+        let key = candidates.iter().flat_map(|&(i, j)| [i, j]).chain(cost.reads());
         let mut search = Search {
-            nodes: Incremental::seed(&timeline),
-            cost: CostModel::new(circuit, ctx),
-            model,
+            nodes: Incremental::seed(&timeline, key),
+            cost,
             omega: self.omega,
             candidates: &candidates,
             severity,
             waived: vec![false; candidates.len()],
             best: None,
-            best_slots: Vec::new(),
             evaluated: 0,
             leaves: 0,
             max_leaves: self.max_leaves,
             ordering: self.ordering,
             budget,
             truncated: false,
+            #[cfg(test)]
+            input: (circuit, ctx),
         };
         search.enter(&mut Vec::new(), None);
 
@@ -236,18 +285,25 @@ impl XtalkSched {
             fallback,
         };
         match search.best.take() {
-            Some((cost, serializations)) => Ok((
-                timeline.schedule(search.best_slots),
-                report(cost, serializations, false),
-            )),
+            // The search kept the key instructions' slots alone: one
+            // realization of the best serializations gives them all (the
+            // timeline still holds the root's).
+            Some((cost, serializations)) => {
+                if !serializations.is_empty() {
+                    timeline
+                        .solve(&serializations)
+                        .expect("the search keeps only acyclic nodes");
+                }
+                Ok((timeline.into_schedule(), report(cost, serializations, false)))
+            }
             // Truncated before any feasible leaf: fall back to the plain
             // ASAP realization (what ParSched would emit), the search's
-            // root, rather than erroring — an honest best-effort answer
-            // under the budget.
+            // root and the timeline's seed, rather than erroring — an
+            // honest best-effort answer under the budget.
             None if !complete => {
                 xtalk_obs::counter!("sched.xtalk.fallback", 1);
                 let report = report(search.node_cost(), Vec::new(), true);
-                Ok((timeline.schedule(search.node_slots()), report))
+                Ok((timeline.into_schedule(), report))
             }
             None => Err(CoreError::CyclicConstraints),
         }
@@ -397,11 +453,10 @@ impl Scheduler for XtalkSched {
 }
 
 struct Search<'a> {
-    /// The current node's schedule.
-    nodes: Incremental<'a>,
+    /// The current node's schedule, for the instructions the search reads.
+    nodes: Incremental,
     /// Costs each leaf off the node's slots.
     cost: CostModel,
-    model: &'a CrosstalkModel,
     omega: f64,
     /// Sorted candidate pairs, with their severities — the worst
     /// conditional error the scheduler believes the overlap causes — and
@@ -409,10 +464,8 @@ struct Search<'a> {
     candidates: &'a [(usize, usize)],
     severity: Vec<f64>,
     waived: Vec<bool>,
-    /// `(cost, serializations)` of the incumbent best solution, whose
-    /// slots are `best_slots`.
+    /// `(cost, serializations)` of the incumbent best solution.
     best: Option<(f64, Vec<(usize, usize)>)>,
-    best_slots: Vec<ScheduleSlot>,
     /// Nodes whose conflicts were scanned, leaves included.
     evaluated: u64,
     leaves: u64,
@@ -420,6 +473,9 @@ struct Search<'a> {
     ordering: OrderingPolicy,
     budget: &'a Budget,
     truncated: bool,
+    /// What every node is checked against a full realization of.
+    #[cfg(test)]
+    input: (&'a Circuit, &'a SchedulerContext),
 }
 
 /// Where a conflicting pair sits: `(start, index)` of its later member,
@@ -464,12 +520,7 @@ impl Search<'_> {
     /// The Eq. 17 cost of the current node.
     fn node_cost(&mut self) -> f64 {
         let nodes = &self.nodes;
-        self.cost.cost(self.model, self.omega, |i| nodes.slot(i))
-    }
-
-    /// The slots of the current node.
-    fn node_slots(&self) -> Vec<ScheduleSlot> {
-        (0..self.nodes.len()).map(|i| self.nodes.slot(i)).collect()
+        self.cost.cost(self.omega, |i| nodes.slot(i))
     }
 
     /// Enters a child node: the current node plus `edge`, if any.
@@ -495,7 +546,7 @@ impl Search<'_> {
     fn evaluate(&mut self, serialized: &mut Vec<(usize, usize)>) {
         self.evaluated += 1;
         #[cfg(test)]
-        self.nodes.assert_matches_solve(serialized);
+        self.nodes.assert_matches_solve(self.input.0, self.input.1, serialized);
         match self.conflict() {
             None => {
                 self.leaves += 1;
@@ -503,7 +554,6 @@ impl Search<'_> {
                 let cost = self.node_cost();
                 if self.best.as_ref().is_none_or(|(c, _)| cost < *c) {
                     self.best = Some((cost, serialized.clone()));
-                    self.best_slots = self.node_slots();
                 }
             }
             Some(k) => {

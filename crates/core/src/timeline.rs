@@ -10,18 +10,22 @@
 //! engine's objective are one-shot uses of it.
 //!
 //! XtalkSched's search instead keeps its current node in an
-//! [`Incremental`] timeline seeded from one realization: a branch pushes
-//! one serialization edge and pops it, and only the instructions whose
-//! times change are visited. The Eq. 17 cost runs on either through the
-//! one [`CostModel`]; a [`ScheduledCircuit`] (and the circuit clone it
-//! owns) is only built for the schedule returned.
+//! [`Incremental`] state seeded from one realization, for the *key*
+//! instructions alone — the ones the search reads: candidate-pair
+//! members, hot gates, and each qubit's first and last operation. The
+//! other instructions are folded into gap edges between key instructions
+//! (the longest path through non-key instructions), so a branch pushes one
+//! serialization edge and pops it, visiting only the key instructions
+//! whose times change, and the makespan follows from the pushed edge
+//! alone (see [`Incremental`] for why that is exact). The Eq. 17 cost
+//! runs on either through the one [`CostModel`], whose rate and `ln`
+//! tables give every cost bit for bit; a [`ScheduledCircuit`] (and the
+//! circuit clone it owns) is only built for the schedule returned, by one
+//! full realization of the best serializations.
 
-use crate::context::CrosstalkModel;
 use crate::{CoreError, SchedulerContext};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use xtalk_device::Edge;
-use xtalk_ir::{Circuit, OverlapSweep, ScheduleSlot, ScheduledCircuit};
+use xtalk_ir::{Circuit, ScheduleSlot, ScheduledCircuit};
 
 /// End of a serialization-edge list.
 const NIL: u32 = u32::MAX;
@@ -219,7 +223,7 @@ impl<'a> Timeline<'a> {
             .cost
             .get_or_insert_with(|| CostModel::new(self.circuit, self.ctx));
         let slots = &self.slots;
-        model.cost(self.ctx.model(), omega, |i| slots[i])
+        model.cost(omega, |i| slots[i])
     }
 
     /// Base successors of instruction `i`.
@@ -233,133 +237,163 @@ impl<'a> Timeline<'a> {
         &self.slots
     }
 
-    /// Pairs `slots` (realized by this timeline) with a clone of the
-    /// circuit.
-    pub(crate) fn schedule(&self, slots: Vec<ScheduleSlot>) -> ScheduledCircuit {
-        let sched = ScheduledCircuit::new(self.circuit.clone(), slots)
+    /// The last realized slots, paired with a clone of the circuit.
+    pub(crate) fn into_schedule(self) -> ScheduledCircuit {
+        let sched = ScheduledCircuit::new(self.circuit.clone(), self.slots)
             .expect("slot count matches instruction count");
         debug_assert!(sched.validate().is_ok(), "realized schedule must be valid");
         sched
     }
-
-    /// The last realized slots as a schedule, consuming the timeline.
-    pub(crate) fn into_schedule(mut self) -> ScheduledCircuit {
-        let slots = std::mem::take(&mut self.slots);
-        self.schedule(slots)
-    }
 }
 
 /// The schedule of XtalkSched's current search node, kept incrementally
-/// under pushed and popped serialization edges.
+/// under pushed and popped serialization edges for the *key* instructions
+/// alone: those the search reads.
 ///
-/// Each instruction `i` has a *head* (its ASAP start) and a *tail* (the
-/// longest sum of durations along a path after `i` finishes). With
-/// makespan `M = max(head + d)`, the right-aligned slot of `i` starts at
-/// `M − tail[i] − d[i]`: exactly [`Timeline::solve`]'s ALAP slot, in
-/// integers. Pushing `a → b` raises heads forward from `b` and tails
-/// backward from `a` over base and serialization edges, visiting only the
-/// instructions whose value changes; every change goes to an undo log, so
-/// popping the edge restores heads, tails and `M`. The edge closes a
-/// cycle iff the forward pass reaches `a`: around a cycle through
-/// `a → b` the heads would have to grow by at least `d[a] > 0`.
-pub(crate) struct Incremental<'t> {
-    timeline: &'t Timeline<'t>,
+/// The key set `K` is fixed when the node is seeded: the candidate-pair
+/// members (the conflict scan reads their spans and serialization edges
+/// join them) and what [`CostModel::reads`] names (the hot gates and each
+/// qubit's first and last operation). Every other instruction is folded
+/// into *skeleton* edges `x → y` between key instructions, each with a
+/// *gap*: the longest sum of durations over the base paths from `x` to `y`
+/// whose interior avoids `K`, counting the interior only.
+///
+/// Each key instruction `x` has a *head* (its ASAP start) and a *tail*
+/// (the longest sum of durations along a path after `x` finishes), seeded
+/// from the one unserialized realization. A path between key instructions
+/// splits at the key instructions on it into skeleton edges and
+/// serialization edges (gap 0), so pushing `a → b` raises heads forward
+/// from `b` (`head[y] ≥ head[x] + d[x] + gap`) and tails backward from `a`
+/// (`tail[x] ≥ gap + d[y] + tail[y]`), visiting only the key instructions
+/// whose value changes; every change goes to an undo log, so popping the
+/// edge restores heads, tails and the makespan `M`. The edge closes a
+/// cycle iff the forward pass reaches `a`: around a cycle through `a → b`
+/// the heads would have to grow by at least `d[a] > 0`.
+///
+/// The push sets `M` to `max(M, head[a] + d[a] + d[b] + tail[b])`, and
+/// that is exact: every path the push lengthens uses `a → b`, the longest
+/// of them weighs that sum, and the push changes neither `head[a]` (the
+/// forward pass would have reached `a`) nor `tail[b]` (the backward pass
+/// would have to reach `b` from `a`, the same cycle). The right-aligned
+/// slot of a key instruction `i` then starts at `M − tail[i] − d[i]`:
+/// exactly [`Timeline::solve`]'s ALAP slot, in integers.
+pub(crate) struct Incremental {
+    /// Key index of each instruction, [`NIL`] off the key set; key indices
+    /// follow program order.
+    key_of: Vec<u32>,
+    /// Duration, head and tail of each key instruction.
+    dur: Vec<u64>,
     head: Vec<u64>,
     tail: Vec<u64>,
     makespan: u64,
-    /// Base dependency edges reversed: the predecessors of `i` are
-    /// `pred[pred_start[i]..pred_start[i + 1]]`.
-    pred_start: Vec<u32>,
-    pred: Vec<u32>,
-    /// Pushed serialization edges `(a, b)`, a stack, threaded into
-    /// per-instruction lists: out of `a` from `out_head[a]` through
+    /// Skeleton edges as `(other end, gap)`: out of key `x` at
+    /// `fwd[fwd_start[x]..fwd_start[x + 1]]`, into key `y` at
+    /// `bwd[bwd_start[y]..bwd_start[y + 1]]`.
+    fwd_start: Vec<u32>,
+    fwd: Vec<(u32, u64)>,
+    bwd_start: Vec<u32>,
+    bwd: Vec<(u32, u64)>,
+    /// Pushed serialization edges `(a, b)` between key indices, a stack,
+    /// threaded into per-key lists: out of `a` from `out_head[a]` through
     /// `out_next`, into `b` from `in_head[b]` through `in_next`.
     ser: Vec<(u32, u32)>,
     out_head: Vec<u32>,
     out_next: Vec<u32>,
     in_head: Vec<u32>,
     in_next: Vec<u32>,
-    /// Undo logs of `(instruction, old value)`.
+    /// Undo logs of `(key index, old value)`.
     head_log: Vec<(u32, u64)>,
     tail_log: Vec<(u32, u64)>,
     /// Per pushed edge: the log lengths and makespan before it.
     frames: Vec<(usize, usize, u64)>,
-    /// Instructions whose raised value must still reach their neighbours,
-    /// each queued at most once: the forward pass takes them in program
-    /// order and the backward pass in reverse, the order base edges
-    /// follow, so an instruction is rarely raised twice in one push.
-    forward: BinaryHeap<Reverse<u32>>,
-    backward: BinaryHeap<u32>,
-    queued: Vec<bool>,
+    /// Key instructions whose raised value must still reach their
+    /// neighbours: the forward pass takes them in program order and the
+    /// backward pass in reverse, the order skeleton edges follow, so a key
+    /// instruction is rarely raised twice in one push.
+    work: KeyQueue,
 }
 
-impl<'t> Incremental<'t> {
-    /// Seeds the node state from `timeline`'s last realization, which must
-    /// be the one without serializations.
-    pub(crate) fn seed(timeline: &'t Timeline<'t>) -> Self {
+impl Incremental {
+    /// Seeds the node state over the key instructions `key` names
+    /// (repeats allowed) from `timeline`'s last realization, which must be
+    /// the one without serializations.
+    pub(crate) fn seed(timeline: &Timeline<'_>, key: impl IntoIterator<Item = usize>) -> Self {
         debug_assert!(timeline.ser_to.is_empty(), "seed from the unserialized realization");
         let n = timeline.durations.len();
-        let mut pred_start = vec![0u32; n + 1];
-        for &j in &timeline.succ {
-            pred_start[j as usize + 1] += 1;
+        let mut key_of = vec![NIL; n];
+        for i in key {
+            key_of[i] = 0;
         }
-        for i in 0..n {
-            pred_start[i + 1] += pred_start[i];
+        let mut keys = Vec::new();
+        for (i, k) in key_of.iter_mut().enumerate() {
+            if *k != NIL {
+                *k = keys.len() as u32;
+                keys.push(i);
+            }
         }
-        let mut fill = pred_start.clone();
-        let mut pred = vec![0u32; timeline.succ.len()];
-        for i in 0..n {
-            for &j in timeline.base_succs(i) {
-                pred[fill[j as usize] as usize] = i as u32;
-                fill[j as usize] += 1;
+        let m = keys.len();
+        let (bwd_start, bwd) = skeleton(timeline, &key_of);
+        let mut fwd_start = vec![0u32; m + 1];
+        for &(x, _) in &bwd {
+            fwd_start[x as usize + 1] += 1;
+        }
+        for x in 0..m {
+            fwd_start[x + 1] += fwd_start[x];
+        }
+        let mut fill = fwd_start[..m].to_vec();
+        let mut fwd = vec![(0, 0); bwd.len()];
+        for y in 0..m {
+            for &(x, gap) in &bwd[bwd_start[y] as usize..bwd_start[y + 1] as usize] {
+                fwd[fill[x as usize] as usize] = (y as u32, gap);
+                fill[x as usize] += 1;
             }
         }
         let makespan = timeline.makespan;
         Incremental {
-            timeline,
-            head: timeline.asap.clone(),
-            tail: timeline.finish.iter().map(|&f| makespan - f).collect(),
+            key_of,
+            dur: keys.iter().map(|&i| timeline.durations[i]).collect(),
+            head: keys.iter().map(|&i| timeline.asap[i]).collect(),
+            tail: keys.iter().map(|&i| makespan - timeline.finish[i]).collect(),
             makespan,
-            pred_start,
-            pred,
+            fwd_start,
+            fwd,
+            bwd_start,
+            bwd,
             ser: Vec::new(),
-            out_head: vec![NIL; n],
+            out_head: vec![NIL; m],
             out_next: Vec::new(),
-            in_head: vec![NIL; n],
+            in_head: vec![NIL; m],
             in_next: Vec::new(),
             head_log: Vec::new(),
             tail_log: Vec::new(),
             frames: Vec::new(),
-            forward: BinaryHeap::new(),
-            backward: BinaryHeap::new(),
-            queued: vec![false; n],
+            work: KeyQueue::new(m),
         }
     }
 
-    /// Serializes `b` after `a`. Returns `false`, changing nothing, if the
-    /// edge closes a cycle.
+    /// Serializes `b` after `a`, both key instructions. Returns `false`,
+    /// changing nothing, if the edge closes a cycle.
     pub(crate) fn push(&mut self, a: usize, b: usize) -> bool {
-        let timeline = self.timeline;
-        let d = &timeline.durations;
-        debug_assert!(d[a] > 0, "serializations join two-qubit gates");
+        let (a, b) = (self.key(a), self.key(b));
+        debug_assert!(self.dur[a] > 0, "serializations join two-qubit gates");
         let frame = (self.head_log.len(), self.tail_log.len(), self.makespan);
 
-        // Forward: heads from `b`, over base then serialization
+        // Forward: heads from `b`, over skeleton then serialization
         // successors.
-        if self.head[a] + d[a] > self.head[b] {
-            self.raise_head(b, self.head[a] + d[a]);
+        if self.head[a] + self.dur[a] > self.head[b] {
+            self.raise_head(b, self.head[a] + self.dur[a]);
         }
-        while let Some(Reverse(x)) = self.forward.pop() {
+        while let Some(x) = self.work.pop_min() {
             let x = x as usize;
-            self.queued[x] = false;
-            let fx = self.head[x] + d[x];
-            for &y in timeline.base_succs(x) {
-                if fx > self.head[y as usize] {
+            let fx = self.head[x] + self.dur[x];
+            for k in self.fwd_start[x] as usize..self.fwd_start[x + 1] as usize {
+                let (y, gap) = self.fwd[k];
+                if fx + gap > self.head[y as usize] {
                     if y as usize == a {
                         self.undo(frame);
                         return false;
                     }
-                    self.raise_head(y as usize, fx);
+                    self.raise_head(y as usize, fx + gap);
                 }
             }
             let mut e = self.out_head[x];
@@ -376,24 +410,27 @@ impl<'t> Incremental<'t> {
             }
         }
 
+        // Only paths through the new edge grew (see the type docs).
+        self.makespan = self
+            .makespan
+            .max(self.head[a] + self.dur[a] + self.dur[b] + self.tail[b]);
         let e = self.ser.len() as u32;
         self.ser.push((a as u32, b as u32));
         self.out_next.push(std::mem::replace(&mut self.out_head[a], e));
         self.in_next.push(std::mem::replace(&mut self.in_head[b], e));
 
-        // Backward: tails from `a`, over base then serialization
+        // Backward: tails from `a`, over skeleton then serialization
         // predecessors.
-        if d[b] + self.tail[b] > self.tail[a] {
-            self.raise_tail(a, d[b] + self.tail[b]);
+        if self.dur[b] + self.tail[b] > self.tail[a] {
+            self.raise_tail(a, self.dur[b] + self.tail[b]);
         }
-        while let Some(x) = self.backward.pop() {
+        while let Some(x) = self.work.pop_max() {
             let x = x as usize;
-            self.queued[x] = false;
-            let tx = d[x] + self.tail[x];
-            for k in self.pred_start[x]..self.pred_start[x + 1] {
-                let p = self.pred[k as usize] as usize;
-                if tx > self.tail[p] {
-                    self.raise_tail(p, tx);
+            let tx = self.dur[x] + self.tail[x];
+            for k in self.bwd_start[x] as usize..self.bwd_start[x + 1] as usize {
+                let (p, gap) = self.bwd[k];
+                if tx + gap > self.tail[p as usize] {
+                    self.raise_tail(p as usize, tx + gap);
                 }
             }
             let mut e = self.in_head[x];
@@ -418,21 +455,23 @@ impl<'t> Incremental<'t> {
         self.in_head[b as usize] = self.in_next.pop().expect("one link per edge");
     }
 
+    /// The key index of instruction `i`.
+    fn key(&self, i: usize) -> usize {
+        let k = self.key_of[i];
+        debug_assert!(k != NIL, "instruction {i} is not a key instruction");
+        k as usize
+    }
+
     fn raise_head(&mut self, x: usize, value: u64) {
         self.head_log.push((x as u32, self.head[x]));
         self.head[x] = value;
-        self.makespan = self.makespan.max(value + self.timeline.durations[x]);
-        if !std::mem::replace(&mut self.queued[x], true) {
-            self.forward.push(Reverse(x as u32));
-        }
+        self.work.insert(x as u32);
     }
 
     fn raise_tail(&mut self, x: usize, value: u64) {
         self.tail_log.push((x as u32, self.tail[x]));
         self.tail[x] = value;
-        if !std::mem::replace(&mut self.queued[x], true) {
-            self.backward.push(x as u32);
-        }
+        self.work.insert(x as u32);
     }
 
     /// Rolls heads, tails and makespan back to `frame`.
@@ -444,48 +483,187 @@ impl<'t> Incremental<'t> {
             self.tail[x as usize] = old;
         }
         self.makespan = makespan;
-        for Reverse(x) in self.forward.drain() {
-            self.queued[x as usize] = false;
-        }
+        self.work.clear();
     }
 
-    /// Start and finish of instruction `i` at this node.
+    /// Start and finish of key instruction `i` at this node.
     pub(crate) fn span(&self, i: usize) -> (u64, u64) {
-        let finish = self.makespan - self.tail[i];
-        (finish - self.timeline.durations[i], finish)
+        let k = self.key(i);
+        let finish = self.makespan - self.tail[k];
+        (finish - self.dur[k], finish)
     }
 
-    /// The slot of instruction `i` at this node.
+    /// The slot of key instruction `i` at this node.
     pub(crate) fn slot(&self, i: usize) -> ScheduleSlot {
-        let (start, _) = self.span(i);
-        ScheduleSlot::new(start, self.timeline.durations[i])
+        let (start, finish) = self.span(i);
+        ScheduleSlot::new(start, finish - start)
     }
 
-    /// Number of instructions.
-    pub(crate) fn len(&self) -> usize {
-        self.head.len()
-    }
-
-    /// Asserts that this node's slots are what a full realization of
-    /// `serialized` gives.
+    /// Asserts that this node's makespan and key slots are what a full
+    /// realization of `circuit` under `serialized` gives.
     #[cfg(test)]
-    pub(crate) fn assert_matches_solve(&self, serialized: &[(usize, usize)]) {
-        let mut fresh = Timeline::new(self.timeline.circuit, self.timeline.ctx);
+    pub(crate) fn assert_matches_solve(
+        &self,
+        circuit: &Circuit,
+        ctx: &SchedulerContext,
+        serialized: &[(usize, usize)],
+    ) {
+        let mut fresh = Timeline::new(circuit, ctx);
         fresh
             .solve(serialized)
             .expect("the search only keeps acyclic nodes");
-        let slots: Vec<ScheduleSlot> = (0..self.len()).map(|i| self.slot(i)).collect();
-        assert_eq!(
-            slots,
-            fresh.slots(),
-            "incremental slots differ from a full solve under {serialized:?}"
-        );
+        assert_eq!(self.makespan, fresh.makespan, "makespan under {serialized:?}");
+        for (i, &k) in self.key_of.iter().enumerate() {
+            if k != NIL {
+                assert_eq!(
+                    self.slot(i),
+                    fresh.slots()[i],
+                    "key instruction {i}: incremental slot differs from a full solve under \
+                     {serialized:?}"
+                );
+            }
+        }
     }
 }
 
-/// What the Eq. 17 cost needs of one circuit — its two-qubit gates with
-/// their edges and independent errors, the "hot" ones among them, and
-/// each qubit's first and last operation — plus the sweep buffers.
+/// The skeleton edges over the key instructions `key_of` marks, as
+/// `(bwd_start, bwd)`: the edges into key `y` are
+/// `bwd[bwd_start[y]..bwd_start[y + 1]]`, one `(x, gap)` per source `x`,
+/// sorted by `x`.
+///
+/// One program-order pass over the base edges. Each instruction passes on
+/// to its successors a list, sorted by key, of the keys that reach them
+/// through it, each with the longest sum of durations from after the key
+/// through the instruction: a key instruction passes on only itself, with
+/// gap 0; a non-key instruction what reached it, plus its own duration. A
+/// key instruction takes what reached it as its in-edges.
+fn skeleton(timeline: &Timeline<'_>, key_of: &[u32]) -> (Vec<u32>, Vec<(u32, u64)>) {
+    // Lists live in one arena; what has reached instruction `i` so far is
+    // `reached[i]`. The first list to reach an instruction is shared, not
+    // copied; each further one is merged into a new list.
+    let mut arena: Vec<(u32, u64)> = Vec::new();
+    let mut reached: Vec<List> = vec![(0, 0, 0); key_of.len()];
+    let mut bwd_start = vec![0u32];
+    let mut bwd = Vec::new();
+    for (i, &key) in key_of.iter().enumerate() {
+        let (from, to, offset) = reached[i];
+        let passes = if key == NIL {
+            (from, to, offset + timeline.durations[i])
+        } else {
+            bwd.extend(arena[from..to].iter().map(|&(x, gap)| (x, gap + offset)));
+            bwd_start.push(bwd.len() as u32);
+            arena.push((key, 0));
+            (arena.len() - 1, arena.len(), 0)
+        };
+        if passes.0 == passes.1 {
+            continue;
+        }
+        for &j in timeline.base_succs(i) {
+            let into = &mut reached[j as usize];
+            *into = if into.0 == into.1 {
+                passes
+            } else {
+                merge(&mut arena, *into, passes)
+            };
+        }
+    }
+    (bwd_start, bwd)
+}
+
+/// A key-sorted list of `(key, gap)` in [`skeleton`]'s arena:
+/// `(from, to, offset)`, every gap plus `offset`.
+type List = (usize, usize, u64);
+
+/// Appends the merge of two lists to `arena`, each key once with its
+/// longest gap, and returns it.
+fn merge(arena: &mut Vec<(u32, u64)>, (mut i, a_end, a): List, (mut j, b_end, b): List) -> List {
+    let begin = arena.len();
+    arena.reserve(a_end - i + b_end - j);
+    while i < a_end && j < b_end {
+        let ((x, g), (y, h)) = (arena[i], arena[j]);
+        arena.push(match x.cmp(&y) {
+            std::cmp::Ordering::Less => (x, g + a),
+            std::cmp::Ordering::Greater => (y, h + b),
+            std::cmp::Ordering::Equal => (x, (g + a).max(h + b)),
+        });
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    for k in i..a_end {
+        let (x, g) = arena[k];
+        arena.push((x, g + a));
+    }
+    for k in j..b_end {
+        let (y, h) = arena[k];
+        arena.push((y, h + b));
+    }
+    (begin, arena.len(), 0)
+}
+
+/// A set of key indices taken lowest or highest first: a bitset, with
+/// bounds on the words that may hold a bit.
+struct KeyQueue {
+    words: Vec<u64>,
+    /// Every word outside `lo..hi` is zero; `lo == hi` when empty.
+    lo: usize,
+    hi: usize,
+}
+
+impl KeyQueue {
+    fn new(len: usize) -> Self {
+        KeyQueue {
+            words: vec![0; len.div_ceil(64)],
+            lo: 0,
+            hi: 0,
+        }
+    }
+
+    fn insert(&mut self, k: u32) {
+        let w = k as usize / 64;
+        self.words[w] |= 1 << (k % 64);
+        if self.lo == self.hi {
+            (self.lo, self.hi) = (w, w + 1);
+        } else {
+            self.lo = self.lo.min(w);
+            self.hi = self.hi.max(w + 1);
+        }
+    }
+
+    fn pop_min(&mut self) -> Option<u32> {
+        while self.lo < self.hi {
+            let word = &mut self.words[self.lo];
+            if *word != 0 {
+                let bit = word.trailing_zeros();
+                *word &= *word - 1;
+                return Some((self.lo * 64) as u32 + bit);
+            }
+            self.lo += 1;
+        }
+        None
+    }
+
+    fn pop_max(&mut self) -> Option<u32> {
+        while self.lo < self.hi {
+            let word = &mut self.words[self.hi - 1];
+            if *word != 0 {
+                let bit = 63 - word.leading_zeros();
+                *word &= !(1 << bit);
+                return Some(((self.hi - 1) * 64) as u32 + bit);
+            }
+            self.hi -= 1;
+        }
+        None
+    }
+
+    fn clear(&mut self) {
+        self.words[self.lo..self.hi].fill(0);
+        self.hi = self.lo;
+    }
+}
+
+/// What the Eq. 17 cost needs of one circuit — its two-qubit gates, the
+/// "hot" ones among them with a rate table over their edges, and each
+/// qubit's first and last operation — plus the sweep buffers.
 ///
 /// A gate's error is the maximum of its independent error and the
 /// conditional errors against the two-qubit gates it overlaps. Only a
@@ -496,40 +674,52 @@ impl<'t> Incremental<'t> {
 /// keeps its independent error, bit for bit. On a valid schedule a
 /// qubit's first operation in program order starts first and its last
 /// finishes last, so a lifetime is two slot reads.
+///
+/// The rates a hot gate's error can take — `E(a | b)` over the circuit's
+/// distinct hot edges, and their independent rates — sit in one table
+/// with their `ln`, built once. The sweep keeps the table index of the
+/// rate winning each maximum, so a gate's `ln ε` is a lookup of the very
+/// value the maximum picked; the sum over the gates stays in program
+/// order, so every cost is bit for bit the direct computation's.
 pub(crate) struct CostModel {
-    /// Edge id of each two-qubit instruction (indexed by instruction).
-    edge: Vec<u32>,
-    /// Independent error of each two-qubit instruction's edge.
-    independent: Vec<f64>,
-    /// Hot two-qubit instructions in program order, with their position
-    /// among the two-qubit gates.
-    hot: Vec<(usize, usize)>,
+    /// Hot two-qubit instructions in program order: `(instruction,
+    /// position among the two-qubit gates, hot-edge index)`.
+    hot: Vec<(usize, usize, u32)>,
+    /// Number of distinct hot edges `h`.
+    hot_edges: usize,
+    /// `E(a | b)` at `rate[a * h + b]` and the independent rate of `a` at
+    /// `rate[h * h + a]`, for hot-edge indices `a` and `b`; `ln_rate`
+    /// holds `ln max(rate, 1e-12)` at the same index once a cost has read
+    /// it, NaN before.
+    rate: Vec<f64>,
+    ln_rate: Vec<f64>,
     /// `ln ε` of each two-qubit gate in program order; the cold gates'
     /// entries never change.
     log_error: Vec<f64>,
     /// `(first, last, coherence)` per qubit with operations other than
     /// barriers, in qubit order.
     lifetimes: Vec<(usize, usize, f64)>,
-    sweep: OverlapSweep,
-    /// Slots of the hot gates being costed (indexed by instruction).
-    slots: Vec<ScheduleSlot>,
-    eps: Vec<f64>,
+    // Sweep buffers, indexed by position in `hot`.
+    /// Hot gates in `(start, instruction)` order as of the last cost: the
+    /// insertion sort's warm start.
+    order: Vec<u32>,
+    start: Vec<u64>,
+    finish: Vec<u64>,
+    active: Vec<u32>,
+    /// Table index of each hot gate's current error.
+    worst: Vec<u32>,
 }
 
 impl CostModel {
     pub(crate) fn new(circuit: &Circuit, ctx: &SchedulerContext) -> Self {
-        let n = circuit.len();
         let model = ctx.model();
+        // `(instruction, edge id)` of each two-qubit gate.
         let mut two_qubit = Vec::new();
-        let mut edge = vec![0; n];
-        let mut independent = vec![0.0; n];
         let mut ops: Vec<Option<(usize, usize)>> = vec![None; circuit.num_qubits()];
         for (i, ins) in circuit.iter().enumerate() {
             if ins.gate().is_two_qubit() {
                 let id = ctx.edge_id(Edge::from(ins.edge().expect("two-qubit gate has an edge")));
-                two_qubit.push(i);
-                edge[i] = id;
-                independent[i] = model.independent(id);
+                two_qubit.push((i, id));
             }
             if !ins.gate().is_barrier() {
                 for q in ins.qubits() {
@@ -539,7 +729,7 @@ impl CostModel {
             }
         }
 
-        let mut present: Vec<u32> = two_qubit.iter().map(|&i| edge[i]).collect();
+        let mut present: Vec<u32> = two_qubit.iter().map(|&(_, e)| e).collect();
         present.sort_unstable();
         present.dedup();
         // Only a measured entry can exceed the independent rate: walk the
@@ -555,20 +745,37 @@ impl CostModel {
         }
         hot_edges.sort_unstable();
         hot_edges.dedup();
-        let hot = two_qubit
+        // `E(a | b)` falls back to the independent rate of `a` where the
+        // row of `a` has no entry for `b`.
+        let h = hot_edges.len();
+        let mut rate = vec![0.0; h * h + h];
+        for (x, &a) in hot_edges.iter().enumerate() {
+            let independent = model.independent(a);
+            rate[x * h..(x + 1) * h].fill(independent);
+            rate[h * h + x] = independent;
+            for (b, r) in model.row(a) {
+                if let Ok(y) = hot_edges.binary_search(&b) {
+                    rate[x * h + y] = r;
+                }
+            }
+        }
+        let hot: Vec<(usize, usize, u32)> = two_qubit
             .iter()
             .enumerate()
-            .filter(|&(_, &i)| hot_edges.binary_search(&edge[i]).is_ok())
-            .map(|(pos, &i)| (i, pos))
+            .filter_map(|(pos, &(i, e))| {
+                hot_edges.binary_search(&e).ok().map(|x| (i, pos, x as u32))
+            })
             .collect();
+        let m = hot.len();
         CostModel {
             log_error: two_qubit
                 .iter()
-                .map(|&i| independent[i].max(1e-12).ln())
+                .map(|&(_, e)| model.independent(e).max(1e-12).ln())
                 .collect(),
-            edge,
-            independent,
             hot,
+            hot_edges: h,
+            ln_rate: vec![f64::NAN; rate.len()],
+            rate,
             lifetimes: ops
                 .iter()
                 .enumerate()
@@ -576,44 +783,87 @@ impl CostModel {
                     span.map(|(first, last)| (first, last, ctx.coherence_ns(q as u32)))
                 })
                 .collect(),
-            sweep: OverlapSweep::default(),
-            slots: vec![ScheduleSlot::default(); n],
-            eps: vec![0.0; n],
+            order: (0..m as u32).collect(),
+            start: vec![0; m],
+            finish: vec![0; m],
+            active: Vec::with_capacity(m),
+            worst: vec![0; m],
         }
+    }
+
+    /// The instructions whose slots [`CostModel::cost`] reads: the hot
+    /// gates and each qubit's first and last operation (with repeats).
+    pub(crate) fn reads(&self) -> impl Iterator<Item = usize> + '_ {
+        let hot = self.hot.iter().map(|&(i, _, _)| i);
+        hot.chain(self.lifetimes.iter().flat_map(|&(first, last, _)| [first, last]))
     }
 
     /// The paper's Eq. 17 objective of a valid schedule whose slots
     /// `slot` gives — the one implementation (see
     /// [`crate::sched::schedule_cost`]).
-    pub(crate) fn cost(
-        &mut self,
-        model: &CrosstalkModel,
-        omega: f64,
-        slot: impl Fn(usize) -> ScheduleSlot,
-    ) -> f64 {
+    pub(crate) fn cost(&mut self, omega: f64, slot: impl Fn(usize) -> ScheduleSlot) -> f64 {
         // Gate error term: a gate's error is its independent error unless
         // it overlaps other two-qubit gates, then the maximum conditional
         // error over those partners.
         let CostModel {
-            edge,
-            independent,
             hot,
+            hot_edges: h,
+            rate,
+            ln_rate,
             log_error,
-            sweep,
-            slots,
-            eps,
+            order,
+            start,
+            finish,
+            active,
+            worst,
             ..
         } = self;
-        for &(i, _) in hot.iter() {
-            slots[i] = slot(i);
-            eps[i] = independent[i];
+        let h = *h;
+        for (g, &(i, _, x)) in hot.iter().enumerate() {
+            let s = slot(i);
+            (start[g], finish[g]) = (s.start, s.finish());
+            worst[g] = (h * h) as u32 + x;
         }
-        sweep.run(hot.iter().map(|&(i, _)| i), slots, |i, j| {
-            eps[i] = eps[i].max(model.conditional(edge[i], edge[j]));
-            eps[j] = eps[j].max(model.conditional(edge[j], edge[i]));
-        });
-        for &(i, pos) in hot.iter() {
-            log_error[pos] = eps[i].max(1e-12).ln();
+        // Insertion sort from the last order. Keys are distinct, so the
+        // order is the one a fresh sort gives.
+        for k in 1..order.len() {
+            let g = order[k];
+            let key = (start[g as usize], g);
+            let mut m = k;
+            while m > 0 && (start[order[m - 1] as usize], order[m - 1]) > key {
+                order[m] = order[m - 1];
+                m -= 1;
+            }
+            order[m] = g;
+        }
+        // `OverlapSweep`'s sweep line over the start-sorted gates, where
+        // zero-duration slots overlap nothing.
+        active.clear();
+        for &j in order.iter() {
+            let j = j as usize;
+            if finish[j] == start[j] {
+                continue;
+            }
+            active.retain(|&g| finish[g as usize] > start[j]);
+            let xj = hot[j].2 as usize;
+            for &i in active.iter() {
+                let i = i as usize;
+                let xi = hot[i].2 as usize;
+                if rate[xi * h + xj] > rate[worst[i] as usize] {
+                    worst[i] = (xi * h + xj) as u32;
+                }
+                if rate[xj * h + xi] > rate[worst[j] as usize] {
+                    worst[j] = (xj * h + xi) as u32;
+                }
+            }
+            active.push(j as u32);
+        }
+        for (g, &(_, pos, _)) in hot.iter().enumerate() {
+            let t = worst[g] as usize;
+            if ln_rate[t].is_nan() {
+                ln_rate[t] = rate[t].max(1e-12).ln();
+            }
+            log_error[pos] = ln_rate[t];
         }
         let gate_term: f64 = log_error.iter().sum();
 
@@ -633,7 +883,7 @@ impl CostModel {
     /// Hot two-qubit instructions, in program order.
     #[cfg(test)]
     pub(crate) fn hot(&self) -> Vec<usize> {
-        self.hot.iter().map(|&(i, _)| i).collect()
+        self.hot.iter().map(|&(i, _, _)| i).collect()
     }
 }
 
@@ -821,5 +1071,124 @@ mod tests {
             }
         }
         assert!(costed > 30, "only {costed} costs compared");
+    }
+
+    /// The leaf cost as it was before the rate tables: conditional rates
+    /// from the model and one `ln` per hot gate, over an overlap sweep.
+    fn reference_leaf_cost(
+        circuit: &Circuit,
+        ctx: &SchedulerContext,
+        slots: &[ScheduleSlot],
+        omega: f64,
+    ) -> f64 {
+        let model = ctx.model();
+        let edge = |i: usize| ctx.edge_id(Edge::from(circuit.instructions()[i].edge().unwrap()));
+        let two_qubit: Vec<usize> =
+            (0..circuit.len()).filter(|&i| circuit.instructions()[i].gate().is_two_qubit()).collect();
+        let mut eps = vec![0.0f64; circuit.len()];
+        for &i in &two_qubit {
+            eps[i] = model.independent(edge(i));
+        }
+        xtalk_ir::OverlapSweep::default().run(two_qubit.iter().copied(), slots, |i, j| {
+            eps[i] = eps[i].max(model.conditional(edge(i), edge(j)));
+            eps[j] = eps[j].max(model.conditional(edge(j), edge(i)));
+        });
+        let gate_term: f64 = two_qubit.iter().map(|&i| eps[i].max(1e-12).ln()).sum();
+        let mut deco = 0.0;
+        for &(first, last, coherence) in &CostModel::new(circuit, ctx).lifetimes {
+            let t = slots[last].finish() - slots[first].start;
+            if t > 0 {
+                deco += t as f64 / coherence;
+            }
+        }
+        omega * gate_term + (1.0 - omega) * deco
+    }
+
+    /// What a push that closes a cycle must leave untouched.
+    fn node_state(node: &Incremental) -> impl PartialEq + std::fmt::Debug {
+        (
+            (node.head.clone(), node.tail.clone(), node.makespan),
+            (node.ser.clone(), node.out_head.clone(), node.in_head.clone()),
+            (node.head_log.len(), node.tail_log.len(), node.frames.len()),
+        )
+    }
+
+    /// Supremacy and Figure 5 SWAP circuits on Poughkeepsie under its
+    /// ground-truth and its measured characterization (whose conditional
+    /// rates differ by direction): random pushes and pops over candidate
+    /// pairs, checked after every step against full solves and costs.
+    #[test]
+    fn key_nodes_match_full_solves_under_random_pushes_and_pops() {
+        let device = &crate::context::fixtures::devices()[0];
+        let measured = &crate::context::fixtures::measured()[0];
+        let topo = device.topology();
+        let mut inputs = circuits(device);
+        for (a, b) in [(0, 13), (5, 12), (10, 13), (6, 18), (1, 17)] {
+            inputs.push(crate::routing::swap_benchmark(topo, a, b).unwrap().circuit);
+        }
+        let contexts =
+            [SchedulerContext::from_ground_truth(device), SchedulerContext::new(device, measured)];
+        let mut rng = StdRng::seed_from_u64(0x4b45);
+        let (mut pushes, mut cycles, mut searched) = (0, 0, 0);
+        for (ctx, circuit) in contexts.iter().flat_map(|ctx| inputs.iter().map(move |c| (ctx, c))) {
+            let candidates = crate::XtalkSched::candidate_pairs(circuit, ctx);
+            if candidates.is_empty() {
+                continue;
+            }
+            searched += 1;
+            let mut timeline = Timeline::new(circuit, ctx);
+            timeline.realize(&[]).unwrap();
+            let mut cost = CostModel::new(circuit, ctx);
+            let key = candidates.iter().flat_map(|&(i, j)| [i, j]).chain(cost.reads());
+            let mut node = Incremental::seed(&timeline, key.collect::<Vec<_>>());
+            let mut serialized: Vec<(usize, usize)> = Vec::new();
+            for step in 0..150 {
+                let roll = rng.gen_range(0..6);
+                if roll == 0 && !serialized.is_empty() {
+                    node.pop();
+                    serialized.pop();
+                } else {
+                    // Reversing the last pushed edge always closes a cycle;
+                    // random pairs in random directions sometimes do.
+                    let (a, b) = match serialized.last() {
+                        Some(&(a, b)) if roll == 1 => (b, a),
+                        _ => {
+                            let (i, j) = candidates[rng.gen_range(0..candidates.len())];
+                            if rng.gen_bool(0.5) {
+                                (i, j)
+                            } else {
+                                (j, i)
+                            }
+                        }
+                    };
+                    let before = node_state(&node);
+                    let mut with = serialized.clone();
+                    with.push((a, b));
+                    let feasible = Timeline::new(circuit, ctx).solve(&with).is_ok();
+                    assert_eq!(node.push(a, b), feasible, "step {step}: push {a} → {b}");
+                    if feasible {
+                        serialized = with;
+                        pushes += 1;
+                    } else {
+                        assert!(node_state(&node) == before, "step {step}: failed push moved");
+                        assert!(node.work.words.iter().all(|&w| w == 0));
+                        cycles += 1;
+                    }
+                }
+                node.assert_matches_solve(circuit, ctx, &serialized);
+                let sched = crate::realize(circuit, ctx, &serialized).unwrap();
+                for omega in [0.0, 0.5, 1.0] {
+                    let leaf = cost.cost(omega, |i| node.slot(i));
+                    let expected = crate::sched::schedule_cost(&sched, ctx, omega);
+                    assert_eq!(leaf.to_bits(), expected.to_bits(), "step {step}, ω = {omega}");
+                    let direct = reference_leaf_cost(circuit, ctx, sched.slots(), omega);
+                    assert_eq!(leaf.to_bits(), direct.to_bits(), "step {step}, ω = {omega}");
+                }
+            }
+        }
+        assert!(
+            searched >= 12 && pushes > 600 && cycles > 200,
+            "{searched} circuits, {pushes} pushes, {cycles} cycles"
+        );
     }
 }
