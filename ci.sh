@@ -31,8 +31,11 @@ echo "== pass-manager & artifact-cache suites =="
 # Content-hash properties, golden determinism against the pre-refactor
 # compile flow, and the obs-verified zero-redundant-prefix acceptance
 # test (the last owns the process-global obs toggle, hence its own
-# binary).
+# binary). The pass suite runs again in release, where the debug-only
+# re-stream behind every memoized circuit key is compiled out, so the
+# memo proptests alone catch a missed invalidation.
 cargo test -q -p xtalk-pass
+cargo test -q --release -p xtalk-pass
 cargo test -q -p xtalk-core --test pass_determinism
 cargo test -q -p xtalk-core --test compare_cache_obs
 

@@ -1,7 +1,8 @@
 //! Acceptance test for the shared pass prefix: compiling one circuit
 //! with all three schedulers — twice — performs the layout and routing
-//! work **exactly once**, verified through the obs span/counter stream
-//! rather than the cache's own bookkeeping.
+//! work **exactly once**, and streams each circuit into a cache key
+//! exactly once, verified through the obs span/counter stream rather
+//! than the cache's own bookkeeping.
 //!
 //! Lives in its own integration-test binary because the obs registry is
 //! process-global; sharing a binary with unrelated tests would race on
@@ -59,4 +60,10 @@ fn multi_scheduler_compare_shares_the_prefix_with_zero_redundancy() {
     assert_eq!(compiler.cache().len_of("place"), 1);
     assert_eq!(compiler.cache().len_of("route"), 1);
     assert_eq!(compiler.cache().len_of("schedule"), 3);
+
+    // Every circuit was streamed into a cache key exactly once — the
+    // input, the native, the padded and the routed circuit — however
+    // many of the 24 lookups carried it: the memoized content key
+    // answered the other 20.
+    assert_eq!(snap.counter("pass.hash.circuit_streams"), Some(4));
 }

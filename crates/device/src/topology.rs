@@ -2,6 +2,7 @@
 
 use crate::Edge;
 use std::fmt;
+use xtalk_ir::Fnv1a;
 
 /// A device coupling graph: qubits are nodes, possible CNOT sites are
 /// edges. Precomputes all-pairs hop distances (BFS) so the frequent
@@ -20,6 +21,9 @@ pub struct Topology {
     edges: Vec<Edge>,
     adj: Vec<Vec<u32>>,
     dist: Vec<Vec<u32>>,
+    /// [`Topology::content_key`], computed once: no method mutates a
+    /// topology after [`Topology::new`].
+    key: u64,
 }
 
 const UNREACHABLE: u32 = u32::MAX;
@@ -50,7 +54,21 @@ impl Topology {
             nbrs.sort_unstable();
         }
         let dist = all_pairs_bfs(num_qubits, &adj);
-        Topology { num_qubits, edges, adj, dist }
+        let mut h = Fnv1a::new();
+        h.write_usize(num_qubits);
+        h.write_usize(edges.len());
+        for e in &edges {
+            h.write_u32(e.lo());
+            h.write_u32(e.hi());
+        }
+        Topology { num_qubits, edges, adj, dist, key: h.finish() }
+    }
+
+    /// FNV-1a content key of the register width and the sorted edge
+    /// list: equal topologies have equal keys. Computed by
+    /// [`Topology::new`]; reading it streams nothing.
+    pub fn content_key(&self) -> u64 {
+        self.key
     }
 
     /// Number of qubits.

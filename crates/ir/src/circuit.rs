@@ -1,8 +1,9 @@
 //! Ordered instruction lists with a builder API.
 
-use crate::{Clbit, Dag, Gate, Instruction, IrError, Qubit};
+use crate::{Clbit, Dag, Fnv1a, Gate, Instruction, IrError, Qubit};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A quantum circuit: a fixed register of qubits/clbits and an ordered list
 /// of [`Instruction`]s.
@@ -21,18 +22,22 @@ use std::fmt;
 /// assert_eq!(bell.len(), 4);
 /// assert_eq!(bell.count_gate("cx"), 1);
 /// ```
-#[derive(Clone, PartialEq, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct Circuit {
     num_qubits: usize,
     num_clbits: usize,
     instructions: Vec<Instruction>,
+    /// Memo of [`Circuit::content_key`]. [`Circuit::try_push`] is the one
+    /// place `instructions` changes and it resets the memo; a clone
+    /// carries it. Equality and formatting ignore it.
+    key: OnceLock<u64>,
 }
 
 impl Circuit {
     /// Creates an empty circuit over `num_qubits` qubits and `num_clbits`
     /// classical bits.
     pub fn new(num_qubits: usize, num_clbits: usize) -> Self {
-        Circuit { num_qubits, num_clbits, instructions: Vec::new() }
+        Circuit { num_qubits, num_clbits, instructions: Vec::new(), key: OnceLock::new() }
     }
 
     /// Number of qubits in the register.
@@ -83,6 +88,7 @@ impl Circuit {
             }
         }
         self.instructions.push(instr);
+        self.key.take();
         Ok(())
     }
 
@@ -296,6 +302,45 @@ impl Circuit {
             .collect()
     }
 
+    /// FNV-1a content key of the registers and the instructions: equal
+    /// circuits have equal keys however they were built, parsed or
+    /// cloned. The instructions are streamed the first time the key is
+    /// read after a change (counted by the obs counter
+    /// `pass.hash.circuit_streams`); later reads return the memo. Debug
+    /// builds re-stream on every read and assert the memo still holds.
+    ///
+    /// ```
+    /// use xtalk_ir::Circuit;
+    /// let mut a = Circuit::new(2, 0);
+    /// a.h(0);
+    /// let before = a.content_key();
+    /// a.cx(0, 1);
+    /// let mut b = Circuit::new(2, 0);
+    /// b.h(0).cx(0, 1);
+    /// assert_ne!(a.content_key(), before);
+    /// assert_eq!(a.content_key(), b.content_key());
+    /// ```
+    pub fn content_key(&self) -> u64 {
+        let key = *self.key.get_or_init(|| {
+            xtalk_obs::counter!("pass.hash.circuit_streams");
+            self.stream_key()
+        });
+        debug_assert_eq!(key, self.stream_key(), "content-key memo outlived a mutation");
+        key
+    }
+
+    /// The one function that streams a circuit's bytes.
+    fn stream_key(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        h.write_usize(self.num_qubits);
+        h.write_usize(self.num_clbits);
+        h.write_usize(self.instructions.len());
+        for ins in &self.instructions {
+            ins.hash_into(&mut h);
+        }
+        h.finish()
+    }
+
     /// Builds the data-dependency DAG for this circuit.
     pub fn dag(&self) -> Dag {
         Dag::from_circuit(self)
@@ -314,6 +359,24 @@ impl Circuit {
             }
         }
         out
+    }
+}
+
+impl PartialEq for Circuit {
+    fn eq(&self, other: &Circuit) -> bool {
+        self.num_qubits == other.num_qubits
+            && self.num_clbits == other.num_clbits
+            && self.instructions == other.instructions
+    }
+}
+
+impl fmt::Debug for Circuit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Circuit")
+            .field("num_qubits", &self.num_qubits)
+            .field("num_clbits", &self.num_clbits)
+            .field("instructions", &self.instructions)
+            .finish()
     }
 }
 
@@ -433,6 +496,22 @@ mod tests {
         b.cx(0, 1);
         a.try_extend(&b).unwrap();
         assert_eq!(a.len(), 2);
+    }
+
+    #[test]
+    fn key_memo_is_invisible_to_debug_and_eq() {
+        let mut c = Circuit::new(1, 0);
+        c.h(0);
+        let fresh = c.clone();
+        c.content_key();
+        assert_eq!(c, fresh);
+        assert_eq!(
+            format!("{c:?}"),
+            format!(
+                "Circuit {{ num_qubits: 1, num_clbits: 0, instructions: [{:?}] }}",
+                c.instructions()[0]
+            )
+        );
     }
 
     #[test]

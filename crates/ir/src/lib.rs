@@ -12,6 +12,8 @@
 //! * [`ScheduledCircuit`] — a circuit with explicit start times, the output
 //!   of an instruction scheduler.
 //! * [`qasm`] — OpenQASM 2.0 export/import.
+//! * [`Fnv1a`] — the hash behind [`Circuit::content_key`], the memoized
+//!   key the pass manager's artifact cache addresses circuits by.
 //!
 //! # Example
 //!
@@ -31,6 +33,7 @@ mod dag;
 pub mod draw;
 mod error;
 mod gate;
+mod hash;
 mod instruction;
 pub mod qasm;
 mod qubit;
@@ -40,6 +43,7 @@ pub use circuit::Circuit;
 pub use dag::Dag;
 pub use error::IrError;
 pub use gate::Gate;
+pub use hash::Fnv1a;
 pub use instruction::Instruction;
 pub use qubit::{Clbit, Qubit};
 pub use scheduled::{OverlapSweep, ScheduleSlot, ScheduledCircuit};

@@ -17,16 +17,19 @@ use std::sync::{Arc, Mutex};
 /// `advance_day`), so the device name must be part of cache identity —
 /// epoch 3 of `ibmq_poughkeepsie` shares nothing with epoch 3 of
 /// `ibmq_johannesburg`.
+///
+/// The name is shared (`Arc<str>`), so the clone every cache lookup
+/// puts into its key is a reference-count bump, not an allocation.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct EpochToken {
-    device: String,
+    device: Arc<str>,
     epoch: u64,
 }
 
 impl EpochToken {
     /// Token for `device` at drift `epoch`.
     pub fn new(device: impl Into<String>, epoch: u64) -> EpochToken {
-        EpochToken { device: device.into(), epoch }
+        EpochToken { device: Arc::from(device.into()), epoch }
     }
 
     /// Device name.

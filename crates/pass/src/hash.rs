@@ -7,83 +7,18 @@
 //! as a cache key — the qasm text → parse → dump → parse round trip lands
 //! on the same key.
 //!
+//! Circuits and topologies feed their memoized content keys
+//! ([`Circuit::content_key`], [`Topology::content_key`]) rather than
+//! their contents, so a circuit is streamed at most once between two
+//! mutations and a topology once in its lifetime, however many cache
+//! lookups carry it.
+//!
 //! [FNV-1a]: http://www.isthe.com/chongo/tech/comp/fnv/
 
 use xtalk_device::{Calibration, Edge, Topology};
-use xtalk_ir::{Circuit, Clbit, Gate, Instruction, Qubit, ScheduleSlot, ScheduledCircuit};
+use xtalk_ir::{Circuit, Clbit, Qubit, ScheduleSlot, ScheduledCircuit};
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a hasher over a byte stream.
-///
-/// ```
-/// use xtalk_pass::Fnv1a;
-/// let mut h = Fnv1a::new();
-/// h.write_str("hello");
-/// assert_ne!(h.finish(), Fnv1a::new().finish());
-/// ```
-#[derive(Clone, Copy, Debug)]
-pub struct Fnv1a {
-    state: u64,
-}
-
-impl Fnv1a {
-    /// Fresh hasher at the FNV offset basis.
-    pub fn new() -> Fnv1a {
-        Fnv1a { state: FNV_OFFSET }
-    }
-
-    /// Absorbs raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Absorbs one byte.
-    pub fn write_u8(&mut self, v: u8) {
-        self.write(&[v]);
-    }
-
-    /// Absorbs a `u32` (little-endian).
-    pub fn write_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Absorbs a `u64` (little-endian).
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Absorbs a `usize` widened to `u64` so 32- and 64-bit builds agree.
-    pub fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    /// Absorbs an `f64` by IEEE-754 bit pattern (exact, no rounding).
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// Absorbs a string, length-prefixed so `("ab","c")` ≠ `("a","bc")`.
-    pub fn write_str(&mut self, s: &str) {
-        self.write_usize(s.len());
-        self.write(s.as_bytes());
-    }
-
-    /// Current hash value.
-    pub fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a::new()
-    }
-}
+pub use xtalk_ir::Fnv1a;
 
 /// Structural hash of an artifact's content.
 ///
@@ -182,32 +117,9 @@ impl ContentHash for Clbit {
     }
 }
 
-impl ContentHash for Gate {
-    fn content_hash(&self, h: &mut Fnv1a) {
-        // Gate names are unique per variant; parameters carry the rest.
-        h.write_str(self.name());
-        for p in self.params() {
-            h.write_f64(p);
-        }
-    }
-}
-
-impl ContentHash for Instruction {
-    fn content_hash(&self, h: &mut Fnv1a) {
-        self.gate().content_hash(h);
-        self.qubits().content_hash(h);
-        self.clbit().content_hash(h);
-    }
-}
-
 impl ContentHash for Circuit {
     fn content_hash(&self, h: &mut Fnv1a) {
-        h.write_usize(self.num_qubits());
-        h.write_usize(self.num_clbits());
-        h.write_usize(self.len());
-        for ins in self.iter() {
-            ins.content_hash(h);
-        }
+        h.write_u64(self.content_key());
     }
 }
 
@@ -234,8 +146,7 @@ impl ContentHash for Edge {
 
 impl ContentHash for Topology {
     fn content_hash(&self, h: &mut Fnv1a) {
-        h.write_usize(self.num_qubits());
-        self.edges().content_hash(h);
+        h.write_u64(self.content_key());
     }
 }
 
@@ -263,6 +174,7 @@ impl ContentHash for Calibration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xtalk_ir::{Gate, Instruction};
 
     #[test]
     fn fnv_vectors() {
@@ -295,8 +207,13 @@ mod tests {
 
     #[test]
     fn gate_params_distinguish() {
-        assert_ne!(Gate::U1(0.5).hash_value(), Gate::U1(0.25).hash_value());
-        assert_ne!(Gate::X.hash_value(), Gate::Y.hash_value());
+        let key = |g: Gate| {
+            let mut c = Circuit::new(1, 0);
+            c.push(Instruction::single_qubit(g, Qubit::new(0)));
+            c.hash_value()
+        };
+        assert_ne!(key(Gate::U1(0.5)), key(Gate::U1(0.25)));
+        assert_ne!(key(Gate::X), key(Gate::Y));
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   are shared across schedulers, jobs and sessions while calibration
 //!   drift (epoch bumps) naturally invalidates stale artifacts;
 //! * [`ContentHash`] / [`Fnv1a`] — structural hashing of IR and device
-//!   types, invariant under re-serialization;
+//!   types, invariant under re-serialization (`Fnv1a` is re-exported
+//!   from `xtalk-ir`, where circuits memoize their content keys);
 //! * [`lower`] — the native-basis lowering shared by the core pipeline
 //!   and the characterization circuit builders.
 //!

@@ -13,6 +13,11 @@
 //! * **Epoch isolation** — an artifact stored under one `(device, epoch)`
 //!   token is invisible under any other token or pass id: calibration
 //!   drift can never serve a stale compilation result.
+//! * **Memo invalidation** — a circuit's key is memoized, and every way
+//!   of appending to a circuit resets the memo: whatever was read
+//!   before, the key equals that of the same instructions pushed into a
+//!   fresh circuit. Debug builds also re-stream on every read; these
+//!   properties hold the release build (`ci.sh` runs both) to it.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -69,6 +74,47 @@ fn build(ops: &[Op]) -> Circuit {
         apply(&mut c, op);
     }
     c
+}
+
+/// The same instructions pushed into a new circuit whose key was never
+/// read.
+fn rebuilt(c: &Circuit) -> Circuit {
+    let mut fresh = Circuit::new(c.num_qubits(), c.num_clbits());
+    for ins in c {
+        fresh.push(ins.clone());
+    }
+    fresh
+}
+
+/// One mutation or key read: `(kind, op, ops)`.
+type Step = (usize, Op, Vec<Op>);
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    (0usize..8, op_strategy(), prop::collection::vec(op_strategy(), 0..4))
+}
+
+/// Applies `step` to `c`. Kinds 0–2 call a builder, 3 pushes a raw
+/// instruction, 4 extends by a small circuit, 5 measures all, 6 puts a
+/// barrier on all; kind 7 reads the key and returns it.
+fn mutate(c: &mut Circuit, (kind, op, ops): &Step) -> Option<u64> {
+    match kind {
+        0..=2 => {
+            apply(c, *op);
+        }
+        3 => {
+            let ins = build(&[*op]).instructions()[0].clone();
+            c.push(ins);
+        }
+        4 => c.try_extend(&build(ops)).expect("same registers"),
+        5 => {
+            c.measure_all();
+        }
+        6 => {
+            c.barrier_all();
+        }
+        _ => return Some(c.hash_value()),
+    }
+    None
 }
 
 proptest! {
@@ -132,6 +178,64 @@ proptest! {
             cache.get::<u64>("route", hash, &stored).is_none(),
             "a different pass id must never alias"
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Whatever mix of builders, pushes, extends, `measure_all` and
+    /// `barrier_all` runs between key reads, every read — and the key at
+    /// the end — equals the key of the same instructions in a fresh
+    /// circuit.
+    #[test]
+    fn memoized_key_tracks_every_mutation(
+        steps in prop::collection::vec(step_strategy(), 0..30),
+    ) {
+        let mut c = Circuit::new(NQ as usize, NQ as usize);
+        for step in &steps {
+            if let Some(read) = mutate(&mut c, step) {
+                prop_assert_eq!(read, rebuilt(&c).hash_value(), "stale key after {:?}", step);
+            }
+        }
+        prop_assert_eq!(c.hash_value(), rebuilt(&c).hash_value());
+        prop_assert_eq!(c.content_key(), rebuilt(&c).content_key());
+    }
+
+    /// A clone carries the key, and appending to the clone leaves the
+    /// original's key as it was.
+    #[test]
+    fn pushing_onto_a_clone_leaves_the_original_key(
+        ops in prop::collection::vec(op_strategy(), 0..30),
+        read_first in 0u8..2,
+        extra in prop::collection::vec(step_strategy(), 1..6),
+    ) {
+        let original = build(&ops);
+        if read_first == 1 {
+            original.content_key();
+        }
+        let key = rebuilt(&original).content_key();
+        let mut copy = original.clone();
+        prop_assert_eq!(copy.content_key(), key);
+        for step in &extra {
+            mutate(&mut copy, step);
+        }
+        prop_assert_eq!(original.content_key(), key);
+        prop_assert_eq!(copy.content_key(), rebuilt(&copy).content_key());
+    }
+
+    /// Reading the key changes neither equality nor any formatting.
+    #[test]
+    fn reading_the_key_is_invisible_to_eq_and_formatting(
+        ops in prop::collection::vec(op_strategy(), 0..30),
+    ) {
+        let read = build(&ops);
+        read.content_key();
+        let unread = build(&ops);
+        prop_assert_eq!(&read, &unread);
+        prop_assert_eq!(format!("{read:?}"), format!("{unread:?}"));
+        prop_assert_eq!(format!("{read:#?}"), format!("{unread:#?}"));
+        prop_assert_eq!(read.to_string(), unread.to_string());
     }
 }
 
