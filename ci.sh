@@ -129,8 +129,10 @@ rm -f "$compare_qasm"
 
 echo "== xtalk run pin =="
 # The executor must stay bit-identical end to end: a 6-qubit GHZ at 4096
-# shots goes through run_budgeted's 64-shot batches and must print exactly
-# the pinned report at 1 and 2 threads.
+# shots goes through run_budgeted's claims (64 shots, then work-sized
+# ranges of up to 4096, split evenly between threads) and must print
+# exactly the pinned report at 1, 2 and 4 threads and under an ample
+# budget.
 ghz_qasm="$(mktemp --suffix=.qasm)"
 printf 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[6];\ncreg c[6];\nh q[0];\n' > "$ghz_qasm"
 for q in 0 1 2 3 4; do printf 'cx q[%d],q[%d];\n' "$q" "$((q + 1))" >> "$ghz_qasm"; done
@@ -155,11 +157,12 @@ ibmq_poughkeepsie | scheduler XtalkSched | makespan 2916 ns | 4096/4096 shots
   000011: 34 (0.008)
 PIN
 )"
-for threads in 1 2; do
+for run_args in "--threads 1" "--threads 2" "--threads 4" "--threads 1 --budget-ms 60000"; do
+    # `$run_args` is unquoted so its flags split into words.
     run_out="$(target/release/xtalk run "$ghz_qasm" --device poughkeepsie --shots 4096 \
-        --threads "$threads")"
+        $run_args)"
     [ "$run_out" = "$pinned_run" ] || {
-        echo "xtalk run counts moved at --threads $threads:"; echo "$run_out"; exit 1;
+        echo "xtalk run counts moved at $run_args:"; echo "$run_out"; exit 1;
     }
 done
 rm -f "$ghz_qasm"

@@ -178,6 +178,11 @@ impl Budget {
         self.exhausted()
     }
 
+    /// The work quota, if any.
+    pub fn quota(&self) -> Option<u64> {
+        self.quota
+    }
+
     /// Work units charged so far across all clones.
     pub fn spent(&self) -> u64 {
         self.spent.load(Ordering::Relaxed)

@@ -196,6 +196,17 @@ impl Resolved {
     }
 }
 
+/// A last-known-good build: its full key, the entry, and the context
+/// rung 2 last served it under.
+struct Lkg {
+    key: CacheKey,
+    entry: Arc<CacheEntry>,
+    /// The entry's tables under the calibration of the epoch it was last
+    /// served stale at: built by the first stale resolution of an epoch
+    /// and shared by the rest.
+    stale_ctx: Option<(u64, SchedulerContext)>,
+}
+
 /// The pass id characterization entries are stored under.
 const PASS_ID: &str = "charac";
 
@@ -203,10 +214,9 @@ const PASS_ID: &str = "charac";
 /// with the last-known-good table the ladder's rung 2 reads.
 pub struct CharacCache {
     artifacts: Arc<ArtifactCache>,
-    /// The newest successful build per slot, with its full key. Unlike
-    /// the store it survives `advance_day` for as long as rung 2 may
-    /// serve it.
-    lkg: Mutex<HashMap<LkgKey, (CacheKey, Arc<CacheEntry>)>>,
+    /// The newest successful build per slot. Unlike the store it
+    /// survives `advance_day` for as long as rung 2 may serve it.
+    lkg: Mutex<HashMap<LkgKey, Lkg>>,
     /// How many epochs a last-known-good entry may lag the current
     /// calibration; `0` disables rung 2.
     stale_ttl_epochs: u64,
@@ -248,8 +258,8 @@ impl CharacCache {
         }
         let slot = key.lkg_key();
         let mut lkg = self.lkg.lock().expect("last-known-good table poisoned");
-        if lkg.get(&slot).is_none_or(|(newest, _)| newest.epoch <= key.epoch) {
-            lkg.insert(slot, (key, entry));
+        if lkg.get(&slot).is_none_or(|newest| newest.key.epoch <= key.epoch) {
+            lkg.insert(slot, Lkg { key, entry, stale_ctx: None });
         }
     }
 
@@ -262,7 +272,7 @@ impl CharacCache {
         self.artifacts.invalidate_before(epoch);
         let ttl = self.stale_ttl_epochs;
         let mut lkg = self.lkg.lock().expect("last-known-good table poisoned");
-        lkg.retain(|_, (key, _)| epoch.saturating_sub(key.epoch) <= ttl);
+        lkg.retain(|_, newest| epoch.saturating_sub(newest.key.epoch) <= ttl);
     }
 
     /// Number of live characterization entries (compile artifacts in the
@@ -355,28 +365,33 @@ impl CharacCache {
         // Rung 2.
         Metrics::inc(&metrics.charac_failures);
         xtalk_obs::counter!("serve.charac.failure");
-        let newest = self
-            .lkg
-            .lock()
-            .expect("last-known-good table poisoned")
-            .get(&key.lkg_key())
-            .cloned();
-        let Some((built, entry)) = newest else { return Err(failure) };
-        if built == key {
+        let mut lkg = self.lkg.lock().expect("last-known-good table poisoned");
+        let Some(newest) = lkg.get_mut(&key.lkg_key()) else { return Err(failure) };
+        if newest.key == key {
             // The store lookup failed but the table holds this very
             // entry: not actually stale.
-            return Ok(Resolved::fresh(entry, true));
+            return Ok(Resolved::fresh(Arc::clone(&newest.entry), true));
         }
-        let age = key.epoch.saturating_sub(built.epoch);
+        let age = key.epoch.saturating_sub(newest.key.epoch);
         if !(1..=self.stale_ttl_epochs).contains(&age) {
             return Err(failure);
         }
         Metrics::inc(&metrics.degraded_stale);
         xtalk_obs::counter!("serve.charac.stale_fallback");
+        // One epoch is one calibration of the device, so its stale
+        // resolutions share one context.
+        let ctx = match &newest.stale_ctx {
+            Some((epoch, ctx)) if *epoch == key.epoch => ctx.clone(),
+            _ => {
+                let ctx = SchedulerContext::new(device, &newest.entry.charac);
+                newest.stale_ctx = Some((key.epoch, ctx.clone()));
+                ctx
+            }
+        };
         Ok(Resolved {
-            ctx: SchedulerContext::new(device, &entry.charac),
-            entry,
-            provenance: Provenance::Stale { epoch: built.epoch, age },
+            ctx,
+            entry: Arc::clone(&newest.entry),
+            provenance: Provenance::Stale { epoch: newest.key.epoch, age },
         })
     }
 }
@@ -589,6 +604,31 @@ mod tests {
         xtalk_fault::clear();
         assert!(state.metrics.degraded_stale.load(Ordering::Relaxed) >= 1);
         assert!(state.metrics.charac_failures.load(Ordering::Relaxed) >= 2);
+    }
+
+    #[test]
+    fn stale_resolutions_share_one_context_per_epoch() {
+        let _gate = fault_gate();
+        let state = ServeState::new(ServeConfig::default());
+        let fresh = resolve(&state, "boeblingen", "truth", 7, 1, 32).unwrap();
+        state.advance_day();
+        xtalk_fault::install_spec("charac.run:err:1.0", 1).unwrap();
+        let first = resolve(&state, "boeblingen", "truth", 7, 1, 32).unwrap();
+        let again: Vec<Resolved> =
+            (0..4).map(|_| resolve(&state, "boeblingen", "truth", 7, 1, 32).unwrap()).collect();
+        state.advance_day();
+        let next = resolve(&state, "boeblingen", "truth", 7, 1, 32).unwrap();
+        xtalk_fault::clear();
+        assert_eq!(first.provenance, Provenance::Stale { epoch: 0, age: 1 });
+        for stale in &again {
+            assert_eq!(stale.provenance, first.provenance);
+            assert!(stale.ctx.ptr_eq(&first.ctx), "one epoch built a second context");
+        }
+        // The next epoch's calibration needs a context of its own.
+        assert_eq!(next.provenance, Provenance::Stale { epoch: 0, age: 2 });
+        assert!(!next.ctx.ptr_eq(&first.ctx), "a new epoch reused the old calibration");
+        let now = state.snapshot("boeblingen").unwrap();
+        assert_eq!(next.ctx, SchedulerContext::new(&now.device, &fresh.entry.charac));
     }
 
     #[test]

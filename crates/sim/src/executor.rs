@@ -11,16 +11,31 @@ use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::mem::Discriminant;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use xtalk_budget::Budget;
 use xtalk_device::{Calibration, Device, Edge};
 use xtalk_ir::{Circuit, Gate, OverlapSweep, ScheduleSlot, ScheduledCircuit};
 
-/// Shots per batch in [`Executor::run_budgeted`]. Fixed (independent of
-/// the thread count) so the set of completed shots under an exhausted
-/// budget is always a prefix `0..shots_completed` whose counts are
-/// bit-identical to a fresh run of exactly that many shots at any thread
-/// count.
+/// Shots of a budgeted run's first claim, and of its every claim under a
+/// work quota ([`Executor::run_budgeted`]). Every claim of a budgeted run
+/// is a multiple of it unless the shot count cuts it short, so the shots
+/// completed under an exhausted budget are a prefix `0..shots_completed`
+/// whose counts are bit-identical to a fresh run of exactly that many
+/// shots at any thread count. A quota charges one unit per claim, so under
+/// one every claim stays this size: a unit of work must not grow.
 const BUDGET_BATCH_SHOTS: u64 = 64;
+
+/// Worst-case work of one later claim of a budgeted run, in
+/// amplitude-steps: lanes × Σ over the program's components of
+/// steps · 2^width, as if no two lanes shared a state. A claim holds as
+/// many shots as fit ([`Prepared::claim_shots`]), so a short circuit runs
+/// thousands of shots in one claim while a wide one keeps 64-shot claims.
+/// It bounds how long a worker holds a claim, and so the budget's expiry
+/// latency. A claim at the cap with no sharing at all (64 shots of an
+/// 8-qubit line with every CNOT at a saturating error) took 6.4 ms on a
+/// 2-vCPU x86-64 host, 6–7 ns an amplitude-step, so 2^22 would allow
+/// ~25 ms; runs that share trajectories take far less.
+const CLAIM_WORK: u64 = 1 << 20;
 
 /// Best-effort result of a budgeted run ([`Executor::run_budgeted`]).
 #[derive(Clone, PartialEq, Debug)]
@@ -128,8 +143,9 @@ impl<'a> Executor<'a> {
     /// Executes the schedule, returning measured counts over the circuit's
     /// classical register.
     ///
-    /// Runs on the calling thread in batches of 4,096 shots, so a run of up
-    /// to that many shots is one shared-trajectory block. Every
+    /// Runs on the calling thread in claims of 4,096 shots, so a run of up
+    /// to that many shots of a narrow circuit is one shared-trajectory
+    /// chunk. Every
     /// trajectory derives its own RNG stream from `(seed, shot)`, so the
     /// counts equal [`Executor::run_budgeted`]'s under an unlimited budget
     /// at any thread count.
@@ -140,21 +156,28 @@ impl<'a> Executor<'a> {
     /// or if a component exceeds the statevector limit.
     pub fn run(&self, sched: &ScheduledCircuit) -> Counts {
         let _span = xtalk_obs::span("sim.run_parallel");
-        self.run_batches(sched, 1, LANE_BLOCK as u64, &Budget::unlimited()).counts
+        let prep = self.prepare(sched);
+        self.run_batches(&prep, 1, &Budget::unlimited(), |_| LANE_BLOCK as u64).counts
     }
 
     /// Executes the schedule across `threads` OS threads (`0` = all
     /// available parallelism) under a cooperative [`Budget`], checked only
-    /// at shot-batch boundaries.
+    /// between shot claims.
     ///
-    /// Shots run in fixed batches of 64, claimed in index order; a worker
-    /// polls the budget *before* claiming and always finishes a batch it
-    /// claimed. Completed batches therefore form a prefix `0..n`, so the
-    /// returned [`RunOutcome`] reports an exact `shots_completed` and its
-    /// counts are **bit-identical** to a fresh run of exactly that many
-    /// shots at any thread count (each shot still derives its own RNG
-    /// stream from `(config.seed, shot)`). Budget-expiry latency is at
-    /// most one batch per worker.
+    /// Workers claim contiguous shot ranges in index order; a worker polls
+    /// the budget *before* claiming and always finishes a range it
+    /// claimed. The first claim is 64 shots, so a run whose budget is gone
+    /// by its first checkpoint returns a 64-shot prefix. Every later claim
+    /// is a multiple of 64 shots sized by the program's worst-case work
+    /// (`CLAIM_WORK`), up to 4,096, and with more than one worker at most
+    /// an even share of the shots left; under a work quota, charged one
+    /// unit per claim, every claim stays 64 shots. Completed claims
+    /// therefore form a prefix `0..n`, so the returned [`RunOutcome`]
+    /// reports an exact `shots_completed` and its counts are
+    /// **bit-identical** to a fresh run of exactly that many shots at any
+    /// thread count (each shot still derives its own RNG stream from
+    /// `(config.seed, shot)`). Budget-expiry latency is at most one 64-shot
+    /// batch or one work-capped claim per worker.
     ///
     /// # Panics
     ///
@@ -168,36 +191,40 @@ impl<'a> Executor<'a> {
         budget: &Budget,
     ) -> RunOutcome {
         let _span = xtalk_obs::span("sim.run_budgeted");
-        self.run_batches(sched, threads, BUDGET_BATCH_SHOTS, budget)
-    }
-
-    /// The batch loop behind both entries. Shots are cut into batches of
-    /// `batch` shots, claimed in index order from one atomic counter by
-    /// `threads` workers (`0` = available parallelism; never more workers
-    /// than batches). A worker polls `budget` *before* each claim and
-    /// always finishes a batch it claimed, so the completed batches form a
-    /// prefix `0..n` whatever the thread count. Each batch runs as one
-    /// [`Runner`] block, so `batch` must not exceed [`LANE_BLOCK`].
-    fn run_batches(
-        &self,
-        sched: &ScheduledCircuit,
-        threads: usize,
-        batch: u64,
-        budget: &Budget,
-    ) -> RunOutcome {
-        debug_assert!(batch > 0 && batch <= LANE_BLOCK as u64);
-        sched.validate().expect("executor requires a valid schedule");
         let prep = self.prepare(sched);
         let shots = self.config.shots;
-        let num_batches = shots.div_ceil(batch);
-        let threads = match threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        }
-        .min(num_batches.max(1) as usize)
-        .max(1);
+        let threads =
+            worker_count(threads).min(shots.div_ceil(BUDGET_BATCH_SHOTS) as usize).max(1);
+        let later =
+            if budget.quota().is_some() { BUDGET_BATCH_SHOTS } else { prep.claim_shots() };
+        self.run_batches(&prep, threads, budget, |cursor| match cursor {
+            0 => BUDGET_BATCH_SHOTS,
+            _ if threads == 1 => later,
+            _ => {
+                // An even share of the shots left, so every worker keeps
+                // claiming until the end.
+                let share = (shots - cursor) / threads as u64;
+                later.min((share - share % BUDGET_BATCH_SHOTS).max(BUDGET_BATCH_SHOTS))
+            }
+        })
+    }
 
-        let next = AtomicU64::new(0);
+    /// The claim loop behind both entries. `threads` workers claim
+    /// contiguous shot ranges from one shot cursor: a claim at cursor `c`
+    /// takes `claim(c)` shots (at most [`LANE_BLOCK`], cut short at the
+    /// shot count). A worker polls `budget` *before* each claim and always
+    /// finishes a range it claimed, so the completed shots are the prefix
+    /// `0..min(cursor, shots)` whatever the thread count and however the
+    /// claims are sized. Each claim is one [`Executor::run_block`].
+    fn run_batches(
+        &self,
+        prep: &Prepared,
+        threads: usize,
+        budget: &Budget,
+        claim: impl Fn(u64) -> u64 + Sync,
+    ) -> RunOutcome {
+        let shots = self.config.shots;
+        let cursor = AtomicU64::new(0);
         let run_worker = |thread_idx: usize| -> Counts {
             let mut counts = Counts::new(prep.num_clbits.max(1));
             let mut runner = Runner::new();
@@ -205,13 +232,18 @@ impl<'a> Executor<'a> {
                 if budget.exhausted().is_some() {
                     break;
                 }
-                let claimed = next.fetch_add(1, Ordering::Relaxed);
-                if claimed >= num_batches {
-                    break;
-                }
-                let lo = claimed * batch;
-                let hi = (lo + batch).min(shots);
-                self.run_block(&prep, lo..hi, thread_idx, &mut runner, &mut counts);
+                let mut size = 0;
+                let claimed = cursor.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |lo| {
+                    if lo >= shots {
+                        return None;
+                    }
+                    size = claim(lo);
+                    debug_assert!(size > 0 && size <= LANE_BLOCK as u64);
+                    Some(lo + size)
+                });
+                let Ok(lo) = claimed else { break };
+                let range = lo..(lo + size).min(shots);
+                self.run_block(prep, range, thread_idx, &mut runner, &mut counts);
                 budget.charge(1);
             }
             counts
@@ -232,10 +264,9 @@ impl<'a> Executor<'a> {
             })
         };
 
-        // Every batch index below the final counter value was claimed and
-        // completed (overshoot past `num_batches` claims nothing).
-        let claimed = next.load(Ordering::Relaxed).min(num_batches);
-        let shots_completed = (claimed * batch).min(shots);
+        // Every shot below the final cursor was claimed and completed (the
+        // last claim may reach past the shot count).
+        let shots_completed = cursor.load(Ordering::Relaxed).min(shots);
         debug_assert_eq!(counts.shots(), shots_completed);
         RunOutcome {
             counts,
@@ -250,8 +281,10 @@ impl<'a> Executor<'a> {
     /// the noise switches is evaluated here, once per run: qubit-local
     /// indices, unitary matrices, crosstalk-scaled depolarizing
     /// probabilities, idle gaps and their channels, readout errors. A shot
-    /// then only walks the steps and draws from its RNG.
+    /// then only walks the steps and draws from its RNG. Panics if the
+    /// schedule is invalid.
     fn prepare(&self, sched: &ScheduledCircuit) -> Prepared {
+        sched.validate().expect("executor requires a valid schedule");
         let circuit = sched.circuit();
         let cal = self.device.calibration();
         let cfg = self.config;
@@ -367,14 +400,14 @@ impl<'a> Executor<'a> {
         factor
     }
 
-    /// Runs one batch, `shots`, as one block of the shared-trajectory
-    /// [`Runner`], each shot on its own derived RNG stream, and records
-    /// their outcomes in `counts`. Every component runs over the block in
-    /// chunks of [`lanes_per_chunk`] lanes, in component order, so each
-    /// lane's stream continues from one component to the next exactly as
-    /// one shot's did.
+    /// Runs one claim, `shots`, through the shared-trajectory [`Runner`] in
+    /// chunks of [`Prepared::chunk_lanes`] lanes, each shot on its own
+    /// derived RNG stream, and records their outcomes in `counts`. Every
+    /// component runs over a chunk in component order, so each lane's
+    /// stream continues from one component to the next exactly as one
+    /// shot's did.
     ///
-    /// Per batch it also records the batch wall time, per-thread shot
+    /// Per claim it also records the claim's wall time, per-thread shot
     /// counts, and the sharing counters `sim.lane_steps` (shot-steps a
     /// per-shot interpreter would have run) and `sim.group_steps` (state
     /// updates made). Metrics never feed back into the trajectory RNG
@@ -398,21 +431,20 @@ impl<'a> Executor<'a> {
         }
         let _batch = xtalk_obs::span("sim.shot_batch");
         let steps_before = (runner.lane_steps, runner.group_steps);
-        runner.begin_block(self.config.seed, shots);
-        let lanes = runner.rngs.len();
-        for program in &prep.programs {
-            let chunk = runner.chunk.unwrap_or_else(|| lanes_per_chunk(program.width));
-            for first in (0..lanes).step_by(chunk) {
-                let last = lanes.min(first.saturating_add(chunk));
-                runner.run_chunk(&prep.mats, program, first..last);
+        let chunk = runner.chunk.unwrap_or_else(|| prep.chunk_lanes()) as u64;
+        for lo in shots.clone().step_by(chunk as usize) {
+            runner.begin_chunk(self.config.seed, lo..shots.end.min(lo.saturating_add(chunk)));
+            for program in &prep.programs {
+                runner.run_program(&prep.mats, program);
+            }
+            for &bits in &runner.bits {
+                counts.record(bits);
             }
         }
-        for &bits in &runner.bits {
-            counts.record(bits);
-        }
+        let lanes = shots.end - shots.start;
         if xtalk_obs::enabled() {
-            xtalk_obs::counter_add("sim.shots", lanes as u64);
-            xtalk_obs::counter_add(&format!("sim.thread{thread_idx}.shots"), lanes as u64);
+            xtalk_obs::counter_add("sim.shots", lanes);
+            xtalk_obs::counter_add(&format!("sim.thread{thread_idx}.shots"), lanes);
             xtalk_obs::counter_add("sim.lane_steps", runner.lane_steps - steps_before.0);
             xtalk_obs::counter_add("sim.group_steps", runner.group_steps - steps_before.1);
         }
@@ -426,6 +458,25 @@ struct Prepared {
     num_clbits: usize,
     mats: Matrices,
     programs: Vec<Program>,
+}
+
+impl Prepared {
+    /// Shots per later claim of a budgeted run: as many as fit
+    /// [`CLAIM_WORK`] at the run's worst-case work per shot, rounded down
+    /// to a multiple of [`BUDGET_BATCH_SHOTS`], at least one batch and at
+    /// most [`LANE_BLOCK`].
+    fn claim_shots(&self) -> u64 {
+        let per_shot: u64 =
+            self.programs.iter().map(|p| (p.steps.len() as u64) << p.width).sum();
+        let fit = CLAIM_WORK / per_shot.max(1);
+        (fit - fit % BUDGET_BATCH_SHOTS).clamp(BUDGET_BATCH_SHOTS, LANE_BLOCK as u64)
+    }
+
+    /// Lanes per chunk: as many as the widest component's states fit in
+    /// [`BUDGET`] ([`lanes_per_chunk`]).
+    fn chunk_lanes(&self) -> usize {
+        self.programs.iter().map(|p| lanes_per_chunk(p.width)).min().unwrap_or(usize::MAX)
+    }
 }
 
 /// The unitaries of a compiled run, each stored once however many steps
@@ -607,15 +658,23 @@ enum Step {
     Measure { q: u32, readout: Option<f64>, clbit: Option<u32> },
 }
 
-/// Bytes of group states one chunk of lanes may hold. A chunk of a
-/// `w`-qubit component has [`lanes_per_chunk`]`(w)` lanes, and a group
-/// always keeps at least one lane, so its states fit in `BUDGET` (or are
-/// one state, when a single state is larger).
+/// Bytes of group states one chunk of lanes may hold. A chunk has at most
+/// [`lanes_per_chunk`]`(w)` lanes for its widest component's `w`, and a
+/// group always keeps at least one lane, so its states fit in `BUDGET` (or
+/// are one state, when a single state is larger).
 const BUDGET: usize = 1 << 20;
 
-/// Lanes per [`Runner`] block, and shots per batch in [`Executor::run`]:
-/// bounds the per-lane bookkeeping (RNG stream, outcome, position) however
-/// many shots run.
+/// Chunks of up to this many lanes reserve a state for every lane up
+/// front, so their buffer grows at most once; a characterization run
+/// (96 shots) is one such chunk. A larger chunk's lanes share far fewer
+/// groups (a median of 40–235 by width, in chunks of 512–4,096 lanes of
+/// `serve_mixed`'s 2–5-qubit schedules), so it reserves this many states
+/// and grows as its groups split.
+const RESERVED_LANES: usize = 128;
+
+/// Shots per claim in [`Executor::run`], and the most a budgeted run's
+/// work-sized claim may hold: bounds the per-lane bookkeeping (RNG stream,
+/// outcome, position) however many shots run.
 const LANE_BLOCK: usize = 4096;
 
 /// Lanes simulated together in one chunk of a `width`-qubit component.
@@ -635,11 +694,11 @@ fn lanes_per_chunk(width: usize) -> usize {
 /// child copied from it *before* the branch is applied. So every group's
 /// state is bit for bit the state each of its lanes would have computed
 /// alone. One runner serves one thread; its buffers are reused across
-/// chunks, components and shot batches.
+/// chunks, components and claims.
 struct Runner {
-    /// Lanes per chunk, overriding [`lanes_per_chunk`] (tests only).
+    /// Lanes per chunk, overriding [`Prepared::chunk_lanes`] (tests only).
     chunk: Option<usize>,
-    /// Per lane of the block: its RNG stream and its measured bits.
+    /// Per lane of the chunk: its RNG stream and its measured bits.
     rngs: Vec<StdRng>,
     bits: Vec<u64>,
     /// The chunk's lanes, grouped: each group owns a contiguous range.
@@ -683,25 +742,24 @@ impl Runner {
 
     /// Seeds one lane per shot of `shots` from `(seed, shot)` and clears
     /// their outcomes.
-    fn begin_block(&mut self, seed: u64, shots: std::ops::Range<u64>) {
+    fn begin_chunk(&mut self, seed: u64, shots: std::ops::Range<u64>) {
         self.rngs.clear();
         self.rngs.extend(shots.map(|shot| StdRng::seed_from_u64(shot_stream_seed(seed, shot))));
         self.bits.clear();
         self.bits.resize(self.rngs.len(), 0);
     }
 
-    /// Runs `program` from `|0…0⟩` for block lanes `lanes`, ORing each
+    /// Runs `program` from `|0…0⟩` for every lane of the chunk, ORing each
     /// lane's measured bits (at their clbit indices) into `bits`.
-    fn run_chunk(&mut self, mats: &Matrices, program: &Program, lanes: std::ops::Range<usize>) {
+    fn run_program(&mut self, mats: &Matrices, program: &Program) {
         state::assert_width(program.width);
         let dim = 1usize << program.width;
         self.order.clear();
-        self.order.extend(lanes.map(|l| l as u32));
+        self.order.extend(0..self.rngs.len() as u32);
         self.keys.resize(self.order.len(), 0);
-        // At most one state per lane: reserve them all up front, so the
-        // buffer grows to the chunk's budget at most once.
+        // At most one state per lane (see `RESERVED_LANES`).
         self.states.clear();
-        self.states.reserve_exact(self.order.len() * dim);
+        self.states.reserve_exact(self.order.len().min(RESERVED_LANES) * dim);
         self.states.resize(dim, C64::ZERO);
         self.states[0] = C64::ONE;
         self.groups.push(Group { lo: 0, hi: self.order.len() });
@@ -858,6 +916,18 @@ fn sort_nearly_sorted<T: Ord + Copy>(v: &mut [T]) {
             j -= 1;
         }
         v[j] = x;
+    }
+}
+
+/// Workers for a requested `threads`, `0` meaning the available
+/// parallelism. That is read once per process: the query reads cgroup
+/// files on Linux, tens of µs a call.
+fn worker_count(threads: usize) -> usize {
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    match threads {
+        0 => *AVAILABLE
+            .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+        n => n,
     }
 }
 
@@ -1143,6 +1213,38 @@ mod tests {
                 out.shots_completed
             );
         }
+    }
+
+    #[test]
+    fn claims_are_sized_by_worst_case_work() {
+        // A 3-qubit GHZ holds under a hundred amplitude-steps per shot: a
+        // whole lane block fits under the cap.
+        let ghz = |n: usize| {
+            let mut c = Circuit::new(n, n);
+            c.h(0);
+            for q in 1..n as u32 {
+                c.cx(q - 1, q);
+            }
+            c.measure_all();
+            c
+        };
+        let device = Device::line(3, 1);
+        let exec = Executor::new(&device);
+        let prep = exec.prepare(&Executor::asap_schedule(&ghz(3), device.calibration()));
+        assert_eq!(prep.claim_shots(), LANE_BLOCK as u64);
+        // A 6-qubit one holds several hundred: a multiple of 64 between.
+        let device = Device::line(6, 1);
+        let exec = Executor::new(&device);
+        let prep = exec.prepare(&Executor::asap_schedule(&ghz(6), device.calibration()));
+        let shots = prep.claim_shots();
+        assert!(shots > BUDGET_BATCH_SHOTS && shots < LANE_BLOCK as u64, "{shots} shots");
+        assert_eq!(shots % BUDGET_BATCH_SHOTS, 0);
+        // A 14-qubit component costs 2^14 per step: claims stay at 64.
+        let device = Device::line(14, 1);
+        let exec = Executor::new(&device);
+        let prep = exec.prepare(&Executor::asap_schedule(&ghz(14), device.calibration()));
+        assert_eq!(prep.programs.len(), 1);
+        assert_eq!(prep.claim_shots(), BUDGET_BATCH_SHOTS);
     }
 
     #[test]

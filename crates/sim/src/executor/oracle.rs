@@ -153,15 +153,15 @@ impl Executor<'_> {
 }
 
 /// Lanes per chunk the shared-trajectory runner is checked at: single
-/// lanes, chunks that do not divide the shot count, and whole blocks.
+/// lanes, chunks that do not divide the shot count, and whole claims.
 const CHUNKS: [usize; 6] = [1, 2, 3, 7, 64, usize::MAX];
 
 impl Executor<'_> {
-    /// All shots as one [`Runner`] block with `chunk` lanes per chunk
-    /// (`None`: [`lanes_per_chunk`]); returns the counts and the runner,
-    /// for its step counters.
+    /// All shots as one claim with `chunk` lanes per chunk (`None`:
+    /// [`Prepared::chunk_lanes`]); returns the counts and the runner, for
+    /// its step counters.
     fn run_chunked(&self, sched: &ScheduledCircuit, chunk: Option<usize>) -> (Counts, Runner) {
-        assert!(self.config.shots <= LANE_BLOCK as u64, "one block holds the run");
+        assert!(self.config.shots <= LANE_BLOCK as u64, "one claim holds the run");
         let prep = self.prepare(sched);
         let mut runner = Runner::new();
         runner.chunk = chunk;
@@ -170,10 +170,16 @@ impl Executor<'_> {
         (counts, runner)
     }
 
-    /// All shots through the batch loop in batches of `batch` shots on
-    /// `threads` threads, unbudgeted.
-    fn run_shaped(&self, sched: &ScheduledCircuit, batch: u64, threads: usize) -> Counts {
-        self.run_batches(sched, threads, batch, &Budget::unlimited()).counts
+    /// All shots through the claim loop on `threads` threads, unbudgeted,
+    /// a claim at cursor `c` taking `claim(c)` shots.
+    fn run_claims(
+        &self,
+        sched: &ScheduledCircuit,
+        threads: usize,
+        claim: impl Fn(u64) -> u64 + Sync,
+    ) -> Counts {
+        let prep = self.prepare(sched);
+        self.run_batches(&prep, threads, &Budget::unlimited(), claim).counts
     }
 }
 
@@ -424,15 +430,14 @@ fn compiled_programs_match_reference_under_every_noise_switch() {
 fn compiled_programs_match_reference_at_every_thread_count() {
     for (name, device, sched) in cases() {
         // 1100 shots: more lanes than one chunk of a 6-qubit component
-        // holds, so the mixed-widths case runs components in different
-        // chunkings.
+        // holds, so the mixed-widths case runs in two chunks.
         let cfg = ExecutorConfig { shots: 1100, seed: 3, ..Default::default() };
         let exec = Executor::with_config(&device, cfg);
         let reference = exec.run_reference(&sched);
         assert_eq!(exec.run(&sched), reference, "{name}, run");
         // Batches that end mid-chunk and off the 64-shot grid.
         for threads in [1usize, 3] {
-            let counts = exec.run_shaped(&sched, 37, threads);
+            let counts = exec.run_claims(&sched, threads, |_| 37);
             assert_eq!(counts, reference, "{name}, 37-shot batches x{threads}");
         }
         for threads in [1usize, 2, 4] {
@@ -444,9 +449,33 @@ fn compiled_programs_match_reference_at_every_thread_count() {
 }
 
 #[test]
+fn random_claim_plans_match_run() {
+    // Budgeted runs claim 64 shots, then work-sized multiples of 64; any
+    // such plan must give `run`'s counts, at one thread and at three
+    // racing for the claims. 1100 shots: the last claim is cut short.
+    let mut rng = StdRng::seed_from_u64(18);
+    for (name, device, sched) in cases() {
+        let cfg = ExecutorConfig { shots: 1100, seed: 4, ..Default::default() };
+        let exec = Executor::with_config(&device, cfg);
+        let want = exec.run(&sched);
+        for threads in [1usize, 3] {
+            let mut ends = vec![BUDGET_BATCH_SHOTS];
+            while ends[ends.len() - 1] < cfg.shots {
+                ends.push(ends[ends.len() - 1] + BUDGET_BATCH_SHOTS * rng.gen_range(1..17u64));
+            }
+            let counts = exec.run_claims(&sched, threads, |cursor| {
+                let end = ends.iter().find(|&&end| end > cursor).expect("a claim ends past it");
+                end - cursor
+            });
+            assert_eq!(counts, want, "{name}, claims ending at {ends:?} x{threads}");
+        }
+    }
+}
+
+#[test]
 fn run_past_one_lane_block_matches_reference() {
-    // `run` cuts 4,196 shots into one full `LANE_BLOCK` batch and a
-    // partial one; the mixed-widths case also chunks inside each block.
+    // `run` cuts 4,196 shots into one full `LANE_BLOCK` claim and a
+    // partial one; the mixed-widths case also chunks inside each claim.
     let shots = LANE_BLOCK as u64 + 100;
     let (name, device, sched) =
         cases().into_iter().find(|(name, _, _)| *name == "mixed widths").unwrap();
@@ -515,7 +544,7 @@ fn cases_exercise_every_step_kind() {
             let mut widths: Vec<usize> = prep.programs.iter().map(|p| p.width).collect();
             widths.sort_unstable();
             assert_eq!(widths, [1, 2, 6], "component widths");
-            assert!(lanes_per_chunk(6) < 1100 && lanes_per_chunk(2) >= 1100);
+            assert!(prep.chunk_lanes() < 1100, "1,100 shots fit one chunk");
         }
     }
     let swaps = cases.iter().flat_map(|(_, _, s)| s.circuit().iter());

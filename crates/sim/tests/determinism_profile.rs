@@ -86,3 +86,23 @@ fn toggling_profiling_mid_stream_does_not_change_results() {
     xtalk_obs::reset();
     assert_eq!(off, on, "toggling profiling changed simulation results");
 }
+
+#[test]
+fn two_workers_both_claim_shots_of_a_long_run() {
+    // A short circuit fits 4,096 shots under one claim's work cap; with
+    // two workers a claim still takes at most an even share of the shots
+    // left, so the second worker gets shots however late it starts.
+    let _gate = obs_lock();
+    let (device, c) = bench_circuit();
+    xtalk_obs::set_enabled(true);
+    xtalk_obs::reset();
+    let counts = run_with_threads(&device, &c, 4096, 2);
+    let snap = xtalk_obs::snapshot();
+    xtalk_obs::set_enabled(false);
+    xtalk_obs::reset();
+    assert_eq!(counts.shots(), 4096);
+    for thread in 0..2 {
+        let shots = snap.counter(&format!("sim.thread{thread}.shots")).unwrap_or(0);
+        assert!(shots > 0, "worker {thread} ran no shots");
+    }
+}

@@ -11,7 +11,7 @@
 //!
 //! `run_budgeted` executes a fixed, small number of probes per call
 //! (one top-level span, plus one batch span and one counter check per
-//! 64-shot batch), so `probes x per_probe_cost` is the total
+//! shot claim), so `probes x per_probe_cost` is the total
 //! instrumentation cost. The assertion leaves orders of magnitude of
 //! headroom: ~130 probes of a few ns each against a run measured in
 //! milliseconds.
@@ -63,9 +63,11 @@ fn disabled_profiling_overhead_is_under_five_percent() {
     let run_ns = run.min_time().as_nanos() as f64;
 
     // --- 3. Bound the product. ---
-    // Probes per run_budgeted call: 1 top-level span + per batch one
-    // shot-batch span and one counter gate (2,000 shots = 32 batches of
-    // 64). Double it for slack.
+    // Probes per run_budgeted call: 1 top-level span + per claim one
+    // shot-batch span and one counter gate. Every claim holds at least 64
+    // shots unless it is the last, so `shots.div_ceil(64)` (32 for 2,000
+    // shots) is an upper bound on the claims; work-sized claims make
+    // far fewer. Double it for slack.
     let batches = shots.div_ceil(64);
     let probes_per_run = (1 + 2 * batches) as f64 * 2.0;
     let overhead_ns = probes_per_run * per_probe_ns;
