@@ -165,6 +165,19 @@ for run_args in "--threads 1" "--threads 2" "--threads 4" "--threads 1 --budget-
         echo "xtalk run counts moved at $run_args:"; echo "$run_out"; exit 1;
     }
 done
+# A dead budget still runs every stage through the one compiler: the
+# prefix completes, the search falls back, and the run reports 0 shots.
+pinned_dead="$(cat <<'PIN'
+(search truncated by budget after 0 leaves; using crosstalk-unaware fallback)
+ibmq_poughkeepsie | scheduler XtalkSched | makespan 2916 ns | 0/4096 shots
+(budget exhausted: deadline; counts cover the completed prefix of shots)
+PIN
+)"
+dead_out="$(target/release/xtalk run "$ghz_qasm" --device poughkeepsie --shots 4096 \
+    --threads 1 --budget-ms 0)"
+[ "$dead_out" = "$pinned_dead" ] || {
+    echo "xtalk run under a dead budget moved:"; echo "$dead_out"; exit 1;
+}
 rm -f "$ghz_qasm"
 
 echo "== xtalk profile smoke =="

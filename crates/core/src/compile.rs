@@ -3,8 +3,8 @@
 //! One `Compiler` binds a device, a [`SchedulerContext`] and a
 //! [`xtalk_pass::PassManager`]; every stage — lowering, placement,
 //! routing, scheduling, realization, execution — runs through the
-//! manager, so spans, fault points, budget polls and the artifact cache
-//! apply uniformly. Sharing one compiler (or one cache via
+//! manager, so spans, fault points and the artifact cache apply
+//! uniformly. Sharing one compiler (or one cache via
 //! [`Compiler::with_cache`]) across several schedulers reuses the
 //! lower/place/route prefix: only the schedule stage is keyed by the
 //! scheduler's fingerprint.
@@ -79,8 +79,10 @@ impl<'d> Compiler<'d> {
         Compiler { device, ctx, pm: PassManager::with_cache(cache, epoch) }
     }
 
-    /// Attaches an execution [`Budget`] polled before every pass and
-    /// threaded into budget-aware stages (search, execution).
+    /// Attaches an execution [`Budget`]. Every stage still runs: lower,
+    /// place, route and realize ignore it, while scheduling threads it
+    /// into the crosstalk search and execution into the shot loop, each
+    /// returning an honest partial once it is exhausted.
     #[must_use]
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.pm = self.pm.with_budget(budget);
@@ -106,7 +108,7 @@ impl<'d> Compiler<'d> {
     ///
     /// # Errors
     ///
-    /// Budget exhaustion or an injected fault at `pass.lower`.
+    /// An injected fault at `pass.lower`.
     pub fn lower(&self, circuit: &Circuit) -> Result<Arc<NativeCircuit>, CoreError> {
         self.pm.run(&LowerPass, circuit).map_err(CoreError::from)
     }
@@ -116,7 +118,7 @@ impl<'d> Compiler<'d> {
     /// # Errors
     ///
     /// [`CoreError::WidthExceeded`] if the circuit is wider than the
-    /// device; budget/fault as for every managed pass.
+    /// device; an injected fault as for every managed pass.
     pub fn place(&self, native: &NativeCircuit) -> Result<Arc<PlacedCircuit>, CoreError> {
         self.pm.run(&PlacePass::new(self.device.topology()), native).map_err(CoreError::from)
     }
@@ -125,8 +127,8 @@ impl<'d> Compiler<'d> {
     ///
     /// # Errors
     ///
-    /// [`CoreError::NoPath`] on disconnected topologies; budget/fault as
-    /// for every managed pass.
+    /// [`CoreError::NoPath`] on disconnected topologies; an injected
+    /// fault as for every managed pass.
     pub fn route(&self, placed: &PlacedCircuit) -> Result<Arc<RoutedCircuit>, CoreError> {
         self.pm.run(&RoutePass::new(self.device.topology()), placed).map_err(CoreError::from)
     }
@@ -152,7 +154,8 @@ impl<'d> Compiler<'d> {
     /// # Errors
     ///
     /// Scheduling failures ([`CoreError::NotHardwareCompliant`], …) plus
-    /// budget/fault as for every managed pass.
+    /// an injected fault as for every managed pass. Budget exhaustion is
+    /// not an error: the report says how far the search got.
     pub fn schedule(
         &self,
         circuit: &Circuit,
@@ -165,7 +168,7 @@ impl<'d> Compiler<'d> {
     ///
     /// # Errors
     ///
-    /// Budget/fault as for every managed pass.
+    /// An injected fault as for every managed pass.
     pub fn realize_export(
         &self,
         artifact: &ScheduledArtifact,
@@ -193,9 +196,9 @@ impl<'d> Compiler<'d> {
     ///
     /// # Errors
     ///
-    /// Budget exhaustion *before* the run starts, or an injected fault
-    /// at `pass.execute`. Mid-run exhaustion is not an error — it yields
-    /// a truncated [`RunOutcome`].
+    /// An injected fault at `pass.execute`. Budget exhaustion is not an
+    /// error — it yields a truncated [`RunOutcome`] (0 shots when the
+    /// budget is dead before the run starts).
     pub fn run(
         &self,
         sched: &ScheduledCircuit,
@@ -386,17 +389,36 @@ mod tests {
     }
 
     #[test]
-    fn budget_exhaustion_surfaces_as_core_error() {
-        let device = Device::line(3, 1);
+    fn a_dead_budget_runs_every_stage_through_one_compiler() {
+        let device = Device::poughkeepsie(1);
         let ctx = SchedulerContext::from_ground_truth(&device);
+        let cache = Arc::new(ArtifactCache::new());
+        let epoch = EpochToken::new(device.name(), 0);
         let budget = Budget::unlimited();
         budget.cancel_token().cancel();
-        let compiler = Compiler::new(&device, ctx).with_budget(budget);
-        let c = Circuit::new(2, 0);
-        match compiler.lower(&c) {
-            Err(CoreError::Budget(_)) => {}
-            other => panic!("expected budget error, got {other:?}"),
-        }
+        let dead = Compiler::with_cache(&device, ctx.clone(), Arc::clone(&cache), epoch.clone())
+            .with_budget(budget);
+        let mut c = Circuit::new(6, 6);
+        c.h(0).cx(0, 1).cx(1, 2).cx(2, 3).cx(3, 4).cx(4, 5).measure_all();
+
+        // The prefix ignores the budget; the search and the shot loop
+        // answer with flagged partials instead of errors.
+        let routed = dead.prepare(&c).unwrap();
+        let artifact = dead.schedule(&routed.circuit, &XtalkSched::new(0.5)).unwrap();
+        let report = artifact.report.as_ref().expect("XtalkSched reports its search");
+        assert!(report.fallback && !report.complete, "{report:?}");
+        let outcome = dead.run(&artifact.sched, 256, 7, 1).unwrap();
+        assert_eq!((outcome.shots_completed, outcome.shots_requested), (0, 256));
+        assert!(!outcome.complete);
+
+        // A funded compiler over the same cache reuses all three prefix
+        // rows, then redoes the (uncached) truncated search in full.
+        let funded = Compiler::with_cache(&device, ctx, Arc::clone(&cache), epoch);
+        let hits = cache.hits();
+        assert_eq!(funded.prepare(&c).unwrap().circuit, routed.circuit);
+        assert_eq!(cache.hits(), hits + 3);
+        let full = funded.schedule(&routed.circuit, &XtalkSched::new(0.5)).unwrap();
+        assert!(full.report.as_ref().is_some_and(|r| r.complete));
     }
 
     #[test]
@@ -410,7 +432,10 @@ mod tests {
         let realized = compiler.realize_export(&artifact).unwrap();
         assert_eq!(
             realized.circuit,
-            crate::to_barriered_circuit(&artifact.sched, &artifact.serializations)
+            crate::to_barriered_circuit(
+                &artifact.sched,
+                &artifact.report.as_ref().unwrap().serializations
+            )
         );
     }
 

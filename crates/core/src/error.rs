@@ -2,7 +2,6 @@
 
 use std::error::Error;
 use std::fmt;
-use xtalk_budget::Exhausted;
 use xtalk_pass::PassError;
 
 /// Errors produced by the scheduling and routing layers.
@@ -25,9 +24,6 @@ pub enum CoreError {
     /// The serialization constraints became cyclic (internal invariant;
     /// should not escape the scheduler).
     CyclicConstraints,
-    /// A scheduler needs crosstalk characterization data that the context
-    /// does not provide.
-    MissingCharacterization,
     /// The circuit declares more qubits than the device provides.
     WidthExceeded {
         /// Qubits the circuit declares.
@@ -35,8 +31,6 @@ pub enum CoreError {
         /// Qubits the device provides.
         device: usize,
     },
-    /// The execution budget ran out before a compile stage could start.
-    Budget(Exhausted),
     /// An injected fault fired at a pass boundary (`pass.<id>`).
     Fault(String),
 }
@@ -54,14 +48,8 @@ impl fmt::Display for CoreError {
             CoreError::CyclicConstraints => {
                 write!(f, "serialization constraints form a cycle")
             }
-            CoreError::MissingCharacterization => {
-                write!(f, "scheduler context lacks crosstalk characterization data")
-            }
             CoreError::WidthExceeded { circuit, device } => {
                 write!(f, "circuit uses {circuit} qubits but the device has {device}")
-            }
-            CoreError::Budget(e) => {
-                write!(f, "budget exhausted before the stage could run: {}", e.as_str())
             }
             CoreError::Fault(msg) => write!(f, "injected fault: {msg}"),
         }
@@ -71,12 +59,10 @@ impl fmt::Display for CoreError {
 impl Error for CoreError {}
 
 impl From<PassError<CoreError>> for CoreError {
-    /// Flattens a managed pass failure: the cross-cutting variants map to
-    /// [`CoreError::Budget`] / [`CoreError::Fault`], a stage failure
-    /// passes through unchanged.
+    /// Flattens a managed pass failure: an injected fault maps to
+    /// [`CoreError::Fault`], a stage failure passes through unchanged.
     fn from(e: PassError<CoreError>) -> CoreError {
         match e {
-            PassError::Budget(b) => CoreError::Budget(b),
             PassError::Fault(msg) => CoreError::Fault(msg),
             PassError::Pass(inner) => inner,
         }
@@ -93,7 +79,6 @@ mod tests {
             CoreError::NoPath { from: 0, to: 5 },
             CoreError::NotHardwareCompliant { instruction: 3 },
             CoreError::CyclicConstraints,
-            CoreError::MissingCharacterization,
         ] {
             assert!(!e.to_string().is_empty());
         }

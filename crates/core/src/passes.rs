@@ -12,9 +12,11 @@
 //! Each pass declares its cache identity via [`xtalk_pass::ContentHash`]
 //! on its input plus a `config_hash` covering everything else that
 //! affects its output (topology, calibration, characterization,
-//! scheduler knobs). The manager applies spans, fault points, budget
-//! polls and the artifact cache uniformly; nothing here touches those
-//! concerns directly.
+//! scheduler knobs). The manager applies spans, fault points and the
+//! artifact cache uniformly; nothing here touches those concerns
+//! directly. Every pass receives the manager's budget: lower, place,
+//! route and realize ignore it, while `SchedulePass` and `ExecutePass`
+//! thread it into the search and the shot loop.
 
 use crate::layout::{greedy_layout, route, Layout, RoutedCircuit};
 use crate::optimize::fuse_single_qubit_gates;
@@ -42,15 +44,12 @@ pub struct PlacedCircuit {
     pub layout: Layout,
 }
 
-/// A scheduled circuit plus the serialization decisions that produced it
-/// and the scheduler's report (when it emits one).
+/// A scheduled circuit plus the scheduler's report (when it emits one),
+/// which carries the serialization decisions that produced it.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ScheduledArtifact {
     /// The timed schedule.
     pub sched: ScheduledCircuit,
-    /// Serialization decisions `(first, second)` as instruction indices
-    /// (empty for schedulers that do not serialize explicitly).
-    pub serializations: Vec<(usize, usize)>,
     /// Search diagnostics, when the scheduler produces them.
     pub report: Option<XtalkSchedReport>,
 }
@@ -108,7 +107,6 @@ impl ContentHash for XtalkSchedReport {
 impl ContentHash for ScheduledArtifact {
     fn content_hash(&self, h: &mut Fnv1a) {
         self.sched.content_hash(h);
-        self.serializations.content_hash(h);
         self.report.content_hash(h);
     }
 }
@@ -267,17 +265,9 @@ impl Pass for SchedulePass<'_> {
         out.report.as_ref().is_none_or(|r| r.complete)
     }
 
-    fn budget_polled(&self) -> bool {
-        // Anytime stage: the budget threads into the scheduler's own
-        // search, which yields an honest truncated/fallback schedule.
-        false
-    }
-
     fn run(&self, input: &Circuit, budget: &Budget) -> Result<ScheduledArtifact, CoreError> {
         let (sched, report) = self.scheduler.schedule_report(input, self.ctx, budget)?;
-        let serializations =
-            report.as_ref().map(|r| r.serializations.clone()).unwrap_or_default();
-        Ok(ScheduledArtifact { sched, serializations, report })
+        Ok(ScheduledArtifact { sched, report })
     }
 }
 
@@ -295,7 +285,8 @@ impl Pass for RealizePass {
     }
 
     fn run(&self, input: &ScheduledArtifact, _budget: &Budget) -> Result<RealizedSchedule, CoreError> {
-        let circuit = to_barriered_circuit(&input.sched, &input.serializations);
+        let serializations = input.report.as_ref().map_or(&[][..], |r| &r.serializations);
+        let circuit = to_barriered_circuit(&input.sched, serializations);
         Ok(RealizedSchedule { sched: input.sched.clone(), circuit })
     }
 }
@@ -329,12 +320,6 @@ impl Pass for ExecutePass<'_> {
     }
 
     fn cacheable(&self) -> bool {
-        false
-    }
-
-    fn budget_polled(&self) -> bool {
-        // Anytime stage: the executor polls the budget at shot-batch
-        // boundaries and reports the honest completed prefix.
         false
     }
 

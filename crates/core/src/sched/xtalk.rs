@@ -322,23 +322,6 @@ impl XtalkSched {
         circuit: &Circuit,
         ctx: &SchedulerContext,
     ) -> Result<(ScheduledCircuit, XtalkSchedReport), CoreError> {
-        self.schedule_via_smt_budgeted(circuit, ctx, &Budget::unlimited())
-    }
-
-    /// [`XtalkSched::schedule_via_smt`] under a cooperative [`Budget`]
-    /// threaded into the optimizer's anytime search: on exhaustion the
-    /// best solution found so far is returned with
-    /// `report.complete == false`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Scheduler::schedule`].
-    pub fn schedule_via_smt_budgeted(
-        &self,
-        circuit: &Circuit,
-        ctx: &SchedulerContext,
-        budget: &Budget,
-    ) -> Result<(ScheduledCircuit, XtalkSchedReport), CoreError> {
         let _span = xtalk_obs::span("sched.xtalk_smt");
         check_hardware_compliant(circuit, ctx)?;
         let candidates = Self::candidate_pairs(circuit, ctx);
@@ -401,7 +384,10 @@ impl XtalkSched {
             omega: self.omega,
             pair_bools: &pair_bools,
         };
-        let (sol, outcome) = xtalk_smt::Optimizer::new(model).minimize_budgeted(&obj, budget);
+        // No budget: only the optimizer's leaf cap can truncate the
+        // search, and `outcome.complete` reports it.
+        let (sol, outcome) =
+            xtalk_smt::Optimizer::new(model).minimize_budgeted(&obj, &Budget::unlimited());
         let sol = sol.ok_or(CoreError::CyclicConstraints)?;
         let serializations = obj.serializations(&sol.bools);
         let mut timeline = obj.timeline.into_inner();

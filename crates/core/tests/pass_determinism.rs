@@ -107,14 +107,14 @@ fn warm_cache_replays_cold_artifacts_bit_identically() {
             let first = warm.compile(&circuit, s.as_ref()).unwrap();
             let second = warm.compile(&circuit, s.as_ref()).unwrap();
             assert_eq!(
-                format!("{:?}", (&first.sched, &first.serializations, &first.report)),
-                format!("{:?}", (&cold.sched, &cold.serializations, &cold.report)),
+                format!("{:?}", (&first.sched, &first.report)),
+                format!("{:?}", (&cold.sched, &cold.report)),
                 "{name} × {}: shared-cache compile diverged from cold",
                 s.name()
             );
             assert_eq!(
-                format!("{:?}", (&second.sched, &second.serializations, &second.report)),
-                format!("{:?}", (&cold.sched, &cold.serializations, &cold.report)),
+                format!("{:?}", (&second.sched, &second.report)),
+                format!("{:?}", (&cold.sched, &cold.report)),
                 "{name} × {}: warm replay diverged from cold",
                 s.name()
             );

@@ -305,9 +305,8 @@ impl Circuit {
     /// FNV-1a content key of the registers and the instructions: equal
     /// circuits have equal keys however they were built, parsed or
     /// cloned. The instructions are streamed the first time the key is
-    /// read after a change (counted by the obs counter
-    /// `pass.hash.circuit_streams`); later reads return the memo. Debug
-    /// builds re-stream on every read and assert the memo still holds.
+    /// read after a change; later reads return the memo. Debug builds
+    /// re-stream on every read and assert the memo still holds.
     ///
     /// ```
     /// use xtalk_ir::Circuit;
@@ -321,8 +320,15 @@ impl Circuit {
     /// assert_eq!(a.content_key(), b.content_key());
     /// ```
     pub fn content_key(&self) -> u64 {
+        self.content_key_with(|| {})
+    }
+
+    /// [`Circuit::content_key`], calling `on_stream` each time the
+    /// instructions are streamed to fill the memo (and never on a memo
+    /// hit), so a caller can count streams exactly.
+    pub fn content_key_with(&self, on_stream: impl FnOnce()) -> u64 {
         let key = *self.key.get_or_init(|| {
-            xtalk_obs::counter!("pass.hash.circuit_streams");
+            on_stream();
             self.stream_key()
         });
         debug_assert_eq!(key, self.stream_key(), "content-key memo outlived a mutation");

@@ -126,11 +126,6 @@ impl ScheduledCircuit {
         &self.slots
     }
 
-    /// Consumes the schedule, returning its parts.
-    pub fn into_parts(self) -> (Circuit, Vec<ScheduleSlot>) {
-        (self.circuit, self.slots)
-    }
-
     /// Total schedule length: the latest finish time (0 for an empty
     /// circuit).
     pub fn makespan(&self) -> u64 {

@@ -118,8 +118,10 @@ impl ContentHash for Clbit {
 }
 
 impl ContentHash for Circuit {
+    /// Counts each stream of a circuit into its memoized key under the obs
+    /// counter `pass.hash.circuit_streams`.
     fn content_hash(&self, h: &mut Fnv1a) {
-        h.write_u64(self.content_key());
+        h.write_u64(self.content_key_with(|| xtalk_obs::counter!("pass.hash.circuit_streams")));
     }
 }
 

@@ -10,8 +10,9 @@
 //!   output artifact;
 //! * [`PassManager`] — runs passes while applying every cross-cutting
 //!   concern exactly once: an obs span per pass (`pass.<id>`), a fault
-//!   injection point per pass (`pass.<id>`), a budget poll between
-//!   passes, and a content-addressed artifact cache;
+//!   injection point per pass (`pass.<id>`) and a content-addressed
+//!   artifact cache. It hands every pass its budget and never refuses to
+//!   start one; only anytime passes (search, execution) act on it;
 //! * [`ArtifactCache`] — keyed by `(pass id, FNV-1a hash of the input
 //!   artifact + pass config, device epoch)`, so identical compile prefixes
 //!   are shared across schedulers, jobs and sessions while calibration

@@ -3,15 +3,20 @@
 //! A [`Pass`] is one stage of the compile flow with a typed, hashable
 //! input and a typed output. The [`PassManager`] is the single place the
 //! cross-cutting machinery lives: every pass run gets an obs span
-//! (`pass.<id>`), a fault point (`pass.<id>`), a budget poll before it
-//! starts, and a content-addressed cache lookup keyed by
+//! (`pass.<id>`), a fault point (`pass.<id>`), the manager's budget, and
+//! a content-addressed cache lookup keyed by
 //! `(pass id, FNV-1a(input + config), device epoch)`.
+//!
+//! Budgets follow one rule: every pass runs, and only the passes that
+//! read their budget act on it. The manager never refuses to start a
+//! pass; an anytime pass (a search, a shot loop) threads the budget into
+//! its own loop and returns an honest partial when it runs out.
 
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use xtalk_budget::{Budget, Exhausted};
+use xtalk_budget::Budget;
 
 use crate::cache::{ArtifactCache, EpochToken};
 use crate::hash::{ContentHash, Fnv1a};
@@ -47,46 +52,24 @@ pub trait Pass {
         true
     }
 
-    /// `true` (the default) refuses to *start* the pass once the budget
-    /// is exhausted, failing fast with [`PassError::Budget`]. Anytime
-    /// passes — ones that thread the budget into their own search or
-    /// shot loop and return an honest partial (truncated schedule,
-    /// 0-shot outcome) — return `false` so a dead budget still yields
-    /// their best-effort result instead of an error.
-    fn budget_polled(&self) -> bool {
-        true
-    }
-
-    /// Does the work.
+    /// Does the work. An anytime pass polls `budget` in its own loop and
+    /// returns an honest partial (truncated schedule, 0-shot outcome)
+    /// once it is exhausted; other passes ignore it.
     fn run(&self, input: &Self::Input, budget: &Budget) -> Result<Self::Output, Self::Err>;
 }
 
 /// Failure of a managed pass run.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum PassError<E> {
-    /// The budget was exhausted before the pass started.
-    Budget(Exhausted),
     /// An injected fault fired at `pass.<id>`.
     Fault(String),
     /// The pass itself failed.
     Pass(E),
 }
 
-impl<E> PassError<E> {
-    /// Maps the inner pass error, preserving the cross-cutting variants.
-    pub fn map_pass<F, G: FnOnce(E) -> F>(self, f: G) -> PassError<F> {
-        match self {
-            PassError::Budget(e) => PassError::Budget(e),
-            PassError::Fault(m) => PassError::Fault(m),
-            PassError::Pass(e) => PassError::Pass(f(e)),
-        }
-    }
-}
-
 impl<E: fmt::Display> fmt::Display for PassError<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PassError::Budget(e) => write!(f, "budget exhausted: {}", e.as_str()),
             PassError::Fault(msg) => write!(f, "injected fault: {msg}"),
             PassError::Pass(e) => e.fmt(f),
         }
@@ -95,8 +78,8 @@ impl<E: fmt::Display> fmt::Display for PassError<E> {
 
 impl<E: fmt::Display + fmt::Debug> Error for PassError<E> {}
 
-/// Runs passes, applying spans, fault points, budget polls and the
-/// artifact cache uniformly.
+/// Runs passes, applying spans, fault points and the artifact cache
+/// uniformly, and handing each pass the manager's budget.
 ///
 /// Cheap to construct; clones share the underlying cache (it is held by
 /// `Arc`), so one long-lived cache can back many managers with different
@@ -119,15 +102,11 @@ impl PassManager {
         PassManager { cache, epoch, budget: Budget::unlimited() }
     }
 
-    /// Attaches an execution budget polled before every pass.
+    /// Attaches the execution budget every pass receives. The manager
+    /// never polls it: each pass decides whether to act on it.
     pub fn with_budget(mut self, budget: Budget) -> PassManager {
         self.budget = budget;
         self
-    }
-
-    /// The budget passes run under.
-    pub fn budget(&self) -> &Budget {
-        &self.budget
     }
 
     /// The shared artifact cache.
@@ -141,8 +120,8 @@ impl PassManager {
     }
 
     /// Runs `pass` on `input` with the cross-cutting machinery applied:
-    /// budget poll → span → fault point → cache lookup → run → cache
-    /// store (unless vetoed by [`Pass::cache_output`]). A pass that is not
+    /// span → fault point → cache lookup → run → cache store (unless
+    /// vetoed by [`Pass::cache_output`]). A pass that is not
     /// [`Pass::cacheable`] skips the lookup and the store, and its input is
     /// never hashed.
     pub fn run<P: Pass>(
@@ -150,11 +129,6 @@ impl PassManager {
         pass: &P,
         input: &P::Input,
     ) -> Result<Arc<P::Output>, PassError<P::Err>> {
-        if pass.budget_polled() {
-            if let Some(e) = self.budget.exhausted() {
-                return Err(PassError::Budget(e));
-            }
-        }
         let _span = if xtalk_obs::enabled() {
             Some(xtalk_obs::span(&format!("pass.{}", pass.id())))
         } else {
@@ -189,7 +163,6 @@ impl PassManager {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::time::Duration;
 
     struct Double {
         runs: AtomicU64,
@@ -233,19 +206,6 @@ mod tests {
         assert_eq!(pass.runs.load(Ordering::Relaxed), 2);
     }
 
-    #[test]
-    fn exhausted_budget_blocks_before_running() {
-        let pm = PassManager::new(EpochToken::new("dev", 0))
-            .with_budget(Budget::with_deadline(Duration::from_millis(0)));
-        std::thread::sleep(Duration::from_millis(2));
-        let pass = Double { runs: AtomicU64::new(0) };
-        match pm.run(&pass, &1) {
-            Err(PassError::Budget(Exhausted::Deadline)) => {}
-            other => panic!("expected deadline exhaustion, got {other:?}"),
-        }
-        assert_eq!(pass.runs.load(Ordering::Relaxed), 0);
-    }
-
     struct Flaky;
 
     impl Pass for Flaky {
@@ -267,7 +227,9 @@ mod tests {
     }
 
     #[test]
-    fn anytime_passes_skip_the_budget_gate() {
+    fn passes_run_and_see_a_dead_budget() {
+        // The manager starts every pass under a dead budget; only a pass
+        // that reads the budget acts on it.
         struct Anytime;
         impl Pass for Anytime {
             type Input = u64;
@@ -275,9 +237,6 @@ mod tests {
             type Err = String;
             fn id(&self) -> &'static str {
                 "anytime"
-            }
-            fn budget_polled(&self) -> bool {
-                false
             }
             fn run(&self, input: &u64, budget: &Budget) -> Result<u64, String> {
                 // Honest partial: a dead budget halves the work.
@@ -288,6 +247,9 @@ mod tests {
         budget.cancel_token().cancel();
         let pm = PassManager::new(EpochToken::new("dev", 0)).with_budget(budget);
         assert_eq!(*pm.run(&Anytime, &10).unwrap(), 5);
+        let pass = Double { runs: AtomicU64::new(0) };
+        assert_eq!(*pm.run(&pass, &21).unwrap(), 42);
+        assert_eq!(pass.runs.load(Ordering::Relaxed), 1);
     }
 
     #[test]

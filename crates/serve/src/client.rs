@@ -228,36 +228,6 @@ impl Client {
         ]))
     }
 
-    /// [`Client::run_qasm`] with a server-side execution budget: the job
-    /// must finish (queue wait included) within `deadline_ms` or come
-    /// back as a `budget_exhausted` partial; `job` labels it for
-    /// [`Client::cancel`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_qasm_budgeted(
-        &mut self,
-        qasm: &str,
-        device: &str,
-        scheduler: &str,
-        shots: u64,
-        seed: u64,
-        deadline_ms: u64,
-        job: Option<&str>,
-    ) -> io::Result<Json> {
-        let mut fields = vec![
-            ("type".to_string(), Json::from("run")),
-            ("qasm".to_string(), qasm.into()),
-            ("device".to_string(), device.into()),
-            ("scheduler".to_string(), scheduler.into()),
-            ("shots".to_string(), shots.into()),
-            ("seed".to_string(), seed.into()),
-            ("deadline_ms".to_string(), deadline_ms.into()),
-        ];
-        if let Some(label) = job {
-            fields.push(("job".to_string(), label.into()));
-        }
-        self.request(&Json::Obj(fields))
-    }
-
     /// Cancels the in-flight job submitted under `label`, tripping the
     /// cancel token its budget polls. `Ok(true)` when a queued or
     /// running job was found; `Ok(false)` means it already finished (or

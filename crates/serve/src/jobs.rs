@@ -14,16 +14,19 @@
 //! Every handler receives the job's [`Budget`] (remaining deadline +
 //! cancel token) and threads it into the budget-aware library layers:
 //! `sleep` slices its wait into checked chunks, `schedule` and `run` go
-//! through a budgeted [`Compiler`] whose anytime schedule/execute passes
-//! feed the budget into the crosstalk search and the shot loop, and
-//! `characterize` treats a truncated sweep as a failed build riding the
-//! degradation ladder. Truncated jobs still answer `ok: true`, flagged
-//! `"budget_exhausted": true` with provenance (`shots_completed`,
-//! `leaves`, `slept_ms`) saying exactly how far they got.
+//! through one budgeted [`Compiler`] whose every pass runs (lower, place
+//! and route ignore the budget, so even a cancelled job has a circuit to
+//! answer about) while the schedule/execute passes feed it into the
+//! crosstalk search and the shot loop, `swap_demo` checks it between
+//! unbudgeted legs, and `characterize` treats a truncated sweep as a
+//! failed build riding the degradation ladder. Truncated jobs still
+//! answer `ok: true`, flagged `"budget_exhausted": true` with provenance
+//! (`shots_completed`, `leaves`, `slept_ms`) saying exactly how far they
+//! got.
 //!
 //! # Artifact sharing
 //!
-//! All compilers are built over the server's one content-addressed
+//! Every job's compiler is built over the server's one content-addressed
 //! artifact store ([`ServeState::cache`]'s underlying
 //! [`xtalk_pass::ArtifactCache`]), keyed to the calibration epoch of the
 //! job's device snapshot — so two jobs compiling the same source for the
@@ -136,10 +139,10 @@ fn run(state: &ServeState, req: &Request, budget: &Budget) -> Result<Json, Strin
         }
         Request::Schedule { device, qasm, scheduler, policy, seed } => {
             let (snapshot, tables) = scheduling_tables(state, device, *policy, *seed, budget)?;
-            let (prep, budgeted) = compilers(state, &snapshot, tables.ctx, budget);
-            let circuit = prepare_circuit(qasm, &prep)?;
+            let compiler = compiler(state, &snapshot, tables.ctx).with_budget(budget.clone());
+            let circuit = prepare_circuit(qasm, &compiler)?;
             let (artifact, sched_name) =
-                schedule_budget_aware(*scheduler, tables.provenance, &circuit, &budgeted)?;
+                schedule_budget_aware(*scheduler, tables.provenance, &circuit, &compiler)?;
             let sched = &artifact.sched;
             let mut fields = vec![
                 ("device".to_string(), snapshot.device.name().into()),
@@ -155,13 +158,13 @@ fn run(state: &ServeState, req: &Request, budget: &Budget) -> Result<Json, Strin
         }
         Request::Run { device, qasm, scheduler, policy, shots, seed, threads } => {
             let (snapshot, tables) = scheduling_tables(state, device, *policy, *seed, budget)?;
-            let (prep, budgeted) = compilers(state, &snapshot, tables.ctx, budget);
-            let circuit = prepare_circuit(qasm, &prep)?;
+            let compiler = compiler(state, &snapshot, tables.ctx).with_budget(budget.clone());
+            let circuit = prepare_circuit(qasm, &compiler)?;
             let (artifact, sched_name) =
-                schedule_budget_aware(*scheduler, tables.provenance, &circuit, &budgeted)?;
+                schedule_budget_aware(*scheduler, tables.provenance, &circuit, &compiler)?;
             let sched = &artifact.sched;
             let outcome =
-                budgeted.run(sched, *shots, *seed, *threads).map_err(|e| e.to_string())?;
+                compiler.run(sched, *shots, *seed, *threads).map_err(|e| e.to_string())?;
             let counts = &outcome.counts;
             let mut entries: Vec<(u64, u64)> = counts.iter().collect();
             entries.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -190,14 +193,14 @@ fn run(state: &ServeState, req: &Request, budget: &Budget) -> Result<Json, Strin
         Request::SwapDemo { device, from, to, shots, seed } => {
             let (snapshot, tables) =
                 scheduling_tables(state, device, PolicyName::Truth, *seed, budget)?;
-            let (prep, _) = compilers(state, &snapshot, tables.ctx, budget);
+            let compiler = compiler(state, &snapshot, tables.ctx);
             let schedulers: Vec<Box<dyn Scheduler>> = vec![
                 Box::new(SerialSched::new()),
                 Box::new(ParSched::new()),
                 Box::new(XtalkSched::new(0.5)),
             ];
-            // Budget checkpoint between schedulers: each leg is a full
-            // tomography run, so a partial demo returns the legs it
+            // Budget checkpoint between schedulers: each leg is a full,
+            // unbudgeted tomography run, so a partial demo returns the legs it
             // finished instead of nothing. One shared compiler means the
             // tomography circuits' prefix artifacts are reused per leg.
             let mut rows = Vec::new();
@@ -205,7 +208,7 @@ fn run(state: &ServeState, req: &Request, budget: &Budget) -> Result<Json, Strin
                 if budget.exhausted().is_some() {
                     break;
                 }
-                let out = prep
+                let out = compiler
                     .swap_bell_error(s.as_ref(), *from, *to, *shots, *seed, 1)
                     .map_err(|e| e.to_string())?;
                 rows.push(obj([
@@ -259,25 +262,15 @@ fn scheduling_tables(
     Ok((snapshot, tables))
 }
 
-/// The two compilers a job runs through, both over the server's shared
-/// artifact store keyed to the snapshot's calibration epoch: an
-/// *unbudgeted* one for preparation (lower/place/route always complete,
-/// so even a cancelled job has a valid circuit to answer honestly about)
-/// and a *budgeted* one whose anytime schedule/execute passes thread the
-/// job's [`Budget`] into the crosstalk search and the shot loop.
-fn compilers<'d>(
-    state: &ServeState,
-    snapshot: &'d Snapshot,
-    ctx: SchedulerContext,
-    budget: &Budget,
-) -> (Compiler<'d>, Compiler<'d>) {
+/// The one compiler a job runs through, over the server's shared
+/// artifact store keyed to the snapshot's calibration epoch. It carries
+/// no budget: `schedule` and `run` attach the job's with
+/// [`Compiler::with_budget`], which only the crosstalk search and the
+/// shot loop act on.
+fn compiler<'d>(state: &ServeState, snapshot: &'d Snapshot, ctx: SchedulerContext) -> Compiler<'d> {
     let dev = &*snapshot.device;
     let epoch = EpochToken::new(dev.name(), snapshot.epoch);
-    let artifacts = Arc::clone(state.cache.artifacts());
-    let prep =
-        Compiler::with_cache(dev, ctx.clone(), Arc::clone(&artifacts), epoch.clone());
-    let budgeted = Compiler::with_cache(dev, ctx, artifacts, epoch).with_budget(budget.clone());
-    (prep, budgeted)
+    Compiler::with_cache(dev, ctx, Arc::clone(state.cache.artifacts()), epoch)
 }
 
 /// Schedules with the scheduler a job actually runs with: the requested
@@ -518,6 +511,50 @@ mod tests {
         assert_eq!(resp.get("budget_exhausted").and_then(Json::as_bool), Some(true));
         assert_eq!(resp.get("search_complete").and_then(Json::as_bool), Some(false));
         assert!(resp.get("makespan_ns").and_then(Json::as_u64).unwrap() > 0);
+    }
+
+    #[test]
+    fn swap_demo_legs_ignore_the_budget() {
+        let _gate = crate::testutil::fault_gate();
+        let state = ServeState::new(ServeConfig::default());
+        let req = Request::SwapDemo {
+            device: "poughkeepsie".into(),
+            from: 0,
+            to: 13,
+            shots: 64,
+            seed: 3,
+        };
+        // One unit of work would run out inside the first leg's search or
+        // shot loop if the legs were charged for it.
+        let resp = super::handle(&state, &req, &Budget::unlimited().with_quota(1));
+        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{}", resp.dump());
+        assert_eq!(resp.get("budget_exhausted"), None, "{}", resp.dump());
+        match resp.get("results") {
+            Some(Json::Arr(rows)) => assert_eq!(rows.len(), 3),
+            other => panic!("results must be an array: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn cancelled_run_leaves_the_prefix_for_the_next_run() {
+        let _gate = crate::testutil::fault_gate();
+        let state = ServeState::new(ServeConfig::default());
+        let req = Request::Run {
+            device: "poughkeepsie".into(),
+            qasm: BELL.into(),
+            scheduler: SchedulerName::Xtalk { omega: 0.5 },
+            policy: PolicyName::Truth,
+            shots: 128,
+            seed: 3,
+            threads: 1,
+        };
+        let partial = super::handle(&state, &req, &cancelled_budget());
+        assert_eq!(partial.get("shots_completed").and_then(Json::as_u64), Some(0));
+        let hits = state.cache.artifacts().hits();
+        let full = handle(&state, &req);
+        assert_eq!(full.get("shots_completed").and_then(Json::as_u64), Some(128));
+        // Lower, place and route ran in full under the dead budget.
+        assert!(state.cache.artifacts().hits() >= hits + 3, "{}", full.dump());
     }
 
     /// A stale `characterize`, `schedule` and `run` reply carry the same

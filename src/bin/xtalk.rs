@@ -254,10 +254,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let path = flags.positional.first().ok_or("run needs an input .qasm file")?;
     let device = device_from(&flags)?;
     let ctx = SchedulerContext::from_ground_truth(&device);
-    let compiler = Compiler::new(&device, ctx);
-    // Preparation runs unbudgeted — a dead deadline still yields a valid
-    // circuit so the schedule/run stages can answer honestly below.
-    let circuit = load_and_prepare(path, &compiler)?;
     let scheduler = scheduler_from(&flags)?;
     let shots = flags.get_parse("shots", 2048u64)?;
     let seed = flags.get_parse("seed", 7u64)?;
@@ -269,11 +265,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
         None => Budget::unlimited(),
     };
-
-    // The budget spans scheduling *and* simulation: an exhausted search
-    // falls back to a ParSched-equivalent schedule, an exhausted executor
-    // stops at a batch boundary with exact shots_completed provenance.
-    let compiler = compiler.with_budget(budget.clone());
+    // One compiler under the budget. Preparation ignores it, so a dead
+    // deadline still yields a valid circuit; the budget spans scheduling
+    // *and* simulation: an exhausted search falls back to a
+    // ParSched-equivalent schedule, an exhausted executor stops at a
+    // claim boundary with exact shots_completed provenance.
+    let compiler = Compiler::new(&device, ctx).with_budget(budget.clone());
+    let circuit = load_and_prepare(path, &compiler)?;
     let artifact = compiler.schedule(&circuit, scheduler.as_ref()).map_err(|e| e.to_string())?;
     let search_truncated = artifact.report.as_ref().is_some_and(|r| !r.complete);
     if let Some(report) = artifact.report.as_ref().filter(|r| !r.complete) {
