@@ -277,6 +277,29 @@ echo "$full" | grep -q '"shots_completed":64' \
 target/release/xtalk submit shutdown --addr "$addr" --deadline-ms 20000 > /dev/null
 wait "$budget_pid"
 grep -q "1 partial" "$budget_log" || { echo "summary missing the partial tally"; cat "$budget_log"; exit 1; }
+# The server's job timeout is every job's deadline: under the same stall,
+# the same run *without* a budget stops at a 400ms --timeout-ms with the
+# same flagged one-batch partial, instead of an error reply while the job
+# runs on.
+target/release/xtalk serve --addr 127.0.0.1:0 --workers 1 --timeout-ms 400 \
+    --faults "sim.batch:delay:1.0:450" --fault-seed 1 \
+    > "$budget_log" &
+budget_pid=$!
+for _ in $(seq 1 50); do
+    grep -q "listening on" "$budget_log" && break
+    sleep 0.1
+done
+addr="$(sed -n 's/.*listening on \([0-9.:]*\) .*/\1/p' "$budget_log" | head -n1)"
+[ -n "$addr" ] || { echo "serve did not report an address"; cat "$budget_log"; exit 1; }
+capped="$(target/release/xtalk submit run "$bell_qasm" --addr "$addr" \
+    --scheduler par --policy truth --shots 256 --seed 7 --threads 1 \
+    --deadline-ms 20000)"
+echo "$capped" | grep -q '"budget_exhausted":true' \
+    || { echo "job timeout did not cap an unbudgeted run: $capped"; exit 1; }
+echo "$capped" | grep -q '"shots_completed":64' \
+    || { echo "capped run is not the expected one-batch prefix: $capped"; exit 1; }
+target/release/xtalk submit shutdown --addr "$addr" --deadline-ms 20000 > /dev/null
+wait "$budget_pid"
 rm -f "$budget_log" "$bell_qasm"
 
 echo "ci: all green"

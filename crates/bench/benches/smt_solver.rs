@@ -35,7 +35,7 @@ fn smt_solver(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(pairs), &pairs, |b, &pairs| {
             b.iter(|| {
                 let model = build_model(pairs);
-                Optimizer::new(model).minimize(&MakespanObjective).expect("sat")
+                Optimizer::new(model).minimize(&MakespanObjective).0.expect("sat")
             });
         });
     }

@@ -44,7 +44,6 @@ mod realize;
 pub mod routing;
 pub mod sched;
 mod timeline;
-pub mod transpile;
 
 pub use compile::{Compiler, SwapRunOutcome};
 pub use context::SchedulerContext;

@@ -384,10 +384,9 @@ impl XtalkSched {
             omega: self.omega,
             pair_bools: &pair_bools,
         };
-        // No budget: only the optimizer's leaf cap can truncate the
-        // search, and `outcome.complete` reports it.
-        let (sol, outcome) =
-            xtalk_smt::Optimizer::new(model).minimize_budgeted(&obj, &Budget::unlimited());
+        // Only the optimizer's leaf cap can truncate the search, and
+        // `outcome.complete` reports it.
+        let (sol, outcome) = xtalk_smt::Optimizer::new(model).minimize(&obj);
         let sol = sol.ok_or(CoreError::CyclicConstraints)?;
         let serializations = obj.serializations(&sol.bools);
         let mut timeline = obj.timeline.into_inner();

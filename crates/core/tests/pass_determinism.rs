@@ -12,10 +12,10 @@
 
 use xtalk_core::layout::{greedy_layout, route, Layout};
 use xtalk_core::optimize::fuse_single_qubit_gates;
-use xtalk_core::transpile::lower_to_native;
 use xtalk_core::{Compiler, ParSched, Scheduler, SchedulerContext, SerialSched, XtalkSched};
 use xtalk_device::Device;
 use xtalk_ir::{Circuit, ScheduledCircuit};
+use xtalk_pass::lower::lower_to_native;
 use xtalk_sim::{Executor, ExecutorConfig};
 
 /// Seed circuits exercising every pipeline branch: already-compliant,

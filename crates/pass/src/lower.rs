@@ -4,9 +4,8 @@
 //! Lives in `xtalk-pass` (the bottom of the compile spine) so every
 //! consumer — the core pipeline's `LowerPass`, the characterization
 //! crate's RB/SRB circuit builders, the CLI — lowers through one
-//! implementation. `xtalk-core::transpile` re-exports these for
-//! compatibility; the statevector-equivalence tests stay there (the sim
-//! crate is above this one).
+//! implementation. The statevector-equivalence tests live in
+//! `xtalk-core`'s `tests/lowering.rs` (the sim crate is above this one).
 
 use std::f64::consts::{FRAC_PI_2, FRAC_PI_4, PI};
 use xtalk_ir::{Circuit, Gate, Instruction};
@@ -20,7 +19,7 @@ use xtalk_ir::{Circuit, Gate, Instruction};
 /// * explicit identities are dropped.
 ///
 /// The result is unitarily equivalent up to global phase (verified by the
-/// statevector-equivalence tests in `xtalk-core::transpile`).
+/// statevector-equivalence tests in `xtalk-core`'s `tests/lowering.rs`).
 ///
 /// ```
 /// use xtalk_pass::lower_to_native;

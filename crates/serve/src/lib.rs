@@ -8,9 +8,10 @@
 //!   `shutdown`, `advance_day`, `sleep`, `characterize`, `schedule`,
 //!   `run`, `swap_demo`, `cancel`.
 //! * **End-to-end deadlines** — any heavy request may carry
-//!   `"deadline_ms"` (and a `"job"` label for `cancel`); the budget is
-//!   pinned at arrival so queue wait counts against it, requests whose
-//!   budget is already smaller than the observed queue-wait p90 are
+//!   `"deadline_ms"` (and a `"job"` label for `cancel`); every heavy job
+//!   gets one deadline, its `deadline_ms` capped at the server's job
+//!   timeout, pinned at arrival so queue wait counts against it. Requests
+//!   whose deadline is already smaller than the observed queue-wait p90 are
 //!   refused at admission (`rejected_admission`, retryable), and jobs
 //!   whose budget expires mid-flight come back `ok: true` with
 //!   `"budget_exhausted": true` plus exact progress provenance

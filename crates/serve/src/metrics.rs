@@ -19,8 +19,6 @@ pub struct Metrics {
     pub jobs_ok: AtomicU64,
     /// Jobs that returned an error (including worker panics).
     pub jobs_failed: AtomicU64,
-    /// Jobs whose caller gave up waiting (the job itself still ran).
-    pub jobs_timed_out: AtomicU64,
     /// Jobs currently queued or running.
     pub queue_depth: AtomicU64,
     /// High-water mark of `queue_depth`.
@@ -45,8 +43,8 @@ pub struct Metrics {
     pub degraded_stale: AtomicU64,
     /// Requests degraded all the way to the independent-error model.
     pub degraded_independent: AtomicU64,
-    /// Deadline-bearing requests refused on arrival because the observed
-    /// queue wait already exceeded their budget.
+    /// Heavy requests refused on arrival because the observed queue wait
+    /// already exceeded their deadline.
     pub rejected_admission: AtomicU64,
     /// Jobs whose cancel token a `cancel` request tripped while they were
     /// queued or running.
@@ -54,7 +52,7 @@ pub struct Metrics {
     /// Jobs answered with a `budget_exhausted` best-effort partial.
     pub partial_results: AtomicU64,
     /// Queue wait (admission → dequeue) in microseconds; its p90 drives
-    /// admission control for deadline-bearing requests.
+    /// admission control for every heavy request.
     pub queue_wait_micros: Histogram,
 }
 
@@ -116,7 +114,6 @@ impl Metrics {
             ("bad_requests", load(&self.bad_requests).into()),
             ("jobs_ok", load(&self.jobs_ok).into()),
             ("jobs_failed", load(&self.jobs_failed).into()),
-            ("jobs_timed_out", load(&self.jobs_timed_out).into()),
             ("queue_depth", load(&self.queue_depth).into()),
             ("queue_peak", load(&self.queue_peak).into()),
             ("cache_hits", load(&self.cache_hits).into()),
@@ -145,12 +142,11 @@ impl Metrics {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let mut line = format!(
             "served {} requests over {} connections: {} jobs ok, {} failed, \
-             {} timed out, {} shed (queue peak {}); cache {} hits / {} misses",
+             {} shed (queue peak {}); cache {} hits / {} misses",
             load(&self.requests),
             load(&self.connections),
             load(&self.jobs_ok),
             load(&self.jobs_failed),
-            load(&self.jobs_timed_out),
             load(&self.busy_rejections),
             load(&self.queue_peak),
             load(&self.cache_hits),

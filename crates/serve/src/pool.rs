@@ -41,39 +41,29 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TryS
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use xtalk_budget::{Budget, CancelToken};
+use xtalk_budget::Budget;
 
 /// A unit of work: the decoded request plus the channel the connection
 /// thread is waiting on.
 pub struct Job {
     /// The request to execute.
     pub request: Request,
-    /// Where the response goes; the send is allowed to fail (the caller
-    /// may have timed out and hung up).
+    /// Where the response goes; the send is allowed to fail (the
+    /// connection may have hung up).
     pub reply: mpsc::Sender<Json>,
     /// When the request was admitted; the gap to dequeue is the queue
     /// wait, recorded into the admission-control histogram.
     pub enqueued_at: Instant,
-    /// Absolute deadline (arrival + `deadline_ms`), if the request
-    /// carried one. Queue wait counts against it: the worker hands the
-    /// job only the remainder.
-    pub deadline: Option<Instant>,
-    /// Cancel token a `cancel` request can trip while the job is queued
-    /// or running.
-    pub cancel: CancelToken,
+    /// The job's one budget, built at admission: its deadline is absolute,
+    /// so queue wait counts against it, and its cancel token is the one a
+    /// `cancel` request can trip while the job is queued or running.
+    pub budget: Budget,
 }
 
 impl Job {
-    /// An unbudgeted job admitted now — the common case for light tests
-    /// and requests without a deadline envelope.
+    /// An unbudgeted job admitted now — the common case for pool tests.
     pub fn new(request: Request, reply: mpsc::Sender<Json>) -> Job {
-        Job {
-            request,
-            reply,
-            enqueued_at: Instant::now(),
-            deadline: None,
-            cancel: CancelToken::new(),
-        }
+        Job { request, reply, enqueued_at: Instant::now(), budget: Budget::unlimited() }
     }
 }
 
@@ -302,20 +292,15 @@ fn worker_loop(shared: &Shared, slot: usize) {
         if let Some(msg) = xtalk_fault::fire("pool.job") {
             panic!("{msg}");
         }
-        // Queue wait is over: record it (it feeds admission control) and
-        // hand the job only the budget remainder. The deadline is
-        // absolute, so the deduction is implicit; an already-expired job
-        // still runs its handler, which sees a dead budget at its first
-        // checkpoint and answers with a zero-progress partial.
+        // Queue wait is over: record it (it feeds admission control). The
+        // budget's deadline is absolute, so the wait is already deducted;
+        // an already-expired job still runs its handler, which sees a dead
+        // budget at its first checkpoint and answers with a zero-progress
+        // partial.
         shared
             .state
             .metrics
             .queue_wait_recorded(job.enqueued_at.elapsed().as_micros() as u64);
-        let budget = match job.deadline {
-            Some(deadline) => Budget::with_deadline_at(deadline),
-            None => Budget::unlimited(),
-        }
-        .with_cancel_token(job.cancel.clone());
         let start = Instant::now();
         let response = {
             // Per-job span: formats the path only when profiling is on.
@@ -324,7 +309,7 @@ fn worker_loop(shared: &Shared, slot: usize) {
             } else {
                 None
             };
-            catch_unwind(AssertUnwindSafe(|| jobs::handle(&shared.state, &job.request, &budget)))
+            catch_unwind(AssertUnwindSafe(|| jobs::handle(&shared.state, &job.request, &job.budget)))
                 .unwrap_or_else(|panic| {
                     // A panic under fault injection (or any other
                     // transient) may not recur: let the client retry.
@@ -447,7 +432,7 @@ mod tests {
         // at its first checkpoint and answers a zero-progress partial.
         state.metrics.job_enqueued();
         let mut job = Job::new(Request::Sleep { ms: 5_000 }, tx.clone());
-        job.deadline = Some(Instant::now() - Duration::from_millis(1));
+        job.budget = Budget::with_deadline_at(Instant::now() - Duration::from_millis(1));
         assert_eq!(pool.handle().try_submit(job), Submit::Accepted);
         let resp = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));

@@ -28,12 +28,14 @@
 //! Any heavy request may additionally carry a [`JobEnvelope`]:
 //! `"deadline_ms"` (an end-to-end budget measured from arrival, queue
 //! wait included) and `"job"` (a client-chosen label a later
-//! `{"type":"cancel","job":...}` can name). Deadline-bounded requests
-//! whose budget expires mid-job come back `ok: true` with
-//! `"budget_exhausted": true` plus provenance (`shots_completed`,
-//! `leaves`, `slept_ms`, ...) describing the best-effort partial result.
-//! Requests refused on arrival because the observed queue wait already
-//! exceeds their budget get [`rejected_admission_response`] (retryable).
+//! `{"type":"cancel","job":...}` can name). Every heavy job's deadline is
+//! its `deadline_ms` capped at the server's job timeout (the timeout
+//! alone when the request sets none). A job whose deadline expires
+//! mid-job comes back `ok: true` with `"budget_exhausted": true` plus
+//! provenance (`shots_completed`, `leaves`, `slept_ms`, ...) describing
+//! the best-effort partial result. Requests refused on arrival because
+//! the observed queue wait already exceeds their deadline get
+//! [`rejected_admission_response`] (retryable).
 
 use crate::json::{obj, Json};
 use std::io::{self, BufRead, Read, Write};
@@ -58,7 +60,8 @@ pub enum Request {
     /// the characterization cache.
     AdvanceDay,
     /// Sleeps on a worker for `ms` milliseconds — a deterministic stand-in
-    /// for a slow job, used to exercise backpressure and timeouts.
+    /// for a slow job, used to exercise backpressure and deadlines. It
+    /// polls its budget every 10 ms and stops early at the job's deadline.
     Sleep {
         /// How long to hold the worker.
         ms: u64,
@@ -254,7 +257,8 @@ impl Request {
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct JobEnvelope {
     /// End-to-end deadline in milliseconds, measured from request
-    /// arrival — queue wait counts against it.
+    /// arrival — queue wait counts against it. The server caps it at its
+    /// job timeout.
     pub deadline_ms: Option<u64>,
     /// Client-chosen label a `cancel` request can name while the job is
     /// queued or running. Labels are expected to be unique among
@@ -324,9 +328,10 @@ pub fn shutting_down_response() -> Json {
 }
 
 /// The admission-control rejection: the queue's observed wait already
-/// exceeds the request's deadline, so executing it could only yield an
-/// expired result. Retryable — the queue may drain, or the client can
-/// resubmit with a larger budget.
+/// exceeds the job's deadline (its `deadline_ms` capped at the server's
+/// job timeout), so executing it could only yield an expired result.
+/// Retryable — the queue may drain, or the client can resubmit with a
+/// larger budget.
 pub fn rejected_admission_response(deadline_ms: u64, wait_p90_ms: u64) -> Json {
     obj([
         ("ok", false.into()),

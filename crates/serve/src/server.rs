@@ -11,11 +11,11 @@ use crate::state::{ServeConfig, ServeState};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use xtalk_budget::CancelToken;
+use xtalk_budget::{Budget, CancelToken};
 
 /// A running job server.
 ///
@@ -157,8 +157,9 @@ fn serve_connection(
 }
 
 /// Routes one request: light ones inline, heavy ones through the pool
-/// with backpressure, admission control for deadline-bearing requests,
-/// and a reply timeout.
+/// with backpressure and admission control. A heavy job's one deadline
+/// is its `deadline_ms` capped at the server's job timeout, so the
+/// connection waits for the reply the job itself answers by then.
 fn dispatch(
     state: &Arc<ServeState>,
     pool: &PoolHandle,
@@ -204,49 +205,43 @@ fn dispatch(
         };
     }
 
-    // Admission control: a request whose budget is already smaller than
-    // the queue's observed wait can only come back expired — refuse it up
-    // front (retryable) instead of wasting a worker on it.
+    // One deadline per job: the request's own, capped at the server's
+    // job timeout. Admission control: a job whose deadline is already
+    // smaller than the queue's observed wait can only come back expired —
+    // refuse it up front (retryable) instead of wasting a worker on it.
     let arrival = Instant::now();
-    if let Some(deadline_ms) = envelope.deadline_ms {
-        let wait_p90_ms = state.metrics.queue_wait_p90_ms();
-        if wait_p90_ms > deadline_ms {
-            Metrics::inc(&state.metrics.rejected_admission);
-            xtalk_obs::counter!("serve.admission.rejected");
-            return rejected_admission_response(deadline_ms, wait_p90_ms);
-        }
+    let cap = state.config.job_timeout;
+    let limit = envelope.deadline_ms.map_or(cap, |ms| cap.min(Duration::from_millis(ms)));
+    let limit_ms = u64::try_from(limit.as_millis()).unwrap_or(u64::MAX);
+    let wait_p90_ms = state.metrics.queue_wait_p90_ms();
+    if wait_p90_ms > limit_ms {
+        Metrics::inc(&state.metrics.rejected_admission);
+        xtalk_obs::counter!("serve.admission.rejected");
+        return rejected_admission_response(limit_ms, wait_p90_ms);
     }
-    let deadline = envelope.deadline_ms.map(|ms| arrival + Duration::from_millis(ms));
     // Register the cancel label before the job can start: a `cancel` must
     // be able to reach a job that is still queued.
     let cancel = match envelope.job.as_deref() {
         Some(label) => state.register_cancel(label),
         None => CancelToken::new(),
     };
+    // A cap too far out to be an `Instant` is no deadline at all.
+    let budget = arrival
+        .checked_add(limit)
+        .map_or_else(Budget::unlimited, Budget::with_deadline_at)
+        .with_cancel_token(cancel);
 
     let (reply_tx, reply_rx) = mpsc::channel();
     // Gauge up *before* submitting: a fast worker may finish (and
     // decrement) before a post-submit increment would land.
     state.metrics.job_enqueued();
-    let submitted = pool.try_submit(Job {
-        request,
-        reply: reply_tx,
-        enqueued_at: arrival,
-        deadline,
-        cancel,
-    });
+    let submitted =
+        pool.try_submit(Job { request, reply: reply_tx, enqueued_at: arrival, budget });
     let response = match submitted {
-        Submit::Accepted => match reply_rx.recv_timeout(state.config.job_timeout) {
-            Ok(response) => response,
-            Err(RecvTimeoutError::Timeout) => {
-                Metrics::inc(&state.metrics.jobs_timed_out);
-                err_response(format!(
-                    "job timed out after {:?} (it keeps running; raise the server's job timeout for long jobs)",
-                    state.config.job_timeout
-                ))
-            }
-            Err(RecvTimeoutError::Disconnected) => err_response("worker dropped the job"),
-        },
+        // The job itself answers by its deadline, so no timer is needed here.
+        Submit::Accepted => {
+            reply_rx.recv().unwrap_or_else(|_| err_response("worker dropped the job"))
+        }
         Submit::Full => {
             state.metrics.job_rejected();
             Metrics::inc(&state.metrics.busy_rejections);

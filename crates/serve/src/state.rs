@@ -21,8 +21,9 @@ pub struct ServeConfig {
     /// Jobs that may wait in the queue beyond the ones being executed;
     /// submissions past this bound get the busy response.
     pub queue_cap: usize,
-    /// How long a connection waits for its job before reporting a
-    /// timeout (the job itself is not cancelled).
+    /// The longest deadline any heavy job gets: a request's `deadline_ms`
+    /// is capped at it, and a request without one gets it. A job that
+    /// reaches it answers a flagged partial and frees its worker.
     pub job_timeout: Duration,
     /// Seed for the device fleet's day-0 calibration.
     pub device_seed: u64,

@@ -181,20 +181,35 @@ fn characterization_cache_hits_and_drift_invalidation() {
     server.join();
 }
 
+/// The job timeout is every job's deadline: a job without `deadline_ms`
+/// that outlives it answers a flagged partial and frees its worker, so a
+/// follow-up on the same single worker runs at once.
 #[test]
-fn slow_jobs_time_out_without_wedging_the_connection() {
+fn slow_jobs_stop_at_the_job_timeout_and_free_the_worker() {
     let server = start(|c| {
+        c.workers = 1;
         c.job_timeout = Duration::from_millis(100);
     });
     let mut client = Client::connect(server.local_addr()).unwrap();
     let resp =
         client.request(&obj([("type", "sleep".into()), ("ms", 800u64.into())])).unwrap();
-    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
-    assert!(resp.get("error").and_then(Json::as_str).unwrap().contains("timed out"));
-    // Connection still serves follow-ups.
-    assert!(client.ping().unwrap());
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{}", resp.dump());
+    assert_eq!(resp.get("budget_exhausted").and_then(Json::as_bool), Some(true));
+    assert_eq!(resp.get("budget_reason").and_then(Json::as_str), Some("deadline"));
+    let slept = resp.get("slept_ms").and_then(Json::as_u64).unwrap();
+    assert!(slept < 800, "slept {slept} ms past a 100 ms job timeout");
+
+    // The only worker is free again: a heavy follow-up starts within its
+    // own 100 ms deadline and completes in full.
+    let follow_up =
+        client.request(&obj([("type", "sleep".into()), ("ms", 1u64.into())])).unwrap();
+    assert_eq!(follow_up.get("ok").and_then(Json::as_bool), Some(true), "{}", follow_up.dump());
+    assert_eq!(follow_up.get("budget_exhausted"), None, "{}", follow_up.dump());
+
+    // Each job is counted once.
     let stats = client.stats().unwrap();
-    assert_eq!(stats.get("jobs_timed_out").and_then(Json::as_u64), Some(1));
+    assert_eq!(stats.get("jobs_ok").and_then(Json::as_u64), Some(2));
+    assert_eq!(stats.get("partial_results").and_then(Json::as_u64), Some(1));
     server.shutdown();
     server.join();
 }

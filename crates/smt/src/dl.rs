@@ -46,11 +46,6 @@ impl DifferenceLogic {
         DifferenceLogic { n, constraints: Vec::new(), marks: Vec::new() }
     }
 
-    /// Number of variables.
-    pub fn num_vars(&self) -> usize {
-        self.n
-    }
-
     /// Adds a constraint.
     ///
     /// # Panics

@@ -42,7 +42,9 @@
 //!         if bools[0] || bools[1] { 0.0 } else { 1.0 }
 //!     }
 //! }
-//! let sol = Optimizer::new(m).minimize(&Serialize).expect("satisfiable");
+//! let (sol, outcome) = Optimizer::new(m).minimize(&Serialize);
+//! let sol = sol.expect("satisfiable");
+//! assert!(outcome.complete);
 //! assert_eq!(sol.cost, 0.0);
 //! assert!(sol.bools[0] ^ sol.bools[1]);
 //! ```

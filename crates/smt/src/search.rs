@@ -3,7 +3,6 @@
 
 use crate::dl::DifferenceLogic;
 use crate::model::{BoolVar, Model};
-use xtalk_budget::Budget;
 
 /// The objective to minimize.
 ///
@@ -39,11 +38,10 @@ impl Default for SearchConfig {
 
 /// How a search ended.
 ///
-/// `complete: false` means the search was truncated — by the
-/// [`SearchConfig::max_leaves`] cap or by an exhausted
-/// [`Budget`] — so a returned solution is best-so-far, not
-/// proven optimal, and a `None` result means "no feasible leaf reached
-/// yet" rather than "proven infeasible".
+/// `complete: false` means the search was truncated by the
+/// [`SearchConfig::max_leaves`] cap, so a returned solution is
+/// best-so-far, not proven optimal, and a `None` result means "no
+/// feasible leaf reached yet" rather than "proven infeasible".
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SearchOutcome {
     /// `true` iff the search space was exhausted (result is proven).
@@ -78,7 +76,6 @@ struct SearchState<'a> {
     model: &'a Model,
     obj: &'a dyn Objective,
     config: SearchConfig,
-    budget: &'a Budget,
     assignment: Vec<Option<bool>>,
     dl: DifferenceLogic,
     best: Option<Solution>,
@@ -100,22 +97,13 @@ impl Optimizer {
         self
     }
 
-    /// Minimizes `obj`; returns `None` iff no assignment satisfies the
-    /// constraints (within the leaf budget).
-    pub fn minimize(&self, obj: &dyn Objective) -> Option<Solution> {
-        self.minimize_budgeted(obj, &Budget::unlimited()).0
-    }
-
-    /// Minimizes `obj` under a cooperative [`Budget`], polled at every
-    /// decision point. On exhaustion the best solution found so far is
-    /// returned with `outcome.complete == false`; a `(None, incomplete)`
-    /// result means the budget expired before any feasible leaf — the
-    /// caller should fall back rather than treat the model as infeasible.
-    pub fn minimize_budgeted(
-        &self,
-        obj: &dyn Objective,
-        budget: &Budget,
-    ) -> (Option<Solution>, SearchOutcome) {
+    /// Minimizes `obj`. Returns the best solution found with how the
+    /// search ended: `(None, complete)` means no assignment satisfies the
+    /// constraints; a truncated search (`outcome.complete == false`)
+    /// returns its best-so-far, or `None` if it reached no feasible leaf —
+    /// the caller should fall back rather than treat the model as
+    /// infeasible.
+    pub fn minimize(&self, obj: &dyn Objective) -> (Option<Solution>, SearchOutcome) {
         let _span = xtalk_obs::span("smt.solve");
         let mut dl = DifferenceLogic::new(self.model.n_real);
         for c in &self.model.hard {
@@ -129,7 +117,6 @@ impl Optimizer {
             model: &self.model,
             obj,
             config: self.config,
-            budget,
             assignment: vec![None; self.model.n_bool],
             dl,
             best: None,
@@ -232,10 +219,10 @@ impl<'a> SearchState<'a> {
     }
 
     fn search(&mut self) {
-        // Truncation checks: entering a node with the leaf cap spent or
-        // the budget gone means unexplored branches remain, so whatever
-        // `best` holds is no longer a proven optimum.
-        if self.leaves >= self.config.max_leaves || self.budget.exhausted().is_some() {
+        // Truncation check: entering a node with the leaf cap spent means
+        // unexplored branches remain, so whatever `best` holds is no longer
+        // a proven optimum.
+        if self.leaves >= self.config.max_leaves {
             self.truncated = true;
             return;
         }
@@ -248,10 +235,8 @@ impl<'a> SearchState<'a> {
         // Pick the next unassigned variable.
         let next = (0..self.model.n_bool).find(|&i| self.assignment[i].is_none());
         let Some(next) = next else {
-            // Leaf: full assignment. Theory solve and evaluate. Each leaf
-            // charges one quota unit, so quota budgets bound leaves too.
+            // Leaf: full assignment. Theory solve and evaluate.
             self.leaves += 1;
-            self.budget.charge(1);
             self.dl.push();
             for (g, c) in &self.model.guarded {
                 if self.assignment[g.0] == Some(true) {
@@ -309,7 +294,7 @@ mod tests {
         for _ in 0..6 {
             m.bool_var();
         }
-        let sol = Optimizer::new(m).minimize(&Count).unwrap();
+        let sol = Optimizer::new(m).minimize(&Count).0.unwrap();
         assert_eq!(sol.cost, 0.0);
         assert!(sol.bools.iter().all(|&b| !b));
     }
@@ -331,7 +316,7 @@ mod tests {
         let g = m.bool_var();
         m.require(m.ge_const(a, 100));
         m.guard(g, m.ge_diff(b, a, 500));
-        let sol = Optimizer::new(m).minimize(&PreferLate).unwrap();
+        let sol = Optimizer::new(m).minimize(&PreferLate).0.unwrap();
         assert!(sol.bools[0]);
         assert_eq!(sol.times, vec![100, 600]);
         assert!((sol.cost + 599.9).abs() < 1e-9);
@@ -356,7 +341,7 @@ mod tests {
         let g2 = m.bool_var();
         m.guard(g1, m.ge_diff(a, b, 10));
         m.guard(g2, m.ge_diff(b, a, 10));
-        let sol = Optimizer::new(m).minimize(&WantTrue).unwrap();
+        let sol = Optimizer::new(m).minimize(&WantTrue).0.unwrap();
         // Best feasible: exactly one true.
         assert_eq!(sol.bools.iter().filter(|&&b| b).count(), 1);
         assert_eq!(sol.cost, 1.0);
@@ -375,7 +360,7 @@ mod tests {
         let q = m.bool_var();
         let r = m.bool_var();
         m.at_most_one(vec![p, q, r]);
-        let sol = Optimizer::new(m).minimize(&AllTrue).unwrap();
+        let sol = Optimizer::new(m).minimize(&AllTrue).0.unwrap();
         assert_eq!(sol.bools.iter().filter(|&&b| b).count(), 1);
     }
 
@@ -392,7 +377,7 @@ mod tests {
         let a = m.bool_var();
         let b = m.bool_var();
         m.implies(a, b);
-        let sol = Optimizer::new(m).minimize(&WantAOnly).unwrap();
+        let sol = Optimizer::new(m).minimize(&WantAOnly).0.unwrap();
         assert_eq!(sol.bools, vec![true, true]);
         assert_eq!(sol.cost, 1.0);
     }
@@ -404,7 +389,7 @@ mod tests {
         let b = m.real_var();
         m.require(m.ge_diff(a, b, 1));
         m.require(m.ge_diff(b, a, 1));
-        assert!(Optimizer::new(m).minimize(&Count).is_none());
+        assert!(Optimizer::new(m).minimize(&Count).0.is_none());
     }
 
     #[test]
@@ -421,8 +406,8 @@ mod tests {
                 bools.iter().filter(|&&b| b).count() as f64
             }
         }
-        let pruned = Optimizer::new(m).minimize(&Count).unwrap();
-        let full = Optimizer::new(m2).minimize(&NoBound).unwrap();
+        let pruned = Optimizer::new(m).minimize(&Count).0.unwrap();
+        let full = Optimizer::new(m2).minimize(&NoBound).0.unwrap();
         assert_eq!(pruned.cost, full.cost);
         assert!(pruned.leaves <= full.leaves);
     }
@@ -434,7 +419,7 @@ mod tests {
             m.bool_var();
         }
         let (sol, outcome) =
-            Optimizer::new(m).minimize_budgeted(&Count, &Budget::unlimited());
+            Optimizer::new(m).minimize(&Count);
         assert!(sol.is_some());
         assert!(outcome.complete);
         assert_eq!(outcome.leaves, sol.unwrap().leaves);
@@ -447,40 +432,11 @@ mod tests {
             m.bool_var();
         }
         let opt = Optimizer::new(m).with_config(SearchConfig { max_leaves: 1 });
-        let (sol, outcome) = opt.minimize_budgeted(&Count, &Budget::unlimited());
+        let (sol, outcome) = opt.minimize(&Count);
         // One leaf reached: best-so-far exists but is not proven optimal.
         assert!(sol.is_some());
         assert!(!outcome.complete);
         assert_eq!(outcome.leaves, 1);
-    }
-
-    #[test]
-    fn cancelled_budget_yields_incomplete_none() {
-        let mut m = Model::new();
-        for _ in 0..4 {
-            m.bool_var();
-        }
-        let budget = Budget::unlimited();
-        budget.cancel_token().cancel();
-        let (sol, outcome) = Optimizer::new(m).minimize_budgeted(&Count, &budget);
-        // Cancelled before any leaf: no solution, explicitly incomplete —
-        // distinguishable from the proven-infeasible (None, complete) case.
-        assert!(sol.is_none());
-        assert!(!outcome.complete);
-        assert_eq!(outcome.leaves, 0);
-    }
-
-    #[test]
-    fn quota_budget_truncates_after_charged_leaves() {
-        let mut m = Model::new();
-        for _ in 0..8 {
-            m.bool_var();
-        }
-        let budget = Budget::unlimited().with_quota(3);
-        let (sol, outcome) = Optimizer::new(m).minimize_budgeted(&Count, &budget);
-        assert!(sol.is_some());
-        assert!(!outcome.complete);
-        assert_eq!(outcome.leaves, 3);
     }
 
     #[test]
@@ -491,7 +447,7 @@ mod tests {
         m.require(m.ge_diff(a, b, 1));
         m.require(m.ge_diff(b, a, 1));
         let (sol, outcome) =
-            Optimizer::new(m).minimize_budgeted(&Count, &Budget::unlimited());
+            Optimizer::new(m).minimize(&Count);
         assert!(sol.is_none());
         assert!(outcome.complete, "proven infeasibility is a complete answer");
     }
@@ -508,7 +464,7 @@ mod tests {
         let a = m.bool_var();
         let b = m.bool_var();
         m.conflict(a, b);
-        let sol = Optimizer::new(m).minimize(&AllTrue).unwrap();
+        let sol = Optimizer::new(m).minimize(&AllTrue).0.unwrap();
         assert!(!(sol.bools[0] && sol.bools[1]));
         assert_eq!(sol.cost, 1.0);
     }

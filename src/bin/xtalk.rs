@@ -72,7 +72,7 @@ USAGE:
     xtalk characterize --device <name> [--policy all|onehop|binpacked] [--seqs N] [--shots N] [--seed N]
     xtalk schedule <input.qasm> --device <name> [--scheduler xtalk|par|serial] [--omega W] [-o <out.qasm>]
     xtalk run <input.qasm> --device <name> [--scheduler xtalk|par|serial] [--omega W] [--shots N] [--seed N] [--threads N] [--budget-ms N] [--profile]
-    xtalk compare <input.qasm> --device <name> [--omega W] [--shots N] [--seed N] [--threads N] [--profile]
+    xtalk compare <input.qasm> --device <name> [--omega W] [--shots N] [--seed N] [--profile]
     xtalk swap-demo --device <name> --from A --to B [--shots N]
     xtalk serve [--addr HOST:PORT] [--workers N] [--queue N] [--timeout-ms N] [--device-seed N] [--profile]
                 [--stale-ttl N] [--faults SPEC] [--fault-seed N]
@@ -84,8 +84,9 @@ USAGE:
     xtalk cancel <job-label> [--addr HOST:PORT] [--deadline-ms N]
 
 SUBMIT TYPES: ping, stats, shutdown, advance_day, sleep, characterize, schedule, run, swap_demo
-BUDGETS: --budget-ms is the server-side end-to-end deadline (queue wait included); an expired
-    job returns `ok` with `budget_exhausted: true` plus exact progress (shots_completed, ...).
+BUDGETS: --budget-ms is the server-side end-to-end deadline (queue wait included), capped at
+    the server's --timeout-ms, which is also the deadline of a job submitted without one; an
+    expired job returns `ok` with `budget_exhausted: true` plus exact progress (shots_completed, ...).
     --job labels the submission so `xtalk cancel <label>` can stop it mid-flight.
     --deadline-ms bounds this CLI's own connect/read/write I/O, independent of the budget.
 DEVICES: poughkeepsie, johannesburg, boeblingen (20-qubit IBMQ models)
@@ -353,10 +354,11 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     let path = flags.positional.first().ok_or("compare needs an input .qasm file")?;
     let device = device_from(&flags)?;
     let ctx = SchedulerContext::from_ground_truth(&device);
-    let omega = flags.get_parse("omega", 0.5f64)?;
-    if !(0.0..=1.0).contains(&omega) {
-        return Err(format!("--omega must be in [0,1], got {omega}"));
-    }
+    let schedulers: Vec<Box<dyn Scheduler>> = vec![
+        Box::new(SerialSched::new()),
+        Box::new(ParSched::new()),
+        scheduler_by_name("xtalk", flags.get_parse("omega", 0.5f64)?)?,
+    ];
     let shots = flags.get_parse("shots", 1024u64)?;
     let seed = flags.get_parse("seed", 7u64)?;
 
@@ -367,11 +369,6 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
         "{:<14} {:>13} {:>12} {:>12}",
         "scheduler", "makespan (ns)", "search cost", "xent error"
     );
-    let schedulers: Vec<Box<dyn Scheduler>> = vec![
-        Box::new(SerialSched::new()),
-        Box::new(ParSched::new()),
-        Box::new(XtalkSched::new(omega)),
-    ];
     for s in &schedulers {
         let artifact = compiler.schedule(&circuit, s.as_ref()).map_err(|e| e.to_string())?;
         let xent = compiler

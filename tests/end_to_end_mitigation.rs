@@ -88,7 +88,7 @@ fn bernstein_vazirani_benefits_from_mitigation() {
     let device = Device::poughkeepsie(7);
     let compiler = Compiler::new(&device, SchedulerContext::from_ground_truth(&device));
     let logical = bernstein_vazirani(4, &[0, 1, 2, 3], 0b101);
-    let native = crosstalk_mitigation::core::transpile::lower_to_native(&logical);
+    let native = crosstalk_mitigation::pass::lower::lower_to_native(&logical);
     let mut padded = crosstalk_mitigation::ir::Circuit::new(20, native.num_clbits());
     padded.try_extend(&native).unwrap();
     // Place the program right on the hot region.

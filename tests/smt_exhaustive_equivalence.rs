@@ -158,7 +158,8 @@ proptest! {
             bool_cost: inst.bool_cost.clone(),
             time_weight: inst.time_weight.clone(),
         };
-        let solver = Optimizer::new(model).minimize(&obj);
+        let (solver, outcome) = Optimizer::new(model).minimize(&obj);
+        prop_assert!(outcome.complete, "default leaf cap truncated a small instance");
         let expected = brute_force(&inst, &vars);
         match (solver, expected) {
             (None, None) => {}

@@ -4,7 +4,7 @@
 
 use crosstalk_mitigation::core::layout::{route_with_greedy_layout, Layout};
 use crosstalk_mitigation::core::optimize::fuse_single_qubit_gates;
-use crosstalk_mitigation::core::transpile::{is_native, lower_to_native};
+use crosstalk_mitigation::pass::lower::{is_native, lower_to_native};
 use crosstalk_mitigation::core::{ParSched, Scheduler, SchedulerContext};
 use crosstalk_mitigation::device::Device;
 use crosstalk_mitigation::ir::Circuit;
