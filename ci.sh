@@ -129,32 +129,33 @@ rm -f "$compare_qasm"
 
 echo "== xtalk run pin =="
 # The executor must stay bit-identical end to end: a 6-qubit GHZ at 4096
-# shots goes through run_budgeted's claims (64 shots, then work-sized
+# shots goes through the budgeted claims (64 shots, then work-sized
 # ranges of up to 4096, split evenly between threads) and must print
 # exactly the pinned report at 1, 2 and 4 threads and under an ample
-# budget.
+# budget. Its one component takes the exact backend: each shot is one
+# draw from the evolved outcome table.
 ghz_qasm="$(mktemp --suffix=.qasm)"
 printf 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[6];\ncreg c[6];\nh q[0];\n' > "$ghz_qasm"
 for q in 0 1 2 3 4; do printf 'cx q[%d],q[%d];\n' "$q" "$((q + 1))" >> "$ghz_qasm"; done
 for q in 0 1 2 3 4 5; do printf 'measure q[%d] -> c[%d];\n' "$q" "$q" >> "$ghz_qasm"; done
 pinned_run="$(cat <<'PIN'
 ibmq_poughkeepsie | scheduler XtalkSched | makespan 2916 ns | 4096/4096 shots
-  000000: 1291 (0.315)
-  111111: 1255 (0.306)
-  111110: 141 (0.034)
-  111101: 128 (0.031)
-  111011: 112 (0.027)
-  000001: 109 (0.027)
-  000100: 100 (0.024)
-  110111: 100 (0.024)
-  000010: 98 (0.024)
-  011111: 94 (0.023)
-  001000: 85 (0.021)
-  100000: 84 (0.021)
-  010000: 64 (0.016)
-  101111: 45 (0.011)
+  000000: 1284 (0.313)
+  111111: 1218 (0.297)
+  111110: 153 (0.037)
+  000010: 115 (0.028)
+  000100: 115 (0.028)
+  111101: 115 (0.028)
+  000001: 113 (0.028)
+  111011: 93 (0.023)
+  001000: 90 (0.022)
+  110111: 90 (0.022)
+  100000: 88 (0.021)
+  011111: 86 (0.021)
+  101111: 67 (0.016)
+  010000: 58 (0.014)
   111100: 42 (0.010)
-  000011: 34 (0.008)
+  110000: 32 (0.008)
 PIN
 )"
 for run_args in "--threads 1" "--threads 2" "--threads 4" "--threads 1 --budget-ms 60000"; do
@@ -179,6 +180,32 @@ dead_out="$(target/release/xtalk run "$ghz_qasm" --device poughkeepsie --shots 4
     echo "xtalk run under a dead budget moved:"; echo "$dead_out"; exit 1;
 }
 rm -f "$ghz_qasm"
+# A mid-circuit measurement keeps its component on the trajectory
+# backend, whose counts must not move at all: this report is the one the
+# executor printed before the exact backend existed, at 1, 2 and 4
+# threads.
+mid_qasm="$(mktemp --suffix=.qasm)"
+printf 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[3];\nh q[0];\ncx q[0],q[1];\nmeasure q[1] -> c[0];\ncx q[1],q[2];\nh q[0];\nmeasure q[0] -> c[1];\nmeasure q[2] -> c[2];\n' > "$mid_qasm"
+pinned_mid="$(cat <<'PIN'
+ibmq_poughkeepsie | scheduler XtalkSched | makespan 2871 ns | 4096/4096 shots
+  111: 881 (0.215)
+  000: 877 (0.214)
+  010: 861 (0.210)
+  101: 859 (0.210)
+  110: 158 (0.039)
+  011: 156 (0.038)
+  001: 154 (0.038)
+  100: 150 (0.037)
+PIN
+)"
+for threads in 1 2 4; do
+    mid_out="$(target/release/xtalk run "$mid_qasm" --device poughkeepsie --shots 4096 \
+        --threads "$threads")"
+    [ "$mid_out" = "$pinned_mid" ] || {
+        echo "xtalk run trajectory counts moved at $threads threads:"; echo "$mid_out"; exit 1;
+    }
+done
+rm -f "$mid_qasm"
 
 echo "== xtalk profile smoke =="
 # End-to-end: the profiled pipeline must emit a snapshot that parses as
@@ -187,8 +214,10 @@ snapshot="$(mktemp)"
 target/release/xtalk profile fig5 --seed 3 --shots 128 --threads 2 > "$snapshot"
 target/release/xtalk profile-check "$snapshot"
 # perfbench's sim.run_ms and sim.shots_per_s rows read the executor's two
-# entry spans by name: a rename must fail here, not zero those rows.
-for span in sim.run_parallel sim.run_budgeted; do
+# entry spans by name: a rename must fail here, not zero those rows. The
+# exact backend's evolution span must be there too: the hot-region GHZ
+# and the SWAP tomography circuits are narrow enough to take it.
+for span in sim.run_parallel sim.run_budgeted sim.exact_evolve; do
     grep -q "\"name\":\"[^\"]*$span\"" "$snapshot" \
         || { echo "profile snapshot has no $span span"; exit 1; }
 done

@@ -13,8 +13,8 @@ use std::sync::Arc;
 
 use crate::layout::RoutedCircuit;
 use crate::passes::{
-    ExecutePass, LowerPass, NativeCircuit, PlacePass, PlacedCircuit, RealizePass,
-    RealizedSchedule, RoutePass, SchedulePass, ScheduledArtifact,
+    LowerPass, NativeCircuit, PlacePass, PlacedCircuit, ProgramArtifact, ProgramPass,
+    RealizePass, RealizedSchedule, RoutePass, SamplePass, SchedulePass, ScheduledArtifact,
 };
 use crate::{CoreError, Scheduler, SchedulerContext};
 use xtalk_budget::Budget;
@@ -25,7 +25,7 @@ use xtalk_sim::mitigation::CalibrationMatrix;
 use xtalk_sim::tomography::{
     bell_phi_plus, expectations_from_distributions, tomography_circuits, DensityMatrix2,
 };
-use xtalk_sim::{ideal, metrics, RunOutcome};
+use xtalk_sim::{ideal, metrics, Executor, ExecutorConfig, RunOutcome};
 
 /// The SWAP-circuit metric's outcome (Figures 5–7).
 pub struct SwapRunOutcome {
@@ -33,6 +33,9 @@ pub struct SwapRunOutcome {
     pub error_rate: f64,
     /// Schedule makespan in ns (Figure 5d).
     pub duration_ns: u64,
+    /// `true` iff every tomography run completed all its shots: under an
+    /// exhausted budget the error rate comes from truncated counts.
+    pub complete: bool,
 }
 
 /// The unified compile/execute flow over a device.
@@ -190,15 +193,33 @@ impl<'d> Compiler<'d> {
         self.schedule(&routed.circuit, scheduler)
     }
 
-    /// Executes a schedule on the simulator (`threads = 0` uses all
-    /// available parallelism). Never cached; the compiler's budget
-    /// bounds the run and the outcome reports the honest shot prefix.
+    /// Compiles a schedule for sampling against the device's noise
+    /// ([`ProgramPass`]): cached per schedule and device epoch, so repeat
+    /// runs of one schedule skip validation, and exact components their
+    /// density-matrix evolution.
     ///
     /// # Errors
     ///
-    /// An injected fault at `pass.execute`. Budget exhaustion is not an
-    /// error — it yields a truncated [`RunOutcome`] (0 shots when the
-    /// budget is dead before the run starts).
+    /// An injected fault at `pass.program`.
+    pub fn program(&self, sched: &ScheduledCircuit) -> Result<Arc<ProgramArtifact>, CoreError> {
+        self.pm.run(&ProgramPass::new(self.device), sched).map_err(CoreError::from)
+    }
+
+    /// Executes a schedule on the simulator (`threads = 0` uses all
+    /// available parallelism): the cached [`Compiler::program`], then an
+    /// uncached sampling stage. Narrow components whose measurements are
+    /// all terminal sample their exact noisy outcome distribution, the
+    /// rest run trajectories ([`xtalk_sim::Executor::program`]); counts
+    /// are therefore equal in distribution to
+    /// [`xtalk_sim::Executor::run`]'s, not bit-identical. The compiler's
+    /// budget bounds the run and the outcome reports the honest shot
+    /// prefix.
+    ///
+    /// # Errors
+    ///
+    /// An injected fault at `pass.program` or `pass.execute`. Budget
+    /// exhaustion is not an error — it yields a truncated [`RunOutcome`]
+    /// (0 shots when the budget is dead before the run starts).
     pub fn run(
         &self,
         sched: &ScheduledCircuit,
@@ -206,9 +227,18 @@ impl<'d> Compiler<'d> {
         seed: u64,
         threads: usize,
     ) -> Result<Arc<RunOutcome>, CoreError> {
+        let program = self.program(sched)?;
         self.pm
-            .run(&ExecutePass::new(self.device, shots, seed, threads), sched)
+            .run(&SamplePass::new(self.device, shots, seed, threads), &program)
             .map_err(CoreError::from)
+    }
+
+    /// A one-thread trajectory run of `sched` under the compiler's budget,
+    /// outside the artifact cache: the executor the QAOA and Hidden Shift
+    /// metrics (Figures 8–9) were calibrated with.
+    fn run_trajectories(&self, sched: &ScheduledCircuit, shots: u64, seed: u64) -> RunOutcome {
+        let cfg = ExecutorConfig { shots, seed, ..Default::default() };
+        Executor::with_config(self.device, cfg).run_budgeted(sched, 1, self.pm.budget())
     }
 
     /// The SWAP-circuit metric (Figures 5–7) through the pass pipeline:
@@ -242,6 +272,7 @@ impl<'d> Compiler<'d> {
         };
 
         let mut duration = 0;
+        let mut complete = true;
         let mut data = Vec::new();
         for (idx, (setting, circuit)) in
             tomography_circuits(&bench.circuit, qa, qb).into_iter().enumerate()
@@ -257,12 +288,14 @@ impl<'d> Compiler<'d> {
                     threads,
                 )?
             };
+            complete &= outcome.complete;
             data.push((setting, cal_matrix.mitigate(&outcome.counts)));
         }
         let rho = DensityMatrix2::from_expectations(&expectations_from_distributions(&data));
         Ok(SwapRunOutcome {
             error_rate: (1.0 - rho.fidelity_with(&bell_phi_plus())).clamp(0.0, 1.0),
             duration_ns: duration,
+            complete,
         })
     }
 
@@ -280,7 +313,7 @@ impl<'d> Compiler<'d> {
         seed: u64,
     ) -> Result<f64, CoreError> {
         let artifact = self.schedule(circuit, scheduler)?;
-        let outcome = self.run(&artifact.sched, shots, seed, 1)?;
+        let outcome = self.run_trajectories(&artifact.sched, shots, seed);
         let measured = measured_qubits(circuit);
         let cal =
             CalibrationMatrix::measure(self.device, &measured, shots.max(1024), seed ^ 0xfe);
@@ -304,7 +337,7 @@ impl<'d> Compiler<'d> {
         seed: u64,
     ) -> Result<f64, CoreError> {
         let artifact = self.schedule(circuit, scheduler)?;
-        let outcome = self.run(&artifact.sched, shots, seed, 1)?;
+        let outcome = self.run_trajectories(&artifact.sched, shots, seed);
         let measured = measured_qubits(circuit);
         let cal =
             CalibrationMatrix::measure(self.device, &measured, shots.max(1024), seed ^ 0xfd);
@@ -336,7 +369,6 @@ mod tests {
     use super::*;
     use crate::bench_circuits::{hidden_shift, qaoa_ansatz};
     use crate::{ParSched, SerialSched, XtalkSched};
-    use xtalk_sim::{Executor, ExecutorConfig};
 
     #[test]
     fn shared_cache_reuses_prefix_across_schedulers() {
@@ -450,8 +482,13 @@ mod tests {
         let outcome = compiler.run(&artifact.sched, 256, 7, 2).unwrap();
         assert!(outcome.complete);
         let cfg = ExecutorConfig { shots: 256, seed: 7, ..Default::default() };
-        let plain = Executor::with_config(&device, cfg).run(&artifact.sched);
-        assert_eq!(outcome.counts, plain);
+        let exec = Executor::with_config(&device, cfg);
+        let plain = exec.sample(&exec.program(&artifact.sched), 1, &Budget::unlimited());
+        assert_eq!(outcome.counts, plain.counts);
+        // A second run samples the cached program.
+        let hits = compiler.cache().hits();
+        assert_eq!(compiler.run(&artifact.sched, 256, 7, 1).unwrap().counts, plain.counts);
+        assert_eq!(compiler.cache().hits(), hits + 1);
     }
 
     #[test]

@@ -48,7 +48,9 @@ mod timeline;
 pub use compile::{Compiler, SwapRunOutcome};
 pub use context::SchedulerContext;
 pub use error::CoreError;
-pub use passes::{NativeCircuit, PlacedCircuit, RealizedSchedule, ScheduledArtifact};
+pub use passes::{
+    NativeCircuit, PlacedCircuit, ProgramArtifact, RealizedSchedule, ScheduledArtifact,
+};
 pub use realize::{realize, to_barriered_circuit};
 pub use sched::par::ParSched;
 pub use sched::serial::SerialSched;

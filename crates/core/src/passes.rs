@@ -6,7 +6,9 @@
 //! ```text
 //! Circuit ──LowerPass──▶ NativeCircuit ──PlacePass──▶ PlacedCircuit
 //!   ──RoutePass──▶ RoutedCircuit ──SchedulePass──▶ ScheduledArtifact
-//!   ──RealizePass──▶ RealizedSchedule        (ExecutePass: not cached)
+//!   ──RealizePass──▶ RealizedSchedule
+//! ScheduledCircuit ──ProgramPass──▶ ProgramArtifact ──SamplePass──▶ RunOutcome
+//!                                          (SamplePass: not cached)
 //! ```
 //!
 //! Each pass declares its cache identity via [`xtalk_pass::ContentHash`]
@@ -15,8 +17,8 @@
 //! scheduler knobs). The manager applies spans, fault points and the
 //! artifact cache uniformly; nothing here touches those concerns
 //! directly. Every pass receives the manager's budget: lower, place,
-//! route and realize ignore it, while `SchedulePass` and `ExecutePass`
-//! thread it into the search and the shot loop.
+//! route, realize and program ignore it, while `SchedulePass` and
+//! `SamplePass` thread it into the search and the shot loop.
 
 use crate::layout::{greedy_layout, route, Layout, RoutedCircuit};
 use crate::optimize::fuse_single_qubit_gates;
@@ -26,7 +28,7 @@ use xtalk_budget::Budget;
 use xtalk_device::{Device, Edge, Topology};
 use xtalk_ir::{Circuit, ScheduledCircuit};
 use xtalk_pass::{ContentHash, Fnv1a, Pass};
-use xtalk_sim::{Executor, ExecutorConfig, RunOutcome};
+use xtalk_sim::{Executor, ExecutorConfig, Prepared, RunOutcome};
 
 /// A circuit lowered to the IBMQ native basis (and optionally fused).
 #[derive(Clone, PartialEq, Debug)]
@@ -291,27 +293,91 @@ impl Pass for RealizePass {
     }
 }
 
-/// Executes a schedule on the simulator. Never cached — output depends
-/// on shots/seed/threads, and the executor's own budget handling already
-/// yields honest prefixes.
+/// A schedule compiled against the device's noise for sampling: the
+/// [`ProgramPass`] artifact the sampling stage ([`SamplePass`]) runs.
+#[derive(Debug)]
+pub struct ProgramArtifact {
+    /// The schedule's content key (circuit and slots): the artifact's
+    /// identity within one device epoch.
+    pub schedule_key: u64,
+    /// Outcome tables for the exact components, trajectory programs for
+    /// the rest ([`Executor::program`]).
+    pub prepared: Prepared,
+}
+
+impl ContentHash for ProgramArtifact {
+    fn content_hash(&self, h: &mut Fnv1a) {
+        h.write_u64(self.schedule_key);
+    }
+}
+
+/// Compiles a schedule for sampling: validates it once, evolves every
+/// exact-eligible component's noisy channel into its outcome table and
+/// keeps trajectory programs for the rest ([`Executor::program`]).
+/// Cached: the key is the schedule's content key plus the device epoch,
+/// and the configuration covers everything else the program reads — the
+/// calibration, the ground-truth crosstalk map and the noise switches —
+/// so every run of one schedule in one epoch samples one artifact.
 #[derive(Clone, Copy, Debug)]
-pub struct ExecutePass<'d> {
+pub struct ProgramPass<'d> {
+    device: &'d Device,
+    noise: ExecutorConfig,
+}
+
+impl<'d> ProgramPass<'d> {
+    /// Compilation against `device` with every noise source on.
+    pub fn new(device: &'d Device) -> Self {
+        ProgramPass { device, noise: ExecutorConfig::default() }
+    }
+}
+
+impl Pass for ProgramPass<'_> {
+    type Input = ScheduledCircuit;
+    type Output = ProgramArtifact;
+    type Err = CoreError;
+
+    fn id(&self) -> &'static str {
+        "program"
+    }
+
+    fn config_hash(&self, h: &mut Fnv1a) {
+        self.device.calibration().content_hash(h);
+        self.device.crosstalk().content_hash(h);
+        let n = self.noise;
+        for on in [n.gate_noise, n.crosstalk, n.decoherence, n.readout_noise] {
+            h.write_u8(u8::from(on));
+        }
+    }
+
+    fn run(&self, input: &ScheduledCircuit, _budget: &Budget) -> Result<ProgramArtifact, CoreError> {
+        Ok(ProgramArtifact {
+            schedule_key: input.hash_value(),
+            prepared: Executor::with_config(self.device, self.noise).program(input),
+        })
+    }
+}
+
+/// Samples a compiled program on the simulator. Never cached — output
+/// depends on shots/seed/threads, and the executor's claim loop already
+/// yields honest prefixes under the manager's budget.
+#[derive(Clone, Copy, Debug)]
+pub struct SamplePass<'d> {
     device: &'d Device,
     shots: u64,
     seed: u64,
     threads: usize,
 }
 
-impl<'d> ExecutePass<'d> {
-    /// Execution of `shots` trajectories with base `seed` across
-    /// `threads` OS threads (`0` = available parallelism).
+impl<'d> SamplePass<'d> {
+    /// Sampling of `shots` shots with base `seed` across `threads` OS
+    /// threads (`0` = available parallelism).
     pub fn new(device: &'d Device, shots: u64, seed: u64, threads: usize) -> Self {
-        ExecutePass { device, shots, seed, threads }
+        SamplePass { device, shots, seed, threads }
     }
 }
 
-impl Pass for ExecutePass<'_> {
-    type Input = ScheduledCircuit;
+impl Pass for SamplePass<'_> {
+    type Input = ProgramArtifact;
     type Output = RunOutcome;
     type Err = CoreError;
 
@@ -323,9 +389,9 @@ impl Pass for ExecutePass<'_> {
         false
     }
 
-    fn run(&self, input: &ScheduledCircuit, budget: &Budget) -> Result<RunOutcome, CoreError> {
+    fn run(&self, input: &ProgramArtifact, budget: &Budget) -> Result<RunOutcome, CoreError> {
         let cfg = ExecutorConfig { shots: self.shots, seed: self.seed, ..Default::default() };
-        Ok(Executor::with_config(self.device, cfg).run_budgeted(input, self.threads, budget))
+        Ok(Executor::with_config(self.device, cfg).sample(&input.prepared, self.threads, budget))
     }
 }
 

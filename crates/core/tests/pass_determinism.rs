@@ -16,6 +16,7 @@ use xtalk_core::{Compiler, ParSched, Scheduler, SchedulerContext, SerialSched, X
 use xtalk_device::Device;
 use xtalk_ir::{Circuit, ScheduledCircuit};
 use xtalk_pass::lower::lower_to_native;
+use xtalk_budget::Budget;
 use xtalk_sim::{Executor, ExecutorConfig};
 
 /// Seed circuits exercising every pipeline branch: already-compliant,
@@ -139,10 +140,11 @@ fn execution_counts_are_thread_and_cache_invariant() {
             assert_eq!(seq.counts, par.counts, "{}: {threads} threads changed counts", s.name());
         }
 
-        // The plain executor, whose batches are sized differently, sees
-        // the same stream.
+        // The executor's own dispatching path, outside the pass manager
+        // and its cache, sees the same streams.
         let cfg = ExecutorConfig { shots: 256, seed: 7, ..Default::default() };
-        let plain = Executor::with_config(&device, cfg).run(&artifact.sched);
-        assert_eq!(plain, seq.counts, "{}: plain executor", s.name());
+        let exec = Executor::with_config(&device, cfg);
+        let plain = exec.sample(&exec.program(&artifact.sched), 3, &Budget::unlimited());
+        assert_eq!(plain.counts, seq.counts, "{}: plain executor", s.name());
     }
 }

@@ -15,7 +15,7 @@
 //!
 //! [FNV-1a]: http://www.isthe.com/chongo/tech/comp/fnv/
 
-use xtalk_device::{Calibration, Edge, Topology};
+use xtalk_device::{Calibration, CrosstalkMap, Edge, Topology};
 use xtalk_ir::{Circuit, Clbit, Qubit, ScheduleSlot, ScheduledCircuit};
 
 pub use xtalk_ir::Fnv1a;
@@ -173,10 +173,38 @@ impl ContentHash for Calibration {
     }
 }
 
+impl ContentHash for CrosstalkMap {
+    /// Every `(affected, aggressor, factor)` entry, in the map's order.
+    fn content_hash(&self, h: &mut Fnv1a) {
+        h.write_usize(self.len());
+        for ((affected, aggressor), factor) in self.iter() {
+            affected.content_hash(h);
+            aggressor.content_hash(h);
+            h.write_f64(factor);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use xtalk_ir::{Gate, Instruction};
+
+    #[test]
+    fn crosstalk_hash_tracks_every_entry() {
+        let (a, b, c) = (Edge::new(0, 1), Edge::new(2, 3), Edge::new(4, 5));
+        let mut map = CrosstalkMap::new();
+        map.set_symmetric(a, b, 3.0, 2.0);
+        let base = map.hash_value();
+        assert_eq!(base, map.clone().hash_value());
+        let mut other = map.clone();
+        other.set(a, b, 3.5);
+        assert_ne!(other.hash_value(), base, "a factor moved");
+        let mut other = map.clone();
+        other.set(c, b, 3.0);
+        assert_ne!(other.hash_value(), base, "an entry was added");
+        assert_ne!(CrosstalkMap::new().hash_value(), base);
+    }
 
     #[test]
     fn fnv_vectors() {

@@ -114,6 +114,11 @@ impl PassManager {
         &self.cache
     }
 
+    /// The budget every pass receives.
+    pub fn budget(&self) -> &Budget {
+        &self.budget
+    }
+
     /// The device epoch artifacts are keyed to.
     pub fn epoch(&self) -> &EpochToken {
         &self.epoch

@@ -26,7 +26,7 @@
 //!    scheduled under the current calibration.
 //! 3. **Independent-error model** — with no last-known-good within the
 //!    TTL, `resolve` fails. Scheduling jobs then take
-//!    [`Resolved::independent`]: the live calibration's per-gate
+//!    [`CharacCache::independent`]: the live calibration's per-gate
 //!    independent error rates only (no conditional/crosstalk terms), with
 //!    the crosstalk-oblivious `par` scheduler forced, since it never
 //!    consults the missing terms. A `characterize` job stops at the
@@ -181,19 +181,6 @@ impl Resolved {
         Resolved { ctx: entry.ctx.clone(), entry, provenance: Provenance::Fresh { cached } }
     }
 
-    /// Rung 3: the independent error rates the daily calibration of the
-    /// `snapshot` device always provides, with no conditional terms.
-    pub fn independent(snapshot: &Snapshot, metrics: &Metrics) -> Resolved {
-        Metrics::inc(&metrics.degraded_independent);
-        xtalk_obs::counter!("serve.charac.independent_fallback");
-        let device = &*snapshot.device;
-        let mut charac = Characterization::new();
-        for &e in device.topology().edges() {
-            charac.set_independent(e, device.calibration().cx_error(e));
-        }
-        let entry = Arc::new(CacheEntry::new(device, charac, None));
-        Resolved { ctx: entry.ctx.clone(), entry, provenance: Provenance::Independent }
-    }
 }
 
 /// A last-known-good build: its full key, the entry, and the context
@@ -209,6 +196,10 @@ struct Lkg {
 
 /// The pass id characterization entries are stored under.
 const PASS_ID: &str = "charac";
+
+/// The pass id rung 3's independent-error entries are stored under, one
+/// per device epoch.
+const INDEPENDENT_ID: &str = "charac.independent";
 
 /// Thread-safe characterization store over a shared [`ArtifactCache`],
 /// with the last-known-good table the ladder's rung 2 reads.
@@ -273,6 +264,28 @@ impl CharacCache {
         let ttl = self.stale_ttl_epochs;
         let mut lkg = self.lkg.lock().expect("last-known-good table poisoned");
         lkg.retain(|_, newest| epoch.saturating_sub(newest.key.epoch) <= ttl);
+    }
+
+    /// Rung 3: the independent error rates the daily calibration of the
+    /// `snapshot` device always provides, with no conditional terms. One
+    /// entry (and its scheduler context) is built per device epoch and
+    /// shared by every fallback of that epoch; `advance_day` sweeps it
+    /// with the rest of the store. Every call counts as a fallback.
+    pub fn independent(&self, snapshot: &Snapshot, metrics: &Metrics) -> Resolved {
+        Metrics::inc(&metrics.degraded_independent);
+        xtalk_obs::counter!("serve.charac.independent_fallback");
+        let device = &*snapshot.device;
+        let epoch = EpochToken::new(device.name(), snapshot.epoch);
+        let entry = self.artifacts.get::<CacheEntry>(INDEPENDENT_ID, 0, &epoch).unwrap_or_else(|| {
+            let mut charac = Characterization::new();
+            for &e in device.topology().edges() {
+                charac.set_independent(e, device.calibration().cx_error(e));
+            }
+            let entry = Arc::new(CacheEntry::new(device, charac, None));
+            self.artifacts.put(INDEPENDENT_ID, 0, &epoch, Arc::clone(&entry));
+            entry
+        });
+        Resolved { ctx: entry.ctx.clone(), entry, provenance: Provenance::Independent }
     }
 
     /// Number of live characterization entries (compile artifacts in the
@@ -629,6 +642,27 @@ mod tests {
         assert!(!next.ctx.ptr_eq(&first.ctx), "a new epoch reused the old calibration");
         let now = state.snapshot("boeblingen").unwrap();
         assert_eq!(next.ctx, SchedulerContext::new(&now.device, &fresh.entry.charac));
+    }
+
+    #[test]
+    fn independent_fallbacks_share_one_entry_per_epoch() {
+        let _gate = fault_gate();
+        let state = ServeState::new(ServeConfig::default());
+        let snapshot = state.snapshot("boeblingen").unwrap();
+        let first = state.cache.independent(&snapshot, &state.metrics);
+        let second = state.cache.independent(&snapshot, &state.metrics);
+        assert_eq!(second.provenance, Provenance::Independent);
+        assert!(Arc::ptr_eq(&first.entry, &second.entry), "one epoch built a second entry");
+        assert!(second.ctx.ptr_eq(&first.ctx), "one epoch built a second context");
+        assert_eq!(state.metrics.degraded_independent.load(Ordering::Relaxed), 2);
+        assert_eq!(state.cache.len(), 0, "rung 3 is not a characterization");
+        // The next day's calibration needs an entry of its own.
+        state.advance_day();
+        let now = state.snapshot("boeblingen").unwrap();
+        let next = state.cache.independent(&now, &state.metrics);
+        assert!(!Arc::ptr_eq(&next.entry, &first.entry), "a new epoch reused the old entry");
+        assert_eq!(next.ctx, SchedulerContext::new(&now.device, &next.entry.charac));
+        assert_eq!(state.metrics.degraded_independent.load(Ordering::Relaxed), 3);
     }
 
     #[test]

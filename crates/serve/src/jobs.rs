@@ -17,8 +17,9 @@
 //! through one budgeted [`Compiler`] whose every pass runs (lower, place
 //! and route ignore the budget, so even a cancelled job has a circuit to
 //! answer about) while the schedule/execute passes feed it into the
-//! crosstalk search and the shot loop, `swap_demo` checks it between
-//! unbudgeted legs, and `characterize` treats a truncated sweep as a
+//! crosstalk search and the shot loop, `swap_demo` runs every leg through
+//! a budgeted compiler too and drops a leg whose tomography runs came
+//! back short, and `characterize` treats a truncated sweep as a
 //! failed build riding the degradation ladder. Truncated jobs still
 //! answer `ok: true`, flagged `"budget_exhausted": true` with provenance
 //! (`shots_completed`, `leaves`, `slept_ms`) saying exactly how far they
@@ -31,8 +32,10 @@
 //! [`xtalk_pass::ArtifactCache`]), keyed to the calibration epoch of the
 //! job's device snapshot — so two jobs compiling the same source for the
 //! same device share the lower/place/route prefix even across different
-//! schedulers, and `advance_day` invalidates compile artifacts together
-//! with characterizations.
+//! schedulers, repeat `run`s of one schedule share its compiled sampling
+//! program (the exact components' outcome tables included), and
+//! `advance_day` invalidates compile artifacts together with
+//! characterizations.
 
 use crate::cache::{Provenance, RbSettings, Resolved};
 use crate::json::{obj, Json};
@@ -193,16 +196,18 @@ fn run(state: &ServeState, req: &Request, budget: &Budget) -> Result<Json, Strin
         Request::SwapDemo { device, from, to, shots, seed } => {
             let (snapshot, tables) =
                 scheduling_tables(state, device, PolicyName::Truth, *seed, budget)?;
-            let compiler = compiler(state, &snapshot, tables.ctx);
+            let compiler = compiler(state, &snapshot, tables.ctx).with_budget(budget.clone());
             let schedulers: Vec<Box<dyn Scheduler>> = vec![
                 Box::new(SerialSched::new()),
                 Box::new(ParSched::new()),
                 Box::new(XtalkSched::new(0.5)),
             ];
-            // Budget checkpoint between schedulers: each leg is a full,
-            // unbudgeted tomography run, so a partial demo returns the legs it
-            // finished instead of nothing. One shared compiler means the
-            // tomography circuits' prefix artifacts are reused per leg.
+            // Every leg runs under the job's budget: its search and its
+            // tomography runs stop at the budget, and a leg whose runs came
+            // back short is dropped rather than reported from truncated
+            // counts, so a partial demo returns the legs it finished. One
+            // shared compiler means the tomography circuits' prefix
+            // artifacts are reused per leg.
             let mut rows = Vec::new();
             for s in &schedulers {
                 if budget.exhausted().is_some() {
@@ -211,6 +216,9 @@ fn run(state: &ServeState, req: &Request, budget: &Budget) -> Result<Json, Strin
                 let out = compiler
                     .swap_bell_error(s.as_ref(), *from, *to, *shots, *seed, 1)
                     .map_err(|e| e.to_string())?;
+                if !out.complete {
+                    break;
+                }
                 rows.push(obj([
                     ("scheduler", s.name().into()),
                     ("error_rate", Json::Num(out.error_rate)),
@@ -258,7 +266,7 @@ fn scheduling_tables(
     let tables = state
         .cache
         .resolve(&snapshot, policy, rb, budget, &state.metrics)
-        .unwrap_or_else(|_| Resolved::independent(&snapshot, &state.metrics));
+        .unwrap_or_else(|_| state.cache.independent(&snapshot, &state.metrics));
     Ok((snapshot, tables))
 }
 
@@ -514,7 +522,7 @@ mod tests {
     }
 
     #[test]
-    fn swap_demo_legs_ignore_the_budget() {
+    fn swap_demo_drops_legs_the_budget_cut_short() {
         let _gate = crate::testutil::fault_gate();
         let state = ServeState::new(ServeConfig::default());
         let req = Request::SwapDemo {
@@ -524,10 +532,18 @@ mod tests {
             shots: 64,
             seed: 3,
         };
-        // One unit of work would run out inside the first leg's search or
-        // shot loop if the legs were charged for it.
+        // One unit of work runs out at the first leg's first tomography
+        // claim: its other runs come back empty, so no leg is reported.
         let resp = super::handle(&state, &req, &Budget::unlimited().with_quota(1));
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{}", resp.dump());
+        assert_eq!(resp.get("budget_exhausted").and_then(Json::as_bool), Some(true));
+        assert_eq!(resp.get("budget_reason").and_then(Json::as_str), Some("quota"));
+        match resp.get("results") {
+            Some(Json::Arr(rows)) => assert!(rows.is_empty(), "{}", resp.dump()),
+            other => panic!("results must be an array: {other:?}"),
+        }
+        // An ample budget reports all three legs.
+        let resp = handle(&state, &req);
         assert_eq!(resp.get("budget_exhausted"), None, "{}", resp.dump());
         match resp.get("results") {
             Some(Json::Arr(rows)) => assert_eq!(rows.len(), 3),

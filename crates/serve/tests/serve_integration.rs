@@ -38,7 +38,7 @@ fn served_run_matches_direct_execution() {
 
     // Reproduce the exact pipeline locally: same device seed (the
     // config default), same preparation, same scheduler, same executor
-    // seed — the counts must agree bit for bit.
+    // seed, same backend dispatch — the counts must agree bit for bit.
     let device = xtalk_device::Device::poughkeepsie(ServeConfig::default().device_seed);
     let ctx = xtalk_core::SchedulerContext::from_ground_truth(&device);
     let compiler = xtalk_core::Compiler::new(&device, ctx.clone());
@@ -48,7 +48,9 @@ fn served_run_matches_direct_execution() {
         .schedule(&circuit, &ctx)
         .unwrap();
     let cfg = xtalk_sim::ExecutorConfig { shots: 512, seed: 9, ..Default::default() };
-    let direct = xtalk_sim::Executor::with_config(&device, cfg).run(&sched);
+    let exec = xtalk_sim::Executor::with_config(&device, cfg);
+    let unlimited = xtalk_budget::Budget::unlimited();
+    let direct = exec.sample(&exec.program(&sched), 1, &unlimited).counts;
 
     let served = counts_map(&resp);
     assert_eq!(served.iter().map(|(_, n)| n).sum::<u64>(), direct.shots());

@@ -1,10 +1,12 @@
-//! Exact density-matrix evolution for small registers.
+//! Exact density-matrix evolution for small registers: a test oracle.
 //!
 //! The trajectory executor approximates open-system dynamics by Monte
-//! Carlo sampling; this module evolves the density matrix *exactly* for
-//! the same channels, giving an independent oracle against which the
-//! sampler is validated (see the `trajectory_matches_density_*` tests and
-//! the `simulator_physics` integration suite).
+//! Carlo sampling, and the executor's exact backend evolves a flat density
+//! matrix with closed-form channels; this module evolves a nested one
+//! gate by gate, Pauli branch by Pauli branch, giving an independent
+//! oracle against which both are validated (the
+//! `trajectory_matches_density_*` tests below, and the executor oracle's
+//! `exact_tables_match_density_under_every_noise_switch`).
 
 use crate::matrix::{single_qubit_matrix, two_qubit_matrix, Mat2};
 use crate::{C64, StateVector};
@@ -43,11 +45,6 @@ impl DensityMatrix {
             }
         }
         DensityMatrix { n, rho }
-    }
-
-    /// Number of qubits.
-    pub fn num_qubits(&self) -> usize {
-        self.n
     }
 
     /// Matrix element `⟨i|ρ|j⟩`.

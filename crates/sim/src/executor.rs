@@ -5,6 +5,7 @@ use crate::noise::{
     depolarizing_prob_for_error_1q, depolarizing_prob_for_error_2q, IdleChannel, NoiseModel,
 };
 use crate::state::{self, kernel, sample_outcome};
+use exact::OutcomeTable;
 use crate::{Counts, C64};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -156,13 +157,14 @@ impl<'a> Executor<'a> {
     /// or if a component exceeds the statevector limit.
     pub fn run(&self, sched: &ScheduledCircuit) -> Counts {
         let _span = xtalk_obs::span("sim.run_parallel");
-        let prep = self.prepare(sched);
+        let prep = self.prepare(sched, false);
         self.run_batches(&prep, 1, &Budget::unlimited(), |_| LANE_BLOCK as u64).counts
     }
 
     /// Executes the schedule across `threads` OS threads (`0` = all
     /// available parallelism) under a cooperative [`Budget`], checked only
-    /// between shot claims.
+    /// between shot claims, with every component on the trajectory
+    /// backend.
     ///
     /// Workers claim contiguous shot ranges in index order; a worker polls
     /// the budget *before* claiming and always finishes a range it
@@ -191,13 +193,57 @@ impl<'a> Executor<'a> {
         budget: &Budget,
     ) -> RunOutcome {
         let _span = xtalk_obs::span("sim.run_budgeted");
-        let prep = self.prepare(sched);
+        let prep = self.prepare(sched, false);
+        self.sample_prepared(&prep, threads, budget)
+    }
+
+    /// Compiles the schedule for [`Executor::sample`], choosing a backend
+    /// per connected component. A component takes the **exact** backend
+    /// when every measurement is terminal on its qubit, each of its clbits
+    /// is written once in the whole circuit, its density matrix (`4^w`
+    /// amplitudes) fits the runner's 1 MiB state budget (`w ≤ 8`) and
+    /// `4^w` × its steps stays within one claim's work cap: its noisy
+    /// channel is evolved here, once, into a table of outcome
+    /// probabilities (readout flips folded in). Every other component
+    /// keeps its trajectory program. The choice depends on the schedule
+    /// alone, never on the shot count, and the result depends only on the
+    /// schedule, the device's calibration and crosstalk map and the noise
+    /// switches, so one [`Prepared`] serves any number of runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schedule is invalid ([`ScheduledCircuit::validate`]).
+    pub fn program(&self, sched: &ScheduledCircuit) -> Prepared {
+        self.prepare(sched, true)
+    }
+
+    /// Samples `config.shots` shots of a program built by
+    /// [`Executor::program`] of an executor with the same noise switches,
+    /// through [`Executor::run_budgeted`]'s claim loop: the same claims,
+    /// budget checkpoints and prefix guarantee, the same `sim.batch`
+    /// fault point per claim. Shot `i` draws from its own
+    /// `(config.seed, i)` stream: the trajectory components first, as in
+    /// [`Executor::run`], then one uniform per exact component. A program
+    /// with no exact component therefore counts exactly as
+    /// [`Executor::run_budgeted`] does; an exact component's outcomes are
+    /// equal in distribution to its trajectories', not bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a worker thread panics.
+    pub fn sample(&self, prep: &Prepared, threads: usize, budget: &Budget) -> RunOutcome {
+        let _span = xtalk_obs::span("sim.run_budgeted");
+        self.sample_prepared(prep, threads, budget)
+    }
+
+    /// [`Executor::run_budgeted`]'s claim plan over a compiled program.
+    fn sample_prepared(&self, prep: &Prepared, threads: usize, budget: &Budget) -> RunOutcome {
         let shots = self.config.shots;
         let threads =
             worker_count(threads).min(shots.div_ceil(BUDGET_BATCH_SHOTS) as usize).max(1);
         let later =
             if budget.quota().is_some() { BUDGET_BATCH_SHOTS } else { prep.claim_shots() };
-        self.run_batches(&prep, threads, budget, |cursor| match cursor {
+        self.run_batches(prep, threads, budget, |cursor| match cursor {
             0 => BUDGET_BATCH_SHOTS,
             _ if threads == 1 => later,
             _ => {
@@ -281,9 +327,11 @@ impl<'a> Executor<'a> {
     /// the noise switches is evaluated here, once per run: qubit-local
     /// indices, unitary matrices, crosstalk-scaled depolarizing
     /// probabilities, idle gaps and their channels, readout errors. A shot
-    /// then only walks the steps and draws from its RNG. Panics if the
-    /// schedule is invalid.
-    fn prepare(&self, sched: &ScheduledCircuit) -> Prepared {
+    /// then only walks the steps and draws from its RNG. With `exact`,
+    /// every component that [`Program::exact_eligible`] admits is evolved
+    /// into an [`OutcomeTable`] instead ([`Executor::program`]). Panics if
+    /// the schedule is invalid.
+    fn prepare(&self, sched: &ScheduledCircuit, exact: bool) -> Prepared {
         sched.validate().expect("executor requires a valid schedule");
         let circuit = sched.circuit();
         let cal = self.device.calibration();
@@ -373,7 +421,12 @@ impl<'a> Executor<'a> {
             }
             programs.push(Program { width: qubits.len(), steps });
         }
-        Prepared { num_clbits: circuit.num_clbits(), mats, programs }
+        let mut prep =
+            Prepared { num_clbits: circuit.num_clbits(), mats, programs, tables: Vec::new() };
+        if exact {
+            prep.evolve_exact();
+        }
+        prep
     }
 
     /// Effective (crosstalk-conditioned) error factor per instruction (1
@@ -405,7 +458,12 @@ impl<'a> Executor<'a> {
     /// derived RNG stream, and records their outcomes in `counts`. Every
     /// component runs over a chunk in component order, so each lane's
     /// stream continues from one component to the next exactly as one
-    /// shot's did.
+    /// shot's did; then each lane draws once per exact component. A
+    /// program with no trajectory component skips the runner: each shot
+    /// only seeds its stream and draws.
+    ///
+    /// Outcomes of a register of up to [`DENSE_TALLY_BITS`] bits are
+    /// tallied in a dense array and recorded once per distinct outcome.
     ///
     /// Per claim it also records the claim's wall time, per-thread shot
     /// counts, and the sharing counters `sim.lane_steps` (shot-steps a
@@ -431,16 +489,30 @@ impl<'a> Executor<'a> {
         }
         let _batch = xtalk_obs::span("sim.shot_batch");
         let steps_before = (runner.lane_steps, runner.group_steps);
-        let chunk = runner.chunk.unwrap_or_else(|| prep.chunk_lanes()) as u64;
-        for lo in shots.clone().step_by(chunk as usize) {
-            runner.begin_chunk(self.config.seed, lo..shots.end.min(lo.saturating_add(chunk)));
-            for program in &prep.programs {
-                runner.run_program(&prep.mats, program);
+        let mut buffer = std::mem::take(&mut runner.tally);
+        let mut tally = Tally::new(&mut buffer, prep.num_clbits, counts);
+        if prep.programs.is_empty() {
+            for shot in shots.clone() {
+                let mut rng = StdRng::seed_from_u64(shot_stream_seed(self.config.seed, shot));
+                tally.record(prep.tables.iter().fold(0, |bits, t| bits | t.sample(&mut rng)));
             }
-            for &bits in &runner.bits {
-                counts.record(bits);
+        } else {
+            let chunk = runner.chunk.unwrap_or_else(|| prep.chunk_lanes()) as u64;
+            for lo in shots.clone().step_by(chunk as usize) {
+                runner.begin_chunk(self.config.seed, lo..shots.end.min(lo.saturating_add(chunk)));
+                for program in &prep.programs {
+                    runner.run_program(&prep.mats, program);
+                }
+                for (bits, rng) in runner.bits.iter_mut().zip(&mut runner.rngs) {
+                    for table in &prep.tables {
+                        *bits |= table.sample(rng);
+                    }
+                    tally.record(*bits);
+                }
             }
         }
+        tally.finish();
+        runner.tally = buffer;
         let lanes = shots.end - shots.start;
         if xtalk_obs::enabled() {
             xtalk_obs::counter_add("sim.shots", lanes);
@@ -451,23 +523,116 @@ impl<'a> Executor<'a> {
     }
 }
 
-/// A compiled run: one trajectory program per connected component over a
-/// shared matrix table. Built once by [`Executor::prepare`] and shared
-/// (read-only) by every shot and thread.
-struct Prepared {
+/// Registers up to this many bits are tallied densely: 4,096 counters,
+/// cleared once per claim.
+const DENSE_TALLY_BITS: usize = 12;
+
+/// The outcomes of one claim on their way into its [`Counts`]: counted in
+/// a dense array over the register when it is narrow, so each distinct
+/// outcome is hashed once per claim instead of once per shot.
+struct Tally<'a> {
+    dense: Option<&'a mut Vec<u64>>,
+    counts: &'a mut Counts,
+}
+
+impl<'a> Tally<'a> {
+    /// A tally over a `num_clbits`-bit register into `counts`, reusing
+    /// `buffer` for the dense array.
+    fn new(buffer: &'a mut Vec<u64>, num_clbits: usize, counts: &'a mut Counts) -> Self {
+        let dense = (num_clbits <= DENSE_TALLY_BITS).then(|| {
+            buffer.clear();
+            buffer.resize(1 << num_clbits, 0);
+            buffer
+        });
+        Tally { dense, counts }
+    }
+
+    fn record(&mut self, bits: u64) {
+        match &mut self.dense {
+            Some(dense) => dense[bits as usize] += 1,
+            None => self.counts.record(bits),
+        }
+    }
+
+    /// Moves the dense counters into the counts.
+    fn finish(self) {
+        for (bits, &n) in self.dense.into_iter().flat_map(|d| d.iter().enumerate()) {
+            if n > 0 {
+                self.counts.record_many(bits as u64, n);
+            }
+        }
+    }
+}
+
+/// A schedule compiled for sampling ([`Executor::program`]): a trajectory
+/// program for every component on the trajectory backend, over a shared
+/// matrix table, and an outcome table for every component on the exact
+/// backend. Built once and shared (read-only) by every shot and thread,
+/// and by every run of the same schedule on the same device state.
+#[derive(Debug)]
+pub struct Prepared {
     num_clbits: usize,
     mats: Matrices,
     programs: Vec<Program>,
+    /// The exact components that write a clbit, in component order.
+    tables: Vec<OutcomeTable>,
 }
 
 impl Prepared {
+    /// Width of the classical register the program writes.
+    pub fn num_clbits(&self) -> usize {
+        self.num_clbits
+    }
+
+    /// Components on the trajectory backend.
+    pub fn trajectory_components(&self) -> usize {
+        self.programs.len()
+    }
+
+    /// Components on the exact backend that write a clbit (an exact
+    /// component that writes none is dropped: it cannot change a count).
+    pub fn exact_components(&self) -> usize {
+        self.tables.len()
+    }
+
+    /// Moves every component [`Program::exact_eligible`] admits to the
+    /// exact backend. Matrices are kept only while a trajectory program
+    /// still reads them.
+    fn evolve_exact(&mut self) {
+        let mut writes = vec![0u32; self.num_clbits];
+        for step in self.programs.iter().flat_map(|p| &p.steps) {
+            if let Step::Measure { clbit: Some(c), .. } = step {
+                writes[*c as usize] += 1;
+            }
+        }
+        if !self.programs.iter().any(|p| p.exact_eligible(&writes)) {
+            return;
+        }
+        let _span = xtalk_obs::span("sim.exact_evolve");
+        let mats = &self.mats;
+        let mut tables = Vec::new();
+        self.programs.retain(|p| {
+            if !p.exact_eligible(&writes) {
+                return true;
+            }
+            tables.extend(OutcomeTable::evolve(p, mats));
+            false
+        });
+        self.tables = tables;
+        if self.programs.is_empty() {
+            self.mats = Matrices::default();
+        }
+    }
+
     /// Shots per later claim of a budgeted run: as many as fit
-    /// [`CLAIM_WORK`] at the run's worst-case work per shot, rounded down
-    /// to a multiple of [`BUDGET_BATCH_SHOTS`], at least one batch and at
-    /// most [`LANE_BLOCK`].
+    /// [`CLAIM_WORK`] at the run's worst-case work per shot (one unit per
+    /// exact component's draw), rounded down to a multiple of
+    /// [`BUDGET_BATCH_SHOTS`], at least one batch and at most
+    /// [`LANE_BLOCK`].
     fn claim_shots(&self) -> u64 {
         let per_shot: u64 =
-            self.programs.iter().map(|p| (p.steps.len() as u64) << p.width).sum();
+            self.programs.iter().map(|p| (p.steps.len() as u64) << p.width).sum::<u64>()
+                + self.tables.len() as u64;
         let fit = CLAIM_WORK / per_shot.max(1);
         (fit - fit % BUDGET_BATCH_SHOTS).clamp(BUDGET_BATCH_SHOTS, LANE_BLOCK as u64)
     }
@@ -481,7 +646,7 @@ impl Prepared {
 
 /// The unitaries of a compiled run, each stored once however many steps
 /// apply it.
-#[derive(Default)]
+#[derive(Default, Debug)]
 struct Matrices {
     one: Vec<Mat2>,
     two: Vec<Mat4>,
@@ -519,7 +684,7 @@ impl Matrices {
 /// bits, built without allocating. Ordered, not hashed: the angles come
 /// from the submitted circuit, so an ordered map keeps a crafted set of
 /// them from degrading every lookup.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 struct GateKey {
     kind: u8,
     params: [u64; 3],
@@ -635,9 +800,46 @@ impl EdgeInfo {
 
 /// One connected component's trajectory: its width and its steps in time
 /// order. Qubit indices are local to the component's state.
+#[derive(Debug)]
 struct Program {
     width: usize,
     steps: Vec<Step>,
+}
+
+impl Program {
+    /// `true` if the component may take the exact backend: its density
+    /// matrix fits [`BUDGET`], evolving it through every step stays
+    /// within [`CLAIM_WORK`], every measurement is the last step on its
+    /// qubit and every clbit it writes is written once in the whole
+    /// circuit (`writes` counts them). Independent of the shot count.
+    fn exact_eligible(&self, writes: &[u32]) -> bool {
+        let w = self.width;
+        if std::mem::size_of::<C64>() << (2 * w) > BUDGET
+            || (self.steps.len() as u64) << (2 * w) > CLAIM_WORK
+        {
+            return false;
+        }
+        let mut measured = 0u32;
+        for step in &self.steps {
+            let touched = match *step {
+                Step::Gate1 { q, .. } | Step::Idle { q, .. } => 1 << q,
+                Step::Gate2 { a, b, .. } => 1 << a | 1 << b,
+                Step::Measure { q, clbit, .. } => {
+                    if clbit.is_some_and(|c| writes[c as usize] > 1) {
+                        return false;
+                    }
+                    1 << q
+                }
+            };
+            if touched & measured != 0 {
+                return false;
+            }
+            if let Step::Measure { q, .. } = *step {
+                measured |= 1 << q;
+            }
+        }
+        true
+    }
 }
 
 /// One step of a [`Program`]. Every field is fixed by the schedule, the
@@ -716,6 +918,8 @@ struct Runner {
     /// updates actually made, over the runner's life.
     lane_steps: u64,
     group_steps: u64,
+    /// The dense outcome counters of a claim ([`Tally`]).
+    tally: Vec<u64>,
 }
 
 /// Lanes `order[lo..hi]` sharing one state.
@@ -737,6 +941,7 @@ impl Runner {
             states: Vec::new(),
             lane_steps: 0,
             group_steps: 0,
+            tally: Vec::new(),
         }
     }
 
@@ -993,6 +1198,8 @@ fn components(circuit: &Circuit) -> Vec<Vec<usize>> {
     groups.into_iter().map(|(_, qubits)| qubits).collect()
 }
 
+mod exact;
+
 #[cfg(test)]
 mod oracle;
 
@@ -1230,19 +1437,19 @@ mod tests {
         };
         let device = Device::line(3, 1);
         let exec = Executor::new(&device);
-        let prep = exec.prepare(&Executor::asap_schedule(&ghz(3), device.calibration()));
+        let prep = exec.prepare(&Executor::asap_schedule(&ghz(3), device.calibration()), false);
         assert_eq!(prep.claim_shots(), LANE_BLOCK as u64);
         // A 6-qubit one holds several hundred: a multiple of 64 between.
         let device = Device::line(6, 1);
         let exec = Executor::new(&device);
-        let prep = exec.prepare(&Executor::asap_schedule(&ghz(6), device.calibration()));
+        let prep = exec.prepare(&Executor::asap_schedule(&ghz(6), device.calibration()), false);
         let shots = prep.claim_shots();
         assert!(shots > BUDGET_BATCH_SHOTS && shots < LANE_BLOCK as u64, "{shots} shots");
         assert_eq!(shots % BUDGET_BATCH_SHOTS, 0);
         // A 14-qubit component costs 2^14 per step: claims stay at 64.
         let device = Device::line(14, 1);
         let exec = Executor::new(&device);
-        let prep = exec.prepare(&Executor::asap_schedule(&ghz(14), device.calibration()));
+        let prep = exec.prepare(&Executor::asap_schedule(&ghz(14), device.calibration()), false);
         assert_eq!(prep.programs.len(), 1);
         assert_eq!(prep.claim_shots(), BUDGET_BATCH_SHOTS);
     }
@@ -1270,7 +1477,12 @@ mod tests {
             Step::Gate1 { q: 0, mat: h, depol: Some(0.75) },
             Step::Measure { q: 0, readout: None, clbit: Some(0) },
         ];
-        let prep = Prepared { num_clbits: 1, mats, programs: vec![Program { width: 14, steps }] };
+        let prep = Prepared {
+            num_clbits: 1,
+            mats,
+            programs: vec![Program { width: 14, steps }],
+            tables: Vec::new(),
+        };
         let device = Device::line(1, 0);
         let exec = Executor::with_config(&device, ExecutorConfig { shots: 4096, ..noiseless() });
         let mut runner = Runner::new();

@@ -4,6 +4,7 @@
 //! trajectory path must match count for count.
 
 use super::*;
+use crate::density::DensityMatrix;
 use rand::Rng;
 use std::collections::HashMap;
 use crate::{StateVector, C64};
@@ -162,7 +163,7 @@ impl Executor<'_> {
     /// its step counters.
     fn run_chunked(&self, sched: &ScheduledCircuit, chunk: Option<usize>) -> (Counts, Runner) {
         assert!(self.config.shots <= LANE_BLOCK as u64, "one claim holds the run");
-        let prep = self.prepare(sched);
+        let prep = self.prepare(sched, false);
         let mut runner = Runner::new();
         runner.chunk = chunk;
         let mut counts = Counts::new(prep.num_clbits.max(1));
@@ -170,17 +171,133 @@ impl Executor<'_> {
         (counts, runner)
     }
 
-    /// All shots through the claim loop on `threads` threads, unbudgeted,
-    /// a claim at cursor `c` taking `claim(c)` shots.
+    /// All shots of `prep` through the claim loop on `threads` threads,
+    /// unbudgeted, a claim at cursor `c` taking `claim(c)` shots.
     fn run_claims(
         &self,
-        sched: &ScheduledCircuit,
+        prep: &Prepared,
         threads: usize,
         claim: impl Fn(u64) -> u64 + Sync,
     ) -> Counts {
-        let prep = self.prepare(sched);
-        self.run_batches(&prep, threads, &Budget::unlimited(), claim).counts
+        self.run_batches(prep, threads, &Budget::unlimited(), claim).counts
     }
+
+    /// The outcome distribution of every component `prep` put on the
+    /// exact backend, evolved independently through [`DensityMatrix`]
+    /// from the circuit itself, as `run_reference` walks it: joint over
+    /// the clbit masks they write.
+    fn density_reference(&self, sched: &ScheduledCircuit, prep: &Prepared) -> Dist {
+        let circuit = sched.circuit();
+        let cal = self.device.calibration();
+        let factor = self.reference_factors(sched);
+        let mut writes = vec![0u32; circuit.num_clbits()];
+        for c in circuit.iter().filter_map(|i| i.clbit()) {
+            writes[c.index()] += 1;
+        }
+        let trajectories = self.prepare(sched, false);
+        let mut joint = Dist::from([(0, 1.0)]);
+        let mut exact = 0;
+        for (qubits, program) in components(circuit).iter().zip(&trajectories.programs) {
+            if !program.exact_eligible(&writes) {
+                continue;
+            }
+            let local: HashMap<usize, usize> =
+                qubits.iter().enumerate().map(|(l, &p)| (p, l)).collect();
+            let mut rho = DensityMatrix::new(qubits.len());
+            let mut busy_until: Vec<u64> = qubits
+                .iter()
+                .map(|&p| sched.qubit_first_start(Qubit::from(p)).unwrap_or(0))
+                .collect();
+            let mut instrs: Vec<usize> = (0..circuit.len())
+                .filter(|&i| {
+                    let instr = &circuit.instructions()[i];
+                    !instr.gate().is_barrier() && local.contains_key(&instr.qubits()[0].index())
+                })
+                .collect();
+            instrs.sort_by_key(|&i| (sched.slot(i).start, i));
+            let mut measured = Vec::new();
+            let mut flips = vec![0.0; qubits.len()];
+            for i in instrs {
+                let instr = &circuit.instructions()[i];
+                let slot = sched.slot(i);
+                let qs: Vec<usize> = instr.qubits().iter().map(|q| local[&q.index()]).collect();
+                for (&lq, q) in qs.iter().zip(instr.qubits()) {
+                    if self.config.decoherence {
+                        let gap = slot.start.saturating_sub(busy_until[lq]);
+                        let (t1, t2) = (cal.t1_us(q.raw()) * 1000.0, cal.t2_us(q.raw()) * 1000.0);
+                        rho.idle(lq, gap as f64, t1, t2);
+                    }
+                    busy_until[lq] = slot.finish();
+                }
+                let q0 = instr.qubits()[0].raw();
+                match instr.gate() {
+                    Gate::Measure => {
+                        if let Some(c) = instr.clbit() {
+                            measured.push((qs[0], c.index()));
+                            if self.config.readout_noise {
+                                flips[qs[0]] = cal.readout_error(q0);
+                            }
+                        }
+                    }
+                    g if g.is_two_qubit() => {
+                        rho.apply_gate(g, &qs);
+                        if self.config.gate_noise {
+                            let p1 = cal.cx_error(edge_of(circuit, i));
+                            let base = match g {
+                                Gate::Swap => 1.0 - (1.0 - p1).powi(3),
+                                _ => p1,
+                            };
+                            let p = depolarizing_prob_for_error_2q((base * factor[i]).min(1.0));
+                            rho.depolarize_2q(qs[0], qs[1], p);
+                        }
+                    }
+                    g => {
+                        rho.apply_kraus_1q(qs[0], &[single_qubit_matrix(g)]);
+                        if self.config.gate_noise && !g.is_virtual() {
+                            rho.depolarize_1q(qs[0], depolarizing_prob_for_error_1q(cal.sq_error(q0)));
+                        }
+                    }
+                }
+            }
+            if measured.is_empty() {
+                continue;
+            }
+            exact += 1;
+            let mut dist = Dist::new();
+            for (i, p) in rho.readout_distribution(&flips).into_iter().enumerate() {
+                let mask = measured
+                    .iter()
+                    .filter(|&&(lq, _)| (i >> lq) & 1 == 1)
+                    .fold(0u64, |m, &(_, c)| m | 1 << c);
+                *dist.entry(mask).or_insert(0.0) += p;
+            }
+            joint = convolve(&joint, &dist);
+        }
+        assert_eq!(exact, prep.exact_components(), "exact components");
+        joint
+    }
+}
+
+/// A distribution over clbit masks.
+type Dist = BTreeMap<u64, f64>;
+
+/// The distribution of `a | b` for independent `a` and `b` over disjoint
+/// clbits.
+fn convolve(a: &Dist, b: &Dist) -> Dist {
+    let mut out = Dist::new();
+    for (&x, &p) in a {
+        for (&y, &q) in b {
+            *out.entry(x | y).or_insert(0.0) += p * q;
+        }
+    }
+    out
+}
+
+/// The joint distribution of `prep`'s exact components, from their tables.
+fn exact_distribution(prep: &Prepared) -> Dist {
+    prep.tables.iter().fold(Dist::from([(0, 1.0)]), |joint, table| {
+        convolve(&joint, &table.distribution().collect())
+    })
 }
 
 /// The idle channel as `NoiseModel::idle` evaluated it before
@@ -437,7 +554,7 @@ fn compiled_programs_match_reference_at_every_thread_count() {
         assert_eq!(exec.run(&sched), reference, "{name}, run");
         // Batches that end mid-chunk and off the 64-shot grid.
         for threads in [1usize, 3] {
-            let counts = exec.run_claims(&sched, threads, |_| 37);
+            let counts = exec.run_claims(&exec.prepare(&sched, false), threads, |_| 37);
             assert_eq!(counts, reference, "{name}, 37-shot batches x{threads}");
         }
         for threads in [1usize, 2, 4] {
@@ -463,7 +580,7 @@ fn random_claim_plans_match_run() {
             while ends[ends.len() - 1] < cfg.shots {
                 ends.push(ends[ends.len() - 1] + BUDGET_BATCH_SHOTS * rng.gen_range(1..17u64));
             }
-            let counts = exec.run_claims(&sched, threads, |cursor| {
+            let counts = exec.run_claims(&exec.prepare(&sched, false), threads, |cursor| {
                 let end = ends.iter().find(|&&end| end > cursor).expect("a claim ends past it");
                 end - cursor
             });
@@ -498,7 +615,7 @@ fn cases_exercise_every_step_kind() {
     let mut kinds = [0usize; 4];
     let mut dephasing = [0usize; 2];
     for (_, device, sched) in &cases {
-        let prep = Executor::new(device).prepare(sched);
+        let prep = Executor::new(device).prepare(sched, false);
         for step in prep.programs.iter().flat_map(|p| &p.steps) {
             match step {
                 Step::Gate1 { .. } => kinds[0] += 1,
@@ -527,7 +644,7 @@ fn cases_exercise_every_step_kind() {
             runner.lane_steps
         );
         if *name == "saturated" {
-            let prep = Executor::new(device).prepare(sched);
+            let prep = Executor::new(device).prepare(sched, false);
             let clamped = prep.programs.iter().flat_map(|p| &p.steps).any(
                 |s| matches!(s, Step::Gate2 { depol: Some(p), .. } if *p == 0.9375),
             );
@@ -540,7 +657,7 @@ fn cases_exercise_every_step_kind() {
             );
         }
         if *name == "mixed widths" {
-            let prep = Executor::new(device).prepare(sched);
+            let prep = Executor::new(device).prepare(sched, false);
             let mut widths: Vec<usize> = prep.programs.iter().map(|p| p.width).collect();
             widths.sort_unstable();
             assert_eq!(widths, [1, 2, 6], "component widths");
@@ -594,5 +711,129 @@ fn crosstalk_factors_match_every_pairs_lookups() {
                 "{name} under {cfg:?}"
             );
         }
+    }
+}
+
+#[test]
+fn exact_tables_match_density_under_every_noise_switch() {
+    // Every case whose exact components fit the density oracle (≤ 6
+    // qubits), under all 16 noise switches; the crosstalk triad, the
+    // saturated pairs and the SWAP path overlap hot pairs.
+    let mut compared = Vec::new();
+    for (name, device, sched) in cases() {
+        for cfg in all_configs(1, 0) {
+            let exec = Executor::with_config(&device, cfg);
+            let prep = exec.program(&sched);
+            if prep.exact_components() == 0 || name == "supremacy" {
+                continue;
+            }
+            let want = exec.density_reference(&sched, &prep);
+            let got = exact_distribution(&prep);
+            let keys: std::collections::BTreeSet<u64> = want.keys().chain(got.keys()).copied().collect();
+            for k in keys {
+                let (w, g) = (want.get(&k).copied().unwrap_or(0.0), got.get(&k).copied().unwrap_or(0.0));
+                assert!((w - g).abs() < 1e-12, "{name} under {cfg:?}: P({k:#b}) {g} vs {w}");
+            }
+            compared.push(name);
+        }
+    }
+    for name in ["srb bin", "swap path", "crosstalk triad", "coherence mix", "saturated", "mixed widths"] {
+        assert_eq!(compared.iter().filter(|&&n| n == name).count(), 16, "{name} never compared");
+    }
+}
+
+#[test]
+fn exact_dispatch_follows_the_program_alone() {
+    let cases = cases();
+    let backends = |name: &str| {
+        let (_, device, sched) = cases.iter().find(|(n, _, _)| *n == name).unwrap();
+        let prep = Executor::new(device).program(sched);
+        (prep.exact_components(), prep.trajectory_components())
+    };
+    // Mid-circuit measurements keep their components on trajectories;
+    // the unmeasured component is dropped, the measured ones are exact.
+    assert_eq!(backends("mid-circuit measure"), (0, 2));
+    // Eight entangled qubits over ~100 steps exceed the work cap.
+    assert_eq!(backends("supremacy"), (0, 1));
+    assert_eq!(backends("crosstalk triad"), (4, 0));
+    assert_eq!(backends("mixed widths"), (3, 0));
+    // A clbit written by two measurements keeps both on trajectories.
+    let device = Device::line(2, 0);
+    let mut c = Circuit::new(2, 1);
+    c.h(0).h(1).measure(0, 0).measure(1, 0);
+    let prep = Executor::new(&device).program(&Executor::asap_schedule(&c, device.calibration()));
+    assert_eq!((prep.exact_components(), prep.trajectory_components()), (0, 2));
+}
+
+#[test]
+fn programs_without_exact_components_count_as_run() {
+    for (name, device, sched) in cases() {
+        let cfg = ExecutorConfig { shots: 300, seed: 8, ..Default::default() };
+        let exec = Executor::with_config(&device, cfg);
+        let prep = exec.program(&sched);
+        let eligible = {
+            let trajectories = exec.prepare(&sched, false);
+            trajectories.programs.len() - prep.programs.len()
+        };
+        if eligible == 0 {
+            let out = exec.sample(&prep, 2, &Budget::unlimited());
+            assert_eq!(out.counts, exec.run(&sched), "{name}");
+        }
+    }
+}
+
+#[test]
+fn exact_sampling_is_claim_plan_and_thread_invariant() {
+    // The prefix contract holds for the exact backend too: any claim plan
+    // of 64-shot multiples, at any thread count, counts as one unbudgeted
+    // run, and a quota-truncated run is the prefix of its shots.
+    let mut rng = StdRng::seed_from_u64(22);
+    for (name, device, sched) in cases() {
+        let cfg = ExecutorConfig { shots: 1100, seed: 4, ..Default::default() };
+        let exec = Executor::with_config(&device, cfg);
+        let prep = exec.program(&sched);
+        let want = exec.sample(&prep, 1, &Budget::unlimited()).counts;
+        for threads in [2usize, 3, 4] {
+            assert_eq!(exec.sample(&prep, threads, &Budget::unlimited()).counts, want, "{name}");
+        }
+        for threads in [1usize, 3] {
+            let mut ends = vec![BUDGET_BATCH_SHOTS];
+            while ends[ends.len() - 1] < cfg.shots {
+                ends.push(ends[ends.len() - 1] + BUDGET_BATCH_SHOTS * rng.gen_range(1..17u64));
+            }
+            let counts = exec.run_claims(&prep, threads, |cursor| {
+                let end = ends.iter().find(|&&end| end > cursor).expect("a claim ends past it");
+                end - cursor
+            });
+            assert_eq!(counts, want, "{name}, claims ending at {ends:?} x{threads}");
+            // Chunks of a mixed program end mid-claim.
+            for chunk in [1usize, 7] {
+                let mut runner = Runner::new();
+                runner.chunk = Some(chunk);
+                let mut counts = Counts::new(prep.num_clbits.max(1));
+                exec.run_block(&prep, 0..cfg.shots, 0, &mut runner, &mut counts);
+                assert_eq!(counts, want, "{name}, {chunk} lanes per chunk");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_short_exact_run_is_the_budget_prefix_of_a_long_one() {
+    for (name, device, sched) in cases() {
+        let long = Executor::with_config(&device, ExecutorConfig { shots: 4096, ..Default::default() });
+        let prep = long.program(&sched);
+        let short = Executor::with_config(&device, ExecutorConfig { shots: 64, ..Default::default() });
+        let fresh = short.sample(&prep, 1, &Budget::unlimited());
+        for threads in [1usize, 4] {
+            let out = long.sample(&prep, threads, &Budget::unlimited().with_quota(1));
+            assert!(out.shots_completed >= 64 && !out.complete, "{name}");
+            if out.shots_completed == 64 {
+                assert_eq!(out.counts, fresh.counts, "{name} x{threads}");
+            }
+        }
+        let out = long.sample(&prep, 1, &Budget::unlimited().with_quota(1));
+        assert_eq!(out.shots_completed, 64, "{name}");
+        assert_eq!(out.counts, fresh.counts, "{name}");
     }
 }

@@ -1,9 +1,8 @@
 //! Noisy quantum-circuit simulator: the stand-in for IBMQ hardware.
 //!
 //! The paper runs every experiment on three real 20-qubit IBM machines;
-//! this crate replaces them with a Monte-Carlo *trajectory* statevector
-//! simulator whose error model compounds the same way real hardware noise
-//! does:
+//! this crate replaces them with a noisy simulator whose error model
+//! compounds the same way real hardware noise does:
 //!
 //! * every gate is applied ideally, then hit by a depolarizing Pauli error
 //!   whose probability comes from the device calibration — and, for
@@ -17,7 +16,22 @@
 //!
 //! Connected components of the circuit's interaction graph are simulated
 //! independently (exact, since no unitary spans components), which keeps
-//! bin-packed simultaneous-RB experiments cheap.
+//! bin-packed simultaneous-RB experiments cheap. Each component takes one
+//! of two backends ([`Executor::program`], then [`Executor::sample`]):
+//!
+//! * **exact** — when every measurement is terminal on its qubit, each
+//!   clbit is written once, the component's density matrix fits 1 MiB
+//!   (`w ≤ 8`) and `4^w` × its steps stays within one claim's work cap,
+//!   its channel is evolved once as a density matrix into a table of
+//!   outcome probabilities (readout flips folded in), and each shot is one
+//!   draw from it;
+//! * **trajectory** — every other component samples a statevector
+//!   trajectory per shot, as above.
+//!
+//! The choice depends only on the schedule, never on the shot count.
+//! Both backends sample the same channels, so their counts agree in
+//! distribution, not bit for bit. [`Executor::run`] and
+//! [`Executor::run_budgeted`] keep every component on trajectories.
 //!
 //! Also provided: exact noise-free execution ([`ideal`]), two-qubit state
 //! tomography ([`tomography`]), readout-error mitigation ([`mitigation`])
@@ -26,7 +40,8 @@
 
 mod complex;
 mod counts;
-pub mod density;
+#[cfg(test)]
+mod density;
 mod executor;
 pub mod ideal;
 mod matrix;
@@ -38,7 +53,7 @@ pub mod tomography;
 
 pub use complex::C64;
 pub use counts::Counts;
-pub use executor::{Executor, ExecutorConfig, RunOutcome};
+pub use executor::{Executor, ExecutorConfig, Prepared, RunOutcome};
 pub use matrix::{single_qubit_matrix, two_qubit_matrix, Mat2, Mat4};
 pub use noise::{
     depolarizing_prob_for_error_1q, depolarizing_prob_for_error_2q, NoiseModel,

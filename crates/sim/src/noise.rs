@@ -206,6 +206,14 @@ impl IdleChannel {
         }
     }
 
+    /// The channel's rates for density-matrix evolution: the damping
+    /// `γ` and `√(1−γ)` (`0` and `1` without damping), and the dephasing
+    /// `Z` probability (`0` without dephasing).
+    pub(crate) fn rates(&self) -> (f64, f64, f64) {
+        let (keep, decay) = self.damping.unwrap_or((1.0, 0.0));
+        (decay * decay, keep, self.p_z.unwrap_or(0.0))
+    }
+
     /// The amplitude damping Kraus pair `(K0, K1)`, or `None` when `γ = 0`.
     fn damping_kraus(&self) -> Option<[Mat2; 2]> {
         self.damping.map(|(keep, decay)| {
