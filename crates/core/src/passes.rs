@@ -321,13 +321,12 @@ impl ContentHash for ProgramArtifact {
 #[derive(Clone, Copy, Debug)]
 pub struct ProgramPass<'d> {
     device: &'d Device,
-    noise: ExecutorConfig,
 }
 
 impl<'d> ProgramPass<'d> {
     /// Compilation against `device` with every noise source on.
     pub fn new(device: &'d Device) -> Self {
-        ProgramPass { device, noise: ExecutorConfig::default() }
+        ProgramPass { device }
     }
 }
 
@@ -343,7 +342,7 @@ impl Pass for ProgramPass<'_> {
     fn config_hash(&self, h: &mut Fnv1a) {
         self.device.calibration().content_hash(h);
         self.device.crosstalk().content_hash(h);
-        let n = self.noise;
+        let n = ExecutorConfig::default();
         for on in [n.gate_noise, n.crosstalk, n.decoherence, n.readout_noise] {
             h.write_u8(u8::from(on));
         }
@@ -352,7 +351,7 @@ impl Pass for ProgramPass<'_> {
     fn run(&self, input: &ScheduledCircuit, _budget: &Budget) -> Result<ProgramArtifact, CoreError> {
         Ok(ProgramArtifact {
             schedule_key: input.hash_value(),
-            prepared: Executor::with_config(self.device, self.noise).program(input),
+            prepared: Executor::new(self.device).program(input),
         })
     }
 }

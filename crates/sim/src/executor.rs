@@ -579,11 +579,6 @@ pub struct Prepared {
 }
 
 impl Prepared {
-    /// Width of the classical register the program writes.
-    pub fn num_clbits(&self) -> usize {
-        self.num_clbits
-    }
-
     /// Components on the trajectory backend.
     pub fn trajectory_components(&self) -> usize {
         self.programs.len()
