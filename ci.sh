@@ -26,6 +26,7 @@ cargo test -q -p xtalk-sim --test determinism_profile
 cargo test -q -p xtalk-sim --test obs_overhead
 cargo test -q -p xtalk-serve --test json_props
 cargo test -q -p xtalk-charac --test fit_regression
+cargo test -q -p xtalk-charac --test exact_characterization
 
 echo "== pass-manager & artifact-cache suites =="
 # Content-hash properties, golden determinism against the pre-refactor
@@ -57,7 +58,7 @@ exact="$(echo "$bench_out" | grep '^exact ' | head -n1)"
 # (experiments, bins, simulated shots, recall and the digest of every
 # measured error rate) are pinned, so an executor or RB change that moves
 # a single count fails here.
-pinned_charac="exact charac.experiments=71 charac.bins=86 sim.shots=123840 charac_recall=13/15 charac_false_pairs=0 charac_digest=0a49c47e6629c5fd"
+pinned_charac="exact charac.experiments=71 charac.bins=86 sim.shots=123840 charac_recall=14/15 charac_false_pairs=0 charac_digest=5498464a9ce3ba29"
 charac_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload charac_daily --seed 1 --seconds 3 --trace 0)"
 charac_exact="$(echo "$charac_out" | grep '^exact ' | head -n1)"
@@ -66,7 +67,7 @@ charac_exact="$(echo "$charac_out" | grep '^exact ' | head -n1)"
 }
 # Seed 2 starts on another day with other RB seeds, so sequence synthesis
 # and the executor are checked on a second set of device-days.
-pinned_charac2="exact charac.experiments=71 charac.bins=87 sim.shots=125280 charac_recall=13/14 charac_false_pairs=0 charac_digest=233f7ad0dfd0a144"
+pinned_charac2="exact charac.experiments=71 charac.bins=87 sim.shots=125280 charac_recall=13/14 charac_false_pairs=0 charac_digest=36f9b086ab24ca50"
 charac_out2="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload charac_daily --seed 2 --seconds 3 --trace 0)"
 charac_exact2="$(echo "$charac_out2" | grep '^exact ' | head -n1)"
@@ -79,10 +80,10 @@ pinned_onehop="$(cat <<'PIN'
 characterizing ibmq_johannesburg with policy `Opt 1: One hop`…
 44 experiments over 44 pairs (28160 executions; 0.01 h at this scale)
 detected high-crosstalk pairs (>3x):
-  CX5,10 | CX6,7: E(CX5,10)=0.0128, E(CX5,10|CX6,7)=0.0473
-  CX7,12 | CX8,9: E(CX7,12)=0.0360, E(CX7,12|CX8,9)=0.1334
-  CX7,12 | CX10,11: E(CX7,12)=0.0360, E(CX7,12|CX10,11)=0.1694
-  CX9,14 | CX12,13: E(CX9,14)=0.0153, E(CX9,14|CX12,13)=0.0332
+  CX5,10 | CX6,7: E(CX5,10)=0.0147, E(CX5,10|CX6,7)=0.0688
+  CX7,12 | CX8,9: E(CX7,12)=0.0349, E(CX7,12|CX8,9)=0.1718
+  CX7,12 | CX10,11: E(CX7,12)=0.0349, E(CX7,12|CX10,11)=0.1348
+  CX9,14 | CX12,13: E(CX9,14)=0.0121, E(CX9,14|CX12,13)=0.0334
 PIN
 )"
 onehop_out="$(target/release/xtalk characterize --device johannesburg --policy onehop \
@@ -107,6 +108,9 @@ echo "== XtalkSched search oracle in release =="
 # arithmetic that went wrong only there would reach the pinned line
 # unexplained: the search's oracle suite runs in release too.
 cargo test -q --release -p xtalk-core --lib sched::xtalk
+# The exact backend's χ² gate against the all-trajectory reference runs
+# in release too.
+cargo test -q --release -p xtalk-sim --lib exact_tables_pass_a_chi_square_test
 
 echo "== XtalkSched engine agreement =="
 # The lazy branch-and-bound and the eager SMT encoding must reach equal
@@ -123,7 +127,7 @@ printf 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncreg c[2];\nh q[0];\nc
 compare_a="$(target/release/xtalk compare "$compare_qasm" --device poughkeepsie)"
 compare_b="$(target/release/xtalk compare "$compare_qasm" --device poughkeepsie)"
 [ "$compare_a" = "$compare_b" ] || { echo "compare is nondeterministic across runs"; exit 1; }
-echo "$compare_a" | grep -q "artifact cache: 3 hits, 6 misses" \
+echo "$compare_a" | grep -q "artifact cache: 5 hits, 7 misses" \
     || { echo "compare did not share the pass prefix:"; echo "$compare_a"; exit 1; }
 rm -f "$compare_qasm"
 

@@ -2,13 +2,12 @@
 //! `charac_daily` digest.
 //!
 //! Each test runs one experiment on a small line device with planted
-//! crosstalk and compares the `f64::to_bits` of its results with recorded
-//! values: the single-lane pins from the tableau-composition
-//! implementation, the multi-lane bin pins from the per-flavour survival
-//! loops that preceded the shared one. Sequence synthesis, native
-//! lowering, clbit offsets and masks, scheduling and execution all feed
-//! these numbers, so a change that moves a single gate, a single RNG draw
-//! or a single sampled count in any of them fails here.
+//! crosstalk and compares the `f64::to_bits` of its results with values
+//! recorded with every lane on the exact backend (each lane's
+//! measurements are terminal). Sequence synthesis, native lowering, clbit
+//! offsets and masks, scheduling and execution all feed these numbers, so
+//! a change that moves a single gate, a single RNG draw or a single
+//! sampled count in any of them fails here.
 
 use xtalk_charac::irb::run_irb;
 use xtalk_charac::rb::{run_rb, run_rb_1q};
@@ -115,31 +114,31 @@ fn run_srb_bin_is_pinned() {
 }
 
 const RUN_RB: [u64; 9] = [
-    4603739053677962085,
+    4603266379765760894,
     4598175219545276416,
-    4606479387136389708,
-    4583425944076518514,
-    4588597200999326832,
-    4585584208155208118,
-    4605024443978569045,
+    4606636646115106123,
+    4579793220306250239,
+    4586710093254729852,
+    4584077714261340904,
+    4604836793994095274,
     4603898544071726422,
-    4600989969312382976,
+    4601928219234751829,
 ];
-const RUN_RB_1Q: [u64; 2] = [4572958628846327475, 4567541791401879016];
+const RUN_RB_1Q: [u64; 2] = [4574935791744708581, 4571226453216005219];
 const RUN_IRB: [u64; 7] = [
-    4604239990720660280,
-    4606321074420744722,
-    4586118375231816583,
-    4603539987130157290,
-    4605941630057174410,
-    4580585467688652887,
-    4585195623704413836,
+    4603134267522674306,
+    4606743776036177753,
+    4578661780645784631,
+    4603930096879124285,
+    4606107228868334062,
+    4586392795562279081,
+    4588190421608862816,
 ];
-const RUN_SRB_PAIR: [u64; 2] = [4592647140325893891, 4597948005339232906];
-const RUN_RB_BIN: [u64; 2] = [4593754966321022755, 4593649528799575165];
+const RUN_SRB_PAIR: [u64; 2] = [4594087904034753872, 4592305483995211517];
+const RUN_RB_BIN: [u64; 2] = [4598585191973576284, 4590007890764970841];
 const RUN_SRB_BIN: [u64; 4] = [
-    4593330896145895693,
-    4587573996740781336,
-    4586218187241355305,
-    4592873090846724428,
+    4594105538561854016,
+    4591205280120605564,
+    4586301212447705544,
+    4593659816788594601,
 ];

@@ -25,7 +25,7 @@ use xtalk_sim::mitigation::CalibrationMatrix;
 use xtalk_sim::tomography::{
     bell_phi_plus, expectations_from_distributions, tomography_circuits, DensityMatrix2,
 };
-use xtalk_sim::{ideal, metrics, Executor, ExecutorConfig, RunOutcome};
+use xtalk_sim::{ideal, metrics, RunOutcome};
 
 /// The SWAP-circuit metric's outcome (Figures 5–7).
 pub struct SwapRunOutcome {
@@ -209,11 +209,10 @@ impl<'d> Compiler<'d> {
     /// available parallelism): the cached [`Compiler::program`], then an
     /// uncached sampling stage. Narrow components whose measurements are
     /// all terminal sample their exact noisy outcome distribution, the
-    /// rest run trajectories ([`xtalk_sim::Executor::program`]); counts
-    /// are therefore equal in distribution to
-    /// [`xtalk_sim::Executor::run`]'s, not bit-identical. The compiler's
-    /// budget bounds the run and the outcome reports the honest shot
-    /// prefix.
+    /// rest run trajectories ([`xtalk_sim::Executor::program`]). Counts
+    /// are bit-identical to [`xtalk_sim::Executor::run`]'s at the same
+    /// shots and seed. The compiler's budget bounds the run and the
+    /// outcome reports the honest shot prefix.
     ///
     /// # Errors
     ///
@@ -231,14 +230,6 @@ impl<'d> Compiler<'d> {
         self.pm
             .run(&SamplePass::new(self.device, shots, seed, threads), &program)
             .map_err(CoreError::from)
-    }
-
-    /// A one-thread trajectory run of `sched` under the compiler's budget,
-    /// outside the artifact cache: the executor the QAOA and Hidden Shift
-    /// metrics (Figures 8–9) were calibrated with.
-    fn run_trajectories(&self, sched: &ScheduledCircuit, shots: u64, seed: u64) -> RunOutcome {
-        let cfg = ExecutorConfig { shots, seed, ..Default::default() };
-        Executor::with_config(self.device, cfg).run_budgeted(sched, 1, self.pm.budget())
     }
 
     /// The SWAP-circuit metric (Figures 5–7) through the pass pipeline:
@@ -304,7 +295,7 @@ impl<'d> Compiler<'d> {
     ///
     /// # Errors
     ///
-    /// Propagates scheduling failures.
+    /// Propagates scheduling failures and injected faults.
     pub fn qaoa_cross_entropy(
         &self,
         scheduler: &dyn Scheduler,
@@ -313,7 +304,7 @@ impl<'d> Compiler<'d> {
         seed: u64,
     ) -> Result<f64, CoreError> {
         let artifact = self.schedule(circuit, scheduler)?;
-        let outcome = self.run_trajectories(&artifact.sched, shots, seed);
+        let outcome = self.run(&artifact.sched, shots, seed, 1)?;
         let measured = measured_qubits(circuit);
         let cal =
             CalibrationMatrix::measure(self.device, &measured, shots.max(1024), seed ^ 0xfe);
@@ -327,7 +318,7 @@ impl<'d> Compiler<'d> {
     ///
     /// # Errors
     ///
-    /// Propagates scheduling failures.
+    /// Propagates scheduling failures and injected faults.
     pub fn hidden_shift_error(
         &self,
         scheduler: &dyn Scheduler,
@@ -337,7 +328,7 @@ impl<'d> Compiler<'d> {
         seed: u64,
     ) -> Result<f64, CoreError> {
         let artifact = self.schedule(circuit, scheduler)?;
-        let outcome = self.run_trajectories(&artifact.sched, shots, seed);
+        let outcome = self.run(&artifact.sched, shots, seed, 1)?;
         let measured = measured_qubits(circuit);
         let cal =
             CalibrationMatrix::measure(self.device, &measured, shots.max(1024), seed ^ 0xfd);
@@ -369,6 +360,7 @@ mod tests {
     use super::*;
     use crate::bench_circuits::{hidden_shift, qaoa_ansatz};
     use crate::{ParSched, SerialSched, XtalkSched};
+    use xtalk_sim::{Executor, ExecutorConfig};
 
     #[test]
     fn shared_cache_reuses_prefix_across_schedulers() {
@@ -485,34 +477,11 @@ mod tests {
         let exec = Executor::with_config(&device, cfg);
         let plain = exec.sample(&exec.program(&artifact.sched), 1, &Budget::unlimited());
         assert_eq!(outcome.counts, plain.counts);
+        assert_eq!(outcome.counts, exec.run(&artifact.sched));
         // A second run samples the cached program.
         let hits = compiler.cache().hits();
         assert_eq!(compiler.run(&artifact.sched, 256, 7, 1).unwrap().counts, plain.counts);
         assert_eq!(compiler.cache().hits(), hits + 1);
-    }
-
-    #[test]
-    fn budgeted_run_matches_plain_run_when_unlimited() {
-        let device = Device::line(3, 2);
-        let ctx = SchedulerContext::from_ground_truth(&device);
-        let mut c = Circuit::new(3, 3);
-        c.h(0).cx(0, 1).cx(1, 2).measure_all();
-        let sched = ParSched::new().schedule(&c, &ctx).unwrap();
-        let cfg = ExecutorConfig { shots: 300, seed: 9, ..Default::default() };
-        let exec = Executor::with_config(&device, cfg);
-        let plain = exec.run(&sched);
-        for threads in [1, 2, 4] {
-            let out = exec.run_budgeted(&sched, threads, &Budget::unlimited());
-            assert!(out.complete);
-            assert_eq!(out.shots_completed, 300);
-            assert_eq!(out.counts, plain, "{threads} threads");
-        }
-        // A cancelled budget yields an honest empty prefix.
-        let budget = Budget::unlimited();
-        budget.cancel_token().cancel();
-        let out = exec.run_budgeted(&sched, 2, &budget);
-        assert!(!out.complete);
-        assert_eq!(out.shots_completed, 0);
     }
 
     #[test]

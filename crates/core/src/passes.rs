@@ -316,15 +316,15 @@ impl ContentHash for ProgramArtifact {
 /// keeps trajectory programs for the rest ([`Executor::program`]).
 /// Cached: the key is the schedule's content key plus the device epoch,
 /// and the configuration covers everything else the program reads — the
-/// calibration, the ground-truth crosstalk map and the noise switches —
-/// so every run of one schedule in one epoch samples one artifact.
+/// calibration and the ground-truth crosstalk map — so every run of one
+/// schedule in one epoch samples one artifact. Every noise source is on.
 #[derive(Clone, Copy, Debug)]
 pub struct ProgramPass<'d> {
     device: &'d Device,
 }
 
 impl<'d> ProgramPass<'d> {
-    /// Compilation against `device` with every noise source on.
+    /// Compilation against `device`.
     pub fn new(device: &'d Device) -> Self {
         ProgramPass { device }
     }
@@ -342,10 +342,6 @@ impl Pass for ProgramPass<'_> {
     fn config_hash(&self, h: &mut Fnv1a) {
         self.device.calibration().content_hash(h);
         self.device.crosstalk().content_hash(h);
-        let n = ExecutorConfig::default();
-        for on in [n.gate_noise, n.crosstalk, n.decoherence, n.readout_noise] {
-            h.write_u8(u8::from(on));
-        }
     }
 
     fn run(&self, input: &ScheduledCircuit, _budget: &Budget) -> Result<ProgramArtifact, CoreError> {

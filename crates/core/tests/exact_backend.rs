@@ -1,16 +1,14 @@
-//! The exact backend against the trajectory sampler on the circuit
-//! families the job service is benchmarked with (4-qubit Bernstein–
-//! Vazirani, Hidden Shift, GHZ and QAOA, and the 5-qubit SWAP path), as
-//! `Compiler::run` dispatches them on Poughkeepsie.
+//! Budget prefixes and thread invariance of `Compiler::run` on the
+//! circuit families the job service is benchmarked with (4-qubit
+//! Bernstein–Vazirani, Hidden Shift, GHZ and QAOA, and the 5-qubit SWAP
+//! path) on Poughkeepsie.
 
-use std::collections::BTreeSet;
 use xtalk_budget::Budget;
 use xtalk_core::bench_circuits::{bernstein_vazirani, ghz, hidden_shift, qaoa_ansatz};
 use xtalk_core::routing::swap_benchmark;
-use xtalk_core::{Compiler, ParSched, Scheduler, SchedulerContext, XtalkSched};
+use xtalk_core::{Compiler, SchedulerContext, XtalkSched};
 use xtalk_device::{Device, Topology};
 use xtalk_ir::Circuit;
-use xtalk_sim::{Counts, Executor, ExecutorConfig};
 
 fn families() -> Vec<(&'static str, Circuit)> {
     let region = [0u32, 1, 2, 3];
@@ -24,34 +22,6 @@ fn families() -> Vec<(&'static str, Circuit)> {
         ("qaoa", qaoa_ansatz(4, &region, 17)),
         ("swap_path", swap_path),
     ]
-}
-
-fn total_variation(a: &Counts, b: &Counts) -> f64 {
-    let outcomes: BTreeSet<u64> = a.iter().chain(b.iter()).map(|(o, _)| o).collect();
-    0.5 * outcomes.into_iter().map(|o| (a.probability(o) - b.probability(o)).abs()).sum::<f64>()
-}
-
-#[test]
-fn exact_and_trajectory_histograms_agree_on_the_serve_families() {
-    // 200k shots each: the TVD of two independent samples of one
-    // distribution over ≤ 16 outcomes stays near 0.003 at that size.
-    let shots = 200_000;
-    let device = Device::poughkeepsie(7);
-    let compiler = Compiler::new(&device, SchedulerContext::from_ground_truth(&device));
-    for (name, circuit) in families() {
-        let routed = compiler.prepare(&circuit).unwrap();
-        let scheduler: &dyn Scheduler =
-            if name == "swap_path" { &XtalkSched::new(0.5) } else { &ParSched::new() };
-        let sched = &compiler.schedule(&routed.circuit, scheduler).unwrap().sched;
-        let program = compiler.program(sched).unwrap();
-        assert!(program.prepared.exact_components() > 0, "{name}: no exact component");
-        assert_eq!(program.prepared.trajectory_components(), 0, "{name}");
-        let exact = compiler.run(sched, shots, 11, 2).unwrap();
-        let cfg = ExecutorConfig { shots, seed: 12, ..Default::default() };
-        let trajectories = Executor::with_config(&device, cfg).run_budgeted(sched, 2, &Budget::unlimited());
-        let tvd = total_variation(&exact.counts, &trajectories.counts);
-        assert!(tvd < 0.01, "{name}: TVD {tvd} between exact and trajectory histograms");
-    }
 }
 
 #[test]

@@ -17,18 +17,18 @@ use xtalk_budget::Budget;
 use xtalk_device::{Calibration, Device, Edge};
 use xtalk_ir::{Circuit, Gate, OverlapSweep, ScheduleSlot, ScheduledCircuit};
 
-/// Shots of a budgeted run's first claim, and of its every claim under a
-/// work quota ([`Executor::run_budgeted`]). Every claim of a budgeted run
-/// is a multiple of it unless the shot count cuts it short, so the shots
-/// completed under an exhausted budget are a prefix `0..shots_completed`
-/// whose counts are bit-identical to a fresh run of exactly that many
-/// shots at any thread count. A quota charges one unit per claim, so under
+/// Shots of a run's first claim, and of its every claim under a work
+/// quota ([`Executor::sample`]). Every claim is a multiple of it unless
+/// the shot count cuts it short, so the shots completed under an
+/// exhausted budget are a prefix `0..shots_completed` whose counts are
+/// bit-identical to a fresh run of exactly that many shots at any thread
+/// count. A quota charges one unit per claim, so under
 /// one every claim stays this size: a unit of work must not grow.
 const BUDGET_BATCH_SHOTS: u64 = 64;
 
-/// Worst-case work of one later claim of a budgeted run, in
-/// amplitude-steps: lanes × Σ over the program's components of
-/// steps · 2^width, as if no two lanes shared a state. A claim holds as
+/// Worst-case work of one later claim of a run, in amplitude-steps:
+/// lanes × Σ over the program's components of steps · 2^width, as if no
+/// two lanes shared a state. A claim holds as
 /// many shots as fit ([`Prepared::claim_shots`]), so a short circuit runs
 /// thousands of shots in one claim while a wide one keeps 64-shot claims.
 /// It bounds how long a worker holds a claim, and so the budget's expiry
@@ -38,12 +38,12 @@ const BUDGET_BATCH_SHOTS: u64 = 64;
 /// ~25 ms; runs that share trajectories take far less.
 const CLAIM_WORK: u64 = 1 << 20;
 
-/// Best-effort result of a budgeted run ([`Executor::run_budgeted`]).
+/// Best-effort result of a budgeted run ([`Executor::sample`]).
 #[derive(Clone, PartialEq, Debug)]
 pub struct RunOutcome {
     /// Counts over the completed prefix of shots.
     pub counts: Counts,
-    /// Exact number of trajectories sampled: shots `0..shots_completed`.
+    /// Exact number of shots sampled: shots `0..shots_completed`.
     pub shots_completed: u64,
     /// The configured shot target.
     pub shots_requested: u64,
@@ -55,7 +55,7 @@ pub struct RunOutcome {
 /// off for ablation experiments.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecutorConfig {
-    /// Trajectories to sample.
+    /// Shots to sample.
     pub shots: u64,
     /// Base RNG seed; every `(shot, component)` derives its own stream.
     pub seed: u64,
@@ -141,60 +141,19 @@ impl<'a> Executor<'a> {
         ScheduledCircuit::new(circuit.clone(), slots).expect("slot count matches by construction")
     }
 
-    /// Executes the schedule, returning measured counts over the circuit's
-    /// classical register.
-    ///
-    /// Runs on the calling thread in claims of 4,096 shots, so a run of up
-    /// to that many shots of a narrow circuit is one shared-trajectory
-    /// chunk. Every
-    /// trajectory derives its own RNG stream from `(seed, shot)`, so the
-    /// counts equal [`Executor::run_budgeted`]'s under an unlimited budget
-    /// at any thread count.
+    /// Executes the schedule on the calling thread under no budget,
+    /// returning measured counts over the circuit's classical register:
+    /// [`Executor::program`], then [`Executor::sample`]'s claim loop, so
+    /// the counts equal `sample`'s of the same program at any thread
+    /// count.
     ///
     /// # Panics
     ///
     /// Panics if the schedule is invalid ([`ScheduledCircuit::validate`])
-    /// or if a component exceeds the statevector limit.
+    /// or if a trajectory component exceeds the statevector limit.
     pub fn run(&self, sched: &ScheduledCircuit) -> Counts {
         let _span = xtalk_obs::span("sim.run_parallel");
-        let prep = self.prepare(sched, false);
-        self.run_batches(&prep, 1, &Budget::unlimited(), |_| LANE_BLOCK as u64).counts
-    }
-
-    /// Executes the schedule across `threads` OS threads (`0` = all
-    /// available parallelism) under a cooperative [`Budget`], checked only
-    /// between shot claims, with every component on the trajectory
-    /// backend.
-    ///
-    /// Workers claim contiguous shot ranges in index order; a worker polls
-    /// the budget *before* claiming and always finishes a range it
-    /// claimed. The first claim is 64 shots, so a run whose budget is gone
-    /// by its first checkpoint returns a 64-shot prefix. Every later claim
-    /// is a multiple of 64 shots sized by the program's worst-case work
-    /// (`CLAIM_WORK`), up to 4,096, and with more than one worker at most
-    /// an even share of the shots left; under a work quota, charged one
-    /// unit per claim, every claim stays 64 shots. Completed claims
-    /// therefore form a prefix `0..n`, so the returned [`RunOutcome`]
-    /// reports an exact `shots_completed` and its counts are
-    /// **bit-identical** to a fresh run of exactly that many shots at any
-    /// thread count (each shot still derives its own RNG stream from
-    /// `(config.seed, shot)`). Budget-expiry latency is at most one 64-shot
-    /// batch or one work-capped claim per worker.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule is invalid ([`ScheduledCircuit::validate`]),
-    /// if a component exceeds the statevector limit, or if a worker thread
-    /// panics.
-    pub fn run_budgeted(
-        &self,
-        sched: &ScheduledCircuit,
-        threads: usize,
-        budget: &Budget,
-    ) -> RunOutcome {
-        let _span = xtalk_obs::span("sim.run_budgeted");
-        let prep = self.prepare(sched, false);
-        self.sample_prepared(&prep, threads, budget)
+        self.run_batches(&self.program(sched), 1, &Budget::unlimited()).counts
     }
 
     /// Compiles the schedule for [`Executor::sample`], choosing a backend
@@ -214,36 +173,55 @@ impl<'a> Executor<'a> {
     ///
     /// Panics if the schedule is invalid ([`ScheduledCircuit::validate`]).
     pub fn program(&self, sched: &ScheduledCircuit) -> Prepared {
-        self.prepare(sched, true)
+        let mut prep = self.compile(sched);
+        prep.evolve_exact();
+        prep
     }
 
     /// Samples `config.shots` shots of a program built by
     /// [`Executor::program`] of an executor with the same noise switches,
-    /// through [`Executor::run_budgeted`]'s claim loop: the same claims,
-    /// budget checkpoints and prefix guarantee, the same `sim.batch`
-    /// fault point per claim. Shot `i` draws from its own
-    /// `(config.seed, i)` stream: the trajectory components first, as in
-    /// [`Executor::run`], then one uniform per exact component. A program
-    /// with no exact component therefore counts exactly as
-    /// [`Executor::run_budgeted`] does; an exact component's outcomes are
-    /// equal in distribution to its trajectories', not bit-identical.
+    /// across `threads` OS threads (`0` = all available parallelism) under
+    /// a cooperative [`Budget`], checked only between shot claims.
+    ///
+    /// Workers claim contiguous shot ranges in index order; a worker polls
+    /// the budget *before* claiming and always finishes a range it
+    /// claimed. The first claim is 64 shots, so a run whose budget is gone
+    /// by its first checkpoint returns a 64-shot prefix. Every later claim
+    /// is a multiple of 64 shots sized by the program's worst-case work
+    /// (`CLAIM_WORK`), up to 4,096, and with more than one worker at most
+    /// an even share of the shots left; under a work quota, charged one
+    /// unit per claim, every claim stays 64 shots. Completed claims
+    /// therefore form a prefix `0..n`, so the returned [`RunOutcome`]
+    /// reports an exact `shots_completed` and its counts are
+    /// **bit-identical** to a fresh run of exactly that many shots at any
+    /// thread count: shot `i` draws from its own `(config.seed, i)`
+    /// stream, the trajectory components first, then one uniform per exact
+    /// component. Each claim passes the `sim.batch` fault point.
+    /// Budget-expiry latency is at most one 64-shot batch or one
+    /// work-capped claim per worker.
     ///
     /// # Panics
     ///
     /// Panics if a worker thread panics.
     pub fn sample(&self, prep: &Prepared, threads: usize, budget: &Budget) -> RunOutcome {
         let _span = xtalk_obs::span("sim.run_budgeted");
-        self.sample_prepared(prep, threads, budget)
+        self.run_batches(prep, threads, budget)
     }
 
-    /// [`Executor::run_budgeted`]'s claim plan over a compiled program.
-    fn sample_prepared(&self, prep: &Prepared, threads: usize, budget: &Budget) -> RunOutcome {
+    /// The claim loop behind [`Executor::run`] and [`Executor::sample`]:
+    /// `threads` workers claim contiguous shot ranges from one shot
+    /// cursor, sized as `sample` documents and cut short at the shot
+    /// count. A worker polls `budget` *before* each claim and always
+    /// finishes a range it claimed, so the completed shots are the prefix
+    /// `0..min(cursor, shots)` whatever the thread count and however the
+    /// claims are sized. Each claim is one [`Executor::run_block`].
+    fn run_batches(&self, prep: &Prepared, threads: usize, budget: &Budget) -> RunOutcome {
         let shots = self.config.shots;
         let threads =
             worker_count(threads).min(shots.div_ceil(BUDGET_BATCH_SHOTS) as usize).max(1);
         let later =
             if budget.quota().is_some() { BUDGET_BATCH_SHOTS } else { prep.claim_shots() };
-        self.run_batches(prep, threads, budget, |cursor| match cursor {
+        let claim = |cursor: u64| match cursor {
             0 => BUDGET_BATCH_SHOTS,
             _ if threads == 1 => later,
             _ => {
@@ -252,24 +230,7 @@ impl<'a> Executor<'a> {
                 let share = (shots - cursor) / threads as u64;
                 later.min((share - share % BUDGET_BATCH_SHOTS).max(BUDGET_BATCH_SHOTS))
             }
-        })
-    }
-
-    /// The claim loop behind both entries. `threads` workers claim
-    /// contiguous shot ranges from one shot cursor: a claim at cursor `c`
-    /// takes `claim(c)` shots (at most [`LANE_BLOCK`], cut short at the
-    /// shot count). A worker polls `budget` *before* each claim and always
-    /// finishes a range it claimed, so the completed shots are the prefix
-    /// `0..min(cursor, shots)` whatever the thread count and however the
-    /// claims are sized. Each claim is one [`Executor::run_block`].
-    fn run_batches(
-        &self,
-        prep: &Prepared,
-        threads: usize,
-        budget: &Budget,
-        claim: impl Fn(u64) -> u64 + Sync,
-    ) -> RunOutcome {
-        let shots = self.config.shots;
+        };
         let cursor = AtomicU64::new(0);
         let run_worker = |thread_idx: usize| -> Counts {
             let mut counts = Counts::new(prep.num_clbits.max(1));
@@ -327,11 +288,11 @@ impl<'a> Executor<'a> {
     /// the noise switches is evaluated here, once per run: qubit-local
     /// indices, unitary matrices, crosstalk-scaled depolarizing
     /// probabilities, idle gaps and their channels, readout errors. A shot
-    /// then only walks the steps and draws from its RNG. With `exact`,
-    /// every component that [`Program::exact_eligible`] admits is evolved
-    /// into an [`OutcomeTable`] instead ([`Executor::program`]). Panics if
+    /// then only walks the steps and draws from its RNG.
+    /// [`Executor::program`] then moves every component that
+    /// [`Program::exact_eligible`] admits to the exact backend. Panics if
     /// the schedule is invalid.
-    fn prepare(&self, sched: &ScheduledCircuit, exact: bool) -> Prepared {
+    fn compile(&self, sched: &ScheduledCircuit) -> Prepared {
         sched.validate().expect("executor requires a valid schedule");
         let circuit = sched.circuit();
         let cal = self.device.calibration();
@@ -421,12 +382,7 @@ impl<'a> Executor<'a> {
             }
             programs.push(Program { width: qubits.len(), steps });
         }
-        let mut prep =
-            Prepared { num_clbits: circuit.num_clbits(), mats, programs, tables: Vec::new() };
-        if exact {
-            prep.evolve_exact();
-        }
-        prep
+        Prepared { num_clbits: circuit.num_clbits(), mats, programs, tables: Vec::new() }
     }
 
     /// Effective (crosstalk-conditioned) error factor per instruction (1
@@ -619,7 +575,7 @@ impl Prepared {
         }
     }
 
-    /// Shots per later claim of a budgeted run: as many as fit
+    /// Shots per later claim of a run: as many as fit
     /// [`CLAIM_WORK`] at the run's worst-case work per shot (one unit per
     /// exact component's draw), rounded down to a multiple of
     /// [`BUDGET_BATCH_SHOTS`], at least one batch and at most
@@ -869,9 +825,8 @@ const BUDGET: usize = 1 << 20;
 /// and grows as its groups split.
 const RESERVED_LANES: usize = 128;
 
-/// Shots per claim in [`Executor::run`], and the most a budgeted run's
-/// work-sized claim may hold: bounds the per-lane bookkeeping (RNG stream,
-/// outcome, position) however many shots run.
+/// The most shots one work-sized claim may hold: bounds the per-lane
+/// bookkeeping (RNG stream, outcome, position) however many shots run.
 const LANE_BLOCK: usize = 4096;
 
 /// Lanes simulated together in one chunk of a `width`-qubit component.
@@ -1339,7 +1294,7 @@ mod tests {
     }
 
     #[test]
-    fn run_budgeted_handles_more_threads_than_shots() {
+    fn sample_handles_more_threads_than_shots() {
         let device = Device::line(2, 0);
         let mut c = Circuit::new(2, 2);
         c.h(0).cx(0, 1).measure_all();
@@ -1347,24 +1302,28 @@ mod tests {
         let mut cfg = noiseless();
         cfg.shots = 3;
         let exec = Executor::with_config(&device, cfg);
-        let counts = exec.run_budgeted(&sched, 64, &Budget::unlimited()).counts;
+        let counts = exec.sample(&exec.program(&sched), 64, &Budget::unlimited()).counts;
         assert_eq!(counts.shots(), 3);
         assert_eq!(counts, exec.run(&sched));
     }
 
     #[test]
-    fn run_budgeted_unlimited_matches_run() {
-        let device = Device::line(3, 1);
-        let mut c = Circuit::new(3, 3);
-        c.h(0).cx(0, 1).cx(1, 2).measure_all();
+    fn unlimited_samples_match_run() {
+        // A GHZ (exact) beside a qubit measured twice (trajectories).
+        let device = Device::line(4, 1);
+        let mut c = Circuit::new(4, 5);
+        c.h(0).cx(0, 1).cx(1, 2).measure(0, 0).measure(1, 1).measure(2, 2);
+        c.h(3).measure(3, 3).h(3).measure(3, 4);
         let sched = Executor::asap_schedule(&c, device.calibration());
         // Not a multiple of the batch size.
         let cfg = ExecutorConfig { shots: 1000, seed: 99, ..Default::default() };
         let exec = Executor::with_config(&device, cfg);
+        let prep = exec.program(&sched);
+        assert_eq!((prep.exact_components(), prep.trajectory_components()), (1, 1));
         let serial = exec.run(&sched);
         // `0` = available parallelism must match too.
         for threads in [0usize, 1, 2, 3, 4, 7] {
-            let out = exec.run_budgeted(&sched, threads, &Budget::unlimited());
+            let out = exec.sample(&prep, threads, &Budget::unlimited());
             assert!(out.complete);
             assert_eq!(out.shots_completed, 1000);
             assert_eq!(out.shots_requested, 1000);
@@ -1373,7 +1332,7 @@ mod tests {
     }
 
     #[test]
-    fn run_budgeted_cancelled_returns_empty_partial() {
+    fn cancelled_sample_returns_empty_partial() {
         let device = Device::line(2, 0);
         let mut c = Circuit::new(2, 2);
         c.h(0).cx(0, 1).measure_all();
@@ -1381,7 +1340,7 @@ mod tests {
         let exec = Executor::with_config(&device, noiseless());
         let budget = Budget::unlimited();
         budget.cancel_token().cancel();
-        let out = exec.run_budgeted(&sched, 4, &budget);
+        let out = exec.sample(&exec.program(&sched), 4, &budget);
         assert!(!out.complete);
         assert_eq!(out.shots_completed, 0);
         assert_eq!(out.counts.shots(), 0);
@@ -1398,10 +1357,10 @@ mod tests {
         let sched = Executor::asap_schedule(&c, device.calibration());
         let cfg = ExecutorConfig { shots: 1000, seed: 5, ..Default::default() };
         let exec = Executor::with_config(&device, cfg);
+        let prep = exec.program(&sched);
         // A quota budget truncates mid-run; racing threads make the exact
         // stop point nondeterministic, which is precisely the point.
-        let out =
-            exec.run_budgeted(&sched, 4, &Budget::unlimited().with_quota(7));
+        let out = exec.sample(&prep, 4, &Budget::unlimited().with_quota(7));
         assert!(!out.complete);
         assert!(out.shots_completed > 0 && out.shots_completed < 1000);
         assert_eq!(out.shots_completed % BUDGET_BATCH_SHOTS, 0);
@@ -1409,7 +1368,7 @@ mod tests {
         let fresh = Executor::with_config(&device, fresh_cfg);
         for threads in [1usize, 3, 8] {
             assert_eq!(
-                fresh.run_budgeted(&sched, threads, &Budget::unlimited()).counts,
+                fresh.sample(&prep, threads, &Budget::unlimited()).counts,
                 out.counts,
                 "partial counts diverge from a fresh {}-shot run at {threads} threads",
                 out.shots_completed
@@ -1432,19 +1391,22 @@ mod tests {
         };
         let device = Device::line(3, 1);
         let exec = Executor::new(&device);
-        let prep = exec.prepare(&Executor::asap_schedule(&ghz(3), device.calibration()), false);
+        let prep = exec.trajectory_program(&Executor::asap_schedule(&ghz(3), device.calibration()));
         assert_eq!(prep.claim_shots(), LANE_BLOCK as u64);
         // A 6-qubit one holds several hundred: a multiple of 64 between.
         let device = Device::line(6, 1);
         let exec = Executor::new(&device);
-        let prep = exec.prepare(&Executor::asap_schedule(&ghz(6), device.calibration()), false);
+        let prep = exec.trajectory_program(&Executor::asap_schedule(&ghz(6), device.calibration()));
         let shots = prep.claim_shots();
         assert!(shots > BUDGET_BATCH_SHOTS && shots < LANE_BLOCK as u64, "{shots} shots");
         assert_eq!(shots % BUDGET_BATCH_SHOTS, 0);
+        // Its exact program draws once per shot: a whole lane block again.
+        let prep = exec.program(&Executor::asap_schedule(&ghz(6), device.calibration()));
+        assert_eq!(prep.claim_shots(), LANE_BLOCK as u64);
         // A 14-qubit component costs 2^14 per step: claims stay at 64.
         let device = Device::line(14, 1);
         let exec = Executor::new(&device);
-        let prep = exec.prepare(&Executor::asap_schedule(&ghz(14), device.calibration()), false);
+        let prep = exec.program(&Executor::asap_schedule(&ghz(14), device.calibration()));
         assert_eq!(prep.programs.len(), 1);
         assert_eq!(prep.claim_shots(), BUDGET_BATCH_SHOTS);
     }

@@ -158,12 +158,24 @@ impl Executor<'_> {
 const CHUNKS: [usize; 6] = [1, 2, 3, 7, 64, usize::MAX];
 
 impl Executor<'_> {
-    /// All shots as one claim with `chunk` lanes per chunk (`None`:
-    /// [`Prepared::chunk_lanes`]); returns the counts and the runner, for
-    /// its step counters.
+    /// The all-trajectory reference program: every component on
+    /// trajectories, exact-eligible or not.
+    pub(super) fn trajectory_program(&self, sched: &ScheduledCircuit) -> Prepared {
+        self.compile(sched)
+    }
+
+    /// All shots of the all-trajectory program through the claim loop on
+    /// `threads` threads, unbudgeted.
+    fn trajectory_counts(&self, sched: &ScheduledCircuit, threads: usize) -> Counts {
+        self.sample(&self.trajectory_program(sched), threads, &Budget::unlimited()).counts
+    }
+
+    /// All shots of the all-trajectory program as one claim with `chunk`
+    /// lanes per chunk (`None`: [`Prepared::chunk_lanes`]); returns the
+    /// counts and the runner, for its step counters.
     fn run_chunked(&self, sched: &ScheduledCircuit, chunk: Option<usize>) -> (Counts, Runner) {
         assert!(self.config.shots <= LANE_BLOCK as u64, "one claim holds the run");
-        let prep = self.prepare(sched, false);
+        let prep = self.trajectory_program(sched);
         let mut runner = Runner::new();
         runner.chunk = chunk;
         let mut counts = Counts::new(prep.num_clbits.max(1));
@@ -171,15 +183,25 @@ impl Executor<'_> {
         (counts, runner)
     }
 
-    /// All shots of `prep` through the claim loop on `threads` threads,
-    /// unbudgeted, a claim at cursor `c` taking `claim(c)` shots.
-    fn run_claims(
-        &self,
-        prep: &Prepared,
-        threads: usize,
-        claim: impl Fn(u64) -> u64 + Sync,
-    ) -> Counts {
-        self.run_batches(prep, threads, &Budget::unlimited(), claim).counts
+    /// All shots of `prep` as the claims between consecutive `ends` (the
+    /// first from shot 0, the last cut short at the shot count), dealt
+    /// round-robin to `runners` runners and run last claim first: any
+    /// claim plan, in any order, on reused runners.
+    fn run_plan(&self, prep: &Prepared, ends: &[u64], runners: usize) -> Counts {
+        let shots = self.config.shots;
+        let mut workers: Vec<(Runner, Counts)> =
+            (0..runners).map(|_| (Runner::new(), Counts::new(prep.num_clbits.max(1)))).collect();
+        let starts = std::iter::once(0).chain(ends.iter().copied());
+        let claims: Vec<_> = starts.zip(ends).map(|(lo, &hi)| lo..hi.min(shots)).collect();
+        assert!(claims.last().is_some_and(|c| c.end == shots), "the plan covers every shot");
+        for (k, range) in claims.into_iter().enumerate().rev() {
+            let (runner, counts) = &mut workers[k % runners];
+            self.run_block(prep, range, k % runners, runner, counts);
+        }
+        workers.into_iter().fold(Counts::new(prep.num_clbits.max(1)), |mut all, (_, counts)| {
+            all.merge(&counts);
+            all
+        })
     }
 
     /// The outcome distribution of every component `prep` put on the
@@ -194,7 +216,7 @@ impl Executor<'_> {
         for c in circuit.iter().filter_map(|i| i.clbit()) {
             writes[c.index()] += 1;
         }
-        let trajectories = self.prepare(sched, false);
+        let trajectories = self.trajectory_program(sched);
         let mut joint = Dist::from([(0, 1.0)]);
         let mut exact = 0;
         for (qubits, program) in components(circuit).iter().zip(&trajectories.programs) {
@@ -291,6 +313,16 @@ fn convolve(a: &Dist, b: &Dist) -> Dist {
         }
     }
     out
+}
+
+/// Claim ends of a random plan over `shots` shots: 64, then multiples of
+/// 64 up to 1,024 shots apart, the last at or past `shots`.
+fn random_plan(rng: &mut StdRng, shots: u64) -> Vec<u64> {
+    let mut ends = vec![BUDGET_BATCH_SHOTS];
+    while ends[ends.len() - 1] < shots {
+        ends.push(ends[ends.len() - 1] + BUDGET_BATCH_SHOTS * rng.gen_range(1..17u64));
+    }
+    ends
 }
 
 /// The joint distribution of `prep`'s exact components, from their tables.
@@ -534,7 +566,7 @@ fn compiled_programs_match_reference_under_every_noise_switch() {
         for cfg in all_configs(96, 0x5eed) {
             let exec = Executor::with_config(&device, cfg);
             let reference = exec.run_reference(&sched);
-            assert_eq!(exec.run(&sched), reference, "{name} under {cfg:?}");
+            assert_eq!(exec.trajectory_counts(&sched, 1), reference, "{name} under {cfg:?}");
             for chunk in CHUNKS {
                 let (counts, _) = exec.run_chunked(&sched, Some(chunk));
                 assert_eq!(counts, reference, "{name} under {cfg:?}, {chunk} lanes per chunk");
@@ -551,58 +583,62 @@ fn compiled_programs_match_reference_at_every_thread_count() {
         let cfg = ExecutorConfig { shots: 1100, seed: 3, ..Default::default() };
         let exec = Executor::with_config(&device, cfg);
         let reference = exec.run_reference(&sched);
-        assert_eq!(exec.run(&sched), reference, "{name}, run");
-        // Batches that end mid-chunk and off the 64-shot grid.
-        for threads in [1usize, 3] {
-            let counts = exec.run_claims(&exec.prepare(&sched, false), threads, |_| 37);
-            assert_eq!(counts, reference, "{name}, 37-shot batches x{threads}");
-        }
         for threads in [1usize, 2, 4] {
-            let out = exec.run_budgeted(&sched, threads, &Budget::unlimited());
-            assert!(out.complete);
-            assert_eq!(out.counts, reference, "{name}, budgeted x{threads}");
+            let counts = exec.trajectory_counts(&sched, threads);
+            assert_eq!(counts, reference, "{name} x{threads}");
+        }
+        // Claims that end mid-chunk and off the 64-shot grid.
+        let ends: Vec<u64> = (1..=cfg.shots.div_ceil(37)).map(|k| 37 * k).collect();
+        for runners in [1usize, 3] {
+            let counts = exec.run_plan(&exec.trajectory_program(&sched), &ends, runners);
+            assert_eq!(counts, reference, "{name}, 37-shot claims on {runners} runners");
         }
     }
 }
 
 #[test]
-fn random_claim_plans_match_run() {
-    // Budgeted runs claim 64 shots, then work-sized multiples of 64; any
-    // such plan must give `run`'s counts, at one thread and at three
-    // racing for the claims. 1100 shots: the last claim is cut short.
+fn random_claim_plans_match_the_claim_loop() {
+    // Any plan of 64-shot multiples, on one runner or dealt to three, must
+    // give the claim loop's counts. 1100 shots: the last claim is cut
+    // short.
     let mut rng = StdRng::seed_from_u64(18);
     for (name, device, sched) in cases() {
         let cfg = ExecutorConfig { shots: 1100, seed: 4, ..Default::default() };
         let exec = Executor::with_config(&device, cfg);
-        let want = exec.run(&sched);
-        for threads in [1usize, 3] {
-            let mut ends = vec![BUDGET_BATCH_SHOTS];
-            while ends[ends.len() - 1] < cfg.shots {
-                ends.push(ends[ends.len() - 1] + BUDGET_BATCH_SHOTS * rng.gen_range(1..17u64));
-            }
-            let counts = exec.run_claims(&exec.prepare(&sched, false), threads, |cursor| {
-                let end = ends.iter().find(|&&end| end > cursor).expect("a claim ends past it");
-                end - cursor
-            });
-            assert_eq!(counts, want, "{name}, claims ending at {ends:?} x{threads}");
+        let prep = exec.trajectory_program(&sched);
+        let want = exec.sample(&prep, 1, &Budget::unlimited()).counts;
+        for runners in [1usize, 3] {
+            let ends = random_plan(&mut rng, cfg.shots);
+            let counts = exec.run_plan(&prep, &ends, runners);
+            assert_eq!(counts, want, "{name}, claims ending at {ends:?} on {runners} runners");
         }
     }
 }
 
 #[test]
 fn run_past_one_lane_block_matches_reference() {
-    // `run` cuts 4,196 shots into one full `LANE_BLOCK` claim and a
-    // partial one; the mixed-widths case also chunks inside each claim.
+    // 4,196 shots: more than one claim may hold, so even a run whose
+    // claims reach `LANE_BLOCK` takes several; the mixed-widths case also
+    // chunks inside each claim.
     let shots = LANE_BLOCK as u64 + 100;
     let (name, device, sched) =
         cases().into_iter().find(|(name, _, _)| *name == "mixed widths").unwrap();
     let cfg = ExecutorConfig { shots, seed: 6, ..Default::default() };
     let exec = Executor::with_config(&device, cfg);
     let reference = exec.run_reference(&sched);
-    assert_eq!(exec.run(&sched), reference, "{name}, run");
-    let out = exec.run_budgeted(&sched, 3, &Budget::unlimited());
-    assert!(out.complete);
-    assert_eq!(out.counts, reference, "{name}, budgeted x3");
+    for threads in [1usize, 3] {
+        assert_eq!(exec.trajectory_counts(&sched, threads), reference, "{name} x{threads}");
+    }
+}
+
+#[test]
+fn run_is_the_one_thread_sample_of_the_program() {
+    for (name, device, sched) in cases() {
+        let cfg = ExecutorConfig { shots: 700, seed: 12, ..Default::default() };
+        let exec = Executor::with_config(&device, cfg);
+        let sampled = exec.sample(&exec.program(&sched), 3, &Budget::unlimited());
+        assert_eq!(exec.run(&sched), sampled.counts, "{name}");
+    }
 }
 
 #[test]
@@ -615,7 +651,7 @@ fn cases_exercise_every_step_kind() {
     let mut kinds = [0usize; 4];
     let mut dephasing = [0usize; 2];
     for (_, device, sched) in &cases {
-        let prep = Executor::new(device).prepare(sched, false);
+        let prep = Executor::new(device).trajectory_program(sched);
         for step in prep.programs.iter().flat_map(|p| &p.steps) {
             match step {
                 Step::Gate1 { .. } => kinds[0] += 1,
@@ -644,7 +680,7 @@ fn cases_exercise_every_step_kind() {
             runner.lane_steps
         );
         if *name == "saturated" {
-            let prep = Executor::new(device).prepare(sched, false);
+            let prep = Executor::new(device).trajectory_program(sched);
             let clamped = prep.programs.iter().flat_map(|p| &p.steps).any(
                 |s| matches!(s, Step::Gate2 { depol: Some(p), .. } if *p == 0.9375),
             );
@@ -657,7 +693,7 @@ fn cases_exercise_every_step_kind() {
             );
         }
         if *name == "mixed widths" {
-            let prep = Executor::new(device).prepare(sched, false);
+            let prep = Executor::new(device).trajectory_program(sched);
             let mut widths: Vec<usize> = prep.programs.iter().map(|p| p.width).collect();
             widths.sort_unstable();
             assert_eq!(widths, [1, 2, 6], "component widths");
@@ -766,18 +802,15 @@ fn exact_dispatch_follows_the_program_alone() {
 }
 
 #[test]
-fn programs_without_exact_components_count_as_run() {
+fn programs_without_exact_components_count_as_trajectories() {
     for (name, device, sched) in cases() {
         let cfg = ExecutorConfig { shots: 300, seed: 8, ..Default::default() };
         let exec = Executor::with_config(&device, cfg);
         let prep = exec.program(&sched);
-        let eligible = {
-            let trajectories = exec.prepare(&sched, false);
-            trajectories.programs.len() - prep.programs.len()
-        };
+        let eligible = exec.trajectory_program(&sched).programs.len() - prep.programs.len();
         if eligible == 0 {
             let out = exec.sample(&prep, 2, &Budget::unlimited());
-            assert_eq!(out.counts, exec.run(&sched), "{name}");
+            assert_eq!(out.counts, exec.trajectory_counts(&sched, 1), "{name}");
         }
     }
 }
@@ -785,8 +818,8 @@ fn programs_without_exact_components_count_as_run() {
 #[test]
 fn exact_sampling_is_claim_plan_and_thread_invariant() {
     // The prefix contract holds for the exact backend too: any claim plan
-    // of 64-shot multiples, at any thread count, counts as one unbudgeted
-    // run, and a quota-truncated run is the prefix of its shots.
+    // of 64-shot multiples, on any number of runners, and any thread
+    // count counts as one unbudgeted run.
     let mut rng = StdRng::seed_from_u64(22);
     for (name, device, sched) in cases() {
         let cfg = ExecutorConfig { shots: 1100, seed: 4, ..Default::default() };
@@ -796,24 +829,18 @@ fn exact_sampling_is_claim_plan_and_thread_invariant() {
         for threads in [2usize, 3, 4] {
             assert_eq!(exec.sample(&prep, threads, &Budget::unlimited()).counts, want, "{name}");
         }
-        for threads in [1usize, 3] {
-            let mut ends = vec![BUDGET_BATCH_SHOTS];
-            while ends[ends.len() - 1] < cfg.shots {
-                ends.push(ends[ends.len() - 1] + BUDGET_BATCH_SHOTS * rng.gen_range(1..17u64));
-            }
-            let counts = exec.run_claims(&prep, threads, |cursor| {
-                let end = ends.iter().find(|&&end| end > cursor).expect("a claim ends past it");
-                end - cursor
-            });
-            assert_eq!(counts, want, "{name}, claims ending at {ends:?} x{threads}");
-            // Chunks of a mixed program end mid-claim.
-            for chunk in [1usize, 7] {
-                let mut runner = Runner::new();
-                runner.chunk = Some(chunk);
-                let mut counts = Counts::new(prep.num_clbits.max(1));
-                exec.run_block(&prep, 0..cfg.shots, 0, &mut runner, &mut counts);
-                assert_eq!(counts, want, "{name}, {chunk} lanes per chunk");
-            }
+        for runners in [1usize, 3] {
+            let ends = random_plan(&mut rng, cfg.shots);
+            let counts = exec.run_plan(&prep, &ends, runners);
+            assert_eq!(counts, want, "{name}, claims ending at {ends:?} on {runners} runners");
+        }
+        // Chunks of a mixed program end mid-claim.
+        for chunk in [1usize, 7] {
+            let mut runner = Runner::new();
+            runner.chunk = Some(chunk);
+            let mut counts = Counts::new(prep.num_clbits.max(1));
+            exec.run_block(&prep, 0..cfg.shots, 0, &mut runner, &mut counts);
+            assert_eq!(counts, want, "{name}, {chunk} lanes per chunk");
         }
     }
 }
@@ -836,4 +863,77 @@ fn a_short_exact_run_is_the_budget_prefix_of_a_long_one() {
         assert_eq!(out.shots_completed, 64, "{name}");
         assert_eq!(out.counts, fresh.counts, "{name}");
     }
+}
+
+/// GHZ-4 on Poughkeepsie qubits 0–3.
+fn ghz4() -> Circuit {
+    let mut c = Circuit::new(20, 4);
+    c.h(0).cx(0, 1).cx(1, 2).cx(2, 3);
+    for q in 0..4u32 {
+        c.measure(q, q);
+    }
+    c
+}
+
+/// Bernstein–Vazirani with secret `0b101` on Poughkeepsie qubits 0–3: data
+/// on 0–2 and the ancilla on 3, which SWAPs along the line to meet each
+/// data qubit, so the data qubits end on 0, 2 and 3.
+fn bv4() -> Circuit {
+    let mut c = Circuit::new(20, 3);
+    c.x(3).h(3).h(0).h(1).h(2);
+    c.cx(2, 3).swap(2, 3).swap(1, 2).cx(0, 1);
+    c.h(0).h(2).h(3).measure(0, 0).measure(2, 1).measure(3, 2);
+    c
+}
+
+#[test]
+fn exact_tables_pass_a_chi_square_test_against_trajectories() {
+    // A million all-trajectory shots per schedule, binned over the exact
+    // components' clbits, against their joint table. Bins expected to
+    // hold fewer than 5 shots are pooled into one (kept if it reaches 5).
+    // A χ² beyond dof + 6·√(2·dof), six standard deviations, fails.
+    let shots = 1_000_000;
+    let pough = Device::poughkeepsie(3);
+    let mut schedules = cases();
+    for (name, circuit) in [("ghz-4", ghz4()), ("bv-4", bv4())] {
+        let sched = Executor::asap_schedule(&circuit, pough.calibration());
+        schedules.push((name, pough.clone(), sched));
+    }
+    let mut tested = Vec::new();
+    for (name, device, sched) in schedules {
+        let cfg = ExecutorConfig { shots, seed: 0xc41, ..Default::default() };
+        let exec = Executor::with_config(&device, cfg);
+        let prep = exec.program(&sched);
+        if prep.exact_components() == 0 {
+            continue;
+        }
+        let table = exact_distribution(&prep);
+        let mask = prep.tables.iter().flat_map(|t| t.distribution()).fold(0, |m, (k, _)| m | k);
+        let mut observed = BTreeMap::new();
+        for (bits, n) in exec.trajectory_counts(&sched, 0).iter() {
+            *observed.entry(bits & mask).or_insert(0u64) += n;
+        }
+        let (mut chi2, mut bins) = (0.0, 0usize);
+        let (mut rest_expected, mut rest_observed) = (0.0, 0.0);
+        for (k, p) in table {
+            let expected = p * shots as f64;
+            let seen = observed.get(&k).copied().unwrap_or(0) as f64;
+            if expected < 5.0 {
+                rest_expected += expected;
+                rest_observed += seen;
+            } else {
+                chi2 += (seen - expected).powi(2) / expected;
+                bins += 1;
+            }
+        }
+        if rest_expected >= 5.0 {
+            chi2 += (rest_observed - rest_expected).powi(2) / rest_expected;
+            bins += 1;
+        }
+        let dof = (bins - 1) as f64;
+        let bound = dof + 6.0 * (2.0 * dof).sqrt();
+        assert!(chi2 < bound, "{name}: χ² {chi2:.1} over {dof} dof, bound {bound:.1}");
+        tested.push(name);
+    }
+    assert_eq!(tested.len(), 9, "schedules with an exact component: {tested:?}");
 }

@@ -16,22 +16,20 @@
 //!
 //! Connected components of the circuit's interaction graph are simulated
 //! independently (exact, since no unitary spans components), which keeps
-//! bin-packed simultaneous-RB experiments cheap. Each component takes one
-//! of two backends ([`Executor::program`], then [`Executor::sample`]):
+//! bin-packed simultaneous-RB experiments cheap. Every run compiles the
+//! schedule ([`Executor::program`]), then samples it ([`Executor::sample`];
+//! [`Executor::run`] does both), each component on one of two backends:
 //!
 //! * **exact** — when every measurement is terminal on its qubit, each
-//!   clbit is written once, the component's density matrix fits 1 MiB
-//!   (`w ≤ 8`) and `4^w` × its steps stays within one claim's work cap,
-//!   its channel is evolved once as a density matrix into a table of
-//!   outcome probabilities (readout flips folded in), and each shot is one
-//!   draw from it;
+//!   clbit is written once, `w ≤ 8` and `4^w` × its steps stays within one
+//!   claim's work cap, its channel is evolved once as a density matrix
+//!   into a table of outcome probabilities (readout flips folded in), and
+//!   each shot is one draw from it;
 //! * **trajectory** — every other component samples a statevector
 //!   trajectory per shot, as above.
 //!
-//! The choice depends only on the schedule, never on the shot count.
-//! Both backends sample the same channels, so their counts agree in
-//! distribution, not bit for bit. [`Executor::run`] and
-//! [`Executor::run_budgeted`] keep every component on trajectories.
+//! The choice depends only on the schedule, never on the shot count. Both
+//! backends sample the same channels: counts agree in distribution.
 //!
 //! Also provided: exact noise-free execution ([`ideal`]), two-qubit state
 //! tomography ([`tomography`]), readout-error mitigation ([`mitigation`])

@@ -1,5 +1,6 @@
-//! Determinism matrix: `Executor::run_budgeted` must return bit-identical
-//! counts for every thread count **with profiling enabled**. The obs
+//! Determinism matrix: `Executor::sample` must return bit-identical
+//! counts for every thread count **with profiling enabled**, on a program
+//! with a component on each backend. The obs
 //! layer records wall times and counters but must never touch the
 //! per-shot RNG streams or reorder the merged counts.
 //!
@@ -19,10 +20,13 @@ fn obs_lock() -> MutexGuard<'static, ()> {
     GATE.get_or_init(|| Mutex::new(())).lock().unwrap()
 }
 
+/// Two components: `{11, 12}` takes the exact backend, while the
+/// mid-circuit measurement of qubit 16 keeps `{5, 10, 15, 16}` on
+/// trajectories.
 fn bench_circuit() -> (Device, Circuit) {
     let device = Device::poughkeepsie(3);
-    let mut c = Circuit::new(20, 6);
-    c.h(10).cx(10, 15).cx(11, 12).cx(15, 16).h(5).cx(5, 10);
+    let mut c = Circuit::new(20, 7);
+    c.h(10).cx(10, 15).cx(15, 16).measure(16, 6).cx(11, 12).cx(15, 16).h(5).cx(5, 10);
     for (bit, q) in [10u32, 15, 11, 12, 16, 5].into_iter().enumerate() {
         c.measure(q, bit as u32);
     }
@@ -32,7 +36,10 @@ fn bench_circuit() -> (Device, Circuit) {
 fn run_with_threads(device: &Device, c: &Circuit, shots: u64, threads: usize) -> Counts {
     let sched = Executor::asap_schedule(c, device.calibration());
     let cfg = ExecutorConfig { shots, seed: 41, ..Default::default() };
-    Executor::with_config(device, cfg).run_budgeted(&sched, threads, &Budget::unlimited()).counts
+    let exec = Executor::with_config(device, cfg);
+    let prep = exec.program(&sched);
+    assert!(prep.trajectory_components() > 0 && prep.exact_components() > 0);
+    exec.sample(&prep, threads, &Budget::unlimited()).counts
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Disabled-path overhead budget: with profiling off, the instrumentation
-//! inside `Executor::run_budgeted` must cost well under 5% of a run.
+//! inside `Executor::sample` must cost well under 5% of a run.
 //!
 //! Rather than comparing two noisy end-to-end timings (flaky on shared
 //! CI hardware), this measures the two quantities that actually make up
@@ -7,9 +7,10 @@
 //!
 //! 1. the per-probe cost of a disabled span + counter check (one relaxed
 //!    atomic load each, no allocation), measured over a large batch, and
-//! 2. the wall time of one `run_budgeted` call on a realistic circuit.
+//! 2. the wall time of one `sample` call on a realistic circuit, with a
+//!    component on each backend.
 //!
-//! `run_budgeted` executes a fixed, small number of probes per call
+//! `sample` executes a fixed, small number of probes per call
 //! (one top-level span, plus one batch span and one counter check per
 //! shot claim), so `probes x per_probe_cost` is the total
 //! instrumentation cost. The assertion leaves orders of magnitude of
@@ -30,7 +31,7 @@ fn disabled_profiling_overhead_is_under_five_percent() {
     xtalk_obs::set_enabled(false);
 
     // --- 1. Per-probe cost of the disabled instrumentation path. ---
-    // Mirrors exactly what run_budgeted executes per probe when
+    // Mirrors exactly what sample executes per probe when
     // profiling is off: a span guard (single atomic load, inert guard)
     // and the `enabled()` gate in front of the counters.
     let probe_iters = 200_000u64;
@@ -45,11 +46,13 @@ fn disabled_profiling_overhead_is_under_five_percent() {
     // the mean from the batch total.
     let per_probe_ns = probe.elapsed().as_nanos() as f64 / probe_iters as f64;
 
-    // --- 2. Wall time of one instrumented run_budgeted call. ---
+    // --- 2. Wall time of one instrumented sample call. ---
     let threads = 4usize;
     let device = Device::poughkeepsie(3);
-    let mut c = Circuit::new(20, 4);
-    c.h(10).cx(10, 15).cx(11, 12).h(5).cx(5, 10);
+    // `{5, 10, 15}` takes the exact backend; the mid-circuit measurement
+    // of qubit 12 keeps `{11, 12}` on trajectories.
+    let mut c = Circuit::new(20, 5);
+    c.h(10).cx(10, 15).cx(11, 12).measure(12, 4).cx(11, 12).h(5).cx(5, 10);
     for (bit, q) in [10u32, 15, 11, 12].into_iter().enumerate() {
         c.measure(q, bit as u32);
     }
@@ -57,13 +60,15 @@ fn disabled_profiling_overhead_is_under_five_percent() {
     let shots = 2000u64;
     let cfg = ExecutorConfig { shots, seed: 7, ..Default::default() };
     let exec = Executor::with_config(&device, cfg);
+    let prep = exec.program(&sched);
+    assert!(prep.trajectory_components() > 0 && prep.exact_components() > 0);
     let mut run = Bencher::new(5);
-    run.iter(|| black_box(exec.run_budgeted(&sched, threads, &Budget::unlimited())));
+    run.iter(|| black_box(exec.sample(&prep, threads, &Budget::unlimited())));
     // min over samples: the least-perturbed observation of the run cost.
     let run_ns = run.min_time().as_nanos() as f64;
 
     // --- 3. Bound the product. ---
-    // Probes per run_budgeted call: 1 top-level span + per claim one
+    // Probes per sample call: 1 top-level span + per claim one
     // shot-batch span and one counter gate. Every claim holds at least 64
     // shots unless it is the last, so `shots.div_ceil(64)` (32 for 2,000
     // shots) is an upper bound on the claims; work-sized claims make
@@ -76,7 +81,7 @@ fn disabled_profiling_overhead_is_under_five_percent() {
         overhead_ns < budget_ns,
         "disabled instrumentation too expensive: {probes_per_run} probes x \
          {per_probe_ns:.2} ns = {overhead_ns:.1} ns vs 5% budget {budget_ns:.1} ns \
-         (run_budgeted min {run_ns:.0} ns)"
+         (sample min {run_ns:.0} ns)"
     );
 
     // Sanity on the probe measurement itself: a disabled span + counter
